@@ -19,7 +19,7 @@ from .model import (
     Observation,
     ScoopAction,
     TrajectoryConstants,
-    feature_vector,
+    feature_matrix,
 )
 
 SCHEMA_VERSION = 1
@@ -55,7 +55,7 @@ class TaskDataset:
         """(N, input_dim) model features for every record; cached per arch."""
         if self._feat_cache is not None and self._feat_cache[0] == arch:
             return self._feat_cache[1]
-        X = np.stack([feature_vector(arch, r.obs, r.action) for r in self.records])
+        X = feature_matrix(arch, [(r.obs, r.action) for r in self.records])
         self._feat_cache = (arch, X)
         return X
 

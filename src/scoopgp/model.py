@@ -176,15 +176,29 @@ class Architecture:
         )
 
 
+def feature_matrix(arch: Architecture, pairs) -> np.ndarray:
+    """(n, input_dim) model features of [(obs, act)] pairs: each row is the
+    flattened patch plus normalized depth and the stiffness flag, written
+    straight into one preallocated matrix."""
+    pairs = list(pairs)
+    shape = (arch.channels, arch.patch_h, arch.patch_w)
+    for obs, _ in pairs:
+        if obs.patch.shape != shape:
+            raise T.ShapeError(
+                f"patch shape {obs.patch.shape} does not match architecture {shape}"
+            )
+    n = len(pairs)
+    X = np.empty((n, arch.input_dim))
+    np.stack([obs.patch for obs, _ in pairs], out=X[:, : arch.patch_size].reshape(n, *shape))
+    depths = np.fromiter((act.depth for _, act in pairs), np.float64, n)
+    X[:, -2] = (depths - _DEPTH_MID) / _DEPTH_HALF
+    X[:, -1] = np.fromiter((act.stiffness for _, act in pairs), np.float64, n)
+    return X
+
+
 def feature_vector(arch: Architecture, obs: Observation, act: ScoopAction) -> np.ndarray:
     """Flattened patch plus normalized depth and the stiffness flag."""
-    if obs.patch.shape != (arch.channels, arch.patch_h, arch.patch_w):
-        raise T.ShapeError(
-            f"patch shape {obs.patch.shape} does not match architecture "
-            f"({arch.channels}, {arch.patch_h}, {arch.patch_w})"
-        )
-    depth_norm = (act.depth - _DEPTH_MID) / _DEPTH_HALF
-    return np.concatenate([obs.patch.ravel(), [depth_norm, float(act.stiffness)]])
+    return feature_matrix(arch, [(obs, act)])[0]
 
 
 def flip_permutation(arch: Architecture) -> np.ndarray:
@@ -347,7 +361,7 @@ class DeepGPModel:
 
     def predict_batch(self, candidates, support=()) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized predict over [(obs, act)] candidates; reward units."""
-        Xq = np.stack([self.feature_vector(o, a) for o, a in candidates])
+        Xq = feature_matrix(self.arch, candidates)
         Fq = self.extract_batch(Xq)
         mq = self.mean_t(T.Tensor(Fq)).data[:, 0]
         if not self.has_kernel:
@@ -358,7 +372,7 @@ class DeepGPModel:
             prior = self.kp.outputscale + self.kp.noise**2
             means = mq * self.reward_std + self.reward_mean
             return means, np.full_like(means, prior * self.reward_std**2)
-        Xs = np.stack([self.feature_vector(o, a) for o, a, _ in support])
+        Xs = feature_matrix(self.arch, [(o, a) for o, a, _ in support])
         rewards = np.array([r for _, _, r in support], dtype=np.float64)
         Fs = self.extract_batch(Xs)
         ms = self.mean_t(T.Tensor(Fs)).data[:, 0]

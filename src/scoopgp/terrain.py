@@ -462,6 +462,22 @@ def _direction(yaw: int) -> tuple[np.ndarray, np.ndarray]:
     return d, p
 
 
+# per yaw index: d_x, d_y, p_x, p_y of _direction
+_YAW_AXES = np.array([np.concatenate(_direction(k)) for k in range(N_YAW)])
+
+
+def _patch_cells(start, along, across, du, dv, cell, count) -> np.ndarray:
+    """(n, H, W) grid cell indices, clipped to [0, count), along one axis
+    of every patch: start + along * du + across * dv, the same operations
+    element for element as on a full (H, W) mesh, with each product
+    formed once per patch column or row."""
+    pos = along[:, None, None] * du[None, None, :] + start[:, None, None]
+    pos = pos + across[:, None, None] * dv[None, :, None]
+    pos /= cell
+    cells = pos.astype(np.int64)
+    return np.clip(cells, 0, count - 1, out=cells)
+
+
 def render_patches(
     terrain: TerrainInstance,
     actions: list[ScoopAction],
@@ -470,31 +486,51 @@ def render_patches(
     patch_w: int = 16,
 ) -> np.ndarray:
     """(n, 4, H, W) patches oriented along each action's yaw, left edge at
-    the scoop start. Noise-free when rng is None."""
+    the scoop start. Noise-free when rng is None.
+
+    Noise contract: with an rng, all noise is one block of uniforms drawn
+    in action-major (n, 4, H, W) order, three texture channels then the
+    height channel of each action in turn. That is the same stream, and
+    the same values, as drawing each action's (3, H, W) texture uniforms
+    and then its (H, W) height uniforms one action at a time, so the
+    patches and the generator's final state do not depend on how the
+    actions are batched.
+    """
     n = len(actions)
     nx, ny = terrain.surface.shape
     colors = np.array([m.color for m in terrain.materials])
     textures = np.array([m.texture_scale for m in terrain.materials])
+    xs = np.array([a.x for a in actions], dtype=np.float64)
+    ys = np.array([a.y for a in actions], dtype=np.float64)
+    inside = (0.0 <= xs) & (xs <= terrain.extent[0]) & (0.0 <= ys) & (ys <= terrain.extent[1])
+    if not inside.all():
+        act = actions[int(np.argmin(inside))]
+        raise BoundsError(f"action start ({act.x}, {act.y}) outside extent {terrain.extent}")
+    axes = _YAW_AXES[np.array([a.yaw for a in actions], dtype=np.int64)]
     du = (np.arange(patch_w) + 0.5) / patch_w * PATCH_LEN
     dv = ((np.arange(patch_h) + 0.5) / patch_h - 0.5) * PATCH_LEN
-    DU, DV = np.meshgrid(du, dv)  # (H, W)
+    flat = _patch_cells(xs, axes[:, 0], axes[:, 2], du, dv, terrain.cell, nx)
+    flat *= ny
+    flat += _patch_cells(ys, axes[:, 1], axes[:, 3], du, dv, terrain.cell, ny)
+    mats = np.ravel(terrain.surface).take(flat)
     out = np.empty((n, 4, patch_h, patch_w))
-    for i, act in enumerate(actions):
-        if not (0.0 <= act.x <= terrain.extent[0] and 0.0 <= act.y <= terrain.extent[1]):
-            raise BoundsError(f"action start ({act.x}, {act.y}) outside extent {terrain.extent}")
-        d, p = _direction(act.yaw)
-        px = act.x + d[0] * DU + p[0] * DV
-        py = act.y + d[1] * DU + p[1] * DV
-        ix = np.clip((px / terrain.cell).astype(np.int64), 0, nx - 1)
-        iy = np.clip((py / terrain.cell).astype(np.int64), 0, ny - 1)
-        mats = terrain.surface[ix, iy]
-        out[i, :3] = colors[mats].transpose(2, 0, 1)
-        out[i, 3] = terrain.heightfield[ix, iy]
-        if rng is not None:
-            scale = textures[mats]
-            out[i, :3] += rng.uniform(-1.0, 1.0, size=(3, patch_h, patch_w)) * scale
-            out[i, 3] += rng.uniform(-HEIGHT_NOISE, HEIGHT_NOISE, size=(patch_h, patch_w))
-    np.clip(out[:, :3], 0.0, 1.0, out=out[:, :3])
+    texture, height = out[:, :3], out[:, 3]
+    if rng is not None:
+        rng.random(out=out)
+        # in place, what Generator.uniform(low, high) computes from u:
+        # low + (high - low) * u
+        texture *= 1.0 - -1.0
+        texture += -1.0
+        texture *= textures.take(mats)[:, None]
+        height *= HEIGHT_NOISE - -HEIGHT_NOISE
+        height += -HEIGHT_NOISE
+    else:
+        out.fill(0.0)
+    height += np.ravel(terrain.heightfield).take(flat)
+    del flat
+    for c in range(3):
+        texture[:, c] += colors[:, c].take(mats)
+    np.clip(texture, 0.0, 1.0, out=texture)
     return out
 
 

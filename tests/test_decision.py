@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import make_task
+from helpers import make_task, render_patches_reference
 
 from scoopgp import decision as D
 from scoopgp import gp
@@ -187,6 +187,25 @@ def test_live_environment_determinism():
         return [(s.index, s.reward) for s in tr.steps]
 
     assert run() == run()
+
+
+def test_live_episode_unchanged_under_reference_renderer(monkeypatch):
+    """A desk-grid episode on the layered tray picks, earns and scores the
+    same, bit for bit, when every step is rendered one action at a time."""
+    _, suite_test = terrain.generate_suite(seed=0)
+    task = next(t for t in suite_test if t.composition == "Layers")
+    m = M.DeepGPModel.init(M.Architecture(), seed=2)
+    m.reward_mean, m.reward_std = 30.0, 15.0
+
+    def run():
+        env = D.LiveEnvironment(task, D.ActionGrid(), seed=4)
+        tr = D.run_episode(m, env, threshold=np.inf, max_attempts=5, policy=D.Policy.ucb(2.0))
+        return [(s.index, s.reward, s.score) for s in tr.steps]
+
+    vectorized = run()
+    monkeypatch.setattr(D, "render_patches", render_patches_reference)
+    assert len(vectorized) == 5
+    assert run() == vectorized
 
 
 def test_trace_roundtrip_and_validation():

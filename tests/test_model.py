@@ -50,6 +50,26 @@ def test_feature_vector_layout():
         M.feature_vector(M.Architecture(), obs, act)  # wrong patch shape
 
 
+def test_feature_matrix_equals_stacked_feature_vectors():
+    rng = np.random.default_rng(4)
+    pairs = [small_obs_act(seed) for seed in range(7)]
+    X = M.feature_matrix(SMALL, pairs)
+    rows = np.stack([M.feature_vector(SMALL, obs, act) for obs, act in pairs])
+    # the layout written out by hand: flattened patch, depth, stiffness
+    by_hand = np.stack([
+        np.concatenate([
+            obs.patch.ravel(),
+            [(act.depth - M._DEPTH_MID) / M._DEPTH_HALF, float(act.stiffness)],
+        ])
+        for obs, act in pairs
+    ])
+    assert X.shape == (7, SMALL.input_dim)
+    assert X.tobytes() == rows.tobytes() == by_hand.tobytes()
+    bad = M.Observation(rng.uniform(0, 1, size=(2, 4, 5)))
+    with pytest.raises(M.T.ShapeError):
+        M.feature_matrix(SMALL, pairs[:3] + [(bad, pairs[3][1])] + pairs[4:])
+
+
 def test_flip_permutation_matches_flipped_patch():
     obs, act = small_obs_act(3)
     x = M.feature_vector(SMALL, obs, act)

@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from helpers import render_patches_reference
+
 from scoopgp import terrain
+from scoopgp.decision import ActionGrid
 from scoopgp.model import ScoopAction, STIFF_HARD, STIFF_SOFT
 
 
@@ -130,6 +133,50 @@ def test_render_out_of_extent_raises():
     t = flat_terrain([0], terrain.training_materials(rng))
     with pytest.raises(terrain.BoundsError):
         terrain.render_patch(t, ScoopAction(1.5, 0.3, 0, 0.05, 0))
+
+
+def assert_render_matches_reference(t, actions, seed):
+    """Same bytes as the per-action oracle, and the generators end in the
+    same state (their next draws are equal)."""
+    rng_new = None if seed is None else np.random.default_rng(seed)
+    rng_ref = None if seed is None else np.random.default_rng(seed)
+    new = terrain.render_patches(t, actions, rng_new)
+    ref = render_patches_reference(t, actions, rng_ref)
+    assert new.shape == ref.shape
+    assert new.tobytes() == ref.tobytes()
+    if seed is not None:
+        assert rng_new.random() == rng_ref.random()
+
+
+@pytest.mark.parametrize("grid", [ActionGrid(), ActionGrid.paper_scale()], ids=["desk", "paper"])
+@pytest.mark.parametrize("seed", [None, 5], ids=["noise-free", "seeded"])
+def test_render_patches_matches_per_action_reference(suite, grid, seed):
+    _, test = suite
+    assert sorted(task.composition for task in test) == sorted(terrain.COMPOSITIONS)
+    for task in test:
+        t = task.terrain
+        assert_render_matches_reference(t, grid.enumerate(t.extent), seed)
+
+
+def test_render_patches_matches_reference_after_a_scoop(suite):
+    _, test = suite
+    layers = next(task for task in test if task.composition == "Layers")
+    t = layers.terrain.copy()
+    surface_before = t.surface.copy()
+    terrain.execute_scoop(t, ScoopAction(0.12, 0.3, 0, 0.075, 0), np.random.default_rng(2))
+    assert not np.array_equal(t.surface, surface_before), "the scoop should expose the layer"
+    actions = ActionGrid().enumerate(t.extent)
+    assert_render_matches_reference(t, actions, None)
+    assert_render_matches_reference(t, actions, 9)
+
+
+def test_render_patches_names_the_one_action_out_of_extent(suite):
+    t = suite[1][0].terrain
+    actions = ActionGrid().enumerate(t.extent)
+    stray = ScoopAction(0.45, 0.61, 3, 0.05, 1)
+    actions.insert(700, stray)
+    with pytest.raises(terrain.BoundsError, match=r"action start \(0\.45, 0\.61\) outside"):
+        terrain.render_patches(t, actions, np.random.default_rng(0))
 
 
 def test_layers_reward_switches_at_boundary():
