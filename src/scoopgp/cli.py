@@ -4,8 +4,7 @@ Subcommands:
 
 - gen-data     build a synthetic suite and collect offline datasets
 - train        fit a model (sl, dkmt, kcmd-ot, kcmd-random, kcmd-manual)
-- eval-deploy  simulated deployment, replay or live mode (on the desk or
-               the paper action grid), emits traces
+- eval-deploy  simulated deployment, replay or live mode, emits traces
 - eval-kshot   k-shot prediction accuracy (MAE) on the test datasets
 - report       aggregate traces and MAE tables into summaries and plots
 
@@ -63,7 +62,6 @@ class ExperimentConfig:
 
     method: str
     mode: str = "replay"
-    grid: str = "desk"
     policy: str = "auto"
     gamma: float = 2.0
     max_attempts: int = 20
@@ -74,8 +72,6 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.mode not in ("replay", "live"):
             raise ConfigError(f"mode: {self.mode!r} not one of replay|live")
-        if self.grid not in ("desk", "paper"):
-            raise ConfigError(f"grid: {self.grid!r} not one of desk|paper")
         if self.policy not in ("auto", "ucb", "greedy"):
             raise ConfigError(f"policy: {self.policy!r} not one of auto|ucb|greedy")
         if self.gamma < 0:
@@ -218,7 +214,7 @@ def cmd_eval_deploy(args) -> None:
     data_dir = _require_dir(_resolve(args.data), "data")
     model, meta = load_checkpoint(_resolve(args.model))
     cfg = ExperimentConfig(
-        method=meta["method"], mode=args.mode, grid=args.grid, policy=args.policy,
+        method=meta["method"], mode=args.mode, policy=args.policy,
         gamma=args.gamma, max_attempts=args.max_attempts, reps=args.reps,
         seed=args.seed,
     )
@@ -226,7 +222,6 @@ def cmd_eval_deploy(args) -> None:
     policy = _auto_policy(args, model)
     task_filter = set(args.tasks.split(",")) if args.tasks else None
     worlds = load_suite_terrains(data_dir) if args.mode == "live" else {}
-    grid = ActionGrid.paper_scale() if args.grid == "paper" else ActionGrid()
 
     out = _resolve(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -242,7 +237,7 @@ def cmd_eval_deploy(args) -> None:
                     if ds.task_id not in worlds:
                         raise ConfigError(f"data: suite.json lacks terrain for {ds.task_id}")
                     env_seed = args.seed * 99_991 + task_index * 101 + rep
-                    env = LiveEnvironment(worlds[ds.task_id], grid, seed=env_seed)
+                    env = LiveEnvironment(worlds[ds.task_id], ActionGrid(), seed=env_seed)
                     trace = run_episode(model, env, threshold, args.max_attempts, policy)
                 elif rep == 0:
                     # replay draws nothing at random, so every repetition
@@ -258,8 +253,6 @@ def cmd_eval_deploy(args) -> None:
                     "rep": rep,
                     "env_seed": env_seed,
                 }
-                if args.mode == "live":
-                    trace.meta["grid"] = args.grid
                 trace.validate()
                 fh.write(json.dumps(trace.to_dict()) + "\n")
                 n_traces += 1
@@ -527,7 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--reps", type=int, default=3)
     d.add_argument("--seed", type=int, default=0)
     d.add_argument("--tasks", default="")
-    d.add_argument("--grid", default="desk")
     d.set_defaults(func=cmd_eval_deploy)
 
     k = sub.add_parser("eval-kshot", help="k-shot prediction accuracy")

@@ -88,23 +88,6 @@ def test_replay_repetitions_differ_only_in_rep(pipeline):
     for first, second in zip(lines[0::2], lines[1::2]):
         assert (first["meta"].pop("rep"), second["meta"].pop("rep")) == (0, 1)
         assert first == second
-        assert "grid" not in first["meta"]
-
-
-def test_eval_deploy_live_on_paper_grid(pipeline, tmp_path):
-    out = tmp_path / "paper.jsonl"
-    assert cli.main(
-        ["eval-deploy", "--model", str(pipeline["ckpt"]), "--data", str(pipeline["data"]),
-         "--out", str(out), "--mode", "live", "--grid", "paper", "--tasks", "test-01",
-         "--max-attempts", "2", "--reps", "1"]
-    ) == 0
-    traces = [EpisodeTrace.from_dict(json.loads(line)) for line in out.read_text().splitlines()]
-    assert len(traces) == 1
-    (trace,) = traces
-    assert trace.task_id == "test-01" and trace.fault is None
-    assert trace.meta["grid"] == "paper" and trace.meta["mode"] == "live"
-    assert 1 <= trace.attempts <= 2
-    assert all(0 <= s.index < 11520 for s in trace.steps)
 
 
 def test_report_matches_independent_recomputation(pipeline):
@@ -149,8 +132,6 @@ def test_validation_errors_exit_1(pipeline, tmp_path, capsys):
         ["train", "--method", "sl", "--data", str(tmp_path / "nope"), "--out", "x.json"],
         ["eval-deploy", "--model", str(pipeline["ckpt"]), "--data", str(pipeline["data"]),
          "--out", "t.jsonl", "--mode", "flight"],
-        ["eval-deploy", "--model", str(pipeline["ckpt"]), "--data", str(pipeline["data"]),
-         "--out", "t.jsonl", "--mode", "live", "--grid", "lab"],
         ["eval-deploy", "--model", str(pipeline["ckpt"]), "--data", str(pipeline["data"]),
          "--out", "t.jsonl", "--max-attempts", "0"],
         ["eval-kshot", "--model", str(pipeline["ckpt"]), "--data", str(pipeline["data"]),
