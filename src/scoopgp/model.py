@@ -244,13 +244,11 @@ def init_segment_weights(
 def dense_chain(
     X: T.Tensor, layers: list[tuple[T.Tensor, T.Tensor]], relu_last: bool
 ) -> T.Tensor:
-    """Sequential dense layers; bias rows broadcast via a ones column."""
+    """Sequential dense layers, ReLU after each but the last unless
+    relu_last; one tape op per layer."""
     h = X
     for i, (w, b) in enumerate(layers):
-        ones = T.Tensor(np.ones((h.shape[0], 1)))
-        h = T.add(T.matmul(h, w), T.matmul(ones, b))
-        if relu_last or i < len(layers) - 1:
-            h = T.relu(h)
+        h = T.dense(h, w, b, relu=relu_last or i < len(layers) - 1)
     return h
 
 

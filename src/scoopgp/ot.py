@@ -45,20 +45,16 @@ class SampleCostParams:
 
     @classmethod
     def from_tasks(cls, tasks: list[TaskDataset], bins: int = 32) -> "SampleCostParams":
-        n_channels = tasks[0].records[0].obs.patch.shape[0]
-        lo = np.full(n_channels, np.inf)
-        hi = np.full(n_channels, -np.inf)
-        for task in tasks:
-            for rec in task.records:
-                flat = rec.obs.patch.reshape(n_channels, -1)
-                lo = np.minimum(lo, flat.min(axis=1))
-                hi = np.maximum(hi, flat.max(axis=1))
+        patches = [_task_patches(task) for task in tasks]
+        lo = np.min([p.min(axis=(0, 2, 3)) for p in patches], axis=0)
+        hi = np.max([p.max(axis=(0, 2, 3)) for p in patches], axis=0)
         ranges = tuple((float(a), float(b if b > a else a + 1e-9)) for a, b in zip(lo, hi))
         partial = cls(1.0, 1.0, 1.0, histogram_bins=bins, channel_ranges=ranges)
         c_img = c_act = c_rew = 0.0
-        for task in tasks:
+        for task, task_patches in zip(tasks, patches):
+            for h in histogram_matrix(task_patches, partial):
+                c_img = max(c_img, float(np.linalg.norm(h)))
             for rec in task.records:
-                c_img = max(c_img, float(np.linalg.norm(histogram_feature(rec.obs, partial))))
                 c_act = max(c_act, float(np.linalg.norm(rec.action.vector())))
                 c_rew = max(c_rew, abs(float(rec.reward)))
         return cls(
@@ -79,25 +75,40 @@ class SampleCostParams:
         }
 
 
-def histogram_feature(obs: Observation, params: SampleCostParams) -> np.ndarray:
-    """Per-channel density histograms over fixed ranges, concatenated.
+def _task_patches(task: TaskDataset) -> np.ndarray:
+    return np.stack([rec.obs.patch for rec in task.records])
 
-    Each channel's block sums to 1; values are clipped into the stored
-    channel range so nothing falls outside the bins.
+
+def histogram_matrix(patches: np.ndarray, params: SampleCostParams) -> np.ndarray:
+    """Histogram features of n patches (n, C, H, W), one row per patch.
+
+    Each row holds per-channel density histograms over the stored
+    channel ranges, concatenated; each channel's block sums to 1. Values
+    are clipped into the range, then binned by np.histogram's rule in one
+    pass per channel: x falls in bin i when edges[i] <= x < edges[i + 1],
+    and the last bin is closed.
     """
-    n_channels = obs.patch.shape[0]
+    n, n_channels = patches.shape[:2]
     if len(params.channel_ranges) != n_channels:
         raise ValueError(
             f"params carry {len(params.channel_ranges)} channel ranges, patch has {n_channels}"
         )
     bins = params.histogram_bins
-    parts = []
-    for c in range(n_channels):
-        lo, hi = params.channel_ranges[c]
-        values = np.clip(obs.patch[c].ravel(), lo, hi)
-        counts, _ = np.histogram(values, bins=bins, range=(lo, hi))
-        parts.append(counts / values.size)
-    return np.concatenate(parts)
+    values = patches.reshape(n, n_channels, -1)
+    row_offsets = np.arange(n)[:, None] * bins
+    out = np.empty((n, n_channels * bins))
+    for c, (lo, hi) in enumerate(params.channel_ranges):
+        edges = np.histogram_bin_edges(np.empty(0), bins=bins, range=(lo, hi))
+        idx = np.searchsorted(edges, np.clip(values[:, c], lo, hi), side="right") - 1
+        np.minimum(idx, bins - 1, out=idx)
+        counts = np.bincount((idx + row_offsets).ravel(), minlength=n * bins)
+        out[:, c * bins : (c + 1) * bins] = counts.reshape(n, bins) / values.shape[2]
+    return out
+
+
+def histogram_feature(obs: Observation, params: SampleCostParams) -> np.ndarray:
+    """Histogram features of one observation (see histogram_matrix)."""
+    return histogram_matrix(obs.patch[None], params)[0]
 
 
 def sample_cost(s1, s2, params: SampleCostParams) -> float:
@@ -119,7 +130,7 @@ def sample_cost(s1, s2, params: SampleCostParams) -> float:
 
 
 def _task_arrays(task: TaskDataset, params: SampleCostParams):
-    H = np.stack([histogram_feature(r.obs, params) for r in task.records])
+    H = histogram_matrix(_task_patches(task), params)
     A = np.stack([r.action.vector() for r in task.records])
     r = task.rewards
     return H, A, r

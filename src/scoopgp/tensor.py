@@ -1,14 +1,14 @@
 """Dense float64 tensors with a reverse-mode gradient tape.
 
-Sized for desk-scale GP and MLP training: 2-D matmul, elementwise ops
-with scalar broadcast, reductions, transpose/reshape plumbing, and an
-Adam optimizer. Everything is float64; there is no GPU path, no
-convolution, and no broadcasting beyond scalar-with-tensor.
+Sized for desk-scale GP and MLP training: 2-D matmul, fused dense
+layers, elementwise ops with scalar broadcast, reductions,
+transpose/reshape plumbing, and an Adam optimizer. Everything is
+float64; there is no GPU path, no convolution, and no broadcasting
+beyond scalar-with-tensor (and dense's bias row).
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -159,9 +159,13 @@ class Tape:
                 t.grad = dt if t.grad is None else t.grad + dt
 
 
+def _needs_grad(t: Tensor) -> bool:
+    return t.requires_grad or t._on_tape
+
+
 def _track(out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
     tape = Tape._active
-    if tape is not None and any(t.requires_grad or t._on_tape for t in inputs):
+    if tape is not None and any(_needs_grad(t) for t in inputs):
         out._on_tape = True
         tape._records.append((out, inputs, backward_fn))
     return out
@@ -175,11 +179,41 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
     out = Tensor(a.data @ b.data)
     ad, bd = a.data, b.data
+    need_a, need_b = _needs_grad(a), _needs_grad(b)
 
     def backward_fn(g):
-        return g @ bd.T, ad.T @ g
+        return (g @ bd.T if need_a else None), (ad.T @ g if need_b else None)
 
     return _track(out, (a, b), backward_fn)
+
+
+def dense(h: Tensor, w: Tensor, b: Tensor, relu: bool) -> Tensor:
+    """One dense layer, h @ w plus the bias row b, optionally through a
+    ReLU, recorded as a single tape op.
+
+    The bias gradient is the ones-row product ones(1, n) @ g: its bytes
+    are those of the unfused matmul-with-a-ones-column, which a column
+    sum does not reproduce."""
+    if h.data.ndim != 2 or w.data.ndim != 2:
+        raise ShapeError(f"dense needs 2-d operands, got {h.shape} @ {w.shape}")
+    if h.shape[1] != w.shape[0]:
+        raise ShapeError(f"dense inner dimensions differ: {h.shape} @ {w.shape}")
+    if b.shape != (1, w.shape[1]):
+        raise ShapeError(f"dense bias has shape {b.shape}, expected {(1, w.shape[1])}")
+    z = h.data @ w.data
+    z += b.data
+    mask = z > 0.0 if relu else None
+    out = Tensor(np.where(mask, z, 0.0) if relu else z)
+    hd, wd = h.data, w.data
+    need_h = _needs_grad(h)
+
+    def backward_fn(g):
+        if relu:
+            g = g * mask
+        gh = g @ wd.T if need_h else None
+        return gh, hd.T @ g, np.ones((1, len(g))) @ g
+
+    return _track(out, (h, w, b), backward_fn)
 
 
 def _check_binary(a: Tensor, b: Tensor, op: str) -> None:
@@ -298,34 +332,6 @@ def negate(a: Tensor) -> Tensor:
     return _track(out, (a,), backward_fn)
 
 
-_ELEMENTWISE = {
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "div": div,
-    "exp": exp,
-    "log": log,
-    "relu": relu,
-    "square": square,
-    "negate": negate,
-}
-
-
-def elementwise(op: str, a: Tensor, b: Tensor | None = None) -> Tensor:
-    """Dispatch an elementwise op by name; binary ops require b."""
-    try:
-        fn = _ELEMENTWISE[op]
-    except KeyError:
-        raise ValueError(f"unknown elementwise op {op!r}") from None
-    if op in ("add", "sub", "mul", "div"):
-        if b is None:
-            raise ValueError(f"{op} is binary")
-        return fn(a, b)
-    if b is not None:
-        raise ValueError(f"{op} is unary")
-    return fn(a)
-
-
 def reduce(op: str, a: Tensor, axis: int | None = None) -> Tensor:
     """sum or mean over all elements, or along one axis (axis dropped)."""
     a = _lift(a)
@@ -383,11 +389,12 @@ def custom_op(out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> 
 
 @dataclass
 class AdamState:
-    """Per-parameter first/second moment accumulators and step counter."""
+    """First and second moments of every parameter, flattened in list
+    order into one vector each, and the step counter."""
 
     step: int = 0
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
 def adam_step(
@@ -399,25 +406,51 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """One Adam update, in place on params' data."""
+    """One Adam update, in place on params' data.
+
+    The update runs once over all parameters flattened into one vector.
+    Every gradient is checked before anything is written: on an error
+    the parameters and the state are left as they were."""
     if len(params) != len(grads):
         raise OptimizerError(f"{len(params)} params vs {len(grads)} grads")
-    if not state.m:
-        state.m = [np.zeros_like(p.data) for p in params]
-        state.v = [np.zeros_like(p.data) for p in params]
-    if len(state.m) != len(params):
+    grads = [np.asarray(g, dtype=np.float64) for g in grads]
+    for i, (p, g) in enumerate(zip(params, grads)):
+        if g.shape != p.shape:
+            raise OptimizerError(
+                f"gradient for parameter {p.name or i} has shape {g.shape}, expected {p.shape}"
+            )
+    flat = np.concatenate([g.ravel() for g in grads])
+    if not np.isfinite(flat).all():
+        i = next(i for i, g in enumerate(grads) if not np.isfinite(g).all())
+        raise OptimizerError(f"non-finite gradient for parameter {params[i].name or i}")
+    if state.m is None:
+        state.m = np.zeros_like(flat)
+        state.v = np.zeros_like(flat)
+    if state.m.size != flat.size:
         raise OptimizerError("optimizer state does not match the parameter list")
     state.step += 1
     t = state.step
-    for i, (p, g) in enumerate(zip(params, grads)):
-        g = np.asarray(g, dtype=np.float64)
-        if not np.all(np.isfinite(g)):
-            raise OptimizerError(f"non-finite gradient for parameter {p.name or i}")
-        state.m[i] = beta1 * state.m[i] + (1.0 - beta1) * g
-        state.v[i] = beta2 * state.v[i] + (1.0 - beta2) * g * g
-        m_hat = state.m[i] / (1.0 - beta1**t)
-        v_hat = state.v[i] / (1.0 - beta2**t)
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    m, v = state.m, state.v
+    # the per-parameter formula, operation for operation:
+    # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g;
+    # p -= lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
+    upd = np.multiply(flat, 1.0 - beta1)
+    m *= beta1
+    m += upd
+    np.multiply(flat, 1.0 - beta2, out=upd)
+    upd *= flat
+    v *= beta2
+    v += upd
+    np.divide(m, 1.0 - beta1**t, out=upd)
+    upd *= lr
+    denom = np.divide(v, 1.0 - beta2**t, out=flat)
+    np.sqrt(denom, out=denom)
+    denom += eps
+    upd /= denom
+    start = 0
+    for p in params:
+        p.data -= upd[start : start + p.size].reshape(p.shape)
+        start += p.size
 
 
 def weights_to_json(weights: dict[str, Tensor]) -> dict:

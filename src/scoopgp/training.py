@@ -164,6 +164,30 @@ def _noise_amplitudes(arch: Architecture) -> np.ndarray:
     return amp
 
 
+def _noisy_batch(
+    Xtr: np.ndarray,
+    idx: np.ndarray,
+    amp: np.ndarray,
+    rng: np.random.Generator,
+    buf: np.ndarray,
+    noise: np.ndarray,
+) -> np.ndarray:
+    """Xtr[idx] + rng.uniform(-1, 1, size) * amp, written into the leading
+    rows of buf: the same doubles from the same draws. The noise is drawn
+    into noise with rng.random and mapped with Generator.uniform's own
+    arithmetic, low + (high - low) * u."""
+    n = len(idx)
+    # idx is a slice of a permutation, so "clip" never clips; it spares
+    # the temporary copy that take(out=...) makes in its default mode
+    xb = np.take(Xtr, idx, axis=0, out=buf[:n], mode="clip")
+    u = rng.random(out=noise[:n])
+    u *= 2.0
+    u -= 1.0
+    u *= amp
+    xb += u
+    return xb
+
+
 def _train_mean(
     model: DeepGPModel,
     X: np.ndarray,
@@ -204,13 +228,15 @@ def _train_mean(
     def snap():
         return {p.name: p.data.copy() for p in params}
 
+    buf = np.empty((min(cfg.batch_size, len(Xtr)), X.shape[1]))
+    noise = np.empty_like(buf)
     for epoch in range(cfg.max_epochs_mean):
         order = rng.permutation(len(Xtr))
         epoch_loss = 0.0
         n_batches = 0
         for start in range(0, len(Xtr), cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            xb = Xtr[idx] + rng.uniform(-1.0, 1.0, size=(len(idx), X.shape[1])) * amp
+            xb = _noisy_batch(Xtr, idx, amp, rng, buf, noise)
             yb = ytr[idx][:, None]
             with T.Tape() as tape:
                 pred = model.mean_t(model.extractor_t(T.Tensor(xb)))

@@ -1,6 +1,7 @@
 """Small builders and reference oracles shared across test modules."""
 import numpy as np
 
+from scoopgp import tensor as T
 from scoopgp.data import ScoopRecord, TaskDataset
 from scoopgp.model import Observation, ScoopAction
 from scoopgp.terrain import HEIGHT_NOISE, PATCH_LEN, BoundsError, _direction
@@ -69,3 +70,55 @@ def render_patches_reference(terrain, actions, rng=None, patch_h=16, patch_w=16)
             out[i, 3] += rng.uniform(-HEIGHT_NOISE, HEIGHT_NOISE, size=(patch_h, patch_w))
     np.clip(out[:, :3], 0.0, 1.0, out=out[:, :3])
     return out
+
+
+def dense_chain_reference(X, layers, relu_last):
+    """Dense layers as four tape ops each (matmul, ones-column matmul for
+    the bias, add, relu): the oracle for model.dense_chain's fused layers,
+    which must match its outputs and gradients byte for byte."""
+    h = X
+    for i, (w, b) in enumerate(layers):
+        ones = T.Tensor(np.ones((h.shape[0], 1)))
+        h = T.add(T.matmul(h, w), T.matmul(ones, b))
+        if relu_last or i < len(layers) - 1:
+            h = T.relu(h)
+    return h
+
+
+def adam_step_reference(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam one parameter at a time, with per-parameter moment lists in
+    state.m and state.v: the oracle for tensor.adam_step's flat update."""
+    if not state.m:
+        state.m = [np.zeros_like(p.data) for p in params]
+        state.v = [np.zeros_like(p.data) for p in params]
+    state.step += 1
+    t = state.step
+    for i, (p, g) in enumerate(zip(params, grads)):
+        g = np.asarray(g, dtype=np.float64)
+        if not np.all(np.isfinite(g)):
+            raise T.OptimizerError(f"non-finite gradient for parameter {p.name or i}")
+        state.m[i] = beta1 * state.m[i] + (1.0 - beta1) * g
+        state.v[i] = beta2 * state.v[i] + (1.0 - beta2) * g * g
+        m_hat = state.m[i] / (1.0 - beta1**t)
+        v_hat = state.v[i] / (1.0 - beta2**t)
+        p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def noisy_batch_reference(Xtr, idx, amp, rng, buf, noise):
+    """A training batch drawn with rng.uniform: the oracle for
+    training._noisy_batch (buf and noise are unused)."""
+    return Xtr[idx] + rng.uniform(-1.0, 1.0, size=(len(idx), Xtr.shape[1])) * amp
+
+
+def histogram_matrix_reference(patches, params):
+    """One np.histogram call per patch and channel: the oracle for
+    ot.histogram_matrix."""
+    rows = []
+    for patch in patches:
+        parts = []
+        for c, (lo, hi) in enumerate(params.channel_ranges):
+            values = np.clip(patch[c].ravel(), lo, hi)
+            counts, _ = np.histogram(values, bins=params.histogram_bins, range=(lo, hi))
+            parts.append(counts / values.size)
+        rows.append(np.concatenate(parts))
+    return np.array(rows)

@@ -3,8 +3,10 @@ import pytest
 
 from scoopgp import gp
 from scoopgp import model as M
+from scoopgp import tensor as T
+from scoopgp import training as TR
 from scoopgp.data import load_task_dataset, save_task_dataset
-from helpers import make_task, random_action
+from helpers import dense_chain_reference, make_task, random_action
 
 SMALL = M.Architecture(
     channels=2, patch_h=4, patch_w=4,
@@ -215,3 +217,44 @@ def test_feature_matrix_cached(tmp_path):
     X2 = task.feature_matrix(SMALL)
     assert X1 is X2
     assert X1.shape == (4, SMALL.input_dim)
+
+
+def _mean_and_kernel_passes(model, X, y):
+    """Outputs and parameter gradients of the mean-phase MSE pass and of
+    the kernel-phase NLML pass, as bytes."""
+    kpt = TR._kp_tensors(model.kp)
+    mean_params = model.segment_params("extractor") + model.segment_params("mean")
+    kernel_params = model.segment_params("kernel") + list(kpt.values())
+    with T.Tape() as tape:
+        pred = model.mean_t(model.extractor_t(T.Tensor(X)))
+        loss = T.reduce("mean", T.square(T.sub(pred, T.Tensor(y[:, None]))))
+        tape.backward(loss)
+    out = [pred.data.tobytes(), loss.data.tobytes()]
+    out += [p.grad.tobytes() for p in mean_params]
+    F = T.Tensor(model.extract_batch(X))
+    with T.Tape() as tape:
+        Z = model.kernel_t(F)
+        Kbar = gp.gram_objective(
+            Z, kpt["log_lengthscale"], kpt["log_outputscale"], kpt["log_noise"]
+        )
+        loss = gp.nlml_objective(Kbar, T.Tensor(y[:, None]))
+        tape.backward(loss)
+    out += [Z.data.tobytes(), loss.data.tobytes()]
+    out += [p.grad.tobytes() for p in kernel_params]
+    return out
+
+
+# 128 is a full batch; 112 and 56 rows are the last batches of the
+# sl phase and of a fold on the default suite
+@pytest.mark.parametrize("n", [128, 112, 56])
+def test_fused_dense_matches_unfused_reference(n, monkeypatch):
+    arch = M.Architecture()
+    rng = np.random.default_rng(n)
+    model = M.DeepGPModel.init(arch, seed=n)
+    # the final mean layer starts at zero, which would zero every mean-path gradient
+    model.weights["mean.1.w"].data = rng.normal(scale=0.3, size=model.weights["mean.1.w"].shape)
+    X = rng.uniform(0.0, 1.0, size=(n, arch.input_dim))
+    y = rng.normal(size=n)
+    fused = _mean_and_kernel_passes(model, X, y)
+    monkeypatch.setattr(M, "dense_chain", dense_chain_reference)
+    assert _mean_and_kernel_passes(model, X, y) == fused

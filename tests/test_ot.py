@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import make_task, random_action
+from helpers import histogram_matrix_reference, make_task, random_action
 
 from scoopgp import ot
 from scoopgp.data import ScoopRecord, TaskDataset
@@ -46,6 +46,35 @@ def test_histogram_uniform_channel_is_flat(seed):
     h = ot.histogram_feature(Observation(patch), p)
     assert h.sum() == pytest.approx(1.0)
     assert h.max() <= 3.0 * h.mean()
+
+
+@pytest.mark.parametrize("bins", [8, 32])
+def test_histogram_matrix_matches_per_record_histograms(bins):
+    rng = np.random.default_rng(bins)
+    ranges = ((0.0, 1.0), (0.1, 0.35), (-0.02, 0.07))
+    p = ot.SampleCostParams(1, 1, 1, histogram_bins=bins, channel_ranges=ranges)
+    patches = np.empty((40, 3, 8, 8))
+    for c, (lo, hi) in enumerate(ranges):
+        # values below, inside and above the range, and exactly on every edge
+        width = hi - lo
+        patches[:, c] = rng.uniform(lo - 0.1 * width, hi + 0.1 * width, size=(40, 8, 8))
+        edges = np.histogram_bin_edges(np.empty(0), bins=bins, range=(lo, hi))
+        patches[: len(edges), c, 0, 0] = edges
+    H = ot.histogram_matrix(patches, p)
+    assert H.tobytes() == histogram_matrix_reference(patches, p).tobytes()
+    assert ot.histogram_feature(Observation(patches[3]), p).tobytes() == H[3].tobytes()
+
+
+def test_cost_params_match_per_record_histograms():
+    tasks = [make_task("a", 12, seed=1, channels=3), make_task("b", 9, seed=2, channels=3)]
+    p = ot.SampleCostParams.from_tasks(tasks)
+    patches = np.stack([r.obs.patch for t in tasks for r in t.records])
+    flat = patches.reshape(len(patches), 3, -1)
+    assert p.channel_ranges == tuple(
+        (float(a), float(b)) for a, b in zip(flat.min(axis=(0, 2)), flat.max(axis=(0, 2)))
+    )
+    ref = histogram_matrix_reference(patches, p)
+    assert p.c_image == max(float(np.linalg.norm(h)) for h in ref)
 
 
 def test_sample_cost_zero_iff_identical(two_tasks, params):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers import adam_step_reference
 
 from scoopgp import tensor as T
 
@@ -122,7 +123,7 @@ def test_gradcheck_composite_expression(seed):
 @pytest.mark.parametrize(
     "name",
     ["add", "sub", "mul", "div", "exp", "log", "relu", "square", "negate",
-     "matmul", "transpose", "reshape", "sum", "sum_axis", "mean", "mean_axis"],
+     "matmul", "dense", "transpose", "reshape", "sum", "sum_axis", "mean", "mean_axis"],
 )
 def test_per_op_gradcheck(name):
     rng = np.random.default_rng(hash(name) % 2**32)
@@ -141,6 +142,7 @@ def test_per_op_gradcheck(name):
             "square": lambda: T.square(a),
             "negate": lambda: T.negate(a),
             "matmul": lambda: T.matmul(a, T.transpose(b)),
+            "dense": lambda: T.square(T.dense(a, T.transpose(b), T.Tensor(B[:1, :3]), relu=False)),
             "transpose": lambda: T.square(T.transpose(a)),
             "reshape": lambda: T.square(T.reshape(a, (4, 3))),
             "sum": lambda: a.sum(),
@@ -209,6 +211,97 @@ def test_adam_nan_gradient_reports_name():
         T.adam_step([p], [np.array([np.nan])], T.AdamState(), lr=1e-2)
 
 
+def _adam_problem(seed):
+    """Parameters of the shapes Adam meets in training (a weight, a bias
+    row and a 0-d hyperparameter) and a gradient sequence for them."""
+    rng = np.random.default_rng(seed)
+    shapes = [(5, 3), (1, 3), ()]
+    params = [
+        T.Tensor(rng.normal(size=s), name=f"p{i}") for i, s in enumerate(shapes)
+    ]
+    grads = [[rng.normal(scale=10.0 ** rng.integers(-4, 2), size=s) for s in shapes]
+             for _ in range(6)]
+    return params, grads
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_flat_adam_matches_per_parameter_reference(seed):
+    params, grads = _adam_problem(seed)
+    ref_params, _ = _adam_problem(seed)
+    state, ref_state = T.AdamState(), T.AdamState()
+    for step_grads in grads:
+        T.adam_step(params, step_grads, state, lr=1e-2)
+        adam_step_reference(ref_params, step_grads, ref_state, lr=1e-2)
+    assert state.step == ref_state.step == len(grads)
+    start = 0
+    for p, rp, m, v in zip(params, ref_params, ref_state.m, ref_state.v):
+        assert p.data.shape == rp.data.shape
+        assert p.data.tobytes() == rp.data.tobytes()
+        stop = start + p.size
+        assert state.m[start:stop].tobytes() == np.asarray(m).tobytes()
+        assert state.v[start:stop].tobytes() == np.asarray(v).tobytes()
+        start = stop
+
+
+def test_adam_nan_in_last_parameter_writes_nothing():
+    params, grads = _adam_problem(0)
+    state = T.AdamState()
+    for step_grads in grads[:2]:
+        T.adam_step(params, step_grads, state, lr=1e-2)
+    data_before = [p.data.tobytes() for p in params]
+    m_before, v_before = state.m.tobytes(), state.v.tobytes()
+    bad = grads[2][:-1] + [np.asarray(np.nan)]
+    with pytest.raises(T.OptimizerError, match="p2"):
+        T.adam_step(params, bad, state, lr=1e-2)
+    assert state.step == 2
+    assert [p.data.tobytes() for p in params] == data_before
+    assert (state.m.tobytes(), state.v.tobytes()) == (m_before, v_before)
+
+
+def test_adam_rejects_misshapen_gradient():
+    p = T.Tensor(np.zeros((2, 3)), name="w")
+    with pytest.raises(T.OptimizerError, match="w"):
+        T.adam_step([p], [np.zeros(6)], T.AdamState(), lr=1e-2)
+
+
+def test_constant_operand_gets_no_gradient():
+    rng = np.random.default_rng(3)
+    A, B = rng.normal(size=(4, 3)), rng.normal(size=(3, 2))
+
+    def run(a_requires_grad):
+        a = T.Tensor(A, requires_grad=a_requires_grad)
+        b = T.Tensor(B, requires_grad=True)
+        with T.Tape() as tape:
+            tape.backward(T.reduce("sum", T.square(T.matmul(a, b))))
+        return a.grad, b.grad
+
+    a_grad, b_grad = run(False)
+    assert a_grad is None
+    a_grad_tracked, b_grad_tracked = run(True)
+    assert a_grad_tracked is not None
+    assert b_grad.tobytes() == b_grad_tracked.tobytes()
+
+
+def test_dense_constant_input_gets_no_gradient():
+    rng = np.random.default_rng(4)
+    H, W, b0 = rng.normal(size=(6, 3)), rng.normal(size=(3, 2)), rng.normal(size=(1, 2))
+
+    def run(h_requires_grad):
+        h = T.Tensor(H, requires_grad=h_requires_grad)
+        w = T.Tensor(W, requires_grad=True)
+        b = T.Tensor(b0, requires_grad=True)
+        with T.Tape() as tape:
+            tape.backward(T.reduce("sum", T.square(T.dense(h, w, b, relu=True))))
+        return h.grad, w.grad, b.grad
+
+    h_grad, w_grad, b_grad = run(False)
+    assert h_grad is None
+    h_grad_tracked, w_grad_tracked, b_grad_tracked = run(True)
+    assert h_grad_tracked.shape == H.shape
+    assert w_grad.tobytes() == w_grad_tracked.tobytes()
+    assert b_grad.tobytes() == b_grad_tracked.tobytes()
+
+
 def test_forward_backward_deterministic():
     def run():
         rng = np.random.default_rng(7)
@@ -220,17 +313,6 @@ def test_forward_backward_deterministic():
         return out.data.tobytes(), a.grad.tobytes(), b.grad.tobytes()
 
     assert run() == run()
-
-
-def test_elementwise_dispatch():
-    out = T.elementwise("add", T.Tensor([1.0]), T.Tensor([2.0]))
-    assert out.data.tolist() == [3.0]
-    with pytest.raises(ValueError):
-        T.elementwise("add", T.Tensor([1.0]))
-    with pytest.raises(ValueError):
-        T.elementwise("exp", T.Tensor([1.0]), T.Tensor([1.0]))
-    with pytest.raises(ValueError):
-        T.elementwise("tanh", T.Tensor([1.0]))
 
 
 def test_weights_json_roundtrip():

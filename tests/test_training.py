@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from helpers import make_task
+from helpers import adam_step_reference, dense_chain_reference, make_task, noisy_batch_reference
 
 from scoopgp import gp
+from scoopgp import model as M
 from scoopgp import ot
+from scoopgp import tensor as T
 from scoopgp import training as TR
 from scoopgp.data import ScoopRecord, TaskDataset
 from scoopgp.model import Architecture
@@ -265,3 +267,31 @@ def test_manual_split_produces_distinct_folds():
     plans = TR.manual_split(tasks, k_folds=4, seed=1)
     assert len(plans) == 4
     assert len({frozenset(p.mean_task_ids) for p in plans}) > 1
+
+
+@pytest.mark.parametrize("n", [16, 7])
+def test_noisy_batch_matches_uniform_draws(n):
+    data_rng = np.random.default_rng(n)
+    Xtr = data_rng.normal(size=(40, ARCH.input_dim))
+    idx = data_rng.permutation(40)[:n]
+    amp = TR._noise_amplitudes(ARCH)
+    buf = np.empty((16, ARCH.input_dim))
+    noise = np.empty_like(buf)
+    rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    xb = TR._noisy_batch(Xtr, idx, amp, rng, buf, noise)
+    ref = noisy_batch_reference(Xtr, idx, amp, ref_rng, None, None)
+    assert xb.tobytes() == ref.tobytes()
+    assert rng.random() == ref_rng.random()
+
+
+def test_train_sl_matches_unfused_reference(tiny_tasks, monkeypatch):
+    """Fused dense layers, flat Adam and in-place batch noise give the
+    weights of the per-op, per-parameter, allocating training loop."""
+    cfg = small_cfg(max_epochs_mean=4, batch_size=12)
+    fused, _ = TR.train_sl(tiny_tasks, cfg)
+    monkeypatch.setattr(M, "dense_chain", dense_chain_reference)
+    monkeypatch.setattr(T, "adam_step", adam_step_reference)
+    monkeypatch.setattr(TR, "_noisy_batch", noisy_batch_reference)
+    reference, _ = TR.train_sl(tiny_tasks, cfg)
+    for name, w in fused.weights.items():
+        assert w.data.tobytes() == reference.weights[name].data.tobytes(), name
