@@ -86,7 +86,7 @@ def histogram_matrix(patches: np.ndarray, params: SampleCostParams) -> np.ndarra
     channel ranges, concatenated; each channel's block sums to 1. Values
     are clipped into the range, then binned by np.histogram's rule in one
     pass per channel: x falls in bin i when edges[i] <= x < edges[i + 1],
-    and the last bin is closed.
+    the last bin is closed, and NaN is not counted.
     """
     n, n_channels = patches.shape[:2]
     if len(params.channel_ranges) != n_channels:
@@ -99,9 +99,11 @@ def histogram_matrix(patches: np.ndarray, params: SampleCostParams) -> np.ndarra
     out = np.empty((n, n_channels * bins))
     for c, (lo, hi) in enumerate(params.channel_ranges):
         edges = np.histogram_bin_edges(np.empty(0), bins=bins, range=(lo, hi))
-        idx = np.searchsorted(edges, np.clip(values[:, c], lo, hi), side="right") - 1
+        clipped = np.clip(values[:, c], lo, hi)
+        idx = np.searchsorted(edges, clipped, side="right") - 1
         np.minimum(idx, bins - 1, out=idx)
-        counts = np.bincount((idx + row_offsets).ravel(), minlength=n * bins)
+        idx += row_offsets
+        counts = np.bincount(idx[~np.isnan(clipped)], minlength=n * bins)
         out[:, c * bins : (c + 1) * bins] = counts.reshape(n, bins) / values.shape[2]
     return out
 

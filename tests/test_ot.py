@@ -55,11 +55,12 @@ def test_histogram_matrix_matches_per_record_histograms(bins):
     p = ot.SampleCostParams(1, 1, 1, histogram_bins=bins, channel_ranges=ranges)
     patches = np.empty((40, 3, 8, 8))
     for c, (lo, hi) in enumerate(ranges):
-        # values below, inside and above the range, and exactly on every edge
+        # values below, inside and above the range, exactly on every edge, and NaN
         width = hi - lo
         patches[:, c] = rng.uniform(lo - 0.1 * width, hi + 0.1 * width, size=(40, 8, 8))
         edges = np.histogram_bin_edges(np.empty(0), bins=bins, range=(lo, hi))
         patches[: len(edges), c, 0, 0] = edges
+    patches[5, 1, 2, 3] = np.nan  # np.histogram leaves NaN uncounted
     H = ot.histogram_matrix(patches, p)
     assert H.tobytes() == histogram_matrix_reference(patches, p).tobytes()
     assert ot.histogram_feature(Observation(patches[3]), p).tobytes() == H[3].tobytes()
