@@ -8,7 +8,10 @@ byte for byte.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
+
+import numpy as np
 
 from . import tensor as T
 from .gp import KernelParams
@@ -18,7 +21,7 @@ SCHEMA_VERSION = 1
 
 
 class CheckpointError(ValueError):
-    """Unreadable or version-mismatched checkpoint."""
+    """Unreadable, version-mismatched or corrupt checkpoint."""
 
 
 def save_checkpoint(
@@ -56,19 +59,34 @@ def load_checkpoint(path) -> tuple[DeepGPModel, dict]:
         raise CheckpointError(
             f"{path}: checkpoint schema {version} not supported (expected {SCHEMA_VERSION})"
         )
-    arch = Architecture.from_dict(payload["architecture"])
-    weights = T.weights_from_json(payload["weights"], requires_grad=True)
-    model = DeepGPModel(
-        arch,
-        weights,
-        KernelParams.from_dict(payload["kernel_params"]),
-        reward_mean=payload["normalization"]["reward_mean"],
-        reward_std=payload["normalization"]["reward_std"],
-        has_kernel=payload["has_kernel"],
-    )
-    meta = {
-        "method": payload["method"],
-        "seed": payload["seed"],
-        "manifest_digest": payload["manifest_digest"],
-    }
+    try:
+        arch = Architecture.from_dict(payload["architecture"])
+        weights = T.weights_from_json(payload["weights"], requires_grad=True)
+        kp = KernelParams.from_dict(payload["kernel_params"])
+        kp.validate()
+        norm = payload["normalization"]
+        model = DeepGPModel(
+            arch,
+            weights,
+            kp,
+            reward_mean=norm["reward_mean"],
+            reward_std=norm["reward_std"],
+            has_kernel=payload["has_kernel"],
+        )
+        meta = {
+            "method": payload["method"],
+            "seed": payload["seed"],
+            "manifest_digest": payload["manifest_digest"],
+        }
+        reward_mean, reward_std = float(norm["reward_mean"]), float(norm["reward_std"])
+    except (KeyError, TypeError, ValueError) as err:
+        raise CheckpointError(f"{path}: malformed checkpoint: {err!r}") from err
+    bad = [name for name, w in sorted(weights.items()) if not np.isfinite(w.data).all()]
+    if bad:
+        raise CheckpointError(f"{path}: weight {bad[0]} has non-finite values")
+    if not (math.isfinite(reward_mean) and 0.0 < reward_std < math.inf):
+        raise CheckpointError(
+            f"{path}: normalization ({reward_mean}, {reward_std}) needs a finite mean "
+            "and a positive, finite std"
+        )
     return model, meta

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .data import load_task_dataset, save_task_dataset
+from .data import DatasetError, load_task_dataset, save_task_dataset
 from .decision import (
     ActionGrid,
     EpisodeTrace,
@@ -544,7 +544,7 @@ def main(argv=None) -> int:
     try:
         args.func(args)
         return 0
-    except (ConfigError, CheckpointError) as err:
+    except (ConfigError, CheckpointError, DatasetError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except FileNotFoundError as err:

@@ -68,6 +68,8 @@ class ScoopAction:
     stiffness: int
 
     def validate(self, extent: tuple[float, float] | None = None) -> None:
+        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+            raise ValueError(f"start ({self.x}, {self.y}) must be finite")
         if not 0 <= self.yaw < N_YAW:
             raise ValueError(f"yaw index {self.yaw} outside 0..{N_YAW - 1}")
         if not DEPTH_MIN <= self.depth <= DEPTH_MAX:
@@ -116,11 +118,19 @@ class Observation:
     def validate(self) -> None:
         if self.patch.ndim != 3:
             raise ValueError(f"patch must be (C, H, W), got shape {self.patch.shape}")
-        if not np.all(np.isfinite(self.patch)):
-            raise ValueError("patch contains non-finite values")
-        appearance = self.patch[:-1]
-        if appearance.size and (appearance.min() < -1e-9 or appearance.max() > 1.0 + 1e-9):
-            raise ValueError("appearance channels must lie in [0, 1]")
+        validate_patches(self.patch[None])
+
+
+def validate_patches(patches: np.ndarray) -> None:
+    """Observation.validate for a stack of (C, H, W) patches at once;
+    the message names the first bad patch's index."""
+    bad = ~np.isfinite(patches).all(axis=(1, 2, 3))
+    if bad.any():
+        raise ValueError(f"patch {np.flatnonzero(bad)[0]} contains non-finite values")
+    appearance = patches[:, :-1]
+    bad = ((appearance < -1e-9) | (appearance > 1.0 + 1e-9)).any(axis=(1, 2, 3))
+    if bad.any():
+        raise ValueError(f"patch {np.flatnonzero(bad)[0]}: appearance channels must lie in [0, 1]")
 
 
 def flip_patch(patch: np.ndarray) -> np.ndarray:

@@ -1,8 +1,11 @@
 """Small builders and reference oracles shared across test modules."""
+import json
+from pathlib import Path
+
 import numpy as np
 
 from scoopgp import tensor as T
-from scoopgp.data import ScoopRecord, TaskDataset
+from scoopgp.data import SCHEMA_VERSION, ScoopRecord, TaskDataset
 from scoopgp.model import Observation, ScoopAction
 from scoopgp.terrain import HEIGHT_NOISE, PATCH_LEN, BoundsError, _direction
 
@@ -122,3 +125,24 @@ def histogram_matrix_reference(patches, params):
             parts.append(counts / values.size)
         rows.append(np.concatenate(parts))
     return np.array(rows)
+
+
+def save_task_dataset_reference(ds, path):
+    """json.dumps of the payload dict with one round() per value: the
+    oracle for data.save_task_dataset, which must write the same bytes."""
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "task_id": ds.task_id,
+        "patch_shape": list(ds.records[0].obs.patch.shape),
+        "trajectory_constants": ds.constants.to_dict(),
+        "ground_truth": ds.ground_truth,
+        "records": [
+            {
+                "action": r.action.to_dict(),
+                "reward": round(float(r.reward), 6),
+                "patch": [round(float(v), 6) for v in r.obs.patch.ravel()],
+            }
+            for r in ds.records
+        ],
+    }
+    Path(path).write_text(json.dumps(payload))

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -156,6 +157,93 @@ def test_version_mismatched_checkpoint_rejected(pipeline, tmp_path):
          "--out", str(tmp_path / "m.json"), "--shots", "0"]
     )
     assert rc == 1
+
+
+def _set_schema_version(payload):
+    payload["schema_version"] = 2
+
+
+def _drop_patch_value(payload):
+    payload["records"][4]["patch"].pop()
+
+
+def _nan_patch_value(payload):
+    payload["records"][4]["patch"][-1] = float("nan")
+
+
+def _appearance_out_of_range(payload):
+    payload["records"][4]["patch"][0] = 1.5
+
+
+def _yaw_out_of_range(payload):
+    payload["records"][4]["action"]["yaw"] = 8
+
+
+def _depth_out_of_range(payload):
+    payload["records"][4]["action"]["depth"] = 0.2
+
+
+def _infinite_reward(payload):
+    payload["records"][4]["reward"] = float("inf")
+
+
+def _missing_reward(payload):
+    del payload["records"][4]["reward"]
+
+
+def _no_records(payload):
+    payload["records"] = []
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_set_schema_version, _drop_patch_value, _nan_patch_value, _appearance_out_of_range,
+     _yaw_out_of_range, _depth_out_of_range, _infinite_reward, _missing_reward, _no_records],
+    ids=lambda f: f.__name__.strip("_"),
+)
+def test_malformed_dataset_exits_1(pipeline, tmp_path, capsys, corrupt):
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    path = data / "tasks" / "train-01.json"
+    payload = json.loads(path.read_text())
+    corrupt(payload)
+    path.write_text(json.dumps(payload))
+    rc = cli.main(["train", "--method", "sl", "--data", str(data),
+                   "--out", str(tmp_path / "sl.json")])
+    assert rc == 1
+    assert "train-01.json" in capsys.readouterr().err
+    assert not (tmp_path / "sl.json").exists()
+
+
+def _nan_weight(payload):
+    name = sorted(payload["weights"])[0]
+    payload["weights"][name]["data"][3] = float("nan")
+
+
+def _infinite_log_noise(payload):
+    payload["kernel_params"]["log_noise"] = float("inf")
+
+
+def _zero_reward_std(payload):
+    payload["normalization"]["reward_std"] = 0.0
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_nan_weight, _infinite_log_noise, _zero_reward_std],
+    ids=lambda f: f.__name__.strip("_"),
+)
+def test_corrupt_checkpoint_exits_1(pipeline, tmp_path, capsys, corrupt):
+    payload = json.loads(Path(pipeline["ckpt"]).read_text())
+    corrupt(payload)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    rc = cli.main(
+        ["eval-kshot", "--model", str(bad), "--data", str(pipeline["data"]),
+         "--out", str(tmp_path / "m.json"), "--shots", "0"]
+    )
+    assert rc == 1
+    assert "bad.json" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_artifacts_independent_of_blas_thread_count(tmp_path):

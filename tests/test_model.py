@@ -30,6 +30,8 @@ def test_action_validation():
         M.ScoopAction(0.1, 0.1, 0, 0.05, 2).validate()
     with pytest.raises(ValueError):
         M.ScoopAction(1.0, 0.1, 0, 0.05, 1).validate(extent=(0.9, 0.6))
+    with pytest.raises(ValueError, match="finite"):
+        M.ScoopAction(float("nan"), 0.1, 0, 0.05, 1).validate()
 
 
 def test_observation_validation():
