@@ -144,17 +144,24 @@ def load_suite_terrains(data_dir: Path) -> dict[str, TerrainTask]:
     suite_path = data_dir / "suite.json"
     if not suite_path.exists():
         raise ConfigError(f"data: {suite_path} not found (run gen-data first)")
-    suite = json.loads(suite_path.read_text())
-    if suite.get("schema_version") != SUITE_SCHEMA:
-        raise ConfigError(f"data: suite schema {suite.get('schema_version')} unsupported")
-    return {
-        t["task_id"]: TerrainTask(
-            task_id=t["task_id"],
-            terrain=TerrainInstance.from_dict(t["terrain"]),
-            is_test=t["is_test"],
-        )
-        for t in suite["tasks"]
-    }
+    try:
+        suite = json.loads(suite_path.read_text())
+    except json.JSONDecodeError as err:
+        raise ConfigError(f"data: {suite_path} is not JSON: {err}") from err
+    version = suite.get("schema_version") if isinstance(suite, dict) else None
+    if version != SUITE_SCHEMA:
+        raise ConfigError(f"data: suite schema {version} unsupported")
+    worlds = {}
+    for i, t in enumerate(suite.get("tasks", [])):
+        try:
+            worlds[t["task_id"]] = TerrainTask(
+                task_id=t["task_id"],
+                terrain=TerrainInstance.from_dict(t["terrain"]),
+                is_test=t["is_test"],
+            )
+        except (KeyError, TypeError, ValueError) as err:
+            raise ConfigError(f"data: {suite_path}: task {i}: malformed terrain: {err!r}") from err
+    return worlds
 
 
 # --- train -------------------------------------------------------------------

@@ -3,20 +3,27 @@
 A policy scores a discrete candidate set with the model posterior
 (greedy uses the mean, UCB adds a multiple of the standard deviation)
 and picks the argmax, breaking ties toward the lowest candidate index.
-Episodes loop observe / select / execute until the reward threshold is
-met or the attempt budget runs out; the growing history is the support
-set handed to the model at each step.
+Candidates and the support set are model feature rows. Episodes loop
+observe / select / execute until the reward threshold is met or the
+attempt budget runs out; the growing history, kept as copied feature
+rows and rewards, is the support set handed to the model at each step.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import TaskDataset
-from .model import DEPTH_MAX, DEPTH_MIN, N_YAW, Observation, ScoopAction
-from .terrain import TerrainTask, execute_scoop, feasible, render_patches
+from .model import DEPTH_MAX, DEPTH_MIN, N_YAW, ScoopAction, action_rows, feature_rows
+from .terrain import (
+    PATCH_CHANNELS,
+    TerrainTask,
+    execute_scoop,
+    feasible,
+    patch_cells,
+    render_patches,
+)
 
 
 @dataclass(frozen=True)
@@ -90,28 +97,24 @@ class Policy:
         return "greedy" if self.kind == "greedy" else f"ucb({self.gamma:g})"
 
 
-def ucb_score(model, obs: Observation, act: ScoopAction, support, gamma: float) -> float:
-    """Posterior mean plus gamma standard deviations."""
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
-    post = model.predict(obs, act, support)
-    return post.mean + gamma * math.sqrt(post.variance)
-
-
 def select_action(
-    model, candidates, support, policy: Policy, excluded=frozenset()
+    model, features: np.ndarray, support, policy: Policy, excluded=frozenset()
 ) -> tuple[int, float]:
-    """Argmax of the policy score over non-excluded (obs, action) pairs.
+    """Argmax of the policy score over the non-excluded rows of a
+    candidate feature matrix; support is (feature rows, rewards).
 
-    Returns (candidate index, score); ties go to the lowest index.
+    Returns (row index, score); ties go to the lowest index.
     """
-    allowed = [i for i in range(len(candidates)) if i not in excluded]
-    if not allowed:
+    keep = np.ones(len(features), dtype=bool)
+    keep[list(excluded)] = False
+    allowed = np.flatnonzero(keep)
+    if not allowed.size:
         raise ValueError("no candidates left after exclusion")
-    means, variances = model.predict_batch([candidates[i] for i in allowed], support)
+    rows = features if allowed.size == len(features) else features.take(allowed, axis=0)
+    means, variances = model.predict_rows(rows, *support)
     scores = policy.scores(means, variances)
     best = int(np.argmax(scores))
-    return allowed[best], float(scores[best])
+    return int(allowed[best]), float(scores[best])
 
 
 @dataclass
@@ -193,10 +196,13 @@ class ReplayEnvironment:
     def __init__(self, dataset: TaskDataset):
         self.task_id = dataset.task_id
         self._records = dataset.records
+        self._actions = [r.action for r in self._records]
+        self._features = feature_rows((r.obs, r.action) for r in self._records)
         self._used: set[int] = set()
 
-    def candidates(self) -> list[tuple[Observation, ScoopAction]]:
-        return [(r.obs, r.action) for r in self._records]
+    def candidates(self) -> tuple[np.ndarray, list[ScoopAction]]:
+        """(feature rows, actions) of every record, used or not."""
+        return self._features, self._actions
 
     def excluded(self) -> set[int]:
         return set(self._used)
@@ -210,7 +216,12 @@ class ReplayEnvironment:
 
 class LiveEnvironment:
     """Runs scoops on a mutating terrain copy; the observation patches
-    are re-rendered from the current terrain at every step."""
+    are re-rendered from the current terrain at every step.
+
+    The actions, their feasibility and their patch cells are fixed for
+    the episode, so they are computed once, here; a start outside the
+    terrain raises BoundsError at construction.
+    """
 
     def __init__(self, task: TerrainTask, grid: ActionGrid, seed: int):
         self.task_id = task.task_id
@@ -219,11 +230,15 @@ class LiveEnvironment:
         self._infeasible = {
             i for i, a in enumerate(self.actions) if not feasible(self.terrain, a)
         }
+        self._cells = patch_cells(self.terrain, self.actions)
+        self._features = action_rows(self.actions, PATCH_CHANNELS * self._cells[0].size)
         self.rng = np.random.default_rng(seed)
 
-    def candidates(self) -> list[tuple[Observation, ScoopAction]]:
-        patches = render_patches(self.terrain, self.actions, self.rng)
-        return [(Observation(p), a) for p, a in zip(patches, self.actions)]
+    def candidates(self) -> tuple[np.ndarray, list[ScoopAction]]:
+        """(feature rows, actions), one row per grid action, rendered from
+        the current terrain into one matrix that the next call reuses."""
+        render_patches(self.terrain, self.actions, self.rng, cells=self._cells, out=self._features)
+        return self._features, self.actions
 
     def excluded(self) -> set[int]:
         return set(self._infeasible)
@@ -248,26 +263,28 @@ def run_episode(
         threshold=threshold,
         max_attempts=max_attempts,
     )
-    support: list[tuple[Observation, ScoopAction, float]] = []
+    rows: list[np.ndarray] = []
+    rewards: list[float] = []
     for _ in range(max_attempts):
         try:
-            cands = env.candidates()
+            features, actions = env.candidates()
         except Exception as e:  # noqa: BLE001 - env fault ends the trial
             trace.fault = f"{type(e).__name__}: {e}"
             break
         excluded = env.excluded()
-        if len(excluded) >= len(cands):
+        if len(excluded) >= len(actions):
             break
-        index, score = select_action(model, cands, support, policy, excluded)
-        obs, act = cands[index]
+        support = (np.array(rows).reshape(len(rows), features.shape[1]), rewards)
+        index, score = select_action(model, features, support, policy, excluded)
         try:
             reward = env.execute(index)
         except Exception as e:  # noqa: BLE001
             trace.fault = f"{type(e).__name__}: {e}"
             break
-        trace.steps.append(EpisodeStep(index=index, action=act, reward=reward, score=score))
+        trace.steps.append(EpisodeStep(index=index, action=actions[index], reward=reward, score=score))
         if reward >= threshold:
             trace.success = True
             break
-        support.append((obs, act, reward))
+        rows.append(features[index].copy())
+        rewards.append(reward)
     return trace

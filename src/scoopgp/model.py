@@ -25,6 +25,8 @@ STIFF_HARD = 1
 
 _DEPTH_MID = 0.5 * (DEPTH_MIN + DEPTH_MAX)
 _DEPTH_HALF = 0.5 * (DEPTH_MAX - DEPTH_MIN)
+# the types of a JSON number once parsed; bool, an int subclass, is not one
+JSON_NUMBERS = (int, float)
 
 
 @dataclass(frozen=True)
@@ -102,7 +104,15 @@ class ScoopAction:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScoopAction":
-        return cls(d["x"], d["y"], int(d["yaw"]), d["depth"], int(d["stiffness"]))
+        """Refuses, with ValueError, a yaw or stiffness that is not an
+        integer (2.7 is not truncated to 2) and a position or depth that
+        is not a number; a JSON boolean or string is neither."""
+        x, y, yaw, depth, stiffness = d["x"], d["y"], d["yaw"], d["depth"], d["stiffness"]
+        if type(yaw) is not int or type(stiffness) is not int:
+            raise ValueError(f"yaw {yaw!r} and stiffness {stiffness!r} must be integers")
+        if not (type(x) in JSON_NUMBERS and type(y) in JSON_NUMBERS and type(depth) in JSON_NUMBERS):
+            raise ValueError(f"start ({x!r}, {y!r}) and depth {depth!r} must be numbers")
+        return cls(x, y, yaw, depth, stiffness)
 
 
 @dataclass
@@ -186,10 +196,31 @@ class Architecture:
         )
 
 
+def action_rows(actions, patch_size: int) -> np.ndarray:
+    """(n, patch_size + 2) feature rows with the actions' normalized depth
+    and stiffness flag in the last two columns; the caller writes the
+    flattened patches into the first patch_size columns."""
+    n = len(actions)
+    X = np.empty((n, patch_size + 2))
+    depths = np.fromiter((act.depth for act in actions), np.float64, n)
+    X[:, -2] = (depths - _DEPTH_MID) / _DEPTH_HALF
+    X[:, -1] = np.fromiter((act.stiffness for act in actions), np.float64, n)
+    return X
+
+
+def feature_rows(pairs) -> np.ndarray:
+    """(n, C * H * W + 2) model features of [(obs, act)] pairs whose
+    patches share one (C, H, W) shape: each row is the flattened patch
+    plus normalized depth and the stiffness flag."""
+    pairs = list(pairs)
+    shape = pairs[0][0].patch.shape
+    X = action_rows([act for _, act in pairs], math.prod(shape))
+    np.stack([obs.patch for obs, _ in pairs], out=X[:, :-2].reshape(len(pairs), *shape))
+    return X
+
+
 def feature_matrix(arch: Architecture, pairs) -> np.ndarray:
-    """(n, input_dim) model features of [(obs, act)] pairs: each row is the
-    flattened patch plus normalized depth and the stiffness flag, written
-    straight into one preallocated matrix."""
+    """feature_rows of pairs whose patches have the architecture's shape."""
     pairs = list(pairs)
     shape = (arch.channels, arch.patch_h, arch.patch_w)
     for obs, _ in pairs:
@@ -197,13 +228,7 @@ def feature_matrix(arch: Architecture, pairs) -> np.ndarray:
             raise T.ShapeError(
                 f"patch shape {obs.patch.shape} does not match architecture {shape}"
             )
-    n = len(pairs)
-    X = np.empty((n, arch.input_dim))
-    np.stack([obs.patch for obs, _ in pairs], out=X[:, : arch.patch_size].reshape(n, *shape))
-    depths = np.fromiter((act.depth for _, act in pairs), np.float64, n)
-    X[:, -2] = (depths - _DEPTH_MID) / _DEPTH_HALF
-    X[:, -1] = np.fromiter((act.stiffness for _, act in pairs), np.float64, n)
-    return X
+    return feature_rows(pairs)
 
 
 def feature_vector(arch: Architecture, obs: Observation, act: ScoopAction) -> np.ndarray:
@@ -368,20 +393,33 @@ class DeepGPModel:
         return gp.GPPosterior(mean=float(means[0]), variance=float(variances[0]))
 
     def predict_batch(self, candidates, support=()) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized predict over [(obs, act)] candidates; reward units."""
-        Xq = feature_matrix(self.arch, candidates)
+        """predict_rows over [(obs, act)] candidates and an [(obs, act,
+        reward)] support set."""
+        support = list(support)
+        if support:
+            Xs = feature_matrix(self.arch, [(o, a) for o, a, _ in support])
+        else:
+            Xs = np.empty((0, self.arch.input_dim))
+        return self.predict_rows(feature_matrix(self.arch, candidates), Xs, [r for _, _, r in support])
+
+    def predict_rows(self, Xq: np.ndarray, Xs: np.ndarray, rewards) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior means and variances, in reward units, of the feature
+        rows Xq given support rows Xs and their observed rewards."""
+        for X in (Xq, Xs):
+            if X.shape[1] != self.arch.input_dim:
+                raise T.ShapeError(
+                    f"feature rows have {X.shape[1]} columns, architecture needs {self.arch.input_dim}"
+                )
         Fq = self.extract_batch(Xq)
         mq = self.mean_t(T.Tensor(Fq)).data[:, 0]
         if not self.has_kernel:
             means = mq * self.reward_std + self.reward_mean
             return means, np.zeros_like(means)
-        support = list(support)
-        if not support:
+        if len(rewards) == 0:
             prior = self.kp.outputscale + self.kp.noise**2
             means = mq * self.reward_std + self.reward_mean
             return means, np.full_like(means, prior * self.reward_std**2)
-        Xs = feature_matrix(self.arch, [(o, a) for o, a, _ in support])
-        rewards = np.array([r for _, _, r in support], dtype=np.float64)
+        rewards = np.asarray(rewards, dtype=np.float64)
         Fs = self.extract_batch(Xs)
         ms = self.mean_t(T.Tensor(Fs)).data[:, 0]
         resid = (rewards - self.reward_mean) / self.reward_std - ms

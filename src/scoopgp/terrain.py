@@ -23,6 +23,7 @@ from .data import ScoopRecord, TaskDataset
 from .model import (
     DEPTH_MAX,
     DEPTH_MIN,
+    JSON_NUMBERS,
     N_YAW,
     STIFF_HARD,
     STIFF_SOFT,
@@ -45,6 +46,8 @@ STIFF_MISMATCH = 0.85
 APPEARANCE_MARGIN = 0.12
 APPEARANCE_NOISE = 0.02
 HEIGHT_NOISE = 0.002
+# three appearance channels, then the height
+PATCH_CHANNELS = 4
 
 COMPOSITIONS = ("Single", "Partition", "Mixture", "Layers")
 
@@ -80,7 +83,9 @@ class LatentMaterial:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LatentMaterial":
-        return cls(
+        """Refuses, with ValueError, parameters that are not finite numbers
+        in range and a stiffness preference other than 0 or 1."""
+        mat = cls(
             id=d["id"],
             color=tuple(d["color"]),
             texture_scale=d["texture_scale"],
@@ -88,8 +93,18 @@ class LatentMaterial:
             peak_depth=d["peak_depth"],
             depth_width=d["depth_width"],
             jam_penalty=d["jam_penalty"],
-            stiffness_pref=int(d["stiffness_pref"]),
+            stiffness_pref=d["stiffness_pref"],
         )
+        values = (*mat.color, mat.texture_scale, mat.peak_volume, mat.peak_depth,
+                  mat.depth_width, mat.jam_penalty)
+        if not (
+            all(type(v) in JSON_NUMBERS and math.isfinite(v) for v in values)
+            and len(mat.color) == 3 and all(0.0 <= c <= 1.0 for c in mat.color)
+            and min(mat.texture_scale, mat.peak_volume, mat.jam_penalty) >= 0.0 < mat.depth_width
+            and type(mat.stiffness_pref) is int and mat.stiffness_pref in (STIFF_SOFT, STIFF_HARD)
+        ):
+            raise ValueError(f"material {mat.id!r} has parameters out of range: {d}")
+        return mat
 
 
 @dataclass
@@ -140,17 +155,53 @@ class TerrainInstance:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TerrainInstance":
-        return cls(
-            surface=np.array(d["surface"], dtype=np.int64),
-            heightfield=np.array(d["heightfield"], dtype=np.float64),
+        """Refuses, with ValueError, a grid that is not a rectangle of JSON
+        numbers (of integers for material indices) and a terrain that
+        fails validate()."""
+        t = cls(
+            surface=_grid(d["surface"], "iu"),
+            heightfield=_grid(d["heightfield"], "iuf").astype(np.float64),
             materials=[LatentMaterial.from_dict(m) for m in d["materials"]],
             composition=d["composition"],
             seed=int(d["seed"]),
-            hidden=None if d["hidden"] is None else np.array(d["hidden"], dtype=np.int64),
+            hidden=None if d["hidden"] is None else _grid(d["hidden"], "iu"),
             layer_depth=d["layer_depth"],
             extent=tuple(d["extent"]),
             cell=d["cell"],
         )
+        t.validate()
+        return t
+
+    def validate(self) -> None:
+        """ValueError unless every grid has the shape of a positive extent
+        at a positive cell size, the heights are finite, the material
+        indices are in range, and a hidden layer comes with a positive
+        layer depth and only with one."""
+        numbers = (*self.extent, self.cell)
+        if len(self.extent) != 2 or not all(type(v) in JSON_NUMBERS and 0 < v < math.inf for v in numbers):
+            raise ValueError(f"extent {self.extent} and cell {self.cell} must be positive numbers")
+        shape = _grid_shape(self.extent, self.cell)
+        indices = [self.surface] + ([] if self.hidden is None else [self.hidden])
+        if any(grid.shape != shape for grid in [self.heightfield, *indices]):
+            raise ValueError(f"grids must have the shape {shape} of extent {self.extent} at cell {self.cell}")
+        if not np.isfinite(self.heightfield).all():
+            raise ValueError("heightfield contains non-finite values")
+        if any(grid.min() < 0 or grid.max() >= len(self.materials) for grid in indices):
+            raise ValueError(f"material indices must lie in 0..{len(self.materials) - 1}")
+        depth = self.layer_depth
+        if (self.hidden is None) != (depth is None) or not (
+            depth is None or type(depth) in JSON_NUMBERS and 0 < depth < math.inf
+        ):
+            raise ValueError(f"hidden and a positive layer_depth must come together, got layer_depth {depth!r}")
+
+
+def _grid(values, kinds: str) -> np.ndarray:
+    """values as a 2-D array whose numpy kind is one of `kinds`; a string,
+    a boolean or a fractional index is refused, never converted."""
+    grid = np.array(values)
+    if grid.ndim != 2 or grid.dtype.kind not in kinds:
+        raise ValueError(f"a grid must be a rectangle of JSON numbers of kind {kinds!r}, got {grid.dtype}")
+    return grid
 
 
 @dataclass
@@ -478,28 +529,18 @@ def _patch_cells(start, along, across, du, dv, cell, count) -> np.ndarray:
     return np.clip(cells, 0, count - 1, out=cells)
 
 
-def render_patches(
-    terrain: TerrainInstance,
-    actions: list[ScoopAction],
-    rng: np.random.Generator | None = None,
-    patch_h: int = 16,
-    patch_w: int = 16,
+def patch_cells(
+    terrain: TerrainInstance, actions: list[ScoopAction], patch_h: int = 16, patch_w: int = 16
 ) -> np.ndarray:
-    """(n, 4, H, W) patches oriented along each action's yaw, left edge at
-    the scoop start. Noise-free when rng is None.
+    """(n, H, W) flat indices into the terrain's grids of every action's
+    patch cells, oriented along its yaw with the left edge at the scoop
+    start. They depend only on the actions and the grid's shape, extent
+    and cell size, never on what a scoop changes.
 
-    Noise contract: with an rng, all noise is one block of uniforms drawn
-    in action-major (n, 4, H, W) order, three texture channels then the
-    height channel of each action in turn. That is the same stream, and
-    the same values, as drawing each action's (3, H, W) texture uniforms
-    and then its (H, W) height uniforms one action at a time, so the
-    patches and the generator's final state do not depend on how the
-    actions are batched.
+    Raises BoundsError, naming the first such action, when a start lies
+    outside the terrain extent.
     """
-    n = len(actions)
     nx, ny = terrain.surface.shape
-    colors = np.array([m.color for m in terrain.materials])
-    textures = np.array([m.texture_scale for m in terrain.materials])
     xs = np.array([a.x for a in actions], dtype=np.float64)
     ys = np.array([a.y for a in actions], dtype=np.float64)
     inside = (0.0 <= xs) & (xs <= terrain.extent[0]) & (0.0 <= ys) & (ys <= terrain.extent[1])
@@ -512,26 +553,76 @@ def render_patches(
     flat = _patch_cells(xs, axes[:, 0], axes[:, 2], du, dv, terrain.cell, nx)
     flat *= ny
     flat += _patch_cells(ys, axes[:, 1], axes[:, 3], du, dv, terrain.cell, ny)
-    mats = np.ravel(terrain.surface).take(flat)
-    out = np.empty((n, 4, patch_h, patch_w))
-    texture, height = out[:, :3], out[:, 3]
-    if rng is not None:
-        rng.random(out=out)
-        # in place, what Generator.uniform(low, high) computes from u:
-        # low + (high - low) * u
-        texture *= 1.0 - -1.0
-        texture += -1.0
-        texture *= textures.take(mats)[:, None]
-        height *= HEIGHT_NOISE - -HEIGHT_NOISE
-        height += -HEIGHT_NOISE
-    else:
-        out.fill(0.0)
-    height += np.ravel(terrain.heightfield).take(flat)
-    del flat
-    for c in range(3):
-        texture[:, c] += colors[:, c].take(mats)
-    np.clip(texture, 0.0, 1.0, out=texture)
-    return out
+    return flat
+
+
+# actions rendered per pass: a block's noise, materials and cells stay in
+# a core's L2 cache between the passes over it
+_RENDER_BLOCK = 64
+
+
+def render_patches(
+    terrain: TerrainInstance,
+    actions: list[ScoopAction],
+    rng: np.random.Generator | None = None,
+    patch_h: int = 16,
+    patch_w: int = 16,
+    *,
+    cells: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """(n, 4, H, W) patches oriented along each action's yaw, left edge at
+    the scoop start. Noise-free when rng is None.
+
+    `cells`, when given, is patch_cells(terrain, actions, patch_h,
+    patch_w) from earlier; only the surface and height gathers and the
+    noise then run here. `out`, when given, is an (n, m) array with
+    m >= 4 * H * W, such as a feature matrix: the patches are written
+    into its first 4 * H * W columns, and the returned array is a view
+    of them.
+
+    Noise contract: with an rng, all noise is one stream of uniforms
+    drawn in action-major (n, 4, H, W) order, three texture channels then
+    the height channel of each action in turn. That is the same stream,
+    and the same values, as drawing each action's (3, H, W) texture
+    uniforms and then its (H, W) height uniforms one action at a time, so
+    the patches and the generator's final state do not depend on how the
+    actions are batched.
+    """
+    n = len(actions)
+    if cells is None:
+        cells = patch_cells(terrain, actions, patch_h, patch_w)
+    size = PATCH_CHANNELS * patch_h * patch_w
+    if out is None:
+        out = np.empty((n, size))
+    patches = out[:, :size].reshape(n, PATCH_CHANNELS, patch_h, patch_w)
+    surface = np.ravel(terrain.surface)
+    heights = np.ravel(terrain.heightfield)
+    # per material: twice the texture scale, then the three color channels
+    materials = np.array([(2.0 * m.texture_scale, *m.color) for m in terrain.materials]).T
+    buf = np.empty((min(n, _RENDER_BLOCK), PATCH_CHANNELS, patch_h, patch_w))
+    for start in range(0, n, _RENDER_BLOCK):
+        stop = min(start + _RENDER_BLOCK, n)
+        flat = cells[start:stop]
+        mat = materials.take(surface.take(flat), axis=1)
+        block = buf[: stop - start]
+        texture, height = block[:, :3], block[:, 3]
+        if rng is not None:
+            rng.random(out=block)
+            # Generator.uniform(low, high) computes low + (high - low) * u.
+            # For the texture, (-1 + 2u) * scale: u is a multiple of 2**-53
+            # in [0, 1), so -1 + 2u and u - 0.5 are exact, and (u - 0.5) *
+            # (2 * scale) rounds the same exact product in one pass less.
+            texture -= 0.5
+            texture *= mat[0][:, None]
+            height *= HEIGHT_NOISE - -HEIGHT_NOISE
+            height += -HEIGHT_NOISE
+        else:
+            block.fill(0.0)
+        texture += mat[1:].transpose(1, 0, 2, 3)
+        np.clip(texture, 0.0, 1.0, out=patches[start:stop, :3])
+        np.add(height, heights.take(flat), out=patches[start:stop, 3])
+    return patches
 
 
 def render_patch(

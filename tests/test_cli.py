@@ -195,10 +195,36 @@ def _no_records(payload):
     payload["records"] = []
 
 
+def _fractional_yaw(payload):
+    payload["records"][4]["action"]["yaw"] = 2.7
+
+
+def _fractional_stiffness(payload):
+    payload["records"][4]["action"]["stiffness"] = 0.5
+
+
+def _string_patch_value(payload):
+    payload["records"][4]["patch"][7] = "0.5"
+
+
+def _boolean_patch_value(payload):
+    payload["records"][4]["patch"][7] = True
+
+
+def _boolean_depth(payload):
+    payload["records"][4]["action"]["depth"] = False
+
+
+def _string_reward(payload):
+    payload["records"][4]["reward"] = "12.5"
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [_set_schema_version, _drop_patch_value, _nan_patch_value, _appearance_out_of_range,
-     _yaw_out_of_range, _depth_out_of_range, _infinite_reward, _missing_reward, _no_records],
+     _yaw_out_of_range, _depth_out_of_range, _infinite_reward, _missing_reward, _no_records,
+     _fractional_yaw, _fractional_stiffness, _string_patch_value, _boolean_patch_value,
+     _boolean_depth, _string_reward],
     ids=lambda f: f.__name__.strip("_"),
 )
 def test_malformed_dataset_exits_1(pipeline, tmp_path, capsys, corrupt):
@@ -213,6 +239,69 @@ def test_malformed_dataset_exits_1(pipeline, tmp_path, capsys, corrupt):
     assert rc == 1
     assert "train-01.json" in capsys.readouterr().err
     assert not (tmp_path / "sl.json").exists()
+
+
+def _terrain(suite):
+    return suite["tasks"][-1]["terrain"]
+
+
+def _fractional_surface_index(suite):
+    _terrain(suite)["surface"][3][4] = 1.5
+
+
+def _surface_index_out_of_range(suite):
+    _terrain(suite)["surface"][3][4] = len(_terrain(suite)["materials"])
+
+
+def _string_height(suite):
+    _terrain(suite)["heightfield"][3][4] = "0.01"
+
+
+def _ragged_heightfield(suite):
+    _terrain(suite)["heightfield"][3].pop()
+
+
+def _grid_off_extent(suite):
+    _terrain(suite)["extent"] = [0.5, 0.6]
+
+
+def _layer_depth_without_layer(suite):
+    terrain = _terrain(suite)
+    terrain["hidden"], terrain["layer_depth"] = None, 0.05
+
+
+def _material_color_out_of_range(suite):
+    _terrain(suite)["materials"][0]["color"][1] = 1.4
+
+
+def _missing_cell(suite):
+    del _terrain(suite)["cell"]
+
+
+def _suite_not_json(suite):
+    return "{not json"
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_fractional_surface_index, _surface_index_out_of_range, _string_height,
+     _ragged_heightfield, _grid_off_extent, _layer_depth_without_layer,
+     _material_color_out_of_range, _missing_cell, _suite_not_json],
+    ids=lambda f: f.__name__.strip("_"),
+)
+def test_malformed_suite_terrain_exits_1(pipeline, tmp_path, capsys, corrupt):
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    path = data / "suite.json"
+    suite = json.loads(path.read_text())
+    text = corrupt(suite)
+    path.write_text(text if text is not None else json.dumps(suite))
+    out = tmp_path / "live.jsonl"
+    rc = cli.main(["eval-deploy", "--model", str(pipeline["ckpt"]), "--data", str(data),
+                   "--out", str(out), "--mode", "live", "--max-attempts", "2", "--reps", "1"])
+    assert rc == 1
+    assert "suite.json" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _nan_weight(payload):

@@ -102,3 +102,18 @@ def test_float_encoder_equals_json_dumps(values):
     rounded = [round(v, 6) for v in values]
     (body,) = data._json_rows(np.array(rounded).reshape(1, -1))
     assert body == json.dumps(rounded)[1:-1]
+
+
+def test_load_refuses_boolean_patch_values_but_not_equal_floats(tmp_path):
+    ds = make_task("edges", 3, seed=2)
+    ds.records[1].obs.patch[0, 0, :2] = (0.0, 1.0)
+    path = tmp_path / "edges.json"
+    save_task_dataset(ds, path)
+    assert load_task_dataset(path).records[1].obs.patch[0, 0, :2].tolist() == [0.0, 1.0]
+    payload = json.loads(path.read_text())
+    for k, value in ((0, False), (1, True)):
+        bad = json.loads(json.dumps(payload))
+        bad["records"][1]["patch"][k] = value
+        path.write_text(json.dumps(bad))
+        with pytest.raises(DatasetError, match=f"record 1: patch value {k} is a boolean"):
+            load_task_dataset(path)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from helpers import make_task, render_patches_reference
@@ -32,17 +34,22 @@ def test_action_grid_sizes():
     assert np.allclose(depths, [0.0425, 0.0675])
 
 
+def no_support(arch=ARCH):
+    return np.empty((0, arch.input_dim)), []
+
+
 def test_ucb_score_reductions():
     m = trained_toy_model()
     task = make_task("t", 5, seed=1)
-    obs, act = task.records[0].obs, task.records[0].action
-    sup = task.support_tuples([1, 2])
-    post = m.predict(obs, act, sup)
-    assert D.ucb_score(m, obs, act, sup, gamma=0.0) == post.mean
-    s2 = D.ucb_score(m, obs, act, sup, gamma=2.0)
-    assert s2 == pytest.approx(post.mean + 2.0 * np.sqrt(post.variance))
+    cands = [(r.obs, r.action) for r in task.records]
+    means, variances = m.predict_batch(cands, task.support_tuples([1, 2]))
+    assert np.array_equal(D.Policy.ucb(0.0).scores(means, variances), means)
+    assert np.array_equal(D.Policy.greedy().scores(means, variances), means)
+    s2 = D.Policy.ucb(2.0).scores(means, variances)
+    assert np.array_equal(s2, means + 2.0 * np.sqrt(variances))
+    assert (variances > 0).all() and (s2 > means).all()
     with pytest.raises(ValueError):
-        D.ucb_score(m, obs, act, sup, gamma=-1.0)
+        D.Policy.ucb(-1.0)
 
 
 def test_ucb_prefers_uncertain_at_equal_mean():
@@ -57,17 +64,17 @@ def test_ucb_prefers_uncertain_at_equal_mean():
 def test_select_action_basics():
     m = trained_toy_model(2)
     task = make_task("t", 6, seed=3)
-    cands = [(r.obs, r.action) for r in task.records]
-    idx, score = D.select_action(m, cands[:1], [], D.Policy.greedy())
+    X = M.feature_matrix(ARCH, [(r.obs, r.action) for r in task.records])
+    idx, score = D.select_action(m, X[:1], no_support(), D.Policy.greedy())
     assert idx == 0
-    idx_g, _ = D.select_action(m, cands, [], D.Policy.greedy())
-    idx_u0, _ = D.select_action(m, cands, [], D.Policy.ucb(0.0))
+    idx_g, _ = D.select_action(m, X, no_support(), D.Policy.greedy())
+    idx_u0, _ = D.select_action(m, X, no_support(), D.Policy.ucb(0.0))
     assert idx_g == idx_u0
     excl = {idx_g}
-    idx2, _ = D.select_action(m, cands, [], D.Policy.greedy(), excl)
+    idx2, _ = D.select_action(m, X, no_support(), D.Policy.greedy(), excl)
     assert idx2 != idx_g
     with pytest.raises(ValueError):
-        D.select_action(m, cands, [], D.Policy.greedy(), set(range(len(cands))))
+        D.select_action(m, X, no_support(), D.Policy.greedy(), set(range(len(X))))
 
 
 def test_select_action_scale_invariance_of_argmax():
@@ -77,6 +84,25 @@ def test_select_action_scale_invariance_of_argmax():
     means, variances = m.predict_batch(cands, [])
     s1 = D.Policy.ucb(2.0).scores(means, variances)
     assert np.argmax(s1) == np.argmax(3.7 * s1)
+
+
+def test_select_action_scores_rows_like_predict_batch():
+    """Excluding rows leaves the scores of the others as predict_batch
+    gives them for exactly those candidates, bit for bit."""
+    m = trained_toy_model(5)
+    task = make_task("t", 9, seed=6)
+    cands = [(r.obs, r.action) for r in task.records]
+    X = M.feature_matrix(ARCH, cands)
+    support = task.support_tuples([7, 8])
+    Xs = M.feature_matrix(ARCH, [(o, a) for o, a, _ in support])
+    rewards = [r for _, _, r in support]
+    excluded = {0, 4, 7, 8}
+    allowed = [i for i in range(9) if i not in excluded]
+    means, variances = m.predict_batch([cands[i] for i in allowed], support)
+    scores = D.Policy.ucb(2.0).scores(means, variances)
+    idx, score = D.select_action(m, X, (Xs, rewards), D.Policy.ucb(2.0), excluded)
+    assert idx == allowed[int(np.argmax(scores))]
+    assert score == float(scores.max())
 
 
 def test_replay_episode_without_replacement_and_support_growth():
@@ -103,10 +129,11 @@ def test_replay_episode_oracle_threshold_max_record():
     # oracle policy: model whose mean ranks records by their true reward
     class Oracle:
         def __init__(self, ds):
-            self.r = {id(rec.obs): rec.reward for rec in ds.records}
+            rows = M.feature_rows((rec.obs, rec.action) for rec in ds.records)
+            self.r = {row.tobytes(): rec.reward for row, rec in zip(rows, ds.records)}
 
-        def predict_batch(self, cands, support=()):
-            means = np.array([self.r[id(o)] for o, _ in cands])
+        def predict_rows(self, X, Xs, rewards):
+            means = np.array([self.r[row.tobytes()] for row in X])
             return means, np.zeros_like(means)
 
     task = make_task("oracle", 12, seed=9)
@@ -147,15 +174,20 @@ def test_support_is_prior_history():
     calls = []
 
     class Spy:
-        def predict_batch(self, cands, support=()):
-            calls.append(len(support))
-            means = np.zeros(len(cands))
+        def predict_rows(self, X, Xs, rewards):
+            calls.append((Xs.copy(), list(rewards)))
+            means = np.zeros(len(X))
             return means, np.zeros_like(means)
 
     task = make_task("spy", 6, seed=13)
     env = D.ReplayEnvironment(task)
-    D.run_episode(Spy(), env, np.inf, 4, D.Policy.greedy())
-    assert calls == [0, 1, 2, 3]
+    trace = D.run_episode(Spy(), env, np.inf, 4, D.Policy.greedy())
+    assert [len(r) for _, r in calls] == [0, 1, 2, 3]
+    X = M.feature_rows((r.obs, r.action) for r in task.records)
+    chosen = [s.index for s in trace.steps]
+    for n, (Xs, rewards) in enumerate(calls):
+        assert np.array_equal(Xs, X[chosen[:n]])
+        assert rewards == [task.records[i].reward for i in chosen[:n]]
 
 
 def test_live_environment_episode_and_masking():
@@ -202,10 +234,63 @@ def test_live_episode_unchanged_under_reference_renderer(monkeypatch):
         tr = D.run_episode(m, env, threshold=np.inf, max_attempts=5, policy=D.Policy.ucb(2.0))
         return [(s.index, s.reward, s.score) for s in tr.steps]
 
+    def reference(terrain_, actions, rng=None, *, cells, out):
+        patches = render_patches_reference(terrain_, actions, rng)
+        out[:, : patches[0].size] = patches.reshape(len(actions), -1)
+        return patches
+
     vectorized = run()
-    monkeypatch.setattr(D, "render_patches", render_patches_reference)
+    monkeypatch.setattr(D, "render_patches", reference)
     assert len(vectorized) == 5
     assert run() == vectorized
+
+
+def test_live_support_rows_are_the_rows_chosen_then():
+    """The live environment re-renders into one feature matrix, so the
+    support must hold copies: at each step its rows equal the chosen rows
+    as they were rendered at their own step."""
+    _, suite_test = terrain.generate_suite(seed=0)
+    chosen, supports = [], []
+
+    class FirstRow:
+        def predict_rows(self, X, Xs, rewards):
+            supports.append(Xs.copy())
+            chosen.append(X[0].copy())
+            means = -np.arange(len(X), dtype=np.float64)
+            return means, np.zeros_like(means)
+
+    env = D.LiveEnvironment(suite_test[0], D.ActionGrid(nx=4, ny=3), seed=1)
+    D.run_episode(FirstRow(), env, np.inf, 4, D.Policy.greedy())
+    assert len(supports) == 4
+    for n, Xs in enumerate(supports):
+        assert np.array_equal(Xs, np.array(chosen[:n]).reshape(n, Xs.shape[1]))
+    assert not np.array_equal(chosen[0], chosen[1]), "each step draws fresh noise"
+
+
+def live_episode_peak_bytes(grid, steps):
+    """Traced peak allocation of a live UCB episode of `steps` attempts on
+    the desk-grid layered tray, and the bytes of one full render."""
+    _, suite_test = terrain.generate_suite(seed=0)
+    task = next(t for t in suite_test if t.composition == "Layers")
+    m = M.DeepGPModel.init(M.Architecture(), seed=2)
+    m.reward_mean, m.reward_std = 30.0, 15.0
+    render_bytes = grid.size * m.arch.patch_size * 8
+    tracemalloc.start()
+    try:
+        env = D.LiveEnvironment(task, grid, seed=4)
+        trace = D.run_episode(m, env, np.inf, steps, D.Policy.ucb(2.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trace.attempts == steps and trace.fault is None
+    return peak, render_bytes
+
+
+def test_live_episode_memory_stays_within_three_renders():
+    """The support set holds copied feature rows, so an episode's memory
+    does not grow by one full render per attempt."""
+    peak, render_bytes = live_episode_peak_bytes(D.ActionGrid(), steps=12)
+    assert peak < 3 * render_bytes, f"peak {peak / 1e6:.1f} MB, one render {render_bytes / 1e6:.1f} MB"
 
 
 def test_trace_roundtrip_and_validation():

@@ -6,8 +6,16 @@ import pytest
 from helpers import render_patches_reference
 
 from scoopgp import terrain
-from scoopgp.decision import ActionGrid
-from scoopgp.model import ScoopAction, STIFF_HARD, STIFF_SOFT
+from scoopgp.decision import ActionGrid, LiveEnvironment
+from scoopgp.model import (
+    STIFF_HARD,
+    STIFF_SOFT,
+    Architecture,
+    Observation,
+    ScoopAction,
+    action_rows,
+    feature_matrix,
+)
 
 
 @pytest.fixture(scope="module")
@@ -135,17 +143,37 @@ def test_render_out_of_extent_raises():
         terrain.render_patch(t, ScoopAction(1.5, 0.3, 0, 0.05, 0))
 
 
+def reference_feature_rows(ref, actions, start, stop):
+    """Rows start:stop of the reference patches stacked by feature_matrix."""
+    pairs = [(Observation(p), a) for p, a in zip(ref[start:stop], actions[start:stop])]
+    return feature_matrix(Architecture(), pairs)
+
+
 def assert_render_matches_reference(t, actions, seed):
-    """Same bytes as the per-action oracle, and the generators end in the
-    same state (their next draws are equal)."""
-    rng_new = None if seed is None else np.random.default_rng(seed)
-    rng_ref = None if seed is None else np.random.default_rng(seed)
-    new = terrain.render_patches(t, actions, rng_new)
+    """Same bytes as the per-action oracle, whether rendered into a new
+    array or, from precomputed cells, into feature rows; and each time
+    the generators end in the same state."""
+    def rng():
+        return None if seed is None else np.random.default_rng(seed)
+
+    rng_ref = rng()
     ref = render_patches_reference(t, actions, rng_ref)
+    rng_new = rng()
+    new = terrain.render_patches(t, actions, rng_new)
     assert new.shape == ref.shape
     assert new.tobytes() == ref.tobytes()
+    del new
+    rng_rows = rng()
+    X = action_rows(actions, Architecture().patch_size)
+    view = terrain.render_patches(t, actions, rng_rows, cells=terrain.patch_cells(t, actions), out=X)
+    assert view.shape == ref.shape and np.shares_memory(view, X)
+    for start in range(0, len(actions), 2048):
+        stop = start + 2048
+        assert X[start:stop].tobytes() == reference_feature_rows(ref, actions, start, stop).tobytes()
     if seed is not None:
-        assert rng_new.random() == rng_ref.random()
+        state = rng_ref.bit_generator.state
+        assert rng_new.bit_generator.state == state
+        assert rng_rows.bit_generator.state == state
 
 
 @pytest.mark.parametrize("seed", [None, 5], ids=["noise-free", "seeded"])
@@ -172,6 +200,38 @@ def test_render_patches_matches_reference_after_a_scoop(suite):
     actions = ActionGrid().enumerate(t.extent)
     assert_render_matches_reference(t, actions, None)
     assert_render_matches_reference(t, actions, 9)
+
+
+@pytest.mark.parametrize("count", [1, 37, 1001])
+def test_render_patches_matches_reference_on_partial_blocks(suite, count):
+    """Action counts that are no multiple of a render block."""
+    t = suite[1][2].terrain
+    actions = ActionGrid().enumerate(t.extent)[::-1][:count]
+    assert_render_matches_reference(t, actions, 7)
+
+
+def test_live_environment_rows_match_reference_across_scoops(suite):
+    """Each step's feature matrix, rendered into the same reused rows,
+    equals the reference patches stacked by feature_matrix, as the terrain
+    changes under the scoops and the generator runs on."""
+    task = next(task for task in suite[1] if task.composition == "Layers")
+    env = LiveEnvironment(task, ActionGrid(), seed=8)
+    t, rng = task.terrain.copy(), np.random.default_rng(8)
+    actions = ActionGrid().enumerate(t.extent)
+    feasible = [i for i in range(len(actions)) if i not in env.excluded()]
+    for index in (feasible[5], feasible[400], feasible[900]):
+        X, acts = env.candidates()
+        assert acts == actions
+        ref = render_patches_reference(t, actions, rng)
+        assert X.tobytes() == reference_feature_rows(ref, actions, 0, len(actions)).tobytes()
+        assert env.execute(index) == terrain.execute_scoop(t, actions[index], rng)
+    assert env.rng.random() == rng.random()
+
+
+def test_live_environment_checks_bounds_at_construction(suite):
+    task = suite[1][0]
+    with pytest.raises(terrain.BoundsError):
+        LiveEnvironment(task, ActionGrid(margin=-0.1), seed=0)
 
 
 def test_render_patches_names_the_one_action_out_of_extent(suite):
