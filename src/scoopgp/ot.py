@@ -8,6 +8,10 @@ around the median of a reference task's distance row.
 """
 from __future__ import annotations
 
+import multiprocessing
+import os
+import signal
+import traceback
 import warnings
 from dataclasses import dataclass, field
 
@@ -160,9 +164,12 @@ def cost_matrix(A: TaskDataset, B: TaskDataset, params: SampleCostParams) -> np.
     return cost_matrix_arrays(_task_arrays(A, params), _task_arrays(B, params), params)
 
 
-def _logsumexp(M: np.ndarray, axis: int) -> np.ndarray:
+def _logsumexp_inplace(M: np.ndarray, axis: int) -> np.ndarray:
+    """logsumexp of M along axis, by max-shift; overwrites M."""
     m = M.max(axis=axis, keepdims=True)
-    return np.squeeze(m + np.log(np.sum(np.exp(M - m), axis=axis, keepdims=True)), axis=axis)
+    M -= m
+    np.exp(M, out=M)
+    return np.squeeze(m + np.log(M.sum(axis=axis, keepdims=True)), axis=axis)
 
 
 def entropic_transport_cost(
@@ -177,6 +184,11 @@ def entropic_transport_cost(
     the row-marginal violation drops below tol in the max norm. The
     matrix is canonicalized in orientation first, so transposed inputs
     produce bit-identical values (the OT value is transpose-invariant).
+
+    Each iteration first tests the row that was worst at the last full
+    check, with the full check's arithmetic: while that row is off by
+    tol the maximum is too, so the plan is formed in full only when it
+    is within tol, and the full check then decides.
     """
     C = np.ascontiguousarray(C, dtype=np.float64)
     Ct = np.ascontiguousarray(C.T)
@@ -188,26 +200,61 @@ def entropic_transport_cost(
     eps = max(float(eps), 1e-12)
     log_mu = np.full(n, -np.log(n))
     log_nu = np.full(m, -np.log(m))
+    mu = np.exp(log_mu)
     f = np.zeros(n)
     g = np.zeros(m)
+    buf = np.empty((n, m))
+
+    def plan() -> np.ndarray:
+        np.add(f[:, None], g, out=buf)
+        np.subtract(buf, C, out=buf)
+        np.divide(buf, eps, out=buf)
+        np.add(buf, log_mu[:, None], out=buf)
+        np.add(buf, log_nu, out=buf)
+        return np.exp(buf, out=buf)
+
+    worst = 0
     converged = False
     for _ in range(max_iter):
-        f = -eps * _logsumexp((g[None, :] - C) / eps + log_nu[None, :], axis=1)
-        g = -eps * _logsumexp((f[:, None] - C) / eps + log_mu[:, None], axis=0)
-        log_P = (f[:, None] + g[None, :] - C) / eps + log_mu[:, None] + log_nu[None, :]
-        P = np.exp(log_P)
-        if np.max(np.abs(P.sum(axis=1) - np.exp(log_mu))) < tol:
-            converged = True
-            break
-    else:
-        log_P = (f[:, None] + g[None, :] - C) / eps + log_mu[:, None] + log_nu[None, :]
-        P = np.exp(log_P)
-    return float(np.sum(P * C)), converged
+        np.subtract(g, C, out=buf)
+        buf /= eps
+        buf += log_nu
+        f = -eps * _logsumexp_inplace(buf, axis=1)
+        np.subtract(f[:, None], C, out=buf)
+        buf /= eps
+        buf += log_mu[:, None]
+        g = -eps * _logsumexp_inplace(buf, axis=0)
+        row = np.exp((f[worst] + g - C[worst]) / eps + log_mu[worst] + log_nu)
+        if abs(row.sum() - mu[worst]) < tol:
+            violation = np.abs(plan().sum(axis=1) - mu)
+            worst = int(np.argmax(violation))
+            if violation[worst] < tol:
+                converged = True
+                break
+    P = buf if converged else plan()
+    P *= C
+    return float(np.sum(P)), converged
 
 
 def pair_epsilon(C_ab: np.ndarray, scale: float = DEFAULT_EPS_SCALE) -> float:
     """Regularization for one task pair: scale times the median cross cost."""
     return max(scale * float(np.median(C_ab)), 1e-12)
+
+
+def _debiased_divergence(
+    C_ab: np.ndarray,
+    C_aa: np.ndarray,
+    C_bb: np.ndarray,
+    eps: float,
+    max_iter: int,
+    tol: float,
+) -> tuple[float, bool]:
+    """OT(a,b) - (OT(a,a) + OT(b,b)) / 2 from the three cost matrices at
+    one eps, and whether all three solves converged."""
+    v_ab, ok_ab = entropic_transport_cost(C_ab, eps, max_iter, tol)
+    v_aa, ok_aa = entropic_transport_cost(C_aa, eps, max_iter, tol)
+    v_bb, ok_bb = entropic_transport_cost(C_bb, eps, max_iter, tol)
+    return v_ab - 0.5 * v_aa - 0.5 * v_bb, ok_ab and ok_aa and ok_bb
 
 
 def sinkhorn_divergence(
@@ -223,20 +270,178 @@ def sinkhorn_divergence(
         raise ValueError("sinkhorn_divergence needs nonempty datasets")
     arrays_a = _task_arrays(A, params)
     arrays_b = _task_arrays(B, params)
-    values = []
-    all_converged = True
-    for pair in ((arrays_a, arrays_b), (arrays_a, arrays_a), (arrays_b, arrays_b)):
-        C = cost_matrix_arrays(pair[0], pair[1], params)
-        value, converged = entropic_transport_cost(C, eps, max_iter, tol)
-        values.append(value)
-        all_converged = all_converged and converged
-    if not all_converged:
+    value, converged = _debiased_divergence(
+        cost_matrix_arrays(arrays_a, arrays_b, params),
+        cost_matrix_arrays(arrays_a, arrays_a, params),
+        cost_matrix_arrays(arrays_b, arrays_b, params),
+        eps,
+        max_iter,
+        tol,
+    )
+    if not converged:
         warnings.warn(
             f"sinkhorn did not reach tol={tol} within {max_iter} iterations "
             f"for pair ({A.task_id}, {B.task_id}); value is partial",
             SinkhornWarning,
         )
-    return values[0] - 0.5 * values[1] - 0.5 * values[2]
+    return value
+
+
+def _worker_usable() -> bool:
+    """A worker process pays off only with a second usable CPU."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return False
+    try:
+        return len(os.sched_getaffinity(0)) >= 2
+    except AttributeError:  # no affinity API on this platform
+        return False
+
+
+class DistanceRows:
+    """The task distance matrix, row by row, the rows in `order` first.
+
+    With at least two usable CPUs and the fork start method, a forked
+    worker computes every row in that order while the caller goes on,
+    and `wait(i)` blocks only until row i has arrived. Otherwise `wait`
+    computes a row in-process when it is first asked for. A pair is
+    always solved from its lower task index to its higher, with its own
+    eps from the median of its cross-cost matrix (the self terms reuse
+    it, so the debiasing is consistent), so the values depend neither
+    on the path nor on the order. A pair that did not converge raises
+    SinkhornWarning in the caller's process, and a failure in the
+    worker is raised there with its own exception type.
+
+    Use it as a context manager: leaving the block stops a worker that
+    is still running. The worker exits after its last row and is reaped
+    when that row is collected.
+    """
+
+    def __init__(
+        self,
+        tasks: list[TaskDataset],
+        params: SampleCostParams,
+        order=(),
+        eps_scale: float = DEFAULT_EPS_SCALE,
+        max_iter: int = DEFAULT_MAX_ITER,
+        tol: float = DEFAULT_TOL,
+    ):
+        self._tasks = tasks
+        self._params = params
+        self._solve = (eps_scale, max_iter, tol)
+        self._arrays = self._self_costs = None  # built in the process that solves
+        self._D = np.zeros((len(tasks), len(tasks)))
+        self._arrived: set[int] = set()
+        self._conn = self._proc = None
+        if _worker_usable():
+            rows = list(dict.fromkeys([int(i) for i in order] + list(range(len(tasks)))))
+            # fork hands the worker the tasks without pickling them; the
+            # training runs no threads of its own (BLAS is pinned to one)
+            ctx = multiprocessing.get_context("fork")
+            self._conn, child_conn = ctx.Pipe(duplex=False)
+            self._proc = ctx.Process(target=self._work, args=(rows, child_conn), daemon=True)
+            self._proc.start()
+            child_conn.close()
+
+    def __enter__(self) -> "DistanceRows":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Stop and reap the worker if it still runs."""
+        if self._proc is not None:
+            self._proc.terminate()
+            self._proc.join()
+            self._proc = None
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
+
+    def wait(self, i: int) -> np.ndarray:
+        """The matrix once row i has arrived. Its row and column i are
+        then complete; entries between two rows not yet arrived are 0."""
+        while i not in self._arrived:
+            if self._proc is None:
+                self._accept(i, self._row(i, self._arrived))
+            else:
+                self._receive()
+        # take whatever else has arrived, so a finished worker is reaped
+        while self._proc is not None and self._conn.poll():
+            self._receive()
+        return self._D
+
+    def matrix(self) -> np.ndarray:
+        """The full symmetric matrix (diagonal zero)."""
+        for i in range(len(self._tasks)):
+            self.wait(i)
+        return self._D
+
+    def _row(self, i: int, done) -> list[tuple[int, float, bool]]:
+        """(j, divergence, converged) for every other task j not in done."""
+        if self._arrays is None:
+            self._arrays = [_task_arrays(t, self._params) for t in self._tasks]
+            self._self_costs = [cost_matrix_arrays(a, a, self._params) for a in self._arrays]
+        eps_scale, max_iter, tol = self._solve
+        out = []
+        for j in range(len(self._tasks)):
+            if j == i or j in done:
+                continue
+            a, b = min(i, j), max(i, j)
+            C_ab = cost_matrix_arrays(self._arrays[a], self._arrays[b], self._params)
+            value, converged = _debiased_divergence(
+                C_ab,
+                self._self_costs[a],
+                self._self_costs[b],
+                pair_epsilon(C_ab, eps_scale),
+                max_iter,
+                tol,
+            )
+            out.append((j, value, converged))
+        return out
+
+    def _work(self, order: list[int], conn) -> None:
+        """The worker: sends ("row", i, pairs) for each row in order, or
+        ("error", exception, traceback text) on the first failure."""
+        # an interrupt reaches the parent too, which stops this worker
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        try:
+            for n, i in enumerate(order):
+                conn.send(("row", i, self._row(i, order[:n])))
+        except Exception as err:
+            conn.send(("error", err, traceback.format_exc()))
+        finally:
+            conn.close()
+
+    def _receive(self) -> None:
+        try:
+            message = self._conn.recv()
+        except EOFError:
+            self._proc.join()
+            raise RuntimeError(
+                f"distance worker exited with code {self._proc.exitcode} before its last row"
+            ) from None
+        if message[0] == "error":
+            _, err, text = message
+            self.close()
+            raise err from RuntimeError(f"in the distance worker:\n{text}")
+        _, i, pairs = message
+        self._accept(i, pairs)
+        if len(self._arrived) == len(self._tasks):
+            self._proc.join()
+            self.close()
+
+    def _accept(self, i: int, pairs) -> None:
+        for j, value, converged in pairs:
+            self._D[i, j] = self._D[j, i] = value
+            if not converged:
+                a, b = min(i, j), max(i, j)
+                warnings.warn(
+                    f"sinkhorn did not converge for tasks "
+                    f"({self._tasks[a].task_id}, {self._tasks[b].task_id})",
+                    SinkhornWarning,
+                )
+        self._arrived.add(i)
 
 
 def task_distance_matrix(
@@ -246,31 +451,10 @@ def task_distance_matrix(
     max_iter: int = DEFAULT_MAX_ITER,
     tol: float = DEFAULT_TOL,
 ) -> np.ndarray:
-    """Symmetric matrix of pairwise task divergences (diagonal is zero).
-
-    Each pair gets its own eps from the median of its cross-cost matrix;
-    the self terms reuse the pair's eps so the debiasing is consistent.
-    """
-    M = len(tasks)
-    arrays = [_task_arrays(t, params) for t in tasks]
-    D = np.zeros((M, M))
-    for i in range(M):
-        for j in range(i + 1, M):
-            C_ab = cost_matrix_arrays(arrays[i], arrays[j], params)
-            eps = pair_epsilon(C_ab, eps_scale)
-            v_ab, ok_ab = entropic_transport_cost(C_ab, eps, max_iter, tol)
-            C_aa = cost_matrix_arrays(arrays[i], arrays[i], params)
-            v_aa, ok_aa = entropic_transport_cost(C_aa, eps, max_iter, tol)
-            C_bb = cost_matrix_arrays(arrays[j], arrays[j], params)
-            v_bb, ok_bb = entropic_transport_cost(C_bb, eps, max_iter, tol)
-            if not (ok_ab and ok_aa and ok_bb):
-                warnings.warn(
-                    f"sinkhorn did not converge for tasks ({tasks[i].task_id}, "
-                    f"{tasks[j].task_id})",
-                    SinkhornWarning,
-                )
-            D[i, j] = D[j, i] = v_ab - 0.5 * v_aa - 0.5 * v_bb
-    return D
+    """Symmetric matrix of pairwise task divergences (diagonal is zero);
+    see DistanceRows."""
+    with DistanceRows(tasks, params, (), eps_scale, max_iter, tol) as rows:
+        return rows.matrix()
 
 
 @dataclass

@@ -20,6 +20,7 @@ plans, loss curves, and weight digests.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -213,10 +214,15 @@ def _train_mean(
     n_val = min(math.ceil(cfg.validation_fraction * n), n - 1)
     perm = rng.permutation(n)
     val_idx, train_idx = perm[:n_val], perm[n_val:]
-    flip_cols = flip_permutation(cfg.arch)
-    Xtr = np.vstack([X[train_idx], X[train_idx][:, flip_cols]])
+    n_tr = len(train_idx)
+    # the doubled training matrix, flipped copy second, built in place;
+    # both index sets are in range, so "clip" never clips and spares the
+    # temporary copy that take(out=...) makes in its default mode
+    Xtr = np.empty((2 * n_tr, X.shape[1]))
+    np.take(X, train_idx, axis=0, out=Xtr[:n_tr], mode="clip")
+    np.take(Xtr[:n_tr], flip_permutation(cfg.arch), axis=1, out=Xtr[n_tr:], mode="clip")
     ytr = np.concatenate([y_std[train_idx], y_std[train_idx]])
-    Xval, yval = (X[val_idx], y_std[val_idx]) if n_val else (X[train_idx], y_std[train_idx])
+    Xval, yval = (X[val_idx], y_std[val_idx]) if n_val else (Xtr[:n_tr], y_std[train_idx])
     amp = _noise_amplitudes(cfg.arch)
 
     params = model.segment_params("extractor") + model.segment_params("mean")
@@ -344,10 +350,14 @@ def train_dkmt(
 
     mean_params = model.segment_params("extractor") + model.segment_params("mean")
     kpt = _kp_tensors(model.kp)
+    head, n_head = [], 0  # the first 256 pooled rows, which the init embeds
+    for _, X, _, _ in per_task:
+        if n_head >= 256:
+            break
+        head.append(X[: 256 - n_head])
+        n_head += len(head[-1])
     _data_init_kp(
-        kpt,
-        model.embed_batch(np.vstack([pt[1] for pt in per_task])[:256]),
-        np.concatenate([pt[3] for pt in per_task]),
+        kpt, model.embed_batch(np.vstack(head)), np.concatenate([pt[3] for pt in per_task])
     )
     kernel_params = model.segment_params("kernel") + list(kpt.values())
     st_mean, st_kernel = T.AdamState(), T.AdamState()
@@ -488,95 +498,101 @@ def train_kcmd(
         raise ValueError(f"split_method must be one of {SPLIT_METHODS}")
     cfg.validate(n_tasks=len(tasks))
 
-    # phase 1: pooled mean model, retained for the returned model
-    sl_model, sl_manifest = train_sl(tasks, cfg)
-    manifest = TrainingManifest(f"kcmd-{split_method}", cfg.seed, cfg.to_dict())
-    manifest.events.extend(sl_manifest.events)
-    manifest.loss_curves.update(sl_manifest.loss_curves)
-    manifest.stats.update(sl_manifest.stats)
-    retained = sl_model.copy_weight_arrays()
-    anchor = {
-        name: arr for name, arr in retained.items() if name.startswith("extractor.")
-    }
-
-    X_all, y_all = _pool(tasks, cfg.arch)
-    y_std_all = (y_all - sl_model.reward_mean) / sl_model.reward_std
-    per_task_X = [t.feature_matrix(cfg.arch) for t in tasks]
-    per_task_y = [
-        (t.rewards - sl_model.reward_mean) / sl_model.reward_std for t in tasks
-    ]
-    flip_cols = flip_permutation(cfg.arch)
-
+    # fold_rng is independent of phase 1's generator, so the fold
+    # references are drawn first and their distance rows are computed,
+    # in fold order, while phase 1 and the earlier folds train
     fold_rng = np.random.default_rng([cfg.seed, 101])
     refs = fold_rng.permutation(len(tasks))[: cfg.k_folds]
-    distance_matrix = None
-    manual_plans = None
+    distances = contextlib.nullcontext()
     if split_method == "ot":
-        manifest.log("phase:distances:start")
-        cost_params = ot.SampleCostParams.from_tasks(tasks)
-        distance_matrix = ot.task_distance_matrix(tasks, cost_params)
-        manifest.stats["distance_matrix"] = np.round(distance_matrix, 6).tolist()
-        manifest.log("phase:distances:done")
-    elif split_method == "manual":
-        manual_plans = manual_split(tasks, cfg.k_folds, seed=cfg.seed)
+        distances = ot.DistanceRows(tasks, ot.SampleCostParams.from_tasks(tasks), refs)
+    with distances:
+        # phase 1: pooled mean model, retained for the returned model
+        sl_model, sl_manifest = train_sl(tasks, cfg)
+        manifest = TrainingManifest(f"kcmd-{split_method}", cfg.seed, cfg.to_dict())
+        manifest.events.extend(sl_manifest.events)
+        manifest.loss_curves.update(sl_manifest.loss_curves)
+        manifest.stats.update(sl_manifest.stats)
+        retained = sl_model.copy_weight_arrays()
+        anchor = {
+            name: arr for name, arr in retained.items() if name.startswith("extractor.")
+        }
 
-    residual_db: list[FoldResiduals] = []
-    for k in range(cfg.k_folds):
-        ref = int(refs[k])
+        per_task_X = [t.feature_matrix(cfg.arch) for t in tasks]
+        per_task_y = [
+            (t.rewards - sl_model.reward_mean) / sl_model.reward_std for t in tasks
+        ]
+        flip_cols = flip_permutation(cfg.arch)
+
+        manual_plans = None
         if split_method == "ot":
-            plan = ot.median_split(tasks, ref, distance_matrix, cfg.split_rule, fold_index=k)
-        elif split_method == "random":
-            plan = _random_split(len(tasks), ref, fold_rng, k)
-        else:
-            plan = manual_plans[k]
-        plan.validate(len(tasks))
-        manifest.splits.append(plan.to_dict())
-        manifest.log(
-            f"fold:{k}:split:ref={plan.ref_task}:mean={len(plan.mean_task_ids)}"
-            f":kernel={len(plan.kernel_task_ids)}"
-        )
+            manifest.log("phase:distances:start")
+            manifest.stats["distance_matrix"] = None  # holds its key's place until every row is in
+            manifest.log("phase:distances:done")
+        elif split_method == "manual":
+            manual_plans = manual_split(tasks, cfg.k_folds, seed=cfg.seed)
 
-        fold_model = DeepGPModel.init(
-            cfg.arch, seed=int(fold_rng.integers(2**31)), has_kernel=False
-        )
-        fold_model.reward_mean = sl_model.reward_mean
-        fold_model.reward_std = sl_model.reward_std
-        X_mean = np.vstack([per_task_X[i] for i in plan.mean_task_ids])
-        y_mean = np.concatenate([per_task_y[i] for i in plan.mean_task_ids])
-        try:
-            _train_mean(
-                fold_model,
-                X_mean,
-                y_mean,
-                cfg,
-                fold_rng,
-                manifest,
-                curve_tag=f"fold-{k}",
-                anchor=anchor,
-                anchor_coeff=cfg.l2_anchor_coeff,
+        residual_db: list[FoldResiduals] = []
+        for k in range(cfg.k_folds):
+            ref = int(refs[k])
+            if split_method == "ot":
+                D = distances.wait(ref)  # row ref is complete, which is all the split reads
+                plan = ot.median_split(tasks, ref, D, cfg.split_rule, fold_index=k)
+            elif split_method == "random":
+                plan = _random_split(len(tasks), ref, fold_rng, k)
+            else:
+                plan = manual_plans[k]
+            plan.validate(len(tasks))
+            manifest.splits.append(plan.to_dict())
+            manifest.log(
+                f"fold:{k}:split:ref={plan.ref_task}:mean={len(plan.mean_task_ids)}"
+                f":kernel={len(plan.kernel_task_ids)}"
             )
-        except TrainingError as err:
-            raise TrainingError(f"fold {k}: {err}") from err
-        drift = max(
-            float(np.max(np.abs(p.data - anchor[p.name])))
-            for p in fold_model.segment_params("extractor")
-        )
-        manifest.stats[f"fold-{k}.anchor_drift_inf"] = drift
-        manifest.log(f"fold:{k}:mean-trained")
 
-        for i in plan.kernel_task_ids:
-            X = per_task_X[i]
-            residuals = per_task_y[i] - fold_model.mean_batch(X)
-            residual_db.append(
-                FoldResiduals(
-                    fold=k,
-                    task_id=tasks[i].task_id,
-                    features=fold_model.extract_batch(X),
-                    features_flipped=fold_model.extract_batch(X[:, flip_cols]),
-                    residuals=residuals,
+            fold_model = DeepGPModel.init(
+                cfg.arch, seed=int(fold_rng.integers(2**31)), has_kernel=False
+            )
+            fold_model.reward_mean = sl_model.reward_mean
+            fold_model.reward_std = sl_model.reward_std
+            X_mean = np.vstack([per_task_X[i] for i in plan.mean_task_ids])
+            y_mean = np.concatenate([per_task_y[i] for i in plan.mean_task_ids])
+            try:
+                _train_mean(
+                    fold_model,
+                    X_mean,
+                    y_mean,
+                    cfg,
+                    fold_rng,
+                    manifest,
+                    curve_tag=f"fold-{k}",
+                    anchor=anchor,
+                    anchor_coeff=cfg.l2_anchor_coeff,
                 )
+            except TrainingError as err:
+                raise TrainingError(f"fold {k}: {err}") from err
+            drift = max(
+                float(np.max(np.abs(p.data - anchor[p.name])))
+                for p in fold_model.segment_params("extractor")
             )
-        manifest.log(f"fold:{k}:residuals:{sum(len(per_task_X[i]) for i in plan.kernel_task_ids)}")
+            manifest.stats[f"fold-{k}.anchor_drift_inf"] = drift
+            manifest.log(f"fold:{k}:mean-trained")
+
+            for i in plan.kernel_task_ids:
+                X = per_task_X[i]
+                residuals = per_task_y[i] - fold_model.mean_batch(X)
+                residual_db.append(
+                    FoldResiduals(
+                        fold=k,
+                        task_id=tasks[i].task_id,
+                        features=fold_model.extract_batch(X),
+                        features_flipped=fold_model.extract_batch(X[:, flip_cols]),
+                        residuals=residuals,
+                    )
+                )
+            n_residuals = sum(len(per_task_X[i]) for i in plan.kernel_task_ids)
+            manifest.log(f"fold:{k}:residuals:{n_residuals}")
+        if split_method == "ot":
+            manifest.stats["distance_matrix"] = np.round(distances.matrix(), 6).tolist()
 
     manifest.stats["residual_db_size"] = int(sum(len(fr.residuals) for fr in residual_db))
     manifest.stats["residual_db_cells"] = [

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 
+from scoopgp import ot
 from scoopgp import tensor as T
 from scoopgp.data import SCHEMA_VERSION, ScoopRecord, TaskDataset
 from scoopgp.model import Observation, ScoopAction
@@ -146,3 +147,61 @@ def save_task_dataset_reference(ds, path):
         ],
     }
     Path(path).write_text(json.dumps(payload))
+
+
+def entropic_transport_cost_reference(C, eps, max_iter=500, tol=1e-6):
+    """Log-domain Sinkhorn that forms the full plan at every iteration to
+    test convergence: the oracle for ot.entropic_transport_cost, which
+    must return the same value and converged flag bit for bit."""
+
+    def logsumexp(M, axis):
+        m = M.max(axis=axis, keepdims=True)
+        return np.squeeze(m + np.log(np.sum(np.exp(M - m), axis=axis, keepdims=True)), axis=axis)
+
+    C = np.ascontiguousarray(C, dtype=np.float64)
+    Ct = np.ascontiguousarray(C.T)
+    if C.shape[0] > C.shape[1] or (C.shape[0] == C.shape[1] and C.tobytes() > Ct.tobytes()):
+        C = Ct
+    n, m = C.shape
+    eps = max(float(eps), 1e-12)
+    log_mu = np.full(n, -np.log(n))
+    log_nu = np.full(m, -np.log(m))
+    f = np.zeros(n)
+    g = np.zeros(m)
+    converged = False
+    for _ in range(max_iter):
+        f = -eps * logsumexp((g[None, :] - C) / eps + log_nu[None, :], axis=1)
+        g = -eps * logsumexp((f[:, None] - C) / eps + log_mu[:, None], axis=0)
+        log_P = (f[:, None] + g[None, :] - C) / eps + log_mu[:, None] + log_nu[None, :]
+        P = np.exp(log_P)
+        if np.max(np.abs(P.sum(axis=1) - np.exp(log_mu))) < tol:
+            converged = True
+            break
+    else:
+        log_P = (f[:, None] + g[None, :] - C) / eps + log_mu[:, None] + log_nu[None, :]
+        P = np.exp(log_P)
+    return float(np.sum(P * C)), converged
+
+
+def task_distance_matrix_reference(tasks, params, eps_scale=0.05, max_iter=500, tol=1e-6):
+    """Every pair in index order in this process, self costs rebuilt per
+    pair, solved by the reference Sinkhorn: the oracle for
+    ot.task_distance_matrix and ot.DistanceRows. Returns the matrix and
+    the pairs (i, j), i < j, that did not converge."""
+    M = len(tasks)
+    arrays = [ot._task_arrays(t, params) for t in tasks]
+    D = np.zeros((M, M))
+    unconverged = []
+    for i in range(M):
+        for j in range(i + 1, M):
+            C_ab = ot.cost_matrix_arrays(arrays[i], arrays[j], params)
+            eps = ot.pair_epsilon(C_ab, eps_scale)
+            v_ab, ok_ab = entropic_transport_cost_reference(C_ab, eps, max_iter, tol)
+            C_aa = ot.cost_matrix_arrays(arrays[i], arrays[i], params)
+            v_aa, ok_aa = entropic_transport_cost_reference(C_aa, eps, max_iter, tol)
+            C_bb = ot.cost_matrix_arrays(arrays[j], arrays[j], params)
+            v_bb, ok_bb = entropic_transport_cost_reference(C_bb, eps, max_iter, tol)
+            if not (ok_ab and ok_aa and ok_bb):
+                unconverged.append((i, j))
+            D[i, j] = D[j, i] = v_ab - 0.5 * v_aa - 0.5 * v_bb
+    return D, unconverged

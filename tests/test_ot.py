@@ -1,10 +1,19 @@
+import multiprocessing
+
 import numpy as np
 import pytest
-from helpers import histogram_matrix_reference, make_task, random_action
+from helpers import (
+    entropic_transport_cost_reference,
+    histogram_matrix_reference,
+    make_task,
+    random_action,
+    task_distance_matrix_reference,
+)
 
 from scoopgp import ot
 from scoopgp.data import ScoopRecord, TaskDataset
 from scoopgp.model import Observation, ScoopAction
+from scoopgp.terrain import collect_offline, generate_suite
 
 
 @pytest.fixture(scope="module")
@@ -173,6 +182,74 @@ def test_sinkhorn_warns_when_not_converged(two_tasks, params):
     eps = ot.pair_epsilon(ot.cost_matrix(A, B, params))
     with pytest.warns(ot.SinkhornWarning):
         ot.sinkhorn_divergence(A, B, params, eps, max_iter=1, tol=1e-14)
+
+
+def assert_same_solve(got, want):
+    assert got[1] == want[1]
+    assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+
+
+@pytest.fixture(scope="module")
+def suite_tasks():
+    train, _ = generate_suite(3, 5, 1)
+    return [collect_offline(t, n_samples=40, seed=300 + i) for i, t in enumerate(train)]
+
+
+def test_sinkhorn_matches_reference_on_suite_pairs(suite_tasks):
+    params = ot.SampleCostParams.from_tasks(suite_tasks)
+    arrays = [ot._task_arrays(t, params) for t in suite_tasks]
+    for a in arrays:
+        for b in arrays:
+            C = ot.cost_matrix_arrays(a, b, params)
+            eps = ot.pair_epsilon(C)
+            assert_same_solve(
+                ot.entropic_transport_cost(C, eps), entropic_transport_cost_reference(C, eps)
+            )
+
+
+@pytest.mark.parametrize("shape", [(30, 30), (12, 45), (45, 12), (1, 7)])
+@pytest.mark.parametrize("seed", range(3))
+def test_sinkhorn_matches_reference_on_random_costs(shape, seed):
+    rng = np.random.default_rng(seed)
+    C = rng.uniform(0.0, 2.0, size=shape)
+    cases = [
+        dict(eps=0.2),
+        dict(eps=0.05, tol=1e-9),
+        dict(eps=0.05, max_iter=3, tol=1e-14),  # stops at max_iter
+        dict(eps=1e-4, max_iter=40),  # tiny eps: potentials far above the costs
+    ]
+    for kw in cases:
+        want = entropic_transport_cost_reference(C, **kw)
+        assert_same_solve(ot.entropic_transport_cost(C, **kw), want)
+        assert_same_solve(ot.entropic_transport_cost(C.T, **kw), want)
+    if min(shape) > 1:  # a single row or column is matched in one iteration
+        assert not ot.entropic_transport_cost(C, eps=0.05, max_iter=3, tol=1e-14)[1]
+
+
+def test_distance_rows_match_reference_in_any_order(suite_tasks, distance_path):
+    params = ot.SampleCostParams.from_tasks(suite_tasks)
+    want, _ = task_distance_matrix_reference(suite_tasks, params)
+    order = [4, 3, 2, 1]  # every pair is first asked for by its higher index
+    with ot.DistanceRows(suite_tasks, params, order) as rows:
+        for i in order + [0]:
+            assert rows.wait(i)[i].tobytes() == want[i].tobytes()
+        assert rows.matrix().tobytes() == want.tobytes()
+        # the worker exits after its last row and is reaped when it is collected
+        assert multiprocessing.active_children() == []
+    assert ot.task_distance_matrix(suite_tasks, params).tobytes() == want.tobytes()
+
+
+def test_distance_rows_warn_in_the_caller(suite_tasks, distance_path):
+    tasks = suite_tasks[:3]
+    params = ot.SampleCostParams.from_tasks(tasks)
+    _, unconverged = task_distance_matrix_reference(tasks, params, max_iter=1)
+    assert unconverged
+    with pytest.warns(ot.SinkhornWarning) as record:
+        ot.task_distance_matrix(tasks, params, max_iter=1)
+    messages = {str(w.message) for w in record}
+    for i, j in unconverged:
+        assert f"({tasks[i].task_id}, {tasks[j].task_id})" in " ".join(messages)
+    assert multiprocessing.active_children() == []
 
 
 def test_task_distance_matrix_properties():

@@ -1,11 +1,14 @@
 import itertools
 import math
+import multiprocessing
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 from helpers import adam_step_reference, dense_chain_reference, make_task, noisy_batch_reference
 
-from scoopgp import gp
+from scoopgp import cli, gp
 from scoopgp import model as M
 from scoopgp import ot
 from scoopgp import tensor as T
@@ -178,6 +181,51 @@ def test_kcmd_ot_split_method_uses_distances(tiny_tasks):
     assert np.allclose(D, D.T, atol=1e-5)
     for plan in manifest.splits:
         assert plan["ref_task"] in plan["mean_task_ids"]
+
+
+def test_kcmd_ot_bytes_do_not_depend_on_the_worker(tmp_path, monkeypatch):
+    data = tmp_path / "data"
+    assert cli.main(
+        ["gen-data", "--seed", "11", "--out", str(data), "--n-train", "4", "--n-test", "1",
+         "--samples", "40"]
+    ) == 0
+    outputs = {}
+    for cpus in ({0, 1}, {0}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        ckpt = tmp_path / f"cpus{len(cpus)}.json"
+        assert cli.main(
+            ["train", "--method", "kcmd-ot", "--data", str(data), "--out", str(ckpt),
+             "--seed", "2", "--k-folds", "3", "--max-epochs-mean", "8", "--max-epochs-meta", "6"]
+        ) == 0
+        assert multiprocessing.active_children() == []
+        outputs[len(cpus)] = (ckpt.read_bytes(), Path(f"{ckpt}.manifest.json").read_bytes())
+    assert outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("failure", ["pair", "interrupt"])
+def test_kcmd_ot_failure_leaves_no_child(tiny_tasks, distance_path, monkeypatch, failure):
+    if failure == "pair":
+        solve = ot.entropic_transport_cost
+        calls = []
+
+        def failing_solve(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 5:
+                raise FloatingPointError("injected")
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(ot, "entropic_transport_cost", failing_solve)
+        expected = FloatingPointError
+    else:
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(TR, "_train_mean", interrupted)  # phase 1, while rows are computed
+        expected = KeyboardInterrupt
+    with pytest.raises(expected, match="injected" if failure == "pair" else None):
+        TR.train_kcmd(tiny_tasks, small_cfg(k_folds=2), split_method="ot")
+    assert multiprocessing.active_children() == []
 
 
 def test_kcmd_huge_anchor_pins_fold_extractors(tiny_tasks):
