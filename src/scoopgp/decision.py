@@ -20,9 +20,11 @@ from .terrain import (
     PATCH_CHANNELS,
     TerrainTask,
     execute_scoop,
-    feasible,
+    feasible,  # noqa: F401 - perfbench patches decision.feasible by name
+    feasible_mask,
     patch_cells,
     render_patches,
+    skip_uniforms,
 )
 
 
@@ -198,11 +200,13 @@ class ReplayEnvironment:
         self._records = dataset.records
         self._actions = [r.action for r in self._records]
         self._features = feature_rows((r.obs, r.action) for r in self._records)
+        self._indices = np.arange(len(self._records))
         self._used: set[int] = set()
 
-    def candidates(self) -> tuple[np.ndarray, list[ScoopAction]]:
-        """(feature rows, actions) of every record, used or not."""
-        return self._features, self._actions
+    def candidates(self) -> tuple[np.ndarray, list[ScoopAction], np.ndarray]:
+        """(feature rows, actions, indices) with one row per record, used
+        or not: row k is record indices[k] = k."""
+        return self._features, self._actions, self._indices
 
     def excluded(self) -> set[int]:
         return set(self._used)
@@ -220,25 +224,43 @@ class LiveEnvironment:
 
     The actions, their feasibility and their patch cells are fixed for
     the episode, so they are computed once, here; a start outside the
-    terrain raises BoundsError at construction.
+    terrain raises BoundsError at construction. Only feasible actions
+    get a feature row.
     """
 
     def __init__(self, task: TerrainTask, grid: ActionGrid, seed: int):
         self.task_id = task.task_id
         self.terrain = task.terrain.copy()
         self.actions = grid.enumerate(self.terrain.extent)
-        self._infeasible = {
-            i for i, a in enumerate(self.actions) if not feasible(self.terrain, a)
-        }
-        self._cells = patch_cells(self.terrain, self.actions)
-        self._features = action_rows(self.actions, PATCH_CHANNELS * self._cells[0].size)
+        cells = patch_cells(self.terrain, self.actions)
+        mask = feasible_mask(self.terrain, self.actions)
+        self._indices = np.flatnonzero(mask)
+        self._infeasible = set(np.flatnonzero(~mask).tolist())
+        self._cells = cells[mask]
+        noise = PATCH_CHANNELS * cells[0].size  # uniforms per patch
+        self._features = action_rows([self.actions[i] for i in self._indices], noise)
+        # each contiguous run of feasible actions as (uniforms to skip
+        # before it, its actions, its rows), then the uniforms after the last
+        edges = np.flatnonzero(np.diff(mask, prepend=False, append=False)).tolist()
+        self._runs, done, row = [], 0, 0
+        for start, stop in zip(edges[::2], edges[1::2]):
+            rows = slice(row, row + stop - start)
+            self._runs.append(((start - done) * noise, self.actions[start:stop], rows))
+            done, row = stop, rows.stop
+        self._tail = (len(self.actions) - done) * noise
         self.rng = np.random.default_rng(seed)
 
-    def candidates(self) -> tuple[np.ndarray, list[ScoopAction]]:
-        """(feature rows, actions), one row per grid action, rendered from
-        the current terrain into one matrix that the next call reuses."""
-        render_patches(self.terrain, self.actions, self.rng, cells=self._cells, out=self._features)
-        return self._features, self.actions
+    def candidates(self) -> tuple[np.ndarray, list[ScoopAction], np.ndarray]:
+        """(feature rows, actions, indices): row k is the feasible grid
+        action actions[indices[k]], rendered from the current terrain into
+        one matrix that the next call reuses. The noise of infeasible
+        actions is skipped, never drawn, so each call leaves the generator
+        where rendering every grid action would."""
+        for skip, actions, rows in self._runs:
+            skip_uniforms(self.rng, skip)
+            render_patches(self.terrain, actions, self.rng, cells=self._cells[rows], out=self._features[rows])
+        skip_uniforms(self.rng, self._tail)
+        return self._features, self.actions, self._indices
 
     def excluded(self) -> set[int]:
         return set(self._infeasible)
@@ -254,6 +276,9 @@ def run_episode(
 ) -> EpisodeTrace:
     """Observe, select, execute until a reward reaches the threshold.
 
+    An environment's candidates() gives (feature rows, actions, indices),
+    row k being actions[indices[k]]; excluded() and execute() speak of
+    indices into actions, and so does each trace step's index.
     The support set at attempt n holds exactly the n-1 earlier records.
     Environment faults abort the episode and leave a partial trace.
     """
@@ -267,7 +292,7 @@ def run_episode(
     rewards: list[float] = []
     for _ in range(max_attempts):
         try:
-            features, actions = env.candidates()
+            features, actions, indices = env.candidates()
         except Exception as e:  # noqa: BLE001 - env fault ends the trial
             trace.fault = f"{type(e).__name__}: {e}"
             break
@@ -275,7 +300,11 @@ def run_episode(
         if len(excluded) >= len(actions):
             break
         support = (np.array(rows).reshape(len(rows), features.shape[1]), rewards)
-        index, score = select_action(model, features, support, policy, excluded)
+        blocked = np.zeros(len(actions), dtype=bool)
+        blocked[list(excluded)] = True
+        excluded_rows = np.flatnonzero(blocked[indices]).tolist()
+        row, score = select_action(model, features, support, policy, excluded_rows)
+        index = int(indices[row])
         try:
             reward = env.execute(index)
         except Exception as e:  # noqa: BLE001
@@ -285,6 +314,6 @@ def run_episode(
         if reward >= threshold:
             trace.success = True
             break
-        rows.append(features[index].copy())
+        rows.append(features[row].copy())
         rewards.append(reward)
     return trace

@@ -570,9 +570,10 @@ def render_patches(
     *,
     cells: np.ndarray | None = None,
     out: np.ndarray | None = None,
+    uniforms: np.ndarray | None = None,
 ) -> np.ndarray:
     """(n, 4, H, W) patches oriented along each action's yaw, left edge at
-    the scoop start. Noise-free when rng is None.
+    the scoop start. Noise-free when both rng and uniforms are None.
 
     `cells`, when given, is patch_cells(terrain, actions, patch_h,
     patch_w) from earlier; only the surface and height gathers and the
@@ -587,8 +588,14 @@ def render_patches(
     and the same values, as drawing each action's (3, H, W) texture
     uniforms and then its (H, W) height uniforms one action at a time, so
     the patches and the generator's final state do not depend on how the
-    actions are batched.
+    actions are batched. `uniforms`, given in place of rng, is that
+    (n, 4, H, W) array of rng.random draws, drawn beforehand; the patches
+    are then those an rng at the start of the same draws renders. An
+    action that is not rendered never has its noise drawn: a caller that
+    skips actions moves the stream past them with skip_uniforms.
     """
+    if rng is not None and uniforms is not None:
+        raise ValueError("pass an rng or uniforms, not both")
     n = len(actions)
     if cells is None:
         cells = patch_cells(terrain, actions, patch_h, patch_w)
@@ -607,8 +614,11 @@ def render_patches(
         mat = materials.take(surface.take(flat), axis=1)
         block = buf[: stop - start]
         texture, height = block[:, :3], block[:, 3]
-        if rng is not None:
-            rng.random(out=block)
+        if rng is not None or uniforms is not None:
+            if rng is not None:
+                rng.random(out=block)
+            else:
+                block[...] = uniforms[start:stop]
             # Generator.uniform(low, high) computes low + (high - low) * u.
             # For the texture, (-1 + 2u) * scale: u is a multiple of 2**-53
             # in [0, 1), so -1 + 2u and u - 0.5 are exact, and (u - 0.5) *
@@ -625,28 +635,52 @@ def render_patches(
     return patches
 
 
-def render_patch(
-    terrain: TerrainInstance, act: ScoopAction, rng: np.random.Generator | None = None
-) -> Observation:
-    return Observation(render_patches(terrain, [act], rng)[0])
+def skip_uniforms(rng: np.random.Generator, count: int) -> None:
+    """Leave rng exactly as rng.random(count) leaves it, without drawing.
+
+    Generator.random takes one 64-bit output per double, so this is PCG64's
+    O(log count) jump ahead by count outputs. The jump drops the buffered
+    32-bit half that integer draws keep; doubles never touch it, so it is
+    put back. Raises TypeError for any other bit generator.
+    """
+    bits = rng.bit_generator
+    if type(bits) is not np.random.PCG64:
+        raise TypeError(f"skip_uniforms needs a PCG64 generator, got {type(bits).__name__}")
+    before = bits.state
+    bits.advance(count)
+    if before["has_uint32"]:
+        after = bits.state
+        after["has_uint32"], after["uinteger"] = before["has_uint32"], before["uinteger"]
+        bits.state = after
 
 
 # --- scooping ---------------------------------------------------------------
 
 
+# the swath's four corners, each at (along the drag, across it): from
+# the foot margin behind the start to past the drag's end, and the scoop's
+# half width plus the foot margin to either side
+_HALF_SWATH = SCOOP_WIDTH / 2.0 + FOOT_MARGIN
+_DRAG_END = TrajectoryConstants().drag_length_m + FOOT_MARGIN
+_CORNER_ALONG = np.array([-FOOT_MARGIN, -FOOT_MARGIN, _DRAG_END, _DRAG_END])
+_CORNER_SIDE = np.array([-_HALF_SWATH, _HALF_SWATH, -_HALF_SWATH, _HALF_SWATH])
+
+
+def feasible_mask(terrain: TerrainInstance, actions: list[ScoopAction]) -> np.ndarray:
+    """(n,) bool: whether each action's swath, from the start through the
+    drag and widened by the foot margin, stays inside the tray. Each
+    corner coordinate is start + d * along + p * side, summed left to
+    right, with (d, p) the yaw's drag and side axes."""
+    starts = np.array([(a.x, a.y) for a in actions], dtype=np.float64).reshape(-1, 2, 1)
+    axes = _YAW_AXES[np.array([a.yaw for a in actions], dtype=np.int64)].reshape(-1, 2, 2, 1)
+    corners = starts + axes[:, 0] * _CORNER_ALONG + axes[:, 1] * _CORNER_SIDE  # (n, xy, 4)
+    inside = (0.0 <= corners) & (corners <= np.reshape(terrain.extent, (2, 1)))
+    return inside.all(axis=(1, 2))
+
+
 def feasible(terrain: TerrainInstance, act: ScoopAction) -> bool:
     """Swath from start through the drag must stay inside the tray."""
-    d, p = _direction(act.yaw)
-    drag = TrajectoryConstants().drag_length_m
-    half_w = SCOOP_WIDTH / 2.0
-    corners = []
-    for along in (-FOOT_MARGIN, drag + FOOT_MARGIN):
-        for side in (-half_w - FOOT_MARGIN, half_w + FOOT_MARGIN):
-            corners.append((act.x + d[0] * along + p[0] * side, act.y + d[1] * along + p[1] * side))
-    return all(
-        0.0 <= cx <= terrain.extent[0] and 0.0 <= cy <= terrain.extent[1]
-        for cx, cy in corners
-    )
+    return bool(feasible_mask(terrain, [act])[0])
 
 
 def _footprint_cells(terrain: TerrainInstance, act: ScoopAction):
@@ -669,9 +703,10 @@ def _center_cell(terrain: TerrainInstance, act: ScoopAction):
     cx = act.x + d[0] * drag / 2.0
     cy = act.y + d[1] * drag / 2.0
     nx, ny = terrain.surface.shape
+    # the value first: max and min then keep a NaN, and int() refuses it
     return (
-        int(np.clip(cx / terrain.cell, 0, nx - 1)),
-        int(np.clip(cy / terrain.cell, 0, ny - 1)),
+        int(min(max(cx / terrain.cell, 0), nx - 1)),
+        int(min(max(cy / terrain.cell, 0), ny - 1)),
     )
 
 
@@ -769,18 +804,29 @@ def collect_offline(task: TerrainTask, n_samples: int = 100, seed: int = 0) -> T
     """Uniformly random feasible scoops on the pristine terrain.
 
     The terrain is treated as reset between scoops, so records are
-    i.i.d.; infeasible draws are discarded and redrawn.
+    i.i.d.; infeasible draws are discarded and redrawn. Each sample
+    draws, in this order, its action, then (when feasible) its patch
+    noise and its reward. The noise goes into one (n, 4, H, W) array of
+    uniforms, and one render_patches pass over all the records turns it
+    into their patches: the same patches as rendering each record as it
+    is drawn.
     """
     rng = np.random.default_rng(seed)
     terrain = task.terrain
-    records = []
-    while len(records) < n_samples:
+    actions, rewards = [], []
+    uniforms = np.empty((n_samples, PATCH_CHANNELS, 16, 16))
+    while len(actions) < n_samples:
         act = sample_random_action(terrain, rng)
         if not feasible(terrain, act):
             continue
-        obs = render_patch(terrain, act, rng)
-        reward = sample_reward(terrain, act, rng)
-        records.append(ScoopRecord(obs=obs, action=act, reward=reward))
+        rng.random(out=uniforms[len(actions)])
+        rewards.append(sample_reward(terrain, act, rng))
+        actions.append(act)
+    patches = render_patches(terrain, actions, uniforms=uniforms)
+    records = [
+        ScoopRecord(obs=Observation(patch), action=act, reward=reward)
+        for patch, act, reward in zip(patches, actions, rewards)
+    ]
     return TaskDataset(
         task_id=task.task_id,
         records=records,

@@ -168,23 +168,24 @@ def _noise_amplitudes(arch: Architecture) -> np.ndarray:
 def _noisy_batch(
     Xtr: np.ndarray,
     idx: np.ndarray,
-    amp: np.ndarray,
+    amp2: np.ndarray,
     rng: np.random.Generator,
     buf: np.ndarray,
     noise: np.ndarray,
 ) -> np.ndarray:
-    """Xtr[idx] + rng.uniform(-1, 1, size) * amp, written into the leading
-    rows of buf: the same doubles from the same draws. The noise is drawn
-    into noise with rng.random and mapped with Generator.uniform's own
-    arithmetic, low + (high - low) * u."""
+    """Xtr[idx] + rng.uniform(-1, 1, size) * amp, with amp2 = 2 * amp,
+    written into the leading rows of buf: the same doubles from the same
+    draws. The noise is drawn into noise with rng.random. uniform maps u
+    to -1 + 2u; u is a multiple of 2**-53 in [0, 1), so -1 + 2u and
+    u - 0.5 are exact, and (u - 0.5) * amp2 rounds the same exact product
+    as (-1 + 2u) * amp, in one pass less."""
     n = len(idx)
     # idx is a slice of a permutation, so "clip" never clips; it spares
     # the temporary copy that take(out=...) makes in its default mode
     xb = np.take(Xtr, idx, axis=0, out=buf[:n], mode="clip")
     u = rng.random(out=noise[:n])
-    u *= 2.0
-    u -= 1.0
-    u *= amp
+    u -= 0.5
+    u *= amp2
     xb += u
     return xb
 
@@ -223,7 +224,7 @@ def _train_mean(
     np.take(Xtr[:n_tr], flip_permutation(cfg.arch), axis=1, out=Xtr[n_tr:], mode="clip")
     ytr = np.concatenate([y_std[train_idx], y_std[train_idx]])
     Xval, yval = (X[val_idx], y_std[val_idx]) if n_val else (Xtr[:n_tr], y_std[train_idx])
-    amp = _noise_amplitudes(cfg.arch)
+    amp2 = 2.0 * _noise_amplitudes(cfg.arch)
 
     params = model.segment_params("extractor") + model.segment_params("mean")
     extractor_params = model.segment_params("extractor")
@@ -242,7 +243,7 @@ def _train_mean(
         n_batches = 0
         for start in range(0, len(Xtr), cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            xb = _noisy_batch(Xtr, idx, amp, rng, buf, noise)
+            xb = _noisy_batch(Xtr, idx, amp2, rng, buf, noise)
             yb = ytr[idx][:, None]
             with T.Tape() as tape:
                 pred = model.mean_t(model.extractor_t(T.Tensor(xb)))

@@ -7,8 +7,20 @@ import numpy as np
 from scoopgp import ot
 from scoopgp import tensor as T
 from scoopgp.data import SCHEMA_VERSION, ScoopRecord, TaskDataset
-from scoopgp.model import Observation, ScoopAction
-from scoopgp.terrain import HEIGHT_NOISE, PATCH_LEN, BoundsError, _direction
+from scoopgp.model import Observation, ScoopAction, TrajectoryConstants, action_rows
+from scoopgp.terrain import (
+    FOOT_MARGIN,
+    HEIGHT_NOISE,
+    PATCH_CHANNELS,
+    PATCH_LEN,
+    SCOOP_WIDTH,
+    BoundsError,
+    _direction,
+    execute_scoop,
+    render_patches,
+    sample_random_action,
+    sample_reward,
+)
 
 
 def random_action(rng, extent=(0.9, 0.6)) -> ScoopAction:
@@ -76,6 +88,83 @@ def render_patches_reference(terrain, actions, rng=None, patch_h=16, patch_w=16)
     return out
 
 
+def render_patch(terrain, act, rng=None) -> Observation:
+    """One action's observation, its noise drawn from rng."""
+    return Observation(render_patches(terrain, [act], rng)[0])
+
+
+def feasible_reference(terrain, act) -> bool:
+    """The four swath corners one at a time in Python floats: the oracle
+    for terrain.feasible_mask, which must agree on every action."""
+    d, p = _direction(act.yaw)
+    drag = TrajectoryConstants().drag_length_m
+    half_w = SCOOP_WIDTH / 2.0
+    corners = []
+    for along in (-FOOT_MARGIN, drag + FOOT_MARGIN):
+        for side in (-half_w - FOOT_MARGIN, half_w + FOOT_MARGIN):
+            corners.append((act.x + d[0] * along + p[0] * side, act.y + d[1] * along + p[1] * side))
+    return all(
+        0.0 <= cx <= terrain.extent[0] and 0.0 <= cy <= terrain.extent[1]
+        for cx, cy in corners
+    )
+
+
+def collect_offline_reference(task, n_samples=100, seed=0):
+    """Each record rendered as it is drawn, its noise straight from the
+    generator: the oracle for terrain.collect_offline, whose datasets must
+    be byte-equal to these."""
+    rng = np.random.default_rng(seed)
+    t = task.terrain
+    records = []
+    while len(records) < n_samples:
+        act = sample_random_action(t, rng)
+        if not feasible_reference(t, act):
+            continue
+        obs = render_patch(t, act, rng)
+        reward = sample_reward(t, act, rng)
+        records.append(ScoopRecord(obs=obs, action=act, reward=reward))
+    return TaskDataset(
+        task_id=task.task_id,
+        records=records,
+        constants=TrajectoryConstants(),
+        ground_truth={
+            "composition": task.composition,
+            "materials": t.material_ids(),
+            "material_table": {m.id: m.to_dict() for m in t.materials if m.id in t.material_ids()},
+            "layer_depth": t.layer_depth,
+            "collect_seed": seed,
+        },
+    )
+
+
+class LiveEnvironmentReference:
+    """Renders every grid action, feasible or not, at every step, drawing
+    all their noise, and hands over one row per grid action with the
+    infeasible ones excluded: the oracle for decision.LiveEnvironment,
+    whose episodes must pick, earn and score the same."""
+
+    def __init__(self, task, grid, seed):
+        self.task_id = task.task_id
+        self.terrain = task.terrain.copy()
+        self.actions = grid.enumerate(self.terrain.extent)
+        self._infeasible = {i for i, a in enumerate(self.actions) if not feasible_reference(self.terrain, a)}
+        self._features = action_rows(self.actions, PATCH_CHANNELS * 16 * 16)
+        self.rng = np.random.default_rng(seed)
+
+    def candidates(self):
+        patches = render_patches_reference(self.terrain, self.actions, self.rng)
+        self._features[:, : patches[0].size] = patches.reshape(len(self.actions), -1)
+        return self._features, self.actions, np.arange(len(self.actions))
+
+    def excluded(self):
+        return set(self._infeasible)
+
+    def execute(self, index):
+        if index in self._infeasible:
+            raise RuntimeError(f"action {index} is kinematically infeasible")
+        return execute_scoop(self.terrain, self.actions[index], self.rng)
+
+
 def dense_chain_reference(X, layers, relu_last):
     """Dense layers as four tape ops each (matmul, ones-column matmul for
     the bias, add, relu): the oracle for model.dense_chain's fused layers,
@@ -108,9 +197,11 @@ def adam_step_reference(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e
         p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
-def noisy_batch_reference(Xtr, idx, amp, rng, buf, noise):
-    """A training batch drawn with rng.uniform: the oracle for
-    training._noisy_batch (buf and noise are unused)."""
+def noisy_batch_reference(Xtr, idx, amp2, rng, buf, noise):
+    """A training batch drawn with rng.uniform at the amplitudes
+    amp = amp2 / 2 (exact): the oracle for training._noisy_batch (buf and
+    noise are unused)."""
+    amp = amp2 / 2.0
     return Xtr[idx] + rng.uniform(-1.0, 1.0, size=(len(idx), Xtr.shape[1])) * amp
 
 

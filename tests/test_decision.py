@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import make_task, render_patches_reference
+from helpers import LiveEnvironmentReference, make_task, render_patches_reference
 
 from scoopgp import decision as D
 from scoopgp import gp
@@ -243,6 +243,26 @@ def test_live_episode_unchanged_under_reference_renderer(monkeypatch):
     monkeypatch.setattr(D, "render_patches", reference)
     assert len(vectorized) == 5
     assert run() == vectorized
+
+
+@pytest.mark.parametrize("policy", [D.Policy.ucb(2.0), D.Policy.greedy()], ids=["ucb", "greedy"])
+def test_live_episode_matches_full_grid_reference(policy):
+    """Feasible-only rows with the infeasible actions' noise skipped give
+    the episode that rendering every action and excluding the infeasible
+    ones gives: the same grid indices, rewards and scores bit for bit,
+    and the same generator state after."""
+    _, suite_test = terrain.generate_suite(seed=0)
+    m = M.DeepGPModel.init(M.Architecture(), seed=3)
+    m.reward_mean, m.reward_std = 30.0, 15.0
+    for task in suite_test[1:4]:
+        envs = [D.LiveEnvironment(task, D.ActionGrid(), seed=6), LiveEnvironmentReference(task, D.ActionGrid(), 6)]
+        steps = []
+        for env in envs:
+            trace = D.run_episode(m, env, np.inf, 4, policy)
+            steps.append([(s.index, s.action, s.reward, s.score) for s in trace.steps])
+        assert len(steps[0]) == 4 and steps[0] == steps[1]
+        assert envs[0].rng.bit_generator.state == envs[1].rng.bit_generator.state
+        assert envs[0].excluded() == envs[1].excluded()
 
 
 def test_live_support_rows_are_the_rows_chosen_then():

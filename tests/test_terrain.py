@@ -3,9 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from helpers import render_patches_reference
+from helpers import (
+    collect_offline_reference,
+    feasible_reference,
+    render_patch,
+    render_patches_reference,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scoopgp import terrain
+from scoopgp.data import save_task_dataset
 from scoopgp.decision import ActionGrid, LiveEnvironment
 from scoopgp.model import (
     STIFF_HARD,
@@ -13,6 +21,7 @@ from scoopgp.model import (
     Architecture,
     Observation,
     ScoopAction,
+    TrajectoryConstants,
     action_rows,
     feature_matrix,
 )
@@ -84,7 +93,7 @@ def test_render_uniform_flat_terrain_is_constant():
     rng = np.random.default_rng(0)
     mats = terrain.training_materials(rng)
     t = flat_terrain([2], mats)
-    obs = terrain.render_patch(t, ScoopAction(0.4, 0.3, 3, 0.05, 0))
+    obs = render_patch(t, ScoopAction(0.4, 0.3, 3, 0.05, 0))
     for c in range(3):
         assert np.all(obs.patch[c] == obs.patch[c, 0, 0])
         assert obs.patch[c, 0, 0] == pytest.approx(mats[2].color[c])
@@ -97,7 +106,7 @@ def test_render_never_shows_hidden_layer():
     shape = terrain._grid_shape()
     hidden = np.full(shape, 5, dtype=np.int64)
     t = flat_terrain([0], mats, composition="Layers", hidden=hidden, layer_depth=0.05)
-    obs = terrain.render_patch(t, ScoopAction(0.4, 0.3, 0, 0.07, 0))
+    obs = render_patch(t, ScoopAction(0.4, 0.3, 0, 0.07, 0))
     for c in range(3):
         assert np.all(obs.patch[c] == pytest.approx(mats[0].color[c]))
 
@@ -120,8 +129,8 @@ def test_render_rotation_equivariance():
     x, y, c = 0.2, 0.3, 0.3
     act1 = ScoopAction(x, y, 0, 0.05, 0)
     act2 = ScoopAction(c - (y - c), c + (x - c), 2, 0.05, 0)
-    p1 = terrain.render_patch(t1, act1).patch
-    p2 = terrain.render_patch(t2, act2).patch
+    p1 = render_patch(t1, act1).patch
+    p2 = render_patch(t2, act2).patch
     assert np.array_equal(p1, p2)
 
 
@@ -130,8 +139,8 @@ def test_render_determinism_with_seeded_noise():
     mats = terrain.training_materials(rng)
     t = flat_terrain([1], mats)
     act = ScoopAction(0.4, 0.3, 1, 0.05, 0)
-    a = terrain.render_patch(t, act, np.random.default_rng(11)).patch
-    b = terrain.render_patch(t, act, np.random.default_rng(11)).patch
+    a = render_patch(t, act, np.random.default_rng(11)).patch
+    b = render_patch(t, act, np.random.default_rng(11)).patch
     assert np.array_equal(a, b)
     assert a[:3].min() >= 0.0 and a[:3].max() <= 1.0
 
@@ -140,7 +149,7 @@ def test_render_out_of_extent_raises():
     rng = np.random.default_rng(0)
     t = flat_terrain([0], terrain.training_materials(rng))
     with pytest.raises(terrain.BoundsError):
-        terrain.render_patch(t, ScoopAction(1.5, 0.3, 0, 0.05, 0))
+        render_patch(t, ScoopAction(1.5, 0.3, 0, 0.05, 0))
 
 
 def reference_feature_rows(ref, actions, start, stop):
@@ -212,20 +221,138 @@ def test_render_patches_matches_reference_on_partial_blocks(suite, count):
 
 def test_live_environment_rows_match_reference_across_scoops(suite):
     """Each step's feature matrix, rendered into the same reused rows,
-    equals the reference patches stacked by feature_matrix, as the terrain
-    changes under the scoops and the generator runs on."""
+    equals the reference patches of the feasible actions stacked by
+    feature_matrix, as the terrain changes under the scoops; the
+    generator, which skips the infeasible actions' noise, ends every step
+    where rendering every action leaves it."""
     task = next(task for task in suite[1] if task.composition == "Layers")
     env = LiveEnvironment(task, ActionGrid(), seed=8)
     t, rng = task.terrain.copy(), np.random.default_rng(8)
     actions = ActionGrid().enumerate(t.extent)
     feasible = [i for i in range(len(actions)) if i not in env.excluded()]
     for index in (feasible[5], feasible[400], feasible[900]):
-        X, acts = env.candidates()
-        assert acts == actions
-        ref = render_patches_reference(t, actions, rng)
-        assert X.tobytes() == reference_feature_rows(ref, actions, 0, len(actions)).tobytes()
+        X, acts, indices = env.candidates()
+        assert acts == actions and indices.tolist() == feasible
+        ref = render_patches_reference(t, actions, rng)[feasible]
+        assert env.rng.bit_generator.state == rng.bit_generator.state
+        kept = [actions[i] for i in feasible]
+        assert X.tobytes() == reference_feature_rows(ref, kept, 0, len(kept)).tobytes()
         assert env.execute(index) == terrain.execute_scoop(t, actions[index], rng)
+        assert env.rng.bit_generator.state == rng.bit_generator.state
     assert env.rng.random() == rng.random()
+
+
+@pytest.mark.parametrize(
+    "grid, rows, runs", [(ActionGrid(), 1196, 25), (ActionGrid.paper_scale(), 10168, 51)], ids=["desk", "paper"]
+)
+def test_live_environment_renders_only_feasible_runs(suite, grid, rows, runs):
+    """One row per feasible action, in grid order, and the feasible
+    actions form the contiguous runs the environment renders."""
+    task = suite[1][0]
+    env = LiveEnvironment(task, grid, seed=0)
+    mask = terrain.feasible_mask(task.terrain, env.actions)
+    X, actions, indices = env.candidates()
+    assert indices.tolist() == np.flatnonzero(mask).tolist()
+    assert len(X) == rows and env.excluded() == set(np.flatnonzero(~mask).tolist())
+    assert len(env._runs) == runs
+
+
+@pytest.mark.parametrize("grid", [ActionGrid(), ActionGrid.paper_scale()], ids=["desk", "paper"])
+def test_feasible_mask_matches_per_action_feasible(suite, grid):
+    for task in suite[0][:2] + suite[1]:
+        t = task.terrain
+        actions = grid.enumerate(t.extent) + [ScoopAction(0.0, 0.3, 4, 0.05, 0)]
+        mask = terrain.feasible_mask(t, actions)
+        assert mask.tolist() == [feasible_reference(t, a) for a in actions]
+        assert mask.tolist() == [terrain.feasible(t, a) for a in actions]
+        assert 0 < mask.sum() < len(actions)
+
+
+def test_feasible_mask_matches_reference_on_random_and_boundary_actions():
+    """Random starts, and starts a few ulps either side of putting a swath
+    corner exactly on a tray wall, where only the same rounding, summed
+    in the same order, gives the same verdict."""
+    rng = np.random.default_rng(12)
+    t = flat_terrain([0], terrain.training_materials(rng))
+    actions = [terrain.sample_random_action(t, rng) for _ in range(2000)]
+    for yaw in range(8):
+        (dx, dy), (px, py) = terrain._direction(yaw)
+        for along in (-terrain.FOOT_MARGIN, terrain._DRAG_END):
+            for side in (-terrain._HALF_SWATH, terrain._HALF_SWATH):
+                for wall_x in (0.0, t.extent[0]):
+                    x0 = wall_x - (dx * along + px * side)
+                    xs = x0 + np.spacing(max(abs(x0), 1e-3)) * np.arange(-4, 5)
+                    actions += [ScoopAction(float(x), 0.3, yaw, 0.05, 0) for x in xs]
+                for wall_y in (0.0, t.extent[1]):
+                    y0 = wall_y - (dy * along + py * side)
+                    ys = y0 + np.spacing(max(abs(y0), 1e-3)) * np.arange(-4, 5)
+                    actions += [ScoopAction(0.45, float(y), yaw, 0.05, 0) for y in ys]
+    mask = terrain.feasible_mask(t, actions)
+    assert mask.tolist() == [feasible_reference(t, a) for a in actions]
+    assert 0 < mask[2000:].sum() < len(actions) - 2000
+
+
+@settings(max_examples=60, deadline=None)
+@given(count=st.integers(0, 2**17), buffered=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_skip_uniforms_leaves_the_state_random_leaves(count, buffered, seed):
+    """The full bit-generator state, buffered 32-bit half included, is the
+    one rng.random(count) leaves, and the mixed draws that follow agree."""
+    skipped, drawn = np.random.default_rng(seed), np.random.default_rng(seed)
+    if buffered:
+        skipped.integers(8)
+        drawn.integers(8)
+    terrain.skip_uniforms(skipped, count)
+    drawn.random(count)
+    assert skipped.bit_generator.state == drawn.bit_generator.state
+
+    def mixed(rng):
+        return rng.integers(1000, size=3).tolist(), rng.random(2).tolist(), rng.standard_normal()
+
+    assert mixed(skipped) == mixed(drawn)
+
+
+def test_skip_uniforms_refuses_other_generators():
+    with pytest.raises(TypeError, match="PCG64"):
+        terrain.skip_uniforms(np.random.Generator(np.random.MT19937(0)), 10)
+    with pytest.raises(TypeError, match="PCG64"):
+        terrain.skip_uniforms(np.random.Generator(np.random.PCG64DXSM(0)), 10)
+
+
+def test_render_patches_from_uniforms_matches_rng(suite):
+    t = suite[1][3].terrain
+    actions = ActionGrid().enumerate(t.extent)[::7]
+    rng = np.random.default_rng(3)
+    uniforms = np.random.default_rng(3).random((len(actions), 4, 16, 16))
+    ref = render_patches_reference(t, actions, rng)
+    assert terrain.render_patches(t, actions, uniforms=uniforms).tobytes() == ref.tobytes()
+    with pytest.raises(ValueError):
+        terrain.render_patches(t, actions, np.random.default_rng(3), uniforms=uniforms)
+
+
+@pytest.mark.parametrize("value", [
+    0.0, -0.0, 0.4, 1.0 - 1e-16, 58.999999, 59.0, 59.5, 60.0, 89.2, 89.999, 90.0, 1e300,
+    -1e-300, -0.999, -1.0, -57.3, -1e300, math.inf, -math.inf,
+])
+def test_center_cell_clamps_like_np_clip(value):
+    """The centre cell's Python clamp gives np.clip's integers, and a NaN
+    still raises."""
+    t = flat_terrain([0], terrain.training_materials(np.random.default_rng(0)))
+    nx, ny = t.surface.shape
+    # yaw 0 drags along +x, so the centre sits half a drag past the start
+    drag = TrajectoryConstants().drag_length_m
+    act = ScoopAction(value * t.cell - drag / 2.0, value * t.cell, 0, 0.05, 0)
+    d = terrain._direction(0)[0]
+    cx, cy = act.x + d[0] * drag / 2.0, act.y + d[1] * drag / 2.0
+    expected = (int(np.clip(cx / t.cell, 0, nx - 1)), int(np.clip(cy / t.cell, 0, ny - 1)))
+    assert terrain._center_cell(t, act) == expected
+
+
+def test_center_cell_refuses_nan():
+    t = flat_terrain([0], terrain.training_materials(np.random.default_rng(0)))
+    with pytest.raises(ValueError):
+        terrain._center_cell(t, ScoopAction(math.nan, 0.3, 0, 0.05, 0))
+    with pytest.raises(ValueError):
+        terrain._center_cell(t, ScoopAction(0.3, math.nan, 0, 0.05, 0))
 
 
 def test_live_environment_checks_bounds_at_construction(suite):
@@ -334,6 +461,19 @@ def test_collect_offline_protocol(suite):
     for r in ds.records:
         assert terrain.feasible(train[0].terrain, r.action)
     assert ds.ground_truth is not None and "material_table" in ds.ground_truth
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_collect_offline_writes_the_reference_bytes(seed, tmp_path):
+    """One batched render per task saves the datasets that rendering
+    each record as it is drawn saves, byte for byte, on every task."""
+    train, test = terrain.generate_suite(seed)
+    assert "Layers" in {task.composition for task in test}
+    for index, task in enumerate(train + test):
+        ds_seed = seed * 100_003 + index
+        save_task_dataset(terrain.collect_offline(task, 100, ds_seed), tmp_path / "new.json")
+        save_task_dataset(collect_offline_reference(task, 100, ds_seed), tmp_path / "ref.json")
+        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes(), task.task_id
 
 
 def test_collect_offline_deterministic(suite):

@@ -322,14 +322,48 @@ def test_noisy_batch_matches_uniform_draws(n):
     data_rng = np.random.default_rng(n)
     Xtr = data_rng.normal(size=(40, ARCH.input_dim))
     idx = data_rng.permutation(40)[:n]
-    amp = TR._noise_amplitudes(ARCH)
+    amp2 = 2.0 * TR._noise_amplitudes(ARCH)
     buf = np.empty((16, ARCH.input_dim))
     noise = np.empty_like(buf)
     rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
-    xb = TR._noisy_batch(Xtr, idx, amp, rng, buf, noise)
-    ref = noisy_batch_reference(Xtr, idx, amp, ref_rng, None, None)
+    xb = TR._noisy_batch(Xtr, idx, amp2, rng, buf, noise)
+    ref = noisy_batch_reference(Xtr, idx, amp2, ref_rng, None, None)
     assert xb.tobytes() == ref.tobytes()
     assert rng.random() == ref_rng.random()
+
+
+def test_noisy_batch_matches_the_docstring_over_many_batches():
+    """Xtr[idx] + rng.uniform(-1, 1, size) * amp, bit for bit, over 200
+    batches drawn in turn from one generator, and the generators agree
+    after."""
+    data_rng = np.random.default_rng(21)
+    Xtr = data_rng.normal(size=(300, ARCH.input_dim))
+    amp = TR._noise_amplitudes(ARCH)
+    buf = np.empty((32, ARCH.input_dim))
+    noise = np.empty_like(buf)
+    rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+    for _ in range(200):
+        idx = data_rng.permutation(300)[: int(data_rng.integers(1, 33))]
+        xb = TR._noisy_batch(Xtr, idx, 2.0 * amp, rng, buf, noise)
+        ref = Xtr[idx] + ref_rng.uniform(-1.0, 1.0, size=(len(idx), Xtr.shape[1])) * amp
+        assert xb.tobytes() == ref.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_train_mean_noises_batches_at_the_model_amplitudes(tiny_tasks, monkeypatch):
+    """_train_mean hands _noisy_batch twice the architecture's noise
+    amplitudes, which _noisy_batch's contract takes as amp2."""
+    seen = []
+    noisy_batch = TR._noisy_batch
+
+    def spy(Xtr, idx, amp2, *rest):
+        seen.append(amp2)
+        return noisy_batch(Xtr, idx, amp2, *rest)
+
+    monkeypatch.setattr(TR, "_noisy_batch", spy)
+    TR.train_sl(tiny_tasks, small_cfg(max_epochs_mean=1, batch_size=12))
+    amp = TR._noise_amplitudes(ARCH)
+    assert seen and all(a.tobytes() == (2.0 * amp).tobytes() for a in seen)
 
 
 def test_train_sl_matches_unfused_reference(tiny_tasks, monkeypatch):
