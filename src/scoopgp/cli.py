@@ -111,6 +111,8 @@ def _task_files(data_dir: Path, prefix: str) -> list[Path]:
 def cmd_gen_data(args) -> None:
     if args.samples < 5:
         raise ConfigError("samples: need at least 5 records per task (threshold rule)")
+    if args.n_train < 2 or args.n_test < 1:
+        raise ConfigError("n-train, n-test: need at least 2 training and 1 test task")
     out = _resolve(args.out)
     (out / "tasks").mkdir(parents=True, exist_ok=True)
     train_tasks, test_tasks = generate_suite(args.seed, args.n_train, args.n_test)

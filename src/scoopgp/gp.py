@@ -167,30 +167,6 @@ def posterior_batch(
     return means, np.maximum(variances, VARIANCE_FLOOR)
 
 
-def nlml(support_Z: np.ndarray, residuals: np.ndarray, kp: KernelParams) -> float:
-    """Negative log marginal likelihood of the residuals under the kernel."""
-    c, d, k = nlml_terms(support_Z, residuals, kp)
-    return c + d + k
-
-
-def nlml_terms(
-    support_Z: np.ndarray, residuals: np.ndarray, kp: KernelParams
-) -> tuple[float, float, float]:
-    """(complexity penalty, data fit, constant) pieces of the NLML."""
-    support_Z = np.atleast_2d(np.asarray(support_Z, dtype=np.float64))
-    n = len(support_Z)
-    if n < 1:
-        raise ValueError("nlml needs at least one support point")
-    y = np.asarray(residuals, dtype=np.float64).reshape(n)
-    Kbar = gram(support_Z, kp, with_noise=True)
-    L, _ = cholesky_with_jitter(Kbar)
-    alpha = np.linalg.solve(L.T, np.linalg.solve(L, y))
-    complexity = float(np.sum(np.log(np.diag(L))))
-    data_fit = 0.5 * float(y @ alpha)
-    constant = 0.5 * n * LOG_2PI
-    return complexity, data_fit, constant
-
-
 # --- differentiable path -------------------------------------------------
 #
 # The kernel matrix is assembled from tensor ops so gradients reach the
@@ -207,7 +183,7 @@ def gram_objective(
 ) -> T.Tensor:
     """Noisy kernel matrix on the tape, built from an (n, d) embedding tensor."""
     n = Z.shape[0]
-    sqn = T.reduce("sum", T.square(Z), axis=1).reshape((n, 1))
+    sqn = T.reshape(T.reduce("sum", T.square(Z), axis=1), (n, 1))
     ones_row = T.Tensor(np.ones((1, n)))
     t1 = T.matmul(sqn, ones_row)
     cross = T.matmul(Z, T.transpose(Z))

@@ -231,11 +231,6 @@ def feature_matrix(arch: Architecture, pairs) -> np.ndarray:
     return feature_rows(pairs)
 
 
-def feature_vector(arch: Architecture, obs: Observation, act: ScoopAction) -> np.ndarray:
-    """Flattened patch plus normalized depth and the stiffness flag."""
-    return feature_matrix(arch, [(obs, act)])[0]
-
-
 def flip_permutation(arch: Architecture) -> np.ndarray:
     """Column permutation turning a feature row into its flipped-patch twin."""
     idx = np.arange(arch.patch_size).reshape(arch.channels, arch.patch_h, arch.patch_w)
@@ -372,25 +367,10 @@ class DeepGPModel:
         """Standardized mean predictions for a feature matrix."""
         return self.mean_t(T.Tensor(self.extract_batch(X))).data[:, 0]
 
-    def embed_batch(self, X: np.ndarray) -> np.ndarray:
-        return self.kernel_t(T.Tensor(self.extract_batch(X))).data
-
     def feature_vector(self, obs: Observation, act: ScoopAction) -> np.ndarray:
-        return feature_vector(self.arch, obs, act)
-
-    def extract_features(self, obs: Observation, act: ScoopAction) -> np.ndarray:
-        """Shared feature embedding of one observation-action pair."""
-        return self.extract_batch(self.feature_vector(obs, act)[None, :])[0]
-
-    def predict_mean(self, obs: Observation, act: ScoopAction) -> float:
-        """Mean-head reward prediction, de-standardized."""
-        x = self.feature_vector(obs, act)[None, :]
-        return float(self.mean_batch(x)[0] * self.reward_std + self.reward_mean)
-
-    def predict(self, obs: Observation, act: ScoopAction, support=()) -> gp.GPPosterior:
-        """Mean prediction plus GP residual correction from the support set."""
-        means, variances = self.predict_batch([(obs, act)], support)
-        return gp.GPPosterior(mean=float(means[0]), variance=float(variances[0]))
+        """One pair's feature row; nothing in the package calls it, but
+        perfbench/layers.py wraps it."""
+        return feature_matrix(self.arch, [(obs, act)])[0]
 
     def predict_batch(self, candidates, support=()) -> tuple[np.ndarray, np.ndarray]:
         """predict_rows over [(obs, act)] candidates and an [(obs, act,

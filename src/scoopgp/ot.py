@@ -491,6 +491,13 @@ class SplitPlan:
         }
 
 
+def half_split(order) -> tuple[list[int], list[int]]:
+    """The first ceil(M/2) task indices of an ordering and the rest, each
+    sorted: the mean and kernel sides of a count split."""
+    half = (len(order) + 1) // 2
+    return sorted(int(i) for i in order[:half]), sorted(int(i) for i in order[half:])
+
+
 def median_split(
     tasks: list[TaskDataset],
     ref_index: int,
@@ -502,35 +509,25 @@ def median_split(
     mean side (including the reference itself); the rest feed the kernel.
 
     rule='count' instead assigns the ceil(M/2) closest tasks to the mean
-    side. All-equal distances fall back to a half split by index.
+    side, ties by index, and so does rule='median' when every task sits
+    at or below the median (then the plan is marked degenerate, as it is
+    when all distances are equal).
     """
     M = len(tasks)
     if M < 2:
         raise SplitError("median_split needs at least 2 tasks")
+    if rule not in ("median", "count"):
+        raise ValueError(f"unknown split rule {rule!r}")
     d = np.asarray(D)[ref_index]
     degenerate = bool(np.all(d == d[0]))
-    if degenerate:
-        half = (M + 1) // 2
-        mean_ids = list(range(half))
-        kernel_ids = list(range(half, M))
-    elif rule == "median":
+    if rule == "median" and not degenerate:
         med = float(np.median(d))
         mean_ids = [i for i in range(M) if d[i] <= med]
         kernel_ids = [i for i in range(M) if d[i] > med]
-        if not kernel_ids:
-            # heavy ties at the median; fall back to a count split
-            order = np.argsort(d, kind="stable")
-            half = (M + 1) // 2
-            mean_ids = sorted(int(i) for i in order[:half])
-            kernel_ids = sorted(int(i) for i in order[half:])
-            degenerate = True
-    elif rule == "count":
-        order = np.argsort(d, kind="stable")
-        half = (M + 1) // 2
-        mean_ids = sorted(int(i) for i in order[:half])
-        kernel_ids = sorted(int(i) for i in order[half:])
-    else:
-        raise ValueError(f"unknown split rule {rule!r}")
+        degenerate = not kernel_ids
+    if rule == "count" or degenerate:
+        # a stable argsort of all-equal distances is the index order
+        mean_ids, kernel_ids = half_split(np.argsort(d, kind="stable"))
     plan = SplitPlan(
         fold_index=fold_index,
         ref_task=ref_index,

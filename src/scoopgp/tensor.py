@@ -63,50 +63,6 @@ class Tensor:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}{tag}, requires_grad={self.requires_grad})"
 
-    # operator sugar; python scalars lift to 0-d tensors (scalar broadcast)
-    def __add__(self, other):
-        return add(self, _lift(other))
-
-    def __radd__(self, other):
-        return add(_lift(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _lift(other))
-
-    def __rsub__(self, other):
-        return sub(_lift(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _lift(other))
-
-    def __rmul__(self, other):
-        return mul(_lift(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _lift(other))
-
-    def __neg__(self):
-        return negate(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _lift(other))
-
-    def sum(self, axis: int | None = None) -> "Tensor":
-        return reduce("sum", self, axis)
-
-    def mean(self, axis: int | None = None) -> "Tensor":
-        return reduce("mean", self, axis)
-
-    def transpose(self) -> "Tensor":
-        return transpose(self)
-
-    @property
-    def T(self) -> "Tensor":
-        return transpose(self)
-
-    def reshape(self, shape) -> "Tensor":
-        return reshape(self, shape)
-
 
 def _lift(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -296,17 +252,6 @@ def log(a: Tensor) -> Tensor:
 
     def backward_fn(g):
         return (g / ad,)
-
-    return _track(out, (a,), backward_fn)
-
-
-def relu(a: Tensor) -> Tensor:
-    a = _lift(a)
-    mask = a.data > 0.0
-    out = Tensor(np.where(mask, a.data, 0.0))
-
-    def backward_fn(g):
-        return (g * mask,)
 
     return _track(out, (a,), backward_fn)
 

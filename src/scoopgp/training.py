@@ -15,6 +15,11 @@ Three entry points:
   residuals, embedding each fold's records through that fold's frozen
   extractor, and the retained phase-1 weights are returned untouched.
 
+train_dkmt and train_kcmd's kernel phase share one NLML meta-training
+loop, _meta_train; they differ only in their batches, in the forward
+pass in front of the kernel head, and in which weights besides the
+kernel head and hyperparameters move.
+
 Every procedure emits a manifest with ordered phase events, split
 plans, loss curves, and weight digests.
 """
@@ -64,6 +69,8 @@ class TrainConfig:
             raise ValueError("validation_fraction must be in [0, 1)")
         if self.patience < 1 or self.batch_size < 1:
             raise ValueError("patience and batch_size must be positive")
+        if self.max_epochs_mean < 1 or self.max_epochs_meta < 1:
+            raise ValueError("max_epochs_mean and max_epochs_meta must be at least 1")
         if self.split_rule not in ("median", "count"):
             raise ValueError(f"unknown split_rule {self.split_rule!r}")
 
@@ -111,18 +118,6 @@ class TrainingManifest:
         }
 
 
-@dataclass
-class FoldResiduals:
-    """Residual records of one (fold, task) cell plus the frozen features
-    that embed them (both patch orientations, fold extractor applied)."""
-
-    fold: int
-    task_id: str
-    features: np.ndarray
-    features_flipped: np.ndarray
-    residuals: np.ndarray
-
-
 def weight_digest(arrays: dict[str, np.ndarray]) -> str:
     h = hashlib.sha256()
     for name in sorted(arrays):
@@ -132,19 +127,29 @@ def weight_digest(arrays: dict[str, np.ndarray]) -> str:
 
 
 class _EarlyStop:
-    def __init__(self, patience: int):
+    """Early stopping on a per-epoch loss: snapshots params at every
+    improvement and restores the best epoch's values."""
+
+    def __init__(self, params: list[T.Tensor], patience: int):
+        self.params = params
         self.patience = patience
         self.best = math.inf
         self.best_epoch = -1
-        self.snapshot = None
+        self._snapshot: list[np.ndarray] = []
 
-    def update(self, epoch: int, value: float, snap_fn) -> bool:
+    def update(self, epoch: int, value: float) -> bool:
         """Record improvements; True once patience epochs passed without one."""
         if value < self.best:
             self.best = value
             self.best_epoch = epoch
-            self.snapshot = snap_fn()
+            self._snapshot = [p.data.copy() for p in self.params]
         return epoch - self.best_epoch >= self.patience
+
+    def restore(self) -> None:
+        if self.best_epoch < 0:
+            raise TrainingError("no epoch reached a finite loss")
+        for p, data in zip(self.params, self._snapshot):
+            p.data = data
 
 
 def _pool(tasks: list[TaskDataset], arch: Architecture):
@@ -229,12 +234,8 @@ def _train_mean(
     params = model.segment_params("extractor") + model.segment_params("mean")
     extractor_params = model.segment_params("extractor")
     state = T.AdamState()
-    stopper = _EarlyStop(cfg.patience)
+    stopper = _EarlyStop(params, cfg.patience)
     curve = []
-
-    def snap():
-        return {p.name: p.data.copy() for p in params}
-
     buf = np.empty((min(cfg.batch_size, len(Xtr)), X.shape[1]))
     noise = np.empty_like(buf)
     for epoch in range(cfg.max_epochs_mean):
@@ -263,10 +264,9 @@ def _train_mean(
         val_pred = model.mean_batch(Xval)
         val_mse = float(np.mean((val_pred - yval) ** 2))
         curve.append([epoch_loss / max(n_batches, 1), val_mse])
-        if stopper.update(epoch, val_mse, snap):
+        if stopper.update(epoch, val_mse):
             break
-    for p in params:
-        p.data = stopper.snapshot[p.name]
+    stopper.restore()
     manifest.loss_curves[curve_tag] = curve
     manifest.stats[f"{curve_tag}.val_size"] = int(n_val)
     manifest.stats[f"{curve_tag}.best_epoch"] = stopper.best_epoch
@@ -307,27 +307,84 @@ def _kp_tensors(kp: gp.KernelParams) -> dict[str, T.Tensor]:
     }
 
 
-def _data_init_kp(kpt: dict[str, T.Tensor], Z: np.ndarray, residuals: np.ndarray) -> None:
-    """Median-distance init for the lengthscale, residual variance for the
-    outputscale. A unit lengthscale against raw embedding distances (tens
-    of units at init) saturates the RBF to zero, its gradient vanishes,
-    and NLML settles into the no-correlation optimum."""
-    n = min(len(Z), 256)
-    D = Z[:n, None, :] - Z[None, :n, :]
+def _meta_train(
+    model: DeepGPModel,
+    batches: list[tuple[str, np.ndarray, np.ndarray, np.ndarray]],
+    forward,
+    groups: list[tuple[list[T.Tensor], float]],
+    cfg: TrainConfig,
+    rng: np.random.Generator,
+    manifest: TrainingManifest,
+    curve_tag: str,
+) -> tuple[int, list[np.ndarray]]:
+    """NLML meta-training of model's kernel head and GP hyperparameters,
+    and of the groups' parameters, one batch at a time, early-stopped on
+    the mean epoch loss.
+
+    batches are (label, plain rows, flipped rows, targets). Each epoch
+    visits them in a fresh permutation and takes each row flipped with
+    probability 1/2. forward(rows, targets) returns the kernel head's
+    input tensor and the residual tensor the NLML scores. groups are
+    (params, learning rate), stepped with Adam in order before the kernel
+    head and hyperparameters at cfg.lr_kernel. The hyperparameters start
+    from the data: the lengthscale at the median distance between the
+    embeddings of the first 256 pooled rows (a unit lengthscale against
+    raw embedding distances saturates the RBF to zero, its gradient
+    vanishes, and NLML settles into the no-correlation optimum), the
+    outputscale at the targets' variance. The best epoch's weights are
+    restored and written to model.kp. Returns the best epoch and every
+    epoch's batch order."""
+    kpt = _kp_tensors(model.kp)
+    head, head_y, n = [], [], 0
+    for _, plain, _, y in batches:
+        if n >= 256:
+            break
+        head.append(plain[: 256 - n])
+        head_y.append(y[: 256 - n])
+        n += len(head[-1])
+    Z = model.kernel_t(forward(np.vstack(head), np.concatenate(head_y))[0]).data
+    D = Z[:, None, :] - Z[None, :, :]
     dists = np.sqrt(np.maximum((D * D).sum(-1), 0.0))
     med = float(np.median(dists[np.triu_indices(n, k=1)])) if n > 1 else 1.0
     kpt["log_lengthscale"].data = np.asarray(math.log(max(med, 1e-3)))
-    kpt["log_outputscale"].data = np.asarray(
-        math.log(max(float(np.var(residuals)), 1e-4))
-    )
+    y_all = np.concatenate([y for *_, y in batches])
+    kpt["log_outputscale"].data = np.asarray(math.log(max(float(np.var(y_all)), 1e-4)))
 
-
-def _kp_from_tensors(kpt: dict[str, T.Tensor]) -> gp.KernelParams:
-    return gp.KernelParams(
-        log_lengthscale=float(kpt["log_lengthscale"].data),
-        log_outputscale=float(kpt["log_outputscale"].data),
-        log_noise=float(kpt["log_noise"].data),
-    )
+    groups = [*groups, (model.segment_params("kernel") + list(kpt.values()), cfg.lr_kernel)]
+    states = [T.AdamState() for _ in groups]
+    stopper = _EarlyStop([p for params, _ in groups for p in params], cfg.patience)
+    curve, orders = [], []
+    for epoch in range(cfg.max_epochs_meta):
+        orders.append(rng.permutation(len(batches)))
+        epoch_loss = 0.0
+        for i in orders[-1]:
+            label, plain, flipped, y = batches[i]
+            mask = rng.random(len(plain)) < 0.5
+            rows = np.where(mask[:, None], flipped, plain)
+            try:
+                with T.Tape() as tape:
+                    F, resid = forward(rows, y)
+                    Kbar = gp.gram_objective(
+                        model.kernel_t(F),
+                        kpt["log_lengthscale"],
+                        kpt["log_outputscale"],
+                        kpt["log_noise"],
+                    )
+                    loss = gp.nlml_objective(Kbar, resid)
+                    tape.backward(loss)
+                for (params, lr), state in zip(groups, states):
+                    T.adam_step(params, [p.grad for p in params], state, lr)
+            except (gp.ConditioningError, T.OptimizerError) as err:
+                raise TrainingError(f"{label} epoch {epoch}: {err}") from err
+            epoch_loss += loss.item()
+        curve.append(epoch_loss / len(batches))
+        if stopper.update(epoch, curve[-1]):
+            break
+    stopper.restore()
+    model.kp = gp.KernelParams(**{name: float(t.data) for name, t in kpt.items()})
+    manifest.loss_curves[curve_tag] = curve
+    manifest.kernel_params = model.kp.to_dict()
+    return stopper.best_epoch, orders
 
 
 def train_dkmt(
@@ -343,72 +400,24 @@ def train_dkmt(
     model = DeepGPModel.init(cfg.arch, seed=cfg.seed, has_kernel=True)
     model.reward_mean, model.reward_std = _reward_stats(tasks)
     flip_cols = flip_permutation(cfg.arch)
-    per_task = []
+    batches = []
     for t in tasks:
         X = t.feature_matrix(cfg.arch)
         y_std = (t.rewards - model.reward_mean) / model.reward_std
-        per_task.append((t.task_id, X, X[:, flip_cols], y_std))
+        batches.append((f"dkmt: task {t.task_id}", X, X[:, flip_cols], y_std))
+
+    def forward(rows, y):
+        F = model.extractor_t(T.Tensor(rows))
+        return F, T.sub(T.Tensor(y[:, None]), model.mean_t(F))
 
     mean_params = model.segment_params("extractor") + model.segment_params("mean")
-    kpt = _kp_tensors(model.kp)
-    head, n_head = [], 0  # the first 256 pooled rows, which the init embeds
-    for _, X, _, _ in per_task:
-        if n_head >= 256:
-            break
-        head.append(X[: 256 - n_head])
-        n_head += len(head[-1])
-    _data_init_kp(
-        kpt, model.embed_batch(np.vstack(head)), np.concatenate([pt[3] for pt in per_task])
-    )
-    kernel_params = model.segment_params("kernel") + list(kpt.values())
-    st_mean, st_kernel = T.AdamState(), T.AdamState()
-    stopper = _EarlyStop(cfg.patience)
-    curve = []
-    task_orders = []
-
-    def snap():
-        weights = {p.name: p.data.copy() for p in mean_params + kernel_params}
-        return weights
-
     manifest.log("phase:dkmt:start")
-    for epoch in range(cfg.max_epochs_meta):
-        order = rng.permutation(len(per_task))
-        task_orders.append([per_task[i][0] for i in order])
-        epoch_loss = 0.0
-        for i in order:
-            task_id, X, Xf, y_std = per_task[i]
-            mask = rng.random(len(X)) < 0.5
-            xb = np.where(mask[:, None], Xf, X)
-            try:
-                with T.Tape() as tape:
-                    F = model.extractor_t(T.Tensor(xb))
-                    resid = T.sub(T.Tensor(y_std[:, None]), model.mean_t(F))
-                    Kbar = gp.gram_objective(
-                        model.kernel_t(F),
-                        kpt["log_lengthscale"],
-                        kpt["log_outputscale"],
-                        kpt["log_noise"],
-                    )
-                    loss = gp.nlml_objective(Kbar, resid)
-                    tape.backward(loss)
-                T.adam_step(mean_params, [p.grad for p in mean_params], st_mean, cfg.lr_mean)
-                T.adam_step(
-                    kernel_params, [p.grad for p in kernel_params], st_kernel, cfg.lr_kernel
-                )
-            except (gp.ConditioningError, T.OptimizerError) as err:
-                raise TrainingError(f"dkmt: task {task_id} epoch {epoch}: {err}") from err
-            epoch_loss += loss.item()
-        curve.append(epoch_loss / len(per_task))
-        if stopper.update(epoch, curve[-1], snap):
-            break
-    for p in mean_params + kernel_params:
-        p.data = stopper.snapshot[p.name]
-    model.kp = _kp_from_tensors(kpt)
+    best_epoch, orders = _meta_train(
+        model, batches, forward, [(mean_params, cfg.lr_mean)], cfg, rng, manifest, "dkmt"
+    )
     manifest.log("phase:dkmt:done")
-    manifest.loss_curves["dkmt"] = curve
-    manifest.stats["task_orders"] = task_orders[: min(len(task_orders), 3)]
-    manifest.stats["best_epoch"] = stopper.best_epoch
-    manifest.kernel_params = model.kp.to_dict()
+    manifest.stats["task_orders"] = [[tasks[i].task_id for i in order] for order in orders[:3]]
+    manifest.stats["best_epoch"] = best_epoch
     return model, manifest
 
 
@@ -467,21 +476,6 @@ def manual_split(
     return plans
 
 
-def _random_split(n_tasks: int, ref: int, rng: np.random.Generator, fold: int) -> ot.SplitPlan:
-    others = [i for i in range(n_tasks) if i != ref]
-    rng.shuffle(others)
-    n_mean = (n_tasks + 1) // 2
-    mean_ids = sorted([ref] + others[: n_mean - 1])
-    kernel_ids = sorted(others[n_mean - 1 :])
-    return ot.SplitPlan(
-        fold_index=fold,
-        ref_task=ref,
-        mean_task_ids=mean_ids,
-        kernel_task_ids=kernel_ids,
-        split_method="random",
-    )
-
-
 def train_kcmd(
     tasks: list[TaskDataset],
     cfg: TrainConfig,
@@ -533,14 +527,20 @@ def train_kcmd(
         elif split_method == "manual":
             manual_plans = manual_split(tasks, cfg.k_folds, seed=cfg.seed)
 
-        residual_db: list[FoldResiduals] = []
+        # one kernel batch per (fold, kernel-side task): its records'
+        # features in both patch orientations through the fold's frozen
+        # extractor, and the fold mean's residuals
+        batches, cells = [], []
         for k in range(cfg.k_folds):
             ref = int(refs[k])
             if split_method == "ot":
                 D = distances.wait(ref)  # row ref is complete, which is all the split reads
                 plan = ot.median_split(tasks, ref, D, cfg.split_rule, fold_index=k)
             elif split_method == "random":
-                plan = _random_split(len(tasks), ref, fold_rng, k)
+                others = [i for i in range(len(tasks)) if i != ref]
+                fold_rng.shuffle(others)
+                mean_ids, kernel_ids = ot.half_split([ref] + others)
+                plan = ot.SplitPlan(k, ref, mean_ids, kernel_ids, split_method="random")
             else:
                 plan = manual_plans[k]
             plan.validate(len(tasks))
@@ -580,26 +580,20 @@ def train_kcmd(
 
             for i in plan.kernel_task_ids:
                 X = per_task_X[i]
-                residuals = per_task_y[i] - fold_model.mean_batch(X)
-                residual_db.append(
-                    FoldResiduals(
-                        fold=k,
-                        task_id=tasks[i].task_id,
-                        features=fold_model.extract_batch(X),
-                        features_flipped=fold_model.extract_batch(X[:, flip_cols]),
-                        residuals=residuals,
-                    )
-                )
+                batches.append((
+                    f"kernel meta-training: fold {k} task {tasks[i].task_id}",
+                    fold_model.extract_batch(X),
+                    fold_model.extract_batch(X[:, flip_cols]),
+                    per_task_y[i] - fold_model.mean_batch(X),
+                ))
+                cells.append({"fold": k, "task_id": tasks[i].task_id, "count": len(X)})
             n_residuals = sum(len(per_task_X[i]) for i in plan.kernel_task_ids)
             manifest.log(f"fold:{k}:residuals:{n_residuals}")
         if split_method == "ot":
             manifest.stats["distance_matrix"] = np.round(distances.matrix(), 6).tolist()
 
-    manifest.stats["residual_db_size"] = int(sum(len(fr.residuals) for fr in residual_db))
-    manifest.stats["residual_db_cells"] = [
-        {"fold": fr.fold, "task_id": fr.task_id, "count": len(fr.residuals)}
-        for fr in residual_db
-    ]
+    manifest.stats["residual_db_size"] = sum(c["count"] for c in cells)
+    manifest.stats["residual_db_cells"] = cells
 
     # assemble the returned model: retained weights plus a fresh kernel head
     weights = {
@@ -618,57 +612,17 @@ def train_kcmd(
     )
 
     manifest.log("phase:kernel:start")
-    kpt = _kp_tensors(final.kp)
-    _data_init_kp(
-        kpt,
-        final.kernel_t(
-            T.Tensor(np.vstack([fr.features for fr in residual_db])[:256])
-        ).data,
-        np.concatenate([fr.residuals for fr in residual_db]),
+    manifest.stats["kernel_best_epoch"], _ = _meta_train(
+        final,
+        batches,
+        lambda F, residuals: (T.Tensor(F), T.Tensor(residuals[:, None])),
+        [],
+        cfg,
+        np.random.default_rng([cfg.seed, 303]),
+        manifest,
+        "kernel",
     )
-    kernel_params = final.segment_params("kernel") + list(kpt.values())
-    state = T.AdamState()
-    stopper = _EarlyStop(cfg.patience)
-    meta_rng = np.random.default_rng([cfg.seed, 303])
-    curve = []
-
-    def snap():
-        return {p.name: p.data.copy() for p in kernel_params}
-
-    for epoch in range(cfg.max_epochs_meta):
-        order = meta_rng.permutation(len(residual_db))
-        epoch_loss = 0.0
-        for bi in order:
-            fr = residual_db[bi]
-            mask = meta_rng.random(len(fr.residuals)) < 0.5
-            F = np.where(mask[:, None], fr.features_flipped, fr.features)
-            try:
-                with T.Tape() as tape:
-                    Kbar = gp.gram_objective(
-                        final.kernel_t(T.Tensor(F)),
-                        kpt["log_lengthscale"],
-                        kpt["log_outputscale"],
-                        kpt["log_noise"],
-                    )
-                    loss = gp.nlml_objective(Kbar, T.Tensor(fr.residuals[:, None]))
-                    tape.backward(loss)
-                T.adam_step(kernel_params, [p.grad for p in kernel_params], state, cfg.lr_kernel)
-            except (gp.ConditioningError, T.OptimizerError) as err:
-                raise TrainingError(
-                    f"kernel meta-training: fold {fr.fold} task {fr.task_id} "
-                    f"epoch {epoch}: {err}"
-                ) from err
-            epoch_loss += loss.item()
-        curve.append(epoch_loss / len(residual_db))
-        if stopper.update(epoch, curve[-1], snap):
-            break
-    for p in kernel_params:
-        p.data = stopper.snapshot[p.name]
-    final.kp = _kp_from_tensors(kpt)
     manifest.log("phase:kernel:done")
-    manifest.loss_curves["kernel"] = curve
-    manifest.kernel_params = final.kp.to_dict()
-    manifest.stats["kernel_best_epoch"] = stopper.best_epoch
     manifest.stats["returned_weight_digest"] = weight_digest(
         {n: w.data for n, w in final.weights.items() if not n.startswith("kernel.")}
     )

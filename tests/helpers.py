@@ -4,10 +4,16 @@ from pathlib import Path
 
 import numpy as np
 
-from scoopgp import ot
+from scoopgp import gp, ot
 from scoopgp import tensor as T
 from scoopgp.data import SCHEMA_VERSION, ScoopRecord, TaskDataset
-from scoopgp.model import Observation, ScoopAction, TrajectoryConstants, action_rows
+from scoopgp.model import (
+    Observation,
+    ScoopAction,
+    TrajectoryConstants,
+    action_rows,
+    feature_matrix,
+)
 from scoopgp.terrain import (
     FOOT_MARGIN,
     HEIGHT_NOISE,
@@ -165,6 +171,55 @@ class LiveEnvironmentReference:
         return execute_scoop(self.terrain, self.actions[index], self.rng)
 
 
+def feature_vector(arch, obs, act) -> np.ndarray:
+    """One pair's model feature row."""
+    return feature_matrix(arch, [(obs, act)])[0]
+
+
+def extract_features(model, obs, act) -> np.ndarray:
+    """The extractor's output for one pair."""
+    return model.extract_batch(feature_vector(model.arch, obs, act)[None, :])[0]
+
+
+def embed_batch(model, X) -> np.ndarray:
+    """The kernel head's embeddings of feature rows."""
+    return model.kernel_t(T.Tensor(model.extract_batch(X))).data
+
+
+def predict(model, obs, act, support=()) -> gp.GPPosterior:
+    """model.predict_batch for one candidate."""
+    means, variances = model.predict_batch([(obs, act)], support)
+    return gp.GPPosterior(mean=float(means[0]), variance=float(variances[0]))
+
+
+def predict_mean(model, obs, act) -> float:
+    """The mean head's reward prediction for one pair, de-standardized."""
+    x = feature_vector(model.arch, obs, act)[None, :]
+    return float(model.mean_batch(x)[0] * model.reward_std + model.reward_mean)
+
+
+def nlml_terms_reference(Z, y, kp):
+    """(complexity penalty, data fit, constant) of the NLML of residuals y
+    at embeddings Z, in plain numpy: the oracle for gp.gram_objective
+    plus gp.nlml_objective."""
+    Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
+    n = len(Z)
+    y = np.asarray(y, dtype=np.float64).reshape(n)
+    L, _ = gp.cholesky_with_jitter(gp.gram(Z, kp, with_noise=True))
+    alpha = np.linalg.solve(L.T, np.linalg.solve(L, y))
+    return float(np.sum(np.log(np.diag(L)))), 0.5 * float(y @ alpha), 0.5 * n * gp.LOG_2PI
+
+
+def nlml_reference(Z, y, kp) -> float:
+    return sum(nlml_terms_reference(Z, y, kp))
+
+
+def relu(a):
+    """max(a, 0) as a tape op: the unfused dense oracle's activation."""
+    mask = a.data > 0.0
+    return T.custom_op(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
+
+
 def dense_chain_reference(X, layers, relu_last):
     """Dense layers as four tape ops each (matmul, ones-column matmul for
     the bias, add, relu): the oracle for model.dense_chain's fused layers,
@@ -174,7 +229,7 @@ def dense_chain_reference(X, layers, relu_last):
         ones = T.Tensor(np.ones((h.shape[0], 1)))
         h = T.add(T.matmul(h, w), T.matmul(ones, b))
         if relu_last or i < len(layers) - 1:
-            h = T.relu(h)
+            h = relu(h)
     return h
 
 

@@ -141,10 +141,23 @@ def test_validation_errors_exit_1(pipeline, tmp_path, capsys):
          "--out", "m.json", "--shots", "a,b"],
         ["report", "--out", str(tmp_path / "r")],
         ["gen-data", "--out", str(tmp_path / "d"), "--samples", "3"],
+        ["gen-data", "--out", str(tmp_path / "d"), "--n-train", "0"],
+        ["gen-data", "--out", str(tmp_path / "d"), "--n-train", "1"],
+        ["gen-data", "--out", str(tmp_path / "d"), "--n-test", "0"],
     ]
+    for method, flag, value in [
+        ("sl", "--max-epochs-mean", "0"),
+        ("dkmt", "--max-epochs-meta", "0"),
+        ("kcmd-ot", "--max-epochs-mean", "-1"),
+        ("kcmd-random", "--max-epochs-meta", "-3"),
+    ]:
+        bad.append(["train", "--method", method, "--data", str(pipeline["data"]),
+                    "--out", str(tmp_path / "m.json"), "--k-folds", "2", flag, value])
     for argv in bad:
         assert cli.main(argv) == 1, argv
         assert "error" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()  # refused before the output directory was made
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_version_mismatched_checkpoint_rejected(pipeline, tmp_path):

@@ -6,7 +6,16 @@ from scoopgp import model as M
 from scoopgp import tensor as T
 from scoopgp import training as TR
 from scoopgp.data import load_task_dataset, save_task_dataset
-from helpers import dense_chain_reference, make_task, random_action
+from helpers import (
+    dense_chain_reference,
+    embed_batch,
+    extract_features,
+    feature_vector,
+    make_task,
+    predict,
+    predict_mean,
+    random_action,
+)
 
 SMALL = M.Architecture(
     channels=2, patch_h=4, patch_w=4,
@@ -46,19 +55,19 @@ def test_observation_validation():
 
 def test_feature_vector_layout():
     obs, act = small_obs_act()
-    x = M.feature_vector(SMALL, obs, act)
+    x = feature_vector(SMALL, obs, act)
     assert x.shape == (SMALL.input_dim,)
     assert x[-1] == float(act.stiffness)
     assert -1.0 <= x[-2] <= 1.0
     with pytest.raises(Exception):
-        M.feature_vector(M.Architecture(), obs, act)  # wrong patch shape
+        feature_vector(M.Architecture(), obs, act)  # wrong patch shape
 
 
 def test_feature_matrix_equals_stacked_feature_vectors():
     rng = np.random.default_rng(4)
     pairs = [small_obs_act(seed) for seed in range(7)]
     X = M.feature_matrix(SMALL, pairs)
-    rows = np.stack([M.feature_vector(SMALL, obs, act) for obs, act in pairs])
+    rows = np.stack([feature_vector(SMALL, obs, act) for obs, act in pairs])
     # the layout written out by hand: flattened patch, depth, stiffness
     by_hand = np.stack([
         np.concatenate([
@@ -76,8 +85,8 @@ def test_feature_matrix_equals_stacked_feature_vectors():
 
 def test_flip_permutation_matches_flipped_patch():
     obs, act = small_obs_act(3)
-    x = M.feature_vector(SMALL, obs, act)
-    flipped = M.feature_vector(SMALL, M.Observation(M.flip_patch(obs.patch)), act)
+    x = feature_vector(SMALL, obs, act)
+    flipped = feature_vector(SMALL, M.Observation(M.flip_patch(obs.patch)), act)
     perm = M.flip_permutation(SMALL)
     assert np.array_equal(x[perm], flipped)
 
@@ -85,39 +94,39 @@ def test_flip_permutation_matches_flipped_patch():
 def test_extract_features_deterministic_and_sized():
     m = M.DeepGPModel.init(SMALL, seed=0)
     obs, act = small_obs_act(1)
-    f1 = m.extract_features(obs, act)
-    f2 = m.extract_features(obs, act)
+    f1 = extract_features(m, obs, act)
+    f2 = extract_features(m, obs, act)
     assert np.array_equal(f1, f2)
     assert f1.shape == (SMALL.feature_dim,)
     default = M.DeepGPModel.init(M.Architecture(), seed=0)
     rng = np.random.default_rng(0)
     obs4 = M.Observation(rng.uniform(0, 1, size=(4, 16, 16)))
-    assert default.extract_features(obs4, act).shape == (64,)
+    assert extract_features(default, obs4, act).shape == (64,)
 
 
 def test_stiffness_flip_changes_one_feature_and_output():
     m = M.DeepGPModel.init(SMALL, seed=2)
     obs, act = small_obs_act(5)
     other = M.ScoopAction(act.x, act.y, act.yaw, act.depth, 1 - act.stiffness)
-    x1 = M.feature_vector(SMALL, obs, act)
-    x2 = M.feature_vector(SMALL, obs, other)
+    x1 = feature_vector(SMALL, obs, act)
+    x2 = feature_vector(SMALL, obs, other)
     assert np.sum(x1 != x2) == 1
-    assert not np.array_equal(m.extract_features(obs, act), m.extract_features(obs, other))
+    assert not np.array_equal(extract_features(m, obs, act), extract_features(m, obs, other))
 
 
 def test_zero_initialized_mean_head_predicts_dataset_mean():
     m = M.DeepGPModel.init(SMALL, seed=0)
     m.reward_mean, m.reward_std = 31.3, 12.0
     obs, act = small_obs_act(7)
-    assert m.predict_mean(obs, act) == 31.3
+    assert predict_mean(m, obs, act) == 31.3
 
 
 def test_zero_shot_predict_equals_mean():
     m = M.DeepGPModel.init(SMALL, seed=1)
     m.reward_mean, m.reward_std = 10.0, 4.0
     obs, act = small_obs_act(2)
-    post = m.predict(obs, act, support=[])
-    assert post.mean == m.predict_mean(obs, act)
+    post = predict(m, obs, act, support=[])
+    assert post.mean == predict_mean(m, obs, act)
     assert post.variance == pytest.approx(
         (m.kp.outputscale + m.kp.noise**2) * m.reward_std**2
     )
@@ -128,7 +137,7 @@ def test_support_at_query_with_tiny_noise_interpolates():
     m.kp = gp.KernelParams(log_noise=np.log(1e-7))
     m.reward_mean, m.reward_std = 5.0, 2.0
     obs, act = small_obs_act(4)
-    post = m.predict(obs, act, support=[(obs, act, 42.0)])
+    post = predict(m, obs, act, support=[(obs, act, 42.0)])
     assert post.mean == pytest.approx(42.0, abs=1e-3)
     assert post.variance <= 1e-4
 
@@ -146,13 +155,13 @@ def test_predict_composes_mean_and_gp_oracle():
         obs, act = small_obs_act(20 + s)
         support.append((obs, act, float(rng.uniform(0, 40))))
     query_obs, query_act = small_obs_act(99)
-    post = m.predict(query_obs, query_act, support)
+    post = predict(m, query_obs, query_act, support)
 
     Xs = np.stack([m.feature_vector(o, a) for o, a, _ in support])
-    Zs = m.embed_batch(Xs)
+    Zs = embed_batch(m, Xs)
     ms = m.mean_batch(Xs)
     resid = (np.array([r for _, _, r in support]) - 20.0) / 6.0 - ms
-    zq = m.embed_batch(m.feature_vector(query_obs, query_act)[None, :])[0]
+    zq = embed_batch(m, m.feature_vector(query_obs, query_act)[None, :])[0]
     ref = gp.posterior(Zs, resid, zq, m.kp)
     mq = m.mean_batch(m.feature_vector(query_obs, query_act)[None, :])[0]
     assert post.mean == pytest.approx((mq + ref.mean) * 6.0 + 20.0, abs=1e-10)
@@ -163,8 +172,8 @@ def test_residual_zero_support_leaves_prediction_unchanged():
     m = M.DeepGPModel.init(SMALL, seed=5)
     m.reward_mean, m.reward_std = 15.0, 5.0
     obs, act = small_obs_act(11)
-    base = m.predict_mean(obs, act)
-    post = m.predict(obs, act, support=[(obs, act, base)])
+    base = predict_mean(m, obs, act)
+    post = predict(m, obs, act, support=[(obs, act, base)])
     assert post.mean == pytest.approx(base, abs=1e-9)
 
 
@@ -173,8 +182,8 @@ def test_model_without_kernel_ignores_support():
     m.reward_mean, m.reward_std = 10.0, 3.0
     obs, act = small_obs_act(1)
     sup_obs, sup_act = small_obs_act(2)
-    p0 = m.predict(obs, act, [])
-    p1 = m.predict(obs, act, [(sup_obs, sup_act, 99.0)])
+    p0 = predict(m, obs, act, [])
+    p1 = predict(m, obs, act, [(sup_obs, sup_act, 99.0)])
     assert p0.mean == p1.mean
     assert p0.variance == p1.variance == 0.0
     with pytest.raises(RuntimeError):

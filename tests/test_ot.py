@@ -296,6 +296,12 @@ def test_median_split_degenerate_distances_fall_back():
     assert plan.degenerate
     assert plan.mean_task_ids == [0, 1]
     assert plan.kernel_task_ids == [2, 3]
+    # heavy ties at the median: every task is at or below it, so the
+    # closest ceil(M/2) go to the mean side, ties by index
+    plan = ot.median_split(list(range(5)), 0, np.array([[0.0, 1.0, 1.0, 1.0, 1.0]] * 5))
+    assert plan.degenerate
+    assert plan.mean_task_ids == [0, 1, 2]
+    assert plan.kernel_task_ids == [3, 4]
 
 
 def test_median_split_count_rule():
@@ -303,6 +309,15 @@ def test_median_split_count_rule():
     plan = ot.median_split([0, 1, 2, 3], 0, D, rule="count")
     assert plan.mean_task_ids == [0, 2]
     assert plan.kernel_task_ids == [1, 3]
+    plan = ot.median_split(list(range(5)), 0, np.array([[0.0, 3.0, 1.0, 2.0, 0.5]] * 5), rule="count")
+    assert plan.mean_task_ids == [0, 2, 4]
+    assert plan.kernel_task_ids == [1, 3]
+    assert not plan.degenerate
+
+
+def test_half_split_takes_the_first_ceil_half_of_an_ordering():
+    assert ot.half_split([3, 0, 4, 1, 2]) == ([0, 3, 4], [1, 2])
+    assert ot.half_split(np.array([1, 0])) == ([1], [0])
 
 
 def test_median_split_needs_two_tasks():

@@ -6,9 +6,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import adam_step_reference, dense_chain_reference, make_task, noisy_batch_reference
+from helpers import (
+    adam_step_reference,
+    dense_chain_reference,
+    embed_batch,
+    make_task,
+    nlml_terms_reference,
+    noisy_batch_reference,
+    predict,
+    predict_mean,
+)
 
-from scoopgp import cli, gp
+from scoopgp import cli
 from scoopgp import model as M
 from scoopgp import ot
 from scoopgp import tensor as T
@@ -52,12 +61,16 @@ def test_config_validation():
         small_cfg(validation_fraction=1.0).validate()
     with pytest.raises(ValueError):
         small_cfg(split_rule="best").validate()
+    for field in ("max_epochs_mean", "max_epochs_meta"):
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="max_epochs"):
+                small_cfg(**{field: bad}).validate()
 
 
 def test_train_sl_memorizes_single_sample():
     task = make_task("solo", 1, seed=3)
     model, manifest = TR.train_sl([task], small_cfg())
-    pred = model.predict_mean(task.records[0].obs, task.records[0].action)
+    pred = predict_mean(model, task.records[0].obs, task.records[0].action)
     assert abs(pred - task.records[0].reward) < 1.0
     assert manifest.events == ["phase:sl:start", "phase:sl:done"]
 
@@ -106,8 +119,8 @@ def test_train_dkmt_constant_rewards_zero_data_fit():
     model, _ = TR.train_dkmt([task], small_cfg(max_epochs_meta=6))
     X = task.feature_matrix(ARCH)
     resid = (task.rewards - model.reward_mean) / model.reward_std - model.mean_batch(X)
-    Z = model.embed_batch(X)
-    _, data_fit, _ = gp.nlml_terms(Z, resid, model.kp)
+    Z = embed_batch(model, X)
+    _, data_fit, _ = nlml_terms_reference(Z, resid, model.kp)
     assert data_fit < 1e-4
 
 
@@ -118,6 +131,38 @@ def test_dkmt_reproducible(tiny_tasks):
     for name in m1.weights:
         assert np.array_equal(m1.weights[name].data, m2.weights[name].data)
     assert man1.stats["task_orders"] == man2.stats["task_orders"]
+
+
+def _train_meta(tasks, method, **kw):
+    """(model, manifest, loss curve, best epoch) of one meta-trained run."""
+    cfg = small_cfg(k_folds=2, **kw)
+    if method == "dkmt":
+        model, manifest = TR.train_dkmt(tasks, cfg)
+        return model, manifest, manifest.loss_curves["dkmt"], manifest.stats["best_epoch"]
+    model, manifest = TR.train_kcmd(tasks, cfg, split_method="random")
+    return model, manifest, manifest.loss_curves["kernel"], manifest.stats["kernel_best_epoch"]
+
+
+@pytest.mark.parametrize("method", ["dkmt", "kcmd-random"])
+@pytest.mark.parametrize("max_epochs_meta", [30, 4])
+def test_meta_training_stops_patience_after_the_best_epoch(tiny_tasks, method, max_epochs_meta):
+    model, manifest, curve, best = _train_meta(tiny_tasks, method, max_epochs_meta=max_epochs_meta)
+    assert curve.index(min(curve)) == best
+    assert len(curve) == min(best + small_cfg().patience + 1, max_epochs_meta)
+    assert model.kp.to_dict() == manifest.kernel_params
+
+
+@pytest.mark.parametrize("method", ["dkmt", "kcmd-random"])
+def test_meta_training_returns_the_best_epochs_weights(tiny_tasks, method):
+    """A run cut off right after its best epoch ends on that epoch's
+    weights, so the full run must restore the same ones."""
+    full, _, curve, best = _train_meta(tiny_tasks, method)
+    assert best < len(curve) - 1  # early stopping restored an earlier epoch
+    cut, _, cut_curve, _ = _train_meta(tiny_tasks, method, max_epochs_meta=best + 1)
+    assert cut_curve == curve[: best + 1]
+    for name, w in full.weights.items():
+        assert w.data.tobytes() == cut.weights[name].data.tobytes(), name
+    assert full.kp == cut.kp
 
 
 def test_kcmd_smallest_instance_structure():
@@ -152,8 +197,8 @@ def test_kcmd_returns_bit_identical_sl_weights(tiny_tasks):
     assert manifest.stats["sl_weight_digest"] == sl_manifest.stats["sl_weight_digest"]
     # zero-shot predictions equal the mean path exactly
     rec = tiny_tasks[0].records[0]
-    post = model.predict(rec.obs, rec.action, support=[])
-    assert post.mean == sl_model.predict_mean(rec.obs, rec.action)
+    post = predict(model, rec.obs, rec.action, support=[])
+    assert post.mean == predict_mean(sl_model, rec.obs, rec.action)
 
 
 def test_kcmd_residual_count_oracle(tiny_tasks):
@@ -249,8 +294,8 @@ def test_flip_invariance_after_flip_augmented_training():
     model, _ = TR.train_sl([task], small_cfg(max_epochs_mean=120))
     diffs = []
     for rec in task.records:
-        p1 = model.predict_mean(rec.obs, rec.action)
-        p2 = model.predict_mean(Observation(flip_patch(rec.obs.patch)), rec.action)
+        p1 = predict_mean(model, rec.obs, rec.action)
+        p2 = predict_mean(model, Observation(flip_patch(rec.obs.patch)), rec.action)
         diffs.append(abs(p1 - p2))
     assert max(diffs) < 0.2 * model.reward_std
 
