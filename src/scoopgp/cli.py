@@ -80,6 +80,8 @@ class ExperimentConfig:
             raise ConfigError("max-attempts: must be positive")
         if self.reps < 1:
             raise ConfigError("reps: must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed: must be nonnegative")
         if any(s < 0 for s in self.shots):
             raise ConfigError("shots: must be nonnegative")
 
@@ -98,6 +100,13 @@ def _require_dir(path: Path, field: str) -> Path:
     return path
 
 
+def _parse_json(text: str, where: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as err:
+        raise ConfigError(f"{where} is not JSON: {err}") from err
+
+
 def _task_files(data_dir: Path, prefix: str) -> list[Path]:
     files = sorted((data_dir / "tasks").glob(f"{prefix}-*.json"))
     if not files:
@@ -113,6 +122,8 @@ def cmd_gen_data(args) -> None:
         raise ConfigError("samples: need at least 5 records per task (threshold rule)")
     if args.n_train < 2 or args.n_test < 1:
         raise ConfigError("n-train, n-test: need at least 2 training and 1 test task")
+    if args.seed < 0:
+        raise ConfigError("seed: must be nonnegative")
     out = _resolve(args.out)
     (out / "tasks").mkdir(parents=True, exist_ok=True)
     train_tasks, test_tasks = generate_suite(args.seed, args.n_train, args.n_test)
@@ -146,10 +157,7 @@ def load_suite_terrains(data_dir: Path) -> dict[str, TerrainTask]:
     suite_path = data_dir / "suite.json"
     if not suite_path.exists():
         raise ConfigError(f"data: {suite_path} not found (run gen-data first)")
-    try:
-        suite = json.loads(suite_path.read_text())
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"data: {suite_path} is not JSON: {err}") from err
+    suite = _parse_json(suite_path.read_text(), f"data: {suite_path}")
     version = suite.get("schema_version") if isinstance(suite, dict) else None
     if version != SUITE_SCHEMA:
         raise ConfigError(f"data: suite schema {version} unsupported")
@@ -214,9 +222,8 @@ def _auto_policy(args, model) -> Policy:
         return Policy.greedy()
     if args.policy == "ucb":
         return Policy.ucb(args.gamma)
-    if args.policy == "auto":
-        return Policy.greedy() if not model.has_kernel else Policy.ucb(args.gamma)
-    raise ConfigError(f"policy: {args.policy!r} not one of auto|ucb|greedy")
+    # auto, the one policy ExperimentConfig.validate leaves
+    return Policy.greedy() if not model.has_kernel else Policy.ucb(args.gamma)
 
 
 def cmd_eval_deploy(args) -> None:
@@ -328,9 +335,10 @@ def read_traces(paths) -> list[EpisodeTrace]:
     traces = []
     for path in paths:
         with Path(path).open() as fh:
-            for line in fh:
+            for n, line in enumerate(fh, 1):
                 if line.strip():
-                    traces.append(EpisodeTrace.from_dict(json.loads(line)))
+                    payload = _parse_json(line, f"traces: {path}: line {n}")
+                    traces.append(EpisodeTrace.from_dict(payload))
     return traces
 
 
@@ -459,7 +467,8 @@ def _text_tables(summary: dict) -> str:
 
 def cmd_report(args) -> None:
     traces = read_traces([_resolve(p) for p in args.traces or []])
-    mae_tables = [json.loads(_resolve(p).read_text()) for p in args.mae or []]
+    mae_paths = [_resolve(p) for p in args.mae or []]
+    mae_tables = [_parse_json(p.read_text(), f"mae: {p}") for p in mae_paths]
     if not traces and not mae_tables:
         raise ConfigError("report: need at least one --traces or --mae input")
     summary = aggregate_metrics(traces, mae_tables)

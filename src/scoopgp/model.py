@@ -143,11 +143,6 @@ def validate_patches(patches: np.ndarray) -> None:
         raise ValueError(f"patch {np.flatnonzero(bad)[0]}: appearance channels must lie in [0, 1]")
 
 
-def flip_patch(patch: np.ndarray) -> np.ndarray:
-    """Flip across the axis perpendicular to the scoop direction."""
-    return np.flip(patch, axis=1).copy()
-
-
 @dataclass(frozen=True)
 class Architecture:
     """Layer widths for the extractor and the two heads."""

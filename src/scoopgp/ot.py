@@ -8,12 +8,9 @@ around the median of a reference task's distance row.
 """
 from __future__ import annotations
 
-import multiprocessing
-import os
-import signal
-import traceback
+import itertools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -237,24 +234,44 @@ def entropic_transport_cost(
 
 
 def pair_epsilon(C_ab: np.ndarray, scale: float = DEFAULT_EPS_SCALE) -> float:
-    """Regularization for one task pair: scale times the median cross cost."""
+    """Regularization: scale times the median of the cross costs C_ab,
+    one pair's matrix or every pair's entries."""
     return max(scale * float(np.median(C_ab)), 1e-12)
 
 
-def _debiased_divergence(
-    C_ab: np.ndarray,
-    C_aa: np.ndarray,
-    C_bb: np.ndarray,
-    eps: float,
+def _debiased_divergences(
+    tasks: list[TaskDataset],
+    params: SampleCostParams,
+    eps: float | None,
     max_iter: int,
     tol: float,
-) -> tuple[float, bool]:
-    """OT(a,b) - (OT(a,a) + OT(b,b)) / 2 from the three cost matrices at
-    one eps, and whether all three solves converged."""
-    v_ab, ok_ab = entropic_transport_cost(C_ab, eps, max_iter, tol)
-    v_aa, ok_aa = entropic_transport_cost(C_aa, eps, max_iter, tol)
-    v_bb, ok_bb = entropic_transport_cost(C_bb, eps, max_iter, tol)
-    return v_ab - 0.5 * v_aa - 0.5 * v_bb, ok_ab and ok_aa and ok_bb
+) -> tuple[np.ndarray, float]:
+    """OT(a,b) - (OT(a,a) + OT(b,b)) / 2 for every pair of tasks, all at
+    one eps, and that eps; None takes pair_epsilon of every entry of the
+    cross-cost matrices (pairs a < b). Each self-term and each pair a < b
+    is solved once, M(M-1)/2 + M solves for M tasks. A pair whose
+    solves did not all converge raises SinkhornWarning naming it."""
+    arrays = [_task_arrays(t, params) for t in tasks]
+    pairs = list(itertools.combinations(range(len(tasks)), 2))
+    cross = [cost_matrix_arrays(arrays[a], arrays[b], params) for a, b in pairs]
+    if eps is None:
+        eps = pair_epsilon(np.concatenate([C.ravel() for C in cross]))
+    self_terms = [
+        entropic_transport_cost(cost_matrix_arrays(x, x, params), eps, max_iter, tol)
+        for x in arrays
+    ]
+    D = np.zeros((len(tasks), len(tasks)))
+    for (a, b), C_ab in zip(pairs, cross):
+        v_ab, converged = entropic_transport_cost(C_ab, eps, max_iter, tol)
+        (v_aa, ok_aa), (v_bb, ok_bb) = self_terms[a], self_terms[b]
+        D[a, b] = D[b, a] = v_ab - 0.5 * v_aa - 0.5 * v_bb
+        if not (converged and ok_aa and ok_bb):
+            warnings.warn(
+                f"sinkhorn did not reach tol={tol} within {max_iter} iterations "
+                f"for pair ({tasks[a].task_id}, {tasks[b].task_id}); value is partial",
+                SinkhornWarning,
+            )
+    return D, eps
 
 
 def sinkhorn_divergence(
@@ -268,193 +285,22 @@ def sinkhorn_divergence(
     """Debiased divergence OT(A,B) - (OT(A,A) + OT(B,B)) / 2 at one eps."""
     if not A.records or not B.records:
         raise ValueError("sinkhorn_divergence needs nonempty datasets")
-    arrays_a = _task_arrays(A, params)
-    arrays_b = _task_arrays(B, params)
-    value, converged = _debiased_divergence(
-        cost_matrix_arrays(arrays_a, arrays_b, params),
-        cost_matrix_arrays(arrays_a, arrays_a, params),
-        cost_matrix_arrays(arrays_b, arrays_b, params),
-        eps,
-        max_iter,
-        tol,
-    )
-    if not converged:
-        warnings.warn(
-            f"sinkhorn did not reach tol={tol} within {max_iter} iterations "
-            f"for pair ({A.task_id}, {B.task_id}); value is partial",
-            SinkhornWarning,
-        )
-    return value
-
-
-def _worker_usable() -> bool:
-    """A worker process pays off only with a second usable CPU."""
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return False
-    try:
-        return len(os.sched_getaffinity(0)) >= 2
-    except AttributeError:  # no affinity API on this platform
-        return False
-
-
-class DistanceRows:
-    """The task distance matrix, row by row, the rows in `order` first.
-
-    With at least two usable CPUs and the fork start method, a forked
-    worker computes every row in that order while the caller goes on,
-    and `wait(i)` blocks only until row i has arrived. Otherwise `wait`
-    computes a row in-process when it is first asked for. A pair is
-    always solved from its lower task index to its higher, with its own
-    eps from the median of its cross-cost matrix (the self terms reuse
-    it, so the debiasing is consistent), so the values depend neither
-    on the path nor on the order. A pair that did not converge raises
-    SinkhornWarning in the caller's process, and a failure in the
-    worker is raised there with its own exception type.
-
-    Use it as a context manager: leaving the block stops a worker that
-    is still running. The worker exits after its last row and is reaped
-    when that row is collected.
-    """
-
-    def __init__(
-        self,
-        tasks: list[TaskDataset],
-        params: SampleCostParams,
-        order=(),
-        eps_scale: float = DEFAULT_EPS_SCALE,
-        max_iter: int = DEFAULT_MAX_ITER,
-        tol: float = DEFAULT_TOL,
-    ):
-        self._tasks = tasks
-        self._params = params
-        self._solve = (eps_scale, max_iter, tol)
-        self._arrays = self._self_costs = None  # built in the process that solves
-        self._D = np.zeros((len(tasks), len(tasks)))
-        self._arrived: set[int] = set()
-        self._conn = self._proc = None
-        if _worker_usable():
-            rows = list(dict.fromkeys([int(i) for i in order] + list(range(len(tasks)))))
-            # fork hands the worker the tasks without pickling them; the
-            # training runs no threads of its own (BLAS is pinned to one)
-            ctx = multiprocessing.get_context("fork")
-            self._conn, child_conn = ctx.Pipe(duplex=False)
-            self._proc = ctx.Process(target=self._work, args=(rows, child_conn), daemon=True)
-            self._proc.start()
-            child_conn.close()
-
-    def __enter__(self) -> "DistanceRows":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def close(self) -> None:
-        """Stop and reap the worker if it still runs."""
-        if self._proc is not None:
-            self._proc.terminate()
-            self._proc.join()
-            self._proc = None
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
-
-    def wait(self, i: int) -> np.ndarray:
-        """The matrix once row i has arrived. Its row and column i are
-        then complete; entries between two rows not yet arrived are 0."""
-        while i not in self._arrived:
-            if self._proc is None:
-                self._accept(i, self._row(i, self._arrived))
-            else:
-                self._receive()
-        # take whatever else has arrived, so a finished worker is reaped
-        while self._proc is not None and self._conn.poll():
-            self._receive()
-        return self._D
-
-    def matrix(self) -> np.ndarray:
-        """The full symmetric matrix (diagonal zero)."""
-        for i in range(len(self._tasks)):
-            self.wait(i)
-        return self._D
-
-    def _row(self, i: int, done) -> list[tuple[int, float, bool]]:
-        """(j, divergence, converged) for every other task j not in done."""
-        if self._arrays is None:
-            self._arrays = [_task_arrays(t, self._params) for t in self._tasks]
-            self._self_costs = [cost_matrix_arrays(a, a, self._params) for a in self._arrays]
-        eps_scale, max_iter, tol = self._solve
-        out = []
-        for j in range(len(self._tasks)):
-            if j == i or j in done:
-                continue
-            a, b = min(i, j), max(i, j)
-            C_ab = cost_matrix_arrays(self._arrays[a], self._arrays[b], self._params)
-            value, converged = _debiased_divergence(
-                C_ab,
-                self._self_costs[a],
-                self._self_costs[b],
-                pair_epsilon(C_ab, eps_scale),
-                max_iter,
-                tol,
-            )
-            out.append((j, value, converged))
-        return out
-
-    def _work(self, order: list[int], conn) -> None:
-        """The worker: sends ("row", i, pairs) for each row in order, or
-        ("error", exception, traceback text) on the first failure."""
-        # an interrupt reaches the parent too, which stops this worker
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        try:
-            for n, i in enumerate(order):
-                conn.send(("row", i, self._row(i, order[:n])))
-        except Exception as err:
-            conn.send(("error", err, traceback.format_exc()))
-        finally:
-            conn.close()
-
-    def _receive(self) -> None:
-        try:
-            message = self._conn.recv()
-        except EOFError:
-            self._proc.join()
-            raise RuntimeError(
-                f"distance worker exited with code {self._proc.exitcode} before its last row"
-            ) from None
-        if message[0] == "error":
-            _, err, text = message
-            self.close()
-            raise err from RuntimeError(f"in the distance worker:\n{text}")
-        _, i, pairs = message
-        self._accept(i, pairs)
-        if len(self._arrived) == len(self._tasks):
-            self._proc.join()
-            self.close()
-
-    def _accept(self, i: int, pairs) -> None:
-        for j, value, converged in pairs:
-            self._D[i, j] = self._D[j, i] = value
-            if not converged:
-                a, b = min(i, j), max(i, j)
-                warnings.warn(
-                    f"sinkhorn did not converge for tasks "
-                    f"({self._tasks[a].task_id}, {self._tasks[b].task_id})",
-                    SinkhornWarning,
-                )
-        self._arrived.add(i)
+    return float(_debiased_divergences([A, B], params, eps, max_iter, tol)[0][0, 1])
 
 
 def task_distance_matrix(
     tasks: list[TaskDataset],
     params: SampleCostParams,
-    eps_scale: float = DEFAULT_EPS_SCALE,
     max_iter: int = DEFAULT_MAX_ITER,
     tol: float = DEFAULT_TOL,
-) -> np.ndarray:
-    """Symmetric matrix of pairwise task divergences (diagonal is zero);
-    see DistanceRows."""
-    with DistanceRows(tasks, params, (), eps_scale, max_iter, tol) as rows:
-        return rows.matrix()
+) -> tuple[np.ndarray, float]:
+    """The symmetric matrix of debiased divergences between tasks
+    (diagonal zero) and its eps.
+
+    One eps serves every solve, DEFAULT_EPS_SCALE times the median of
+    all the cross costs, as in the Sinkhorn divergence of Feydy et al.
+    (2019), so each task's self-term is solved once."""
+    return _debiased_divergences(tasks, params, None, max_iter, tol)
 
 
 @dataclass

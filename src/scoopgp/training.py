@@ -25,7 +25,6 @@ plans, loss curves, and weight digests.
 """
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -73,6 +72,8 @@ class TrainConfig:
             raise ValueError("max_epochs_mean and max_epochs_meta must be at least 1")
         if self.split_rule not in ("median", "count"):
             raise ValueError(f"unknown split_rule {self.split_rule!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
     def to_dict(self) -> dict:
         return {
@@ -493,104 +494,97 @@ def train_kcmd(
         raise ValueError(f"split_method must be one of {SPLIT_METHODS}")
     cfg.validate(n_tasks=len(tasks))
 
-    # fold_rng is independent of phase 1's generator, so the fold
-    # references are drawn first and their distance rows are computed,
-    # in fold order, while phase 1 and the earlier folds train
+    # fold_rng is independent of phase 1's generator
     fold_rng = np.random.default_rng([cfg.seed, 101])
     refs = fold_rng.permutation(len(tasks))[: cfg.k_folds]
-    distances = contextlib.nullcontext()
+    # phase 1: pooled mean model, retained for the returned model
+    sl_model, sl_manifest = train_sl(tasks, cfg)
+    manifest = TrainingManifest(f"kcmd-{split_method}", cfg.seed, cfg.to_dict())
+    manifest.events.extend(sl_manifest.events)
+    manifest.loss_curves.update(sl_manifest.loss_curves)
+    manifest.stats.update(sl_manifest.stats)
+    retained = sl_model.copy_weight_arrays()
+    anchor = {
+        name: arr for name, arr in retained.items() if name.startswith("extractor.")
+    }
+
+    per_task_X = [t.feature_matrix(cfg.arch) for t in tasks]
+    per_task_y = [
+        (t.rewards - sl_model.reward_mean) / sl_model.reward_std for t in tasks
+    ]
+    flip_cols = flip_permutation(cfg.arch)
+
+    manual_plans = None
     if split_method == "ot":
-        distances = ot.DistanceRows(tasks, ot.SampleCostParams.from_tasks(tasks), refs)
-    with distances:
-        # phase 1: pooled mean model, retained for the returned model
-        sl_model, sl_manifest = train_sl(tasks, cfg)
-        manifest = TrainingManifest(f"kcmd-{split_method}", cfg.seed, cfg.to_dict())
-        manifest.events.extend(sl_manifest.events)
-        manifest.loss_curves.update(sl_manifest.loss_curves)
-        manifest.stats.update(sl_manifest.stats)
-        retained = sl_model.copy_weight_arrays()
-        anchor = {
-            name: arr for name, arr in retained.items() if name.startswith("extractor.")
-        }
+        manifest.log("phase:distances:start")
+        D, eps = ot.task_distance_matrix(tasks, ot.SampleCostParams.from_tasks(tasks))
+        manifest.stats["distance_matrix"] = np.round(D, 6).tolist()
+        manifest.stats["distance_eps"] = eps
+        manifest.log("phase:distances:done")
+    elif split_method == "manual":
+        manual_plans = manual_split(tasks, cfg.k_folds, seed=cfg.seed)
 
-        per_task_X = [t.feature_matrix(cfg.arch) for t in tasks]
-        per_task_y = [
-            (t.rewards - sl_model.reward_mean) / sl_model.reward_std for t in tasks
-        ]
-        flip_cols = flip_permutation(cfg.arch)
-
-        manual_plans = None
+    # one kernel batch per (fold, kernel-side task): its records'
+    # features in both patch orientations through the fold's frozen
+    # extractor, and the fold mean's residuals
+    batches, cells = [], []
+    for k in range(cfg.k_folds):
+        ref = int(refs[k])
         if split_method == "ot":
-            manifest.log("phase:distances:start")
-            manifest.stats["distance_matrix"] = None  # holds its key's place until every row is in
-            manifest.log("phase:distances:done")
-        elif split_method == "manual":
-            manual_plans = manual_split(tasks, cfg.k_folds, seed=cfg.seed)
+            plan = ot.median_split(tasks, ref, D, cfg.split_rule, fold_index=k)
+        elif split_method == "random":
+            others = [i for i in range(len(tasks)) if i != ref]
+            fold_rng.shuffle(others)
+            mean_ids, kernel_ids = ot.half_split([ref] + others)
+            plan = ot.SplitPlan(k, ref, mean_ids, kernel_ids, split_method="random")
+        else:
+            plan = manual_plans[k]
+        plan.validate(len(tasks))
+        manifest.splits.append(plan.to_dict())
+        manifest.log(
+            f"fold:{k}:split:ref={plan.ref_task}:mean={len(plan.mean_task_ids)}"
+            f":kernel={len(plan.kernel_task_ids)}"
+        )
 
-        # one kernel batch per (fold, kernel-side task): its records'
-        # features in both patch orientations through the fold's frozen
-        # extractor, and the fold mean's residuals
-        batches, cells = [], []
-        for k in range(cfg.k_folds):
-            ref = int(refs[k])
-            if split_method == "ot":
-                D = distances.wait(ref)  # row ref is complete, which is all the split reads
-                plan = ot.median_split(tasks, ref, D, cfg.split_rule, fold_index=k)
-            elif split_method == "random":
-                others = [i for i in range(len(tasks)) if i != ref]
-                fold_rng.shuffle(others)
-                mean_ids, kernel_ids = ot.half_split([ref] + others)
-                plan = ot.SplitPlan(k, ref, mean_ids, kernel_ids, split_method="random")
-            else:
-                plan = manual_plans[k]
-            plan.validate(len(tasks))
-            manifest.splits.append(plan.to_dict())
-            manifest.log(
-                f"fold:{k}:split:ref={plan.ref_task}:mean={len(plan.mean_task_ids)}"
-                f":kernel={len(plan.kernel_task_ids)}"
+        fold_model = DeepGPModel.init(
+            cfg.arch, seed=int(fold_rng.integers(2**31)), has_kernel=False
+        )
+        fold_model.reward_mean = sl_model.reward_mean
+        fold_model.reward_std = sl_model.reward_std
+        X_mean = np.vstack([per_task_X[i] for i in plan.mean_task_ids])
+        y_mean = np.concatenate([per_task_y[i] for i in plan.mean_task_ids])
+        try:
+            _train_mean(
+                fold_model,
+                X_mean,
+                y_mean,
+                cfg,
+                fold_rng,
+                manifest,
+                curve_tag=f"fold-{k}",
+                anchor=anchor,
+                anchor_coeff=cfg.l2_anchor_coeff,
             )
+        except TrainingError as err:
+            raise TrainingError(f"fold {k}: {err}") from err
+        drift = max(
+            float(np.max(np.abs(p.data - anchor[p.name])))
+            for p in fold_model.segment_params("extractor")
+        )
+        manifest.stats[f"fold-{k}.anchor_drift_inf"] = drift
+        manifest.log(f"fold:{k}:mean-trained")
 
-            fold_model = DeepGPModel.init(
-                cfg.arch, seed=int(fold_rng.integers(2**31)), has_kernel=False
-            )
-            fold_model.reward_mean = sl_model.reward_mean
-            fold_model.reward_std = sl_model.reward_std
-            X_mean = np.vstack([per_task_X[i] for i in plan.mean_task_ids])
-            y_mean = np.concatenate([per_task_y[i] for i in plan.mean_task_ids])
-            try:
-                _train_mean(
-                    fold_model,
-                    X_mean,
-                    y_mean,
-                    cfg,
-                    fold_rng,
-                    manifest,
-                    curve_tag=f"fold-{k}",
-                    anchor=anchor,
-                    anchor_coeff=cfg.l2_anchor_coeff,
-                )
-            except TrainingError as err:
-                raise TrainingError(f"fold {k}: {err}") from err
-            drift = max(
-                float(np.max(np.abs(p.data - anchor[p.name])))
-                for p in fold_model.segment_params("extractor")
-            )
-            manifest.stats[f"fold-{k}.anchor_drift_inf"] = drift
-            manifest.log(f"fold:{k}:mean-trained")
-
-            for i in plan.kernel_task_ids:
-                X = per_task_X[i]
-                batches.append((
-                    f"kernel meta-training: fold {k} task {tasks[i].task_id}",
-                    fold_model.extract_batch(X),
-                    fold_model.extract_batch(X[:, flip_cols]),
-                    per_task_y[i] - fold_model.mean_batch(X),
-                ))
-                cells.append({"fold": k, "task_id": tasks[i].task_id, "count": len(X)})
-            n_residuals = sum(len(per_task_X[i]) for i in plan.kernel_task_ids)
-            manifest.log(f"fold:{k}:residuals:{n_residuals}")
-        if split_method == "ot":
-            manifest.stats["distance_matrix"] = np.round(distances.matrix(), 6).tolist()
+        for i in plan.kernel_task_ids:
+            X = per_task_X[i]
+            batches.append((
+                f"kernel meta-training: fold {k} task {tasks[i].task_id}",
+                fold_model.extract_batch(X),
+                fold_model.extract_batch(X[:, flip_cols]),
+                per_task_y[i] - fold_model.mean_batch(X),
+            ))
+            cells.append({"fold": k, "task_id": tasks[i].task_id, "count": len(X)})
+        n_residuals = sum(len(per_task_X[i]) for i in plan.kernel_task_ids)
+        manifest.log(f"fold:{k}:residuals:{n_residuals}")
 
     manifest.stats["residual_db_size"] = sum(c["count"] for c in cells)
     manifest.stats["residual_db_cells"] = cells

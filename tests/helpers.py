@@ -171,6 +171,11 @@ class LiveEnvironmentReference:
         return execute_scoop(self.terrain, self.actions[index], self.rng)
 
 
+def flip_patch(patch: np.ndarray) -> np.ndarray:
+    """Flip across the axis perpendicular to the scoop direction."""
+    return np.flip(patch, axis=1).copy()
+
+
 def feature_vector(arch, obs, act) -> np.ndarray:
     """One pair's model feature row."""
     return feature_matrix(arch, [(obs, act)])[0]
@@ -329,25 +334,27 @@ def entropic_transport_cost_reference(C, eps, max_iter=500, tol=1e-6):
     return float(np.sum(P * C)), converged
 
 
-def task_distance_matrix_reference(tasks, params, eps_scale=0.05, max_iter=500, tol=1e-6):
-    """Every pair in index order in this process, self costs rebuilt per
-    pair, solved by the reference Sinkhorn: the oracle for
-    ot.task_distance_matrix and ot.DistanceRows. Returns the matrix and
-    the pairs (i, j), i < j, that did not converge."""
+def task_distance_matrix_reference(tasks, params, max_iter=500, tol=1e-6):
+    """Every pair in index order, its self costs rebuilt and re-solved,
+    all at one eps, 0.05 times the median of every cross-cost entry
+    (pairs i < j), by the reference Sinkhorn: the oracle for
+    ot.task_distance_matrix. Returns the matrix, the eps and the pairs
+    (i, j), i < j, that did not converge."""
     M = len(tasks)
     arrays = [ot._task_arrays(t, params) for t in tasks]
+
+    def cost(i, j):
+        return ot.cost_matrix_arrays(arrays[i], arrays[j], params)
+
+    pairs = [(i, j) for i in range(M) for j in range(i + 1, M)]
+    eps = 0.05 * np.median(np.concatenate([cost(i, j).ravel() for i, j in pairs]))
     D = np.zeros((M, M))
     unconverged = []
-    for i in range(M):
-        for j in range(i + 1, M):
-            C_ab = ot.cost_matrix_arrays(arrays[i], arrays[j], params)
-            eps = ot.pair_epsilon(C_ab, eps_scale)
-            v_ab, ok_ab = entropic_transport_cost_reference(C_ab, eps, max_iter, tol)
-            C_aa = ot.cost_matrix_arrays(arrays[i], arrays[i], params)
-            v_aa, ok_aa = entropic_transport_cost_reference(C_aa, eps, max_iter, tol)
-            C_bb = ot.cost_matrix_arrays(arrays[j], arrays[j], params)
-            v_bb, ok_bb = entropic_transport_cost_reference(C_bb, eps, max_iter, tol)
-            if not (ok_ab and ok_aa and ok_bb):
-                unconverged.append((i, j))
-            D[i, j] = D[j, i] = v_ab - 0.5 * v_aa - 0.5 * v_bb
-    return D, unconverged
+    for i, j in pairs:
+        v_ab, ok_ab = entropic_transport_cost_reference(cost(i, j), eps, max_iter, tol)
+        v_aa, ok_aa = entropic_transport_cost_reference(cost(i, i), eps, max_iter, tol)
+        v_bb, ok_bb = entropic_transport_cost_reference(cost(j, j), eps, max_iter, tol)
+        if not (ok_ab and ok_aa and ok_bb):
+            unconverged.append((i, j))
+        D[i, j] = D[j, i] = v_ab - 0.5 * v_aa - 0.5 * v_bb
+    return D, eps, unconverged

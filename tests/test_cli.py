@@ -144,6 +144,15 @@ def test_validation_errors_exit_1(pipeline, tmp_path, capsys):
         ["gen-data", "--out", str(tmp_path / "d"), "--n-train", "0"],
         ["gen-data", "--out", str(tmp_path / "d"), "--n-train", "1"],
         ["gen-data", "--out", str(tmp_path / "d"), "--n-test", "0"],
+        ["gen-data", "--out", str(tmp_path / "d"), "--seed", "-1"],
+        ["train", "--method", "sl", "--data", str(pipeline["data"]),
+         "--out", str(tmp_path / "m.json"), "--seed", "-1"],
+        ["eval-deploy", "--model", str(pipeline["ckpt"]), "--data", str(pipeline["data"]),
+         "--out", str(tmp_path / "t.jsonl"), "--seed", "-3"],
+        ["eval-deploy", "--model", str(pipeline["ckpt"]), "--data", str(pipeline["data"]),
+         "--out", str(tmp_path / "t.jsonl"), "--mode", "live", "--seed", "-2"],
+        ["eval-kshot", "--model", str(pipeline["ckpt"]), "--data", str(pipeline["data"]),
+         "--out", str(tmp_path / "k.json"), "--seed", "-3"],
     ]
     for method, flag, value in [
         ("sl", "--max-epochs-mean", "0"),
@@ -156,8 +165,21 @@ def test_validation_errors_exit_1(pipeline, tmp_path, capsys):
     for argv in bad:
         assert cli.main(argv) == 1, argv
         assert "error" in capsys.readouterr().err
-    assert not (tmp_path / "d").exists()  # refused before the output directory was made
-    assert not (tmp_path / "m.json").exists()
+    # a report input that is not JSON is named, a trace by its line too
+    lines = Path(pipeline["traces"]).read_text().splitlines()
+    truncated = tmp_path / "truncated.jsonl"
+    truncated.write_text(lines[0] + "\n" + lines[1][: len(lines[1]) // 2] + "\n")
+    mae = tmp_path / "mae.json"
+    mae.write_text(Path(pipeline["mae"]).read_text()[:-1])
+    for argv, where in [
+        (["report", "--traces", str(truncated), "--out", str(tmp_path / "r")],
+         f"{truncated}: line 2"),
+        (["report", "--mae", str(mae), "--out", str(tmp_path / "r")], str(mae)),
+    ]:
+        assert cli.main(argv) == 1, argv
+        assert where in capsys.readouterr().err
+    for out in ("d", "m.json", "t.jsonl", "k.json", "r"):
+        assert not (tmp_path / out).exists(), out  # refused before any output was made
 
 
 def test_version_mismatched_checkpoint_rejected(pipeline, tmp_path):

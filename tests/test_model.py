@@ -11,6 +11,7 @@ from helpers import (
     embed_batch,
     extract_features,
     feature_vector,
+    flip_patch,
     make_task,
     predict,
     predict_mean,
@@ -86,7 +87,7 @@ def test_feature_matrix_equals_stacked_feature_vectors():
 def test_flip_permutation_matches_flipped_patch():
     obs, act = small_obs_act(3)
     x = feature_vector(SMALL, obs, act)
-    flipped = feature_vector(SMALL, M.Observation(M.flip_patch(obs.patch)), act)
+    flipped = feature_vector(SMALL, M.Observation(flip_patch(obs.patch)), act)
     perm = M.flip_permutation(SMALL)
     assert np.array_equal(x[perm], flipped)
 

@@ -1,5 +1,3 @@
-import multiprocessing
-
 import numpy as np
 import pytest
 from helpers import (
@@ -226,36 +224,70 @@ def test_sinkhorn_matches_reference_on_random_costs(shape, seed):
         assert not ot.entropic_transport_cost(C, eps=0.05, max_iter=3, tol=1e-14)[1]
 
 
-def test_distance_rows_match_reference_in_any_order(suite_tasks, distance_path):
-    params = ot.SampleCostParams.from_tasks(suite_tasks)
-    want, _ = task_distance_matrix_reference(suite_tasks, params)
-    order = [4, 3, 2, 1]  # every pair is first asked for by its higher index
-    with ot.DistanceRows(suite_tasks, params, order) as rows:
-        for i in order + [0]:
-            assert rows.wait(i)[i].tobytes() == want[i].tobytes()
-        assert rows.matrix().tobytes() == want.tobytes()
-        # the worker exits after its last row and is reaped when it is collected
-        assert multiprocessing.active_children() == []
-    assert ot.task_distance_matrix(suite_tasks, params).tobytes() == want.tobytes()
+@pytest.mark.parametrize("kind", ["suite", "unequal-sizes"])
+def test_task_distance_matrix_matches_one_eps_reference(suite_tasks, kind):
+    tasks = suite_tasks
+    if kind == "unequal-sizes":  # rectangular cross costs of either orientation
+        tasks = [make_task(f"u{n}", n, seed=n) for n in (9, 14, 11, 14)]
+    params = ot.SampleCostParams.from_tasks(tasks)
+    want, want_eps, unconverged = task_distance_matrix_reference(tasks, params)
+    assert unconverged == []
+    D, eps = ot.task_distance_matrix(tasks, params)
+    assert D.tobytes() == want.tobytes()
+    assert np.float64(eps).tobytes() == np.float64(want_eps).tobytes()
 
 
-def test_distance_rows_warn_in_the_caller(suite_tasks, distance_path):
+@pytest.mark.parametrize("M", [2, 5])
+def test_task_distance_matrix_solves_each_self_term_once(suite_tasks, monkeypatch, M):
+    solve = ot.entropic_transport_cost
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(ot, "entropic_transport_cost", counted)
+    tasks = suite_tasks[:M]
+    ot.task_distance_matrix(tasks, ot.SampleCostParams.from_tasks(tasks))
+    assert len(calls) == M * (M - 1) // 2 + M
+
+
+def test_sinkhorn_divergence_is_the_two_task_matrix(two_tasks, params):
+    D, eps = ot.task_distance_matrix(list(two_tasks), params)
+    A, B = two_tasks
+    assert ot.sinkhorn_divergence(A, B, params, eps) == D[0, 1]
+
+
+def test_task_distance_matrix_warns_naming_the_pair(suite_tasks):
     tasks = suite_tasks[:3]
     params = ot.SampleCostParams.from_tasks(tasks)
-    _, unconverged = task_distance_matrix_reference(tasks, params, max_iter=1)
+    _, _, unconverged = task_distance_matrix_reference(tasks, params, max_iter=1)
     assert unconverged
     with pytest.warns(ot.SinkhornWarning) as record:
         ot.task_distance_matrix(tasks, params, max_iter=1)
-    messages = {str(w.message) for w in record}
+    messages = " ".join(str(w.message) for w in record)
     for i, j in unconverged:
-        assert f"({tasks[i].task_id}, {tasks[j].task_id})" in " ".join(messages)
-    assert multiprocessing.active_children() == []
+        assert f"({tasks[i].task_id}, {tasks[j].task_id})" in messages
+
+
+def test_task_distance_matrix_warns_for_an_unconverged_self_term(suite_tasks, monkeypatch):
+    tasks = suite_tasks[:3]
+    solve = ot.entropic_transport_cost
+
+    def self_terms_fail(C, *args):
+        value, converged = solve(C, *args)
+        return value, converged and not np.array_equal(C, C.T)  # self costs are symmetric
+
+    monkeypatch.setattr(ot, "entropic_transport_cost", self_terms_fail)
+    with pytest.warns(ot.SinkhornWarning) as record:
+        ot.task_distance_matrix(tasks, ot.SampleCostParams.from_tasks(tasks))
+    assert len(record) == 3  # every pair leans on two failed self-terms
 
 
 def test_task_distance_matrix_properties():
     tasks = [make_task(f"t{i}", 10, seed=i) for i in range(4)]
     params = ot.SampleCostParams.from_tasks(tasks)
-    D = ot.task_distance_matrix(tasks, params)
+    D, _ = ot.task_distance_matrix(tasks, params)
     assert np.allclose(D, D.T)
     assert np.all(np.abs(np.diag(D)) <= 1e-6)
     assert np.all(D >= -1e-9)

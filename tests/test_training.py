@@ -1,8 +1,5 @@
 import itertools
 import math
-import multiprocessing
-import os
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +7,7 @@ from helpers import (
     adam_step_reference,
     dense_chain_reference,
     embed_batch,
+    flip_patch,
     make_task,
     nlml_terms_reference,
     noisy_batch_reference,
@@ -17,7 +15,6 @@ from helpers import (
     predict_mean,
 )
 
-from scoopgp import cli
 from scoopgp import model as M
 from scoopgp import ot
 from scoopgp import tensor as T
@@ -65,6 +62,9 @@ def test_config_validation():
         for bad in (0, -1):
             with pytest.raises(ValueError, match="max_epochs"):
                 small_cfg(**{field: bad}).validate()
+    small_cfg(seed=0).validate()
+    with pytest.raises(ValueError, match="seed"):
+        small_cfg(seed=-1).validate()
 
 
 def test_train_sl_memorizes_single_sample():
@@ -223,54 +223,13 @@ def test_kcmd_ot_split_method_uses_distances(tiny_tasks):
     assert "distance_matrix" in manifest.stats
     D = np.array(manifest.stats["distance_matrix"])
     assert D.shape == (4, 4)
+    params = ot.SampleCostParams.from_tasks(tiny_tasks)
+    want, eps = ot.task_distance_matrix(tiny_tasks, params)
+    assert D.tolist() == np.round(want, 6).tolist()
+    assert manifest.stats["distance_eps"] == eps
     assert np.allclose(D, D.T, atol=1e-5)
     for plan in manifest.splits:
         assert plan["ref_task"] in plan["mean_task_ids"]
-
-
-def test_kcmd_ot_bytes_do_not_depend_on_the_worker(tmp_path, monkeypatch):
-    data = tmp_path / "data"
-    assert cli.main(
-        ["gen-data", "--seed", "11", "--out", str(data), "--n-train", "4", "--n-test", "1",
-         "--samples", "40"]
-    ) == 0
-    outputs = {}
-    for cpus in ({0, 1}, {0}):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
-        ckpt = tmp_path / f"cpus{len(cpus)}.json"
-        assert cli.main(
-            ["train", "--method", "kcmd-ot", "--data", str(data), "--out", str(ckpt),
-             "--seed", "2", "--k-folds", "3", "--max-epochs-mean", "8", "--max-epochs-meta", "6"]
-        ) == 0
-        assert multiprocessing.active_children() == []
-        outputs[len(cpus)] = (ckpt.read_bytes(), Path(f"{ckpt}.manifest.json").read_bytes())
-    assert outputs[1] == outputs[2]
-
-
-@pytest.mark.parametrize("failure", ["pair", "interrupt"])
-def test_kcmd_ot_failure_leaves_no_child(tiny_tasks, distance_path, monkeypatch, failure):
-    if failure == "pair":
-        solve = ot.entropic_transport_cost
-        calls = []
-
-        def failing_solve(*args, **kwargs):
-            calls.append(None)
-            if len(calls) == 5:
-                raise FloatingPointError("injected")
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(ot, "entropic_transport_cost", failing_solve)
-        expected = FloatingPointError
-    else:
-
-        def interrupted(*args, **kwargs):
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(TR, "_train_mean", interrupted)  # phase 1, while rows are computed
-        expected = KeyboardInterrupt
-    with pytest.raises(expected, match="injected" if failure == "pair" else None):
-        TR.train_kcmd(tiny_tasks, small_cfg(k_folds=2), split_method="ot")
-    assert multiprocessing.active_children() == []
 
 
 def test_kcmd_huge_anchor_pins_fold_extractors(tiny_tasks):
@@ -288,7 +247,7 @@ def test_kcmd_rejects_bad_split_method(tiny_tasks):
 def test_flip_invariance_after_flip_augmented_training():
     # the toy set is symmetric by construction: training consumes both
     # orientations, so converged predictions should match across flips
-    from scoopgp.model import Observation, flip_patch
+    from scoopgp.model import Observation
 
     task = make_task("sym", 8, seed=21)
     model, _ = TR.train_sl([task], small_cfg(max_epochs_mean=120))
