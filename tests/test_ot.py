@@ -1,3 +1,6 @@
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 from helpers import (
@@ -258,18 +261,6 @@ def test_sinkhorn_divergence_is_the_two_task_matrix(two_tasks, params):
     assert ot.sinkhorn_divergence(A, B, params, eps) == D[0, 1]
 
 
-def test_task_distance_matrix_warns_naming_the_pair(suite_tasks):
-    tasks = suite_tasks[:3]
-    params = ot.SampleCostParams.from_tasks(tasks)
-    _, _, unconverged = task_distance_matrix_reference(tasks, params, max_iter=1)
-    assert unconverged
-    with pytest.warns(ot.SinkhornWarning) as record:
-        ot.task_distance_matrix(tasks, params, max_iter=1)
-    messages = " ".join(str(w.message) for w in record)
-    for i, j in unconverged:
-        assert f"({tasks[i].task_id}, {tasks[j].task_id})" in messages
-
-
 def test_task_distance_matrix_warns_for_an_unconverged_self_term(suite_tasks, monkeypatch):
     tasks = suite_tasks[:3]
     solve = ot.entropic_transport_cost
@@ -282,6 +273,39 @@ def test_task_distance_matrix_warns_for_an_unconverged_self_term(suite_tasks, mo
     with pytest.warns(ot.SinkhornWarning) as record:
         ot.task_distance_matrix(tasks, ot.SampleCostParams.from_tasks(tasks))
     assert len(record) == 3  # every pair leans on two failed self-terms
+
+
+@pytest.fixture(params=["in-process", "worker"])
+def distance_path(request, monkeypatch):
+    """Two usable CPUs ("worker") or one ("in-process"). Distances used
+    to be computed by a forked worker on two; now both compute them in
+    this process, and must give the same bits and start no child."""
+    cpus = {0, 1} if request.param == "worker" else {0}
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    return request.param
+
+
+def test_distance_rows_match_reference_in_any_order(suite_tasks, distance_path):
+    params = ot.SampleCostParams.from_tasks(suite_tasks)
+    want, want_eps, _ = task_distance_matrix_reference(suite_tasks, params)
+    for order in ([0, 1, 2, 3, 4], [4, 3, 2, 1, 0], [2, 0, 4, 1, 3]):
+        D, eps = ot.task_distance_matrix([suite_tasks[i] for i in order], params)
+        assert D.tobytes() == want[np.ix_(order, order)].tobytes()
+        assert np.float64(eps).tobytes() == np.float64(want_eps).tobytes()
+    assert multiprocessing.active_children() == []
+
+
+def test_distance_rows_warn_in_the_caller(suite_tasks, distance_path):
+    tasks = suite_tasks[:3]
+    params = ot.SampleCostParams.from_tasks(tasks)
+    _, _, unconverged = task_distance_matrix_reference(tasks, params, max_iter=1)
+    assert unconverged
+    with pytest.warns(ot.SinkhornWarning) as record:
+        ot.task_distance_matrix(tasks, params, max_iter=1)
+    messages = " ".join(str(w.message) for w in record)
+    for i, j in unconverged:
+        assert f"({tasks[i].task_id}, {tasks[j].task_id})" in messages
+    assert multiprocessing.active_children() == []
 
 
 def test_task_distance_matrix_properties():
