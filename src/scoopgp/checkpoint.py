@@ -15,7 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from .gp import KernelParams
-from .model import Architecture, DeepGPModel
+from .model import Architecture, DeepGPModel, record_dict
 
 SCHEMA_VERSION = 1
 
@@ -35,13 +35,13 @@ def save_checkpoint(
         "schema_version": SCHEMA_VERSION,
         "method": method,
         "seed": seed,
-        "architecture": model.arch.to_dict(),
+        "architecture": record_dict(model.arch),
         "has_kernel": model.has_kernel,
         "normalization": {
             "reward_mean": model.reward_mean,
             "reward_std": model.reward_std,
         },
-        "kernel_params": model.kp.to_dict(),
+        "kernel_params": record_dict(model.kp),
         "manifest_digest": manifest_digest,
         "weights": T.weights_to_json(dict(sorted(model.weights.items()))),
     }

@@ -23,7 +23,6 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +37,7 @@ from .decision import (
     ReplayEnvironment,
     run_episode,
 )
-from .model import Architecture
+from .model import record_dict
 from .terrain import (
     TerrainInstance,
     TerrainTask,
@@ -54,36 +53,6 @@ SUITE_SCHEMA = 1
 
 class ConfigError(ValueError):
     """Invalid flags, missing files, or inconsistent artifacts."""
-
-
-@dataclass
-class ExperimentConfig:
-    """Validated evaluation settings shared by the eval subcommands."""
-
-    method: str
-    mode: str = "replay"
-    policy: str = "auto"
-    gamma: float = 2.0
-    max_attempts: int = 20
-    reps: int = 3
-    seed: int = 0
-    shots: tuple[int, ...] = (0, 5, 10)
-
-    def validate(self) -> None:
-        if self.mode not in ("replay", "live"):
-            raise ConfigError(f"mode: {self.mode!r} not one of replay|live")
-        if self.policy not in ("auto", "ucb", "greedy"):
-            raise ConfigError(f"policy: {self.policy!r} not one of auto|ucb|greedy")
-        if self.gamma < 0:
-            raise ConfigError("gamma: must be nonnegative")
-        if self.max_attempts < 1:
-            raise ConfigError("max-attempts: must be positive")
-        if self.reps < 1:
-            raise ConfigError("reps: must be positive")
-        if self.seed < 0:
-            raise ConfigError("seed: must be nonnegative")
-        if any(s < 0 for s in self.shots):
-            raise ConfigError("shots: must be nonnegative")
 
 
 def _resolve(path: str) -> Path:
@@ -191,7 +160,6 @@ def cmd_train(args) -> None:
         max_epochs_mean=args.max_epochs_mean,
         max_epochs_meta=args.max_epochs_meta,
         split_rule=args.split_rule,
-        arch=Architecture(),
     )
     try:
         cfg.validate(n_tasks=len(tasks) if args.method.startswith("kcmd") else None)
@@ -207,7 +175,7 @@ def cmd_train(args) -> None:
 
     out = _resolve(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    manifest_bytes = json.dumps(manifest.to_dict()).encode()
+    manifest_bytes = json.dumps(record_dict(manifest)).encode()
     digest = hashlib.sha256(manifest_bytes).hexdigest()
     Path(str(out) + ".manifest.json").write_bytes(manifest_bytes)
     save_checkpoint(model, out, method=args.method, seed=args.seed, manifest_digest=digest)
@@ -217,25 +185,24 @@ def cmd_train(args) -> None:
 # --- eval-deploy ---------------------------------------------------------------
 
 
-def _auto_policy(args, model) -> Policy:
-    if args.policy == "greedy":
-        return Policy.greedy()
-    if args.policy == "ucb":
-        return Policy.ucb(args.gamma)
-    # auto, the one policy ExperimentConfig.validate leaves
-    return Policy.greedy() if not model.has_kernel else Policy.ucb(args.gamma)
-
-
 def cmd_eval_deploy(args) -> None:
+    if args.mode not in ("replay", "live"):
+        raise ConfigError(f"mode: {args.mode!r} not one of replay|live")
+    if args.policy not in ("auto", "ucb", "greedy"):
+        raise ConfigError(f"policy: {args.policy!r} not one of auto|ucb|greedy")
+    if args.gamma < 0:
+        raise ConfigError("gamma: must be nonnegative")
+    if args.max_attempts < 1:
+        raise ConfigError("max-attempts: must be positive")
+    if args.reps < 1:
+        raise ConfigError("reps: must be positive")
+    if args.seed < 0:
+        raise ConfigError("seed: must be nonnegative")
     data_dir = _require_dir(_resolve(args.data), "data")
     model, meta = load_checkpoint(_resolve(args.model))
-    cfg = ExperimentConfig(
-        method=meta["method"], mode=args.mode, policy=args.policy,
-        gamma=args.gamma, max_attempts=args.max_attempts, reps=args.reps,
-        seed=args.seed,
-    )
-    cfg.validate()
-    policy = _auto_policy(args, model)
+    # auto is greedy for a model without a kernel, which has no variance
+    greedy = args.policy == "greedy" or (args.policy == "auto" and not model.has_kernel)
+    policy = Policy.greedy() if greedy else Policy.ucb(args.gamma)
     task_filter = set(args.tasks.split(",")) if args.tasks else None
     worlds = load_suite_terrains(data_dir) if args.mode == "live" else {}
 
@@ -285,10 +252,12 @@ def cmd_eval_kshot(args) -> None:
         shots = sorted({int(s) for s in args.shots.split(",")})
     except ValueError as err:
         raise ConfigError(f"shots: {args.shots!r} is not a comma list of ints") from err
+    if args.seed < 0:
+        raise ConfigError("seed: must be nonnegative")
+    if shots[0] < 0:
+        raise ConfigError("shots: must be nonnegative")
     data_dir = _require_dir(_resolve(args.data), "data")
     model, meta = load_checkpoint(_resolve(args.model))
-    cfg = ExperimentConfig(method=meta["method"], shots=tuple(shots), seed=args.seed)
-    cfg.validate()
 
     per_task: dict[str, dict[str, float]] = {}
     for task_index, path in enumerate(_task_files(data_dir, "test")):
@@ -337,8 +306,12 @@ def read_traces(paths) -> list[EpisodeTrace]:
         with Path(path).open() as fh:
             for n, line in enumerate(fh, 1):
                 if line.strip():
-                    payload = _parse_json(line, f"traces: {path}: line {n}")
-                    traces.append(EpisodeTrace.from_dict(payload))
+                    where = f"traces: {path}: line {n}"
+                    payload = _parse_json(line, where)
+                    try:
+                        traces.append(EpisodeTrace.from_dict(payload))
+                    except (KeyError, TypeError, ValueError) as err:
+                        raise ConfigError(f"{where} is not an episode trace: {err!r}") from err
     return traces
 
 
@@ -387,8 +360,6 @@ def aggregate_metrics(traces: list[EpisodeTrace], mae_tables: list[dict]) -> dic
     accuracy: dict[str, dict] = {}
     accuracy_seeds: dict[str, dict] = {}
     for table in mae_tables:
-        if "method" not in table or "mean" not in table:
-            raise ConfigError("mae: table missing method/mean fields (mixed schema?)")
         bucket = accuracy.setdefault(table["method"], {})
         for k, v in table["mean"].items():
             bucket.setdefault(k, []).append(v)
@@ -469,6 +440,9 @@ def cmd_report(args) -> None:
     traces = read_traces([_resolve(p) for p in args.traces or []])
     mae_paths = [_resolve(p) for p in args.mae or []]
     mae_tables = [_parse_json(p.read_text(), f"mae: {p}") for p in mae_paths]
+    for path, table in zip(mae_paths, mae_tables):
+        if not (isinstance(table, dict) and "method" in table and isinstance(table.get("mean"), dict)):
+            raise ConfigError(f"mae: {path} is not an object with method and a mean object")
     if not traces and not mae_tables:
         raise ConfigError("report: need at least one --traces or --mae input")
     summary = aggregate_metrics(traces, mae_tables)
@@ -518,13 +492,13 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--method", required=True, choices=METHODS)
     t.add_argument("--data", required=True)
     t.add_argument("--out", required=True)
-    t.add_argument("--seed", type=int, default=0)
-    t.add_argument("--k-folds", type=int, default=10)
-    t.add_argument("--patience", type=int, default=5)
-    t.add_argument("--batch-size", type=int, default=128)
-    t.add_argument("--max-epochs-mean", type=int, default=150)
-    t.add_argument("--max-epochs-meta", type=int, default=150)
-    t.add_argument("--split-rule", choices=("median", "count"), default="median")
+    t.add_argument("--seed", type=int, default=TrainConfig.seed)
+    t.add_argument("--k-folds", type=int, default=TrainConfig.k_folds)
+    t.add_argument("--patience", type=int, default=TrainConfig.patience)
+    t.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    t.add_argument("--max-epochs-mean", type=int, default=TrainConfig.max_epochs_mean)
+    t.add_argument("--max-epochs-meta", type=int, default=TrainConfig.max_epochs_meta)
+    t.add_argument("--split-rule", choices=("median", "count"), default=TrainConfig.split_rule)
     t.set_defaults(func=cmd_train)
 
     d = sub.add_parser("eval-deploy", help="simulated deployment episodes")

@@ -31,6 +31,7 @@ from .model import (
     ScoopAction,
     TrajectoryConstants,
     feature_matrix,
+    record_dict,
     validate_patches,
 )
 
@@ -183,13 +184,13 @@ def save_task_dataset(ds: TaskDataset, path) -> None:
         "schema_version": SCHEMA_VERSION,
         "task_id": ds.task_id,
         "patch_shape": list(patches.shape[1:]),
-        "trajectory_constants": ds.constants.to_dict(),
+        "trajectory_constants": record_dict(ds.constants),
         "ground_truth": ds.ground_truth,
     }
     # "patch" is the last key of a record and "records" the last key of
     # the payload, so each closing brace is cut and the list spliced in
     records = [
-        json.dumps({"action": r.action.to_dict(), "reward": reward})[:-1]
+        json.dumps({"action": record_dict(r.action), "reward": reward})[:-1]
         + ', "patch": [' + body + "]}"
         for r, reward, body in zip(ds.records, rewards, _json_rows(rounded.reshape(len(rewards), -1)))
     ]

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import TaskDataset
-from .model import DEPTH_MAX, DEPTH_MIN, N_YAW, ScoopAction, action_rows, feature_rows
+from .model import DEPTH_MAX, DEPTH_MIN, N_YAW, ScoopAction, action_rows, feature_rows, record_dict
 from .terrain import (
     PATCH_CHANNELS,
     TerrainTask,
@@ -65,12 +65,6 @@ class ActionGrid:
                         for s in range(self.n_stiffness):
                             actions.append(ScoopAction(float(x), float(y), yaw, float(d), s))
         return actions
-
-    def to_dict(self) -> dict:
-        return {
-            "nx": self.nx, "ny": self.ny, "n_yaw": self.n_yaw,
-            "nd": self.nd, "n_stiffness": self.n_stiffness, "margin": self.margin,
-        }
 
 
 @dataclass(frozen=True)
@@ -126,14 +120,6 @@ class EpisodeStep:
     reward: float
     score: float
 
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "action": self.action.to_dict(),
-            "reward": self.reward,
-            "score": self.score,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "EpisodeStep":
         return cls(d["index"], ScoopAction.from_dict(d["action"]), d["reward"], d["score"])
@@ -174,7 +160,7 @@ class EpisodeTrace:
             "attempts": self.attempts,
             "fault": self.fault,
             "meta": self.meta,
-            "steps": [s.to_dict() for s in self.steps],
+            "steps": [record_dict(s) for s in self.steps],
         }
 
     @classmethod

@@ -54,13 +54,6 @@ class KernelParams:
             if not (0.0 < v < math.inf):
                 raise ValueError(f"{name} must be positive and finite, got {v}")
 
-    def to_dict(self) -> dict:
-        return {
-            "log_lengthscale": self.log_lengthscale,
-            "log_outputscale": self.log_outputscale,
-            "log_noise": self.log_noise,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "KernelParams":
         return cls(d["log_lengthscale"], d["log_outputscale"], d["log_noise"])

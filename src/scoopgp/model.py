@@ -10,7 +10,7 @@ for the residual GP.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -29,6 +29,17 @@ _DEPTH_HALF = 0.5 * (DEPTH_MAX - DEPTH_MIN)
 JSON_NUMBERS = (int, float)
 
 
+def record_dict(record) -> dict:
+    """A dataclass record's fields in declaration order, each nested record
+    as its own dict: the JSON object every artifact writes for it. Unlike
+    dataclasses.asdict it copies no value, a cost the dataset and trace
+    writers would pay once per record."""
+    return {
+        k: record_dict(v) if hasattr(v, "__dataclass_fields__") else v
+        for k, v in vars(record).items()
+    }
+
+
 @dataclass(frozen=True)
 class TrajectoryConstants:
     """Fixed scoop-trajectory parameters, recorded with every dataset."""
@@ -42,20 +53,14 @@ class TrajectoryConstants:
     torsion_stiffness_soft: float = 6.0
     torsion_stiffness_hard: float = 20.0
 
-    def to_dict(self) -> dict:
-        return {
-            "attack_angle_deg": self.attack_angle_deg,
-            "drag_length_m": self.drag_length_m,
-            "closing_angle_deg": self.closing_angle_deg,
-            "lift_height_m": self.lift_height_m,
-            "linear_stiffness_soft": self.linear_stiffness_soft,
-            "linear_stiffness_hard": self.linear_stiffness_hard,
-            "torsion_stiffness_soft": self.torsion_stiffness_soft,
-            "torsion_stiffness_hard": self.torsion_stiffness_hard,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "TrajectoryConstants":
+        """Refuses, with ValueError, a missing or unknown constant and a
+        value that is not a finite number; a JSON boolean is not one."""
+        names = [f.name for f in fields(cls)]
+        if not (isinstance(d, dict) and sorted(d) == sorted(names)
+                and all(type(v) in JSON_NUMBERS and math.isfinite(v) for v in d.values())):
+            raise ValueError(f"trajectory constants {d!r} are not finite numbers named {names}")
         return cls(**d)
 
 
@@ -92,15 +97,6 @@ class ScoopAction:
         return np.array(
             [self.x, self.y, self.yaw_angle, self.depth, float(self.stiffness)]
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "x": self.x,
-            "y": self.y,
-            "yaw": self.yaw,
-            "depth": self.depth,
-            "stiffness": self.stiffness,
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScoopAction":
@@ -166,17 +162,6 @@ class Architecture:
     @property
     def feature_dim(self) -> int:
         return self.extractor_widths[-1]
-
-    def to_dict(self) -> dict:
-        return {
-            "channels": self.channels,
-            "patch_h": self.patch_h,
-            "patch_w": self.patch_w,
-            "extractor_widths": list(self.extractor_widths),
-            "mean_widths": list(self.mean_widths),
-            "kernel_widths": list(self.kernel_widths),
-            "embed_dim": self.embed_dim,
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "Architecture":

@@ -66,15 +66,6 @@ class SampleCostParams:
             channel_ranges=ranges,
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "c_image": self.c_image,
-            "c_action": self.c_action,
-            "c_reward": self.c_reward,
-            "histogram_bins": self.histogram_bins,
-            "channel_ranges": [list(r) for r in self.channel_ranges],
-        }
-
 
 def _task_patches(task: TaskDataset) -> np.ndarray:
     return np.stack([rec.obs.patch for rec in task.records])
@@ -324,17 +315,6 @@ class SplitPlan:
             raise SplitError(f"fold {self.fold_index}: overlapping splits")
         if mean_set | kernel_set != set(range(n_tasks)):
             raise SplitError(f"fold {self.fold_index}: splits do not cover all tasks")
-
-    def to_dict(self) -> dict:
-        return {
-            "fold_index": self.fold_index,
-            "ref_task": self.ref_task,
-            "mean_task_ids": list(self.mean_task_ids),
-            "kernel_task_ids": list(self.kernel_task_ids),
-            "split_method": self.split_method,
-            "degenerate": self.degenerate,
-            "material_overlap": self.material_overlap,
-        }
 
 
 def half_split(order) -> tuple[list[int], list[int]]:

@@ -15,7 +15,7 @@ the heightfield and may expose a hidden layer).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .model import (
     Observation,
     ScoopAction,
     TrajectoryConstants,
+    record_dict,
 )
 
 EXTENT = (0.9, 0.6)
@@ -44,7 +45,6 @@ NOISE_FLOOR_STD = 0.4
 SLOPE_FREE_DEG = 15.0
 STIFF_MISMATCH = 0.85
 APPEARANCE_MARGIN = 0.12
-APPEARANCE_NOISE = 0.02
 HEIGHT_NOISE = 0.002
 # three appearance channels, then the height
 PATCH_CHANNELS = 4
@@ -68,18 +68,6 @@ class LatentMaterial:
     @property
     def scoopable(self) -> bool:
         return self.peak_volume > 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "color": list(self.color),
-            "texture_scale": self.texture_scale,
-            "peak_volume": self.peak_volume,
-            "peak_depth": self.peak_depth,
-            "depth_width": self.depth_width,
-            "jam_penalty": self.jam_penalty,
-            "stiffness_pref": self.stiffness_pref,
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "LatentMaterial":
@@ -122,16 +110,11 @@ class TerrainInstance:
     cell: float = CELL
 
     def copy(self) -> "TerrainInstance":
-        return TerrainInstance(
+        return replace(
+            self,
             surface=self.surface.copy(),
             heightfield=self.heightfield.copy(),
-            materials=self.materials,
-            composition=self.composition,
-            seed=self.seed,
             hidden=None if self.hidden is None else self.hidden.copy(),
-            layer_depth=self.layer_depth,
-            extent=self.extent,
-            cell=self.cell,
         )
 
     def material_ids(self) -> list[str]:
@@ -144,7 +127,7 @@ class TerrainInstance:
         return {
             "surface": self.surface.astype(int).tolist(),
             "heightfield": np.round(self.heightfield, 6).tolist(),
-            "materials": [m.to_dict() for m in self.materials],
+            "materials": [record_dict(m) for m in self.materials],
             "composition": self.composition,
             "seed": self.seed,
             "hidden": None if self.hidden is None else self.hidden.astype(int).tolist(),
@@ -827,17 +810,16 @@ def collect_offline(task: TerrainTask, n_samples: int = 100, seed: int = 0) -> T
         ScoopRecord(obs=Observation(patch), action=act, reward=reward)
         for patch, act, reward in zip(patches, actions, rewards)
     ]
+    material_ids = terrain.material_ids()
     return TaskDataset(
         task_id=task.task_id,
         records=records,
         constants=TrajectoryConstants(),
         ground_truth={
             "composition": task.composition,
-            "materials": terrain.material_ids(),
+            "materials": material_ids,
             "material_table": {
-                m.id: m.to_dict()
-                for m in terrain.materials
-                if m.id in terrain.material_ids()
+                m.id: record_dict(m) for m in terrain.materials if m.id in material_ids
             },
             "layer_depth": terrain.layer_depth,
             "collect_seed": seed,

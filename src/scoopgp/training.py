@@ -35,7 +35,7 @@ from . import gp
 from . import ot
 from . import tensor as T
 from .data import TaskDataset
-from .model import Architecture, DeepGPModel, flip_permutation, init_segment_weights
+from .model import Architecture, DeepGPModel, flip_permutation, init_segment_weights, record_dict
 
 SPLIT_METHODS = ("ot", "random", "manual")
 
@@ -75,21 +75,6 @@ class TrainConfig:
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
-    def to_dict(self) -> dict:
-        return {
-            "k_folds": self.k_folds,
-            "lr_mean": self.lr_mean,
-            "lr_kernel": self.lr_kernel,
-            "patience": self.patience,
-            "validation_fraction": self.validation_fraction,
-            "l2_anchor_coeff": self.l2_anchor_coeff,
-            "seed": self.seed,
-            "batch_size": self.batch_size,
-            "max_epochs_mean": self.max_epochs_mean,
-            "max_epochs_meta": self.max_epochs_meta,
-            "split_rule": self.split_rule,
-            "arch": self.arch.to_dict(),
-        }
 
 
 @dataclass
@@ -105,18 +90,6 @@ class TrainingManifest:
 
     def log(self, event: str) -> None:
         self.events.append(event)
-
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "seed": self.seed,
-            "config": self.config,
-            "events": self.events,
-            "splits": self.splits,
-            "loss_curves": self.loss_curves,
-            "kernel_params": self.kernel_params,
-            "stats": self.stats,
-        }
 
 
 def weight_digest(arrays: dict[str, np.ndarray]) -> str:
@@ -286,7 +259,7 @@ def train_sl(
     if not tasks:
         raise ValueError("train_sl needs at least one task")
     cfg.validate()
-    manifest = TrainingManifest("sl", cfg.seed, cfg.to_dict())
+    manifest = TrainingManifest("sl", cfg.seed, record_dict(cfg))
     rng = np.random.default_rng(cfg.seed)
     model = DeepGPModel.init(cfg.arch, seed=cfg.seed, has_kernel=False)
     model.reward_mean, model.reward_std = _reward_stats(tasks)
@@ -304,7 +277,7 @@ def train_sl(
 def _kp_tensors(kp: gp.KernelParams) -> dict[str, T.Tensor]:
     return {
         name: T.Tensor(np.asarray(value), requires_grad=True, name=f"kp.{name}")
-        for name, value in kp.to_dict().items()
+        for name, value in record_dict(kp).items()
     }
 
 
@@ -384,7 +357,7 @@ def _meta_train(
     stopper.restore()
     model.kp = gp.KernelParams(**{name: float(t.data) for name, t in kpt.items()})
     manifest.loss_curves[curve_tag] = curve
-    manifest.kernel_params = model.kp.to_dict()
+    manifest.kernel_params = record_dict(model.kp)
     return stopper.best_epoch, orders
 
 
@@ -396,7 +369,7 @@ def train_dkmt(
     if not tasks:
         raise ValueError("train_dkmt needs at least one task")
     cfg.validate()
-    manifest = TrainingManifest("dkmt", cfg.seed, cfg.to_dict())
+    manifest = TrainingManifest("dkmt", cfg.seed, record_dict(cfg))
     rng = np.random.default_rng(cfg.seed)
     model = DeepGPModel.init(cfg.arch, seed=cfg.seed, has_kernel=True)
     model.reward_mean, model.reward_std = _reward_stats(tasks)
@@ -499,7 +472,7 @@ def train_kcmd(
     refs = fold_rng.permutation(len(tasks))[: cfg.k_folds]
     # phase 1: pooled mean model, retained for the returned model
     sl_model, sl_manifest = train_sl(tasks, cfg)
-    manifest = TrainingManifest(f"kcmd-{split_method}", cfg.seed, cfg.to_dict())
+    manifest = TrainingManifest(f"kcmd-{split_method}", cfg.seed, record_dict(cfg))
     manifest.events.extend(sl_manifest.events)
     manifest.loss_curves.update(sl_manifest.loss_curves)
     manifest.stats.update(sl_manifest.stats)
@@ -540,7 +513,7 @@ def train_kcmd(
         else:
             plan = manual_plans[k]
         plan.validate(len(tasks))
-        manifest.splits.append(plan.to_dict())
+        manifest.splits.append(record_dict(plan))
         manifest.log(
             f"fold:{k}:split:ref={plan.ref_task}:mean={len(plan.mean_task_ids)}"
             f":kernel={len(plan.kernel_task_ids)}"

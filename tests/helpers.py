@@ -13,6 +13,7 @@ from scoopgp.model import (
     TrajectoryConstants,
     action_rows,
     feature_matrix,
+    record_dict,
 )
 from scoopgp.terrain import (
     FOOT_MARGIN,
@@ -136,7 +137,7 @@ def collect_offline_reference(task, n_samples=100, seed=0):
         ground_truth={
             "composition": task.composition,
             "materials": t.material_ids(),
-            "material_table": {m.id: m.to_dict() for m in t.materials if m.id in t.material_ids()},
+            "material_table": {m.id: record_dict(m) for m in t.materials if m.id in t.material_ids()},
             "layer_depth": t.layer_depth,
             "collect_seed": seed,
         },
@@ -286,11 +287,11 @@ def save_task_dataset_reference(ds, path):
         "schema_version": SCHEMA_VERSION,
         "task_id": ds.task_id,
         "patch_shape": list(ds.records[0].obs.patch.shape),
-        "trajectory_constants": ds.constants.to_dict(),
+        "trajectory_constants": record_dict(ds.constants),
         "ground_truth": ds.ground_truth,
         "records": [
             {
-                "action": r.action.to_dict(),
+                "action": record_dict(r.action),
                 "reward": round(float(r.reward), 6),
                 "patch": [round(float(v), 6) for v in r.obs.patch.ravel()],
             }

@@ -62,6 +62,43 @@ def test_gen_data_artifacts(pipeline):
     assert oracle.ground_truth and "material_table" in oracle.ground_truth
 
 
+def test_records_are_written_in_field_order(pipeline):
+    """Each record is written as its dataclass fields in declaration
+    order, so that order is the artifacts' on-disk format."""
+    ckpt = json.loads(Path(pipeline["ckpt"]).read_text())
+    manifest = json.loads(Path(str(pipeline["ckpt"]) + ".manifest.json").read_text())
+    dataset = json.loads((pipeline["data"] / "tasks" / "train-00.json").read_text())
+    suite = json.loads((pipeline["data"] / "suite.json").read_text())
+    step = json.loads(pipeline["traces"].read_text().splitlines()[0])["steps"][0]
+    arch = ["channels", "patch_h", "patch_w", "extractor_widths", "mean_widths",
+            "kernel_widths", "embed_dim"]
+    action = ["x", "y", "yaw", "depth", "stiffness"]
+    for record, keys in [
+        (ckpt["architecture"], arch),
+        (ckpt["kernel_params"], ["log_lengthscale", "log_outputscale", "log_noise"]),
+        (manifest, ["method", "seed", "config", "events", "splits", "loss_curves",
+                    "kernel_params", "stats"]),
+        (manifest["config"], ["k_folds", "lr_mean", "lr_kernel", "patience",
+                              "validation_fraction", "l2_anchor_coeff", "seed", "batch_size",
+                              "max_epochs_mean", "max_epochs_meta", "split_rule", "arch"]),
+        (manifest["config"]["arch"], arch),
+        (manifest["splits"][0], ["fold_index", "ref_task", "mean_task_ids", "kernel_task_ids",
+                                 "split_method", "degenerate", "material_overlap"]),
+        (dataset["trajectory_constants"], ["attack_angle_deg", "drag_length_m",
+                                           "closing_angle_deg", "lift_height_m",
+                                           "linear_stiffness_soft", "linear_stiffness_hard",
+                                           "torsion_stiffness_soft", "torsion_stiffness_hard"]),
+        (dataset["records"][0]["action"], action),
+        (suite["tasks"][0]["terrain"]["materials"][0], ["id", "color", "texture_scale",
+                                                        "peak_volume", "peak_depth",
+                                                        "depth_width", "jam_penalty",
+                                                        "stiffness_pref"]),
+        (step, ["index", "action", "reward", "score"]),
+        (step["action"], action),
+    ]:
+        assert list(record) == keys
+
+
 def test_checkpoint_roundtrip_bit_exact(pipeline, tmp_path):
     model, meta = load_checkpoint(pipeline["ckpt"])
     assert meta["method"] == "kcmd-ot" and meta["seed"] == 1
@@ -153,7 +190,12 @@ def test_validation_errors_exit_1(pipeline, tmp_path, capsys):
          "--out", str(tmp_path / "t.jsonl"), "--mode", "live", "--seed", "-2"],
         ["eval-kshot", "--model", str(pipeline["ckpt"]), "--data", str(pipeline["data"]),
          "--out", str(tmp_path / "k.json"), "--seed", "-3"],
+        ["eval-kshot", "--model", str(pipeline["ckpt"]), "--data", str(pipeline["data"]),
+         "--out", str(tmp_path / "k.json"), "--shots=-1,2"],
     ]
+    for flag, value in [("--policy", "bogus"), ("--gamma", "-1"), ("--reps", "0")]:
+        bad.append(["eval-deploy", "--model", str(pipeline["ckpt"]), "--data",
+                    str(pipeline["data"]), "--out", str(tmp_path / "t.jsonl"), flag, value])
     for method, flag, value in [
         ("sl", "--max-epochs-mean", "0"),
         ("dkmt", "--max-epochs-meta", "0"),
@@ -165,16 +207,24 @@ def test_validation_errors_exit_1(pipeline, tmp_path, capsys):
     for argv in bad:
         assert cli.main(argv) == 1, argv
         assert "error" in capsys.readouterr().err
-    # a report input that is not JSON is named, a trace by its line too
+    # a report input that is not JSON, or JSON of the wrong shape, is
+    # named, a trace by its line too
     lines = Path(pipeline["traces"]).read_text().splitlines()
     truncated = tmp_path / "truncated.jsonl"
     truncated.write_text(lines[0] + "\n" + lines[1][: len(lines[1]) // 2] + "\n")
+    shapeless = tmp_path / "shapeless.jsonl"
+    shapeless.write_text(lines[0] + "\n{}\n")
     mae = tmp_path / "mae.json"
     mae.write_text(Path(pipeline["mae"]).read_text()[:-1])
+    number = tmp_path / "number.json"
+    number.write_text("5")
     for argv, where in [
         (["report", "--traces", str(truncated), "--out", str(tmp_path / "r")],
          f"{truncated}: line 2"),
+        (["report", "--traces", str(shapeless), "--out", str(tmp_path / "r")],
+         f"{shapeless}: line 2"),
         (["report", "--mae", str(mae), "--out", str(tmp_path / "r")], str(mae)),
+        (["report", "--mae", str(number), "--out", str(tmp_path / "r")], str(number)),
     ]:
         assert cli.main(argv) == 1, argv
         assert where in capsys.readouterr().err

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from helpers import make_task, save_task_dataset_reference
 from scoopgp import data
 from scoopgp.data import DatasetError, load_task_dataset, save_task_dataset
+from scoopgp.model import TrajectoryConstants, record_dict
 from scoopgp.terrain import collect_offline, generate_suite
 
 
@@ -117,3 +118,33 @@ def test_load_refuses_boolean_patch_values_but_not_equal_floats(tmp_path):
         path.write_text(json.dumps(bad))
         with pytest.raises(DatasetError, match=f"record 1: patch value {k} is a boolean"):
             load_task_dataset(path)
+
+
+_CONSTANTS = record_dict(TrajectoryConstants())
+
+
+@pytest.mark.parametrize(
+    "constants",
+    [
+        {"attack_angle_deg": "abc"},
+        {**_CONSTANTS, "attack_angle_deg": "abc"},
+        {**_CONSTANTS, "drag_length_m": True},
+        {**_CONSTANTS, "lift_height_m": float("nan")},
+        {**_CONSTANTS, "closing_angle_deg": None},
+        {k: v for k, v in _CONSTANTS.items() if k != "torsion_stiffness_hard"},
+        {**_CONSTANTS, "scoop_speed": 1.0},
+        [135.0],
+    ],
+    ids=["one-string", "string", "boolean", "nan", "null", "missing", "extra", "list"],
+)
+def test_load_refuses_malformed_trajectory_constants(tmp_path, constants):
+    path = tmp_path / "constants.json"
+    save_task_dataset(make_task("constants", 3, seed=2), path)
+    payload = json.loads(path.read_text())
+    payload["trajectory_constants"] = {**_CONSTANTS, "attack_angle_deg": 135}
+    path.write_text(json.dumps(payload))
+    assert load_task_dataset(path).constants == TrajectoryConstants()  # an integer is a number
+    payload["trajectory_constants"] = constants
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DatasetError, match="trajectory constants"):
+        load_task_dataset(path)

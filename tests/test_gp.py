@@ -6,6 +6,7 @@ from helpers import nlml_reference, nlml_terms_reference
 
 from scoopgp import gp
 from scoopgp import tensor as T
+from scoopgp.model import record_dict
 
 
 def brute_posterior(Z, y, q, kp):
@@ -155,8 +156,8 @@ def test_nlml_gradients_match_finite_differences(seed):
     h = 1e-5
 
     def fd(param):
-        lo = gp.KernelParams(**{**kp.to_dict(), param: kp.to_dict()[param] - h})
-        hi = gp.KernelParams(**{**kp.to_dict(), param: kp.to_dict()[param] + h})
+        lo = gp.KernelParams(**{**record_dict(kp), param: getattr(kp, param) - h})
+        hi = gp.KernelParams(**{**record_dict(kp), param: getattr(kp, param) + h})
         return (nlml_reference(Z, y, hi) - nlml_reference(Z, y, lo)) / (2 * h)
 
     for g, param in ((g_l, "log_lengthscale"), (g_os, "log_outputscale"), (g_n, "log_noise")):

@@ -202,7 +202,7 @@ def test_dataset_roundtrip_and_views(tmp_path):
     assert oracle.ground_truth["materials"] == ["train-1"]
     assert len(learner) == 6
     assert np.allclose(learner.rewards, np.round(task.rewards, 6))
-    assert learner.records[2].action.to_dict() == task.records[2].action.to_dict()
+    assert M.record_dict(learner.records[2].action) == M.record_dict(task.records[2].action)
     assert np.allclose(
         learner.records[3].obs.patch, task.records[3].obs.patch, atol=1e-6
     )

@@ -149,7 +149,7 @@ def test_meta_training_stops_patience_after_the_best_epoch(tiny_tasks, method, m
     model, manifest, curve, best = _train_meta(tiny_tasks, method, max_epochs_meta=max_epochs_meta)
     assert curve.index(min(curve)) == best
     assert len(curve) == min(best + small_cfg().patience + 1, max_epochs_meta)
-    assert model.kp.to_dict() == manifest.kernel_params
+    assert M.record_dict(model.kp) == manifest.kernel_params
 
 
 @pytest.mark.parametrize("method", ["dkmt", "kcmd-random"])
