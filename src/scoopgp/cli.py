@@ -309,9 +309,14 @@ def read_traces(paths) -> list[EpisodeTrace]:
                     where = f"traces: {path}: line {n}"
                     payload = _parse_json(line, where)
                     try:
-                        traces.append(EpisodeTrace.from_dict(payload))
+                        tr = EpisodeTrace.from_dict(payload)
                     except (KeyError, TypeError, ValueError) as err:
                         raise ConfigError(f"{where} is not an episode trace: {err!r}") from err
+                    if not (isinstance(tr.meta, dict) and isinstance(tr.meta.get("method", ""), str)):
+                        raise ConfigError(f"{where}: meta is not an object with a method string")
+                    if type(tr.max_attempts) is not int or type(tr.success) is not bool:
+                        raise ConfigError(f"{where}: max_attempts is not an integer or success not a boolean")
+                    traces.append(tr)
     return traces
 
 
@@ -441,8 +446,12 @@ def cmd_report(args) -> None:
     mae_paths = [_resolve(p) for p in args.mae or []]
     mae_tables = [_parse_json(p.read_text(), f"mae: {p}") for p in mae_paths]
     for path, table in zip(mae_paths, mae_tables):
-        if not (isinstance(table, dict) and "method" in table and isinstance(table.get("mean"), dict)):
-            raise ConfigError(f"mae: {path} is not an object with method and a mean object")
+        if not (isinstance(table, dict) and isinstance(table.get("method"), str)
+                and isinstance(table.get("mean"), dict)):
+            raise ConfigError(f"mae: {path} is not an object with a method string and a mean object")
+        for k, v in table["mean"].items():
+            if not k.isdecimal() or type(v) not in (int, float):
+                raise ConfigError(f"mae: {path}: mean entry {k!r} is not a shot count with a number")
     if not traces and not mae_tables:
         raise ConfigError("report: need at least one --traces or --mae input")
     summary = aggregate_metrics(traces, mae_tables)

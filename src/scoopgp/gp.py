@@ -77,8 +77,9 @@ def rbf(z1: np.ndarray, z2: np.ndarray, kp: KernelParams) -> float:
     return kp.outputscale * math.exp(-d2 / (2.0 * kp.lengthscale**2))
 
 
-def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    # ||a||^2 + ||b||^2 - 2 a.b, clipped against tiny negative round-off
+def sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of A and of B:
+    ||a||^2 + ||b||^2 - 2 a.b, clipped against tiny negative round-off."""
     a2 = np.sum(A * A, axis=1)[:, None]
     b2 = np.sum(B * B, axis=1)[None, :]
     d2 = a2 + b2 - 2.0 * (A @ B.T)
@@ -86,9 +87,12 @@ def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def gram(Z: np.ndarray, kp: KernelParams, with_noise: bool = False) -> np.ndarray:
-    """Symmetric PSD kernel matrix; noise variance on the diagonal if asked."""
+    """Symmetric PSD kernel matrix; noise variance on the diagonal if asked.
+
+    This is not gram_objective's arithmetic: the evaluation artifacts'
+    bytes depend on this syrk d2, its clip at 0 and the symmetrization."""
     Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
-    d2 = _sq_dists(Z, Z)
+    d2 = sq_dists(Z, Z)
     K = kp.outputscale * np.exp(-d2 / (2.0 * kp.lengthscale**2))
     K = 0.5 * (K + K.T)
     if with_noise:
@@ -99,7 +103,7 @@ def gram(Z: np.ndarray, kp: KernelParams, with_noise: bool = False) -> np.ndarra
 def cross_gram(Zq: np.ndarray, Zs: np.ndarray, kp: KernelParams) -> np.ndarray:
     Zq = np.atleast_2d(np.asarray(Zq, dtype=np.float64))
     Zs = np.atleast_2d(np.asarray(Zs, dtype=np.float64))
-    d2 = _sq_dists(Zq, Zs)
+    d2 = sq_dists(Zq, Zs)
     return kp.outputscale * np.exp(-d2 / (2.0 * kp.lengthscale**2))
 
 
@@ -162,10 +166,10 @@ def posterior_batch(
 
 # --- differentiable path -------------------------------------------------
 #
-# The kernel matrix is assembled from tensor ops so gradients reach the
-# embeddings and the log hyperparameters; the NLML itself is a custom op
-# with the analytic matrix gradient 0.5 (Kbar^-1 - alpha alpha^T), which
-# avoids differentiating through the Cholesky factorization.
+# The noisy kernel matrix and the NLML are one tape op each, with their
+# gradients written out: the NLML's matrix gradient is the analytic
+# 0.5 (Kbar^-1 - alpha alpha^T), which avoids differentiating through the
+# Cholesky factorization.
 
 
 def gram_objective(
@@ -174,17 +178,39 @@ def gram_objective(
     log_outputscale: T.Tensor,
     log_noise: T.Tensor,
 ) -> T.Tensor:
-    """Noisy kernel matrix on the tape, built from an (n, d) embedding tensor."""
+    """Noisy kernel matrix on the tape, built from an (n, d) embedding tensor.
+
+    Its output and gradients equal, bit for bit, those of the op-by-op
+    oracle in tests/helpers.py, which keeps trained weights stable. That
+    takes Zd @ ZT on a copied transpose (Zd @ Zd.T is routed to syrk), the
+    row sums of the backward as products with a ones column (np.sum adds
+    in another order), and Z's gradient summed in the oracle's order."""
     n = Z.shape[0]
-    sqn = T.reshape(T.reduce("sum", T.square(Z), axis=1), (n, 1))
-    ones_row = T.Tensor(np.ones((1, n)))
-    t1 = T.matmul(sqn, ones_row)
-    cross = T.matmul(Z, T.transpose(Z))
-    d2 = T.sub(T.add(t1, T.transpose(t1)), T.mul(cross, T.Tensor(2.0)))
-    two_l2 = T.mul(T.square(T.exp(log_lengthscale)), T.Tensor(2.0))
-    K = T.mul(T.exp(T.negate(T.div(d2, two_l2))), T.exp(log_outputscale))
-    noise_var = T.square(T.exp(log_noise))
-    return T.add(K, T.mul(T.Tensor(np.eye(n)), noise_var))
+    Zd = Z.data
+    ZT = Zd.T.copy()
+    sq = (Zd * Zd).sum(axis=1)[:, None]
+    d2 = (sq + sq.T) - (Zd @ ZT) * 2.0
+    ell = np.exp(log_lengthscale.data)
+    two_l2 = (ell * ell) * 2.0
+    E = np.exp(-(d2 / two_l2))
+    outputscale = np.exp(log_outputscale.data)
+    noise = np.exp(log_noise.data)
+    eye = np.eye(n)
+    Kbar = E * outputscale + eye * (noise * noise)
+
+    def backward_fn(g):
+        # Kbar = exp(-q) outputscale + noise^2 I, q = d2 / two_l2
+        g_q = -((g * outputscale) * E)
+        g_d2 = g_q / two_l2
+        g_two_l2 = ((-g_q) * d2 / (two_l2 * two_l2)).sum()
+        g_ell = 2.0 * ell * (g_two_l2 * 2.0)
+        g_noise = 2.0 * noise * (g * eye).sum()
+        g_cross = (-g_d2) * 2.0
+        g_sq = (g_d2 + g_d2.T) @ np.ones((n, 1))
+        gZ = (g_cross @ ZT.T + (Zd.T @ g_cross).T) + 2.0 * Zd * g_sq
+        return gZ, g_ell * ell, (g * E).sum() * outputscale, g_noise * noise
+
+    return T.custom_op(Kbar, (Z, log_lengthscale, log_outputscale, log_noise), backward_fn)
 
 
 def nlml_objective(Kbar: T.Tensor, residuals: T.Tensor) -> T.Tensor:

@@ -262,6 +262,29 @@ def dense_chain(
     return h
 
 
+def soft_normalize(raw: T.Tensor) -> T.Tensor:
+    """Each row r of raw divided by sqrt(|r|^2 + 1e-4), as one tape op.
+
+    Bounded embedding distances keep the RBF alive on out-of-distribution
+    inputs instead of saturating to zero; the 1e-4 smoothing keeps the
+    gradient finite when a raw embedding sits near the origin. Output and
+    gradient equal, bit for bit, those of the op-by-op oracle in
+    tests/helpers.py, which keeps trained weights stable: that takes
+    1 / exp(0.5 log s) in place of 1 / sqrt(s), and the backward's row
+    sums as a product with a ones column."""
+    rd = raw.data
+    s = (rd * rd).sum(axis=1)[:, None] + 1e-4
+    norm = np.exp(np.log(s) * 0.5)
+    scale = 1.0 / norm
+
+    def backward_fn(g):
+        g_scale = (g * rd) @ np.ones((rd.shape[1], 1))
+        g_log = (-g_scale / (norm * norm) * norm) * 0.5
+        return (g * scale + 2.0 * rd * (g_log / s),)
+
+    return T.custom_op(rd * scale, (raw,), backward_fn)
+
+
 class DeepGPModel:
     """Extractor + mean head (+ optional kernel head and GP hyperparameters).
 
@@ -330,14 +353,7 @@ class DeepGPModel:
     def kernel_t(self, F: T.Tensor) -> T.Tensor:
         if not self.has_kernel:
             raise RuntimeError("model has no kernel head")
-        raw = dense_chain(F, self._layers("kernel"), relu_last=False)
-        # soft unit-normalization: bounded embedding distances keep the
-        # RBF alive on out-of-distribution inputs instead of saturating
-        # to zero; the 1e-4 smoothing keeps the gradient finite when a
-        # raw embedding happens to sit near the origin
-        sq = T.reshape(T.reduce("sum", T.square(raw), axis=1), (raw.shape[0], 1))
-        inv_norm = T.div(T.Tensor(1.0), T.exp(T.mul(T.log(T.add(sq, T.Tensor(1e-4))), T.Tensor(0.5))))
-        return T.mul(raw, T.matmul(inv_norm, T.Tensor(np.ones((1, self.arch.embed_dim)))))
+        return soft_normalize(dense_chain(F, self._layers("kernel"), relu_last=False))
 
     # numpy conveniences over the same forward code
     def extract_batch(self, X: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import TaskDataset
+from .gp import sq_dists
 from .model import Observation
 
 DEFAULT_MAX_ITER = 500
@@ -130,20 +131,11 @@ def _task_arrays(task: TaskDataset, params: SampleCostParams):
     return H, A, r
 
 
-def _pairwise_l2(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    d2 = (
-        np.sum(X * X, axis=1)[:, None]
-        + np.sum(Y * Y, axis=1)[None, :]
-        - 2.0 * (X @ Y.T)
-    )
-    return np.sqrt(np.maximum(d2, 0.0))
-
-
 def cost_matrix_arrays(arrays_a, arrays_b, params: SampleCostParams) -> np.ndarray:
     Ha, Aa, ra = arrays_a
     Hb, Ab, rb = arrays_b
-    d_img = _pairwise_l2(Ha, Hb) / params.c_image
-    d_act = _pairwise_l2(Aa, Ab) / params.c_action
+    d_img = np.sqrt(sq_dists(Ha, Hb)) / params.c_image
+    d_act = np.sqrt(sq_dists(Aa, Ab)) / params.c_action
     d_rew = np.abs(ra[:, None] - rb[None, :]) / params.c_reward
     return np.sqrt(d_img**2 + d_act**2 + d_rew**2)
 

@@ -1,10 +1,11 @@
 """Dense float64 tensors with a reverse-mode gradient tape.
 
-Sized for desk-scale GP and MLP training: 2-D matmul, fused dense
-layers, elementwise ops with scalar broadcast, reductions,
-transpose/reshape plumbing, and an Adam optimizer. Everything is
-float64; there is no GPU path, no convolution, and no broadcasting
-beyond scalar-with-tensor (and dense's bias row).
+The tape keeps only the ops the model records: `dense` (one fused layer),
+`sub`, `square` and `reduce` (the mean head's squared-error loss), and
+`custom_op`, through which the kernel head's normalization, the GP Gram
+matrix and the NLML record their forward and analytic gradient as one op
+each. Adam updates the parameters. Everything is float64; there is no
+GPU path and no broadcasting beyond dense's bias row.
 """
 from __future__ import annotations
 
@@ -15,10 +16,6 @@ import numpy as np
 
 class ShapeError(ValueError):
     """Operand shapes are incompatible with the requested op."""
-
-
-class DomainError(ValueError):
-    """Operand values are outside the op's domain (log/div)."""
 
 
 class TapeError(RuntimeError):
@@ -127,22 +124,6 @@ def _track(out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
     return out
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _lift(a), _lift(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul needs 2-d operands, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
-    out = Tensor(a.data @ b.data)
-    ad, bd = a.data, b.data
-    need_a, need_b = _needs_grad(a), _needs_grad(b)
-
-    def backward_fn(g):
-        return (g @ bd.T if need_a else None), (ad.T @ g if need_b else None)
-
-    return _track(out, (a, b), backward_fn)
-
-
 def dense(h: Tensor, w: Tensor, b: Tensor, relu: bool) -> Tensor:
     """One dense layer, h @ w plus the bias row b, optionally through a
     ReLU, recorded as a single tape op.
@@ -172,88 +153,16 @@ def dense(h: Tensor, w: Tensor, b: Tensor, relu: bool) -> Tensor:
     return _track(out, (h, w, b), backward_fn)
 
 
-def _check_binary(a: Tensor, b: Tensor, op: str) -> None:
-    if a.shape == b.shape or a.size == 1 or b.size == 1:
-        return
-    raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} need to match (or one be scalar)")
-
-
-def _unbroadcast(g: np.ndarray, t: Tensor) -> np.ndarray:
-    if g.shape == t.shape:
-        return g
-    return np.asarray(g.sum(), dtype=np.float64).reshape(t.shape)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _lift(a), _lift(b)
-    _check_binary(a, b, "add")
-    out = Tensor(a.data + b.data)
-
-    def backward_fn(g):
-        return _unbroadcast(g, a), _unbroadcast(g, b)
-
-    return _track(out, (a, b), backward_fn)
-
-
 def sub(a: Tensor, b: Tensor) -> Tensor:
     a, b = _lift(a), _lift(b)
-    _check_binary(a, b, "sub")
+    if a.shape != b.shape:
+        raise ShapeError(f"sub: shapes {a.shape} and {b.shape} differ")
     out = Tensor(a.data - b.data)
 
     def backward_fn(g):
-        return _unbroadcast(g, a), _unbroadcast(-g, b)
+        return g, -g
 
     return _track(out, (a, b), backward_fn)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _lift(a), _lift(b)
-    _check_binary(a, b, "mul")
-    out = Tensor(a.data * b.data)
-    ad, bd = a.data, b.data
-
-    def backward_fn(g):
-        return _unbroadcast(g * bd, a), _unbroadcast(g * ad, b)
-
-    return _track(out, (a, b), backward_fn)
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _lift(a), _lift(b)
-    _check_binary(a, b, "div")
-    if np.any(b.data == 0.0):
-        raise DomainError("div: zero divisor")
-    out = Tensor(a.data / b.data)
-    ad, bd = a.data, b.data
-
-    def backward_fn(g):
-        return _unbroadcast(g / bd, a), _unbroadcast(-g * ad / (bd * bd), b)
-
-    return _track(out, (a, b), backward_fn)
-
-
-def exp(a: Tensor) -> Tensor:
-    a = _lift(a)
-    out = Tensor(np.exp(a.data))
-    od = out.data
-
-    def backward_fn(g):
-        return (g * od,)
-
-    return _track(out, (a,), backward_fn)
-
-
-def log(a: Tensor) -> Tensor:
-    a = _lift(a)
-    if np.any(a.data <= 0.0):
-        raise DomainError("log: nonpositive operand")
-    out = Tensor(np.log(a.data))
-    ad = a.data
-
-    def backward_fn(g):
-        return (g / ad,)
-
-    return _track(out, (a,), backward_fn)
 
 
 def square(a: Tensor) -> Tensor:
@@ -267,61 +176,22 @@ def square(a: Tensor) -> Tensor:
     return _track(out, (a,), backward_fn)
 
 
-def negate(a: Tensor) -> Tensor:
-    a = _lift(a)
-    out = Tensor(-a.data)
-
-    def backward_fn(g):
-        return (-g,)
-
-    return _track(out, (a,), backward_fn)
-
-
-def reduce(op: str, a: Tensor, axis: int | None = None) -> Tensor:
-    """sum or mean over all elements, or along one axis (axis dropped)."""
+def reduce(op: str, a: Tensor) -> Tensor:
+    """sum or mean over all elements."""
     a = _lift(a)
     if op not in ("sum", "mean"):
         raise ValueError(f"unknown reduce op {op!r}")
-    rank = a.data.ndim
-    if axis is not None and not (-rank <= axis < rank):
-        raise ShapeError(f"reduce axis {axis} out of range for rank {rank}")
     if op == "sum":
-        out = Tensor(a.data.sum(axis=axis))
+        out = Tensor(a.data.sum())
         count = 1.0
     else:
-        out = Tensor(a.data.mean(axis=axis))
-        count = a.data.size if axis is None else a.data.shape[axis]
+        out = Tensor(a.data.mean())
+        count = a.data.size
     in_shape = a.shape
 
     def backward_fn(g):
-        if axis is None:
-            gb = np.broadcast_to(g, in_shape)
-        else:
-            gb = np.broadcast_to(np.expand_dims(g, axis), in_shape)
+        gb = np.broadcast_to(g, in_shape)
         return (gb / count if count != 1.0 else gb.copy(),)
-
-    return _track(out, (a,), backward_fn)
-
-
-def transpose(a: Tensor) -> Tensor:
-    a = _lift(a)
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose needs a 2-d tensor, got {a.shape}")
-    out = Tensor(a.data.T.copy())
-
-    def backward_fn(g):
-        return (g.T.copy(),)
-
-    return _track(out, (a,), backward_fn)
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    a = _lift(a)
-    out = Tensor(a.data.reshape(shape).copy())
-    in_shape = a.shape
-
-    def backward_fn(g):
-        return (g.reshape(in_shape),)
 
     return _track(out, (a,), backward_fn)
 

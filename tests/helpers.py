@@ -220,23 +220,109 @@ def nlml_reference(Z, y, kp) -> float:
     return sum(nlml_terms_reference(Z, y, kp))
 
 
+# --- op-by-op tape oracles --------------------------------------------------
+#
+# Small tape ops, each a T.custom_op with the arithmetic of the generic op
+# it stands for (binary ops broadcast a scalar operand and sum its
+# gradient), and the compositions the fused src ops must match byte for
+# byte in outputs and gradients.
+
+
+def _unbroadcast(g, t):
+    return g if g.shape == t.shape else np.asarray(g.sum(), dtype=np.float64).reshape(t.shape)
+
+
+def matmul(a, b):
+    ad, bd = a.data, b.data
+    return T.custom_op(ad @ bd, (a, b), lambda g: (g @ bd.T, ad.T @ g))
+
+
+def add(a, b):
+    return T.custom_op(a.data + b.data, (a, b), lambda g: (_unbroadcast(g, a), _unbroadcast(g, b)))
+
+
+def mul(a, b):
+    ad, bd = a.data, b.data
+    return T.custom_op(
+        ad * bd, (a, b), lambda g: (_unbroadcast(g * bd, a), _unbroadcast(g * ad, b))
+    )
+
+
+def div(a, b):
+    ad, bd = a.data, b.data
+    return T.custom_op(
+        ad / bd, (a, b),
+        lambda g: (_unbroadcast(g / bd, a), _unbroadcast(-g * ad / (bd * bd), b)),
+    )
+
+
+def exp(a):
+    od = np.exp(a.data)
+    return T.custom_op(od, (a,), lambda g: (g * od,))
+
+
+def log(a):
+    ad = a.data
+    return T.custom_op(np.log(ad), (a,), lambda g: (g / ad,))
+
+
+def negate(a):
+    return T.custom_op(-a.data, (a,), lambda g: (-g,))
+
+
+def transpose(a):
+    return T.custom_op(a.data.T.copy(), (a,), lambda g: (g.T.copy(),))
+
+
+def reshape(a, shape):
+    return T.custom_op(a.data.reshape(shape).copy(), (a,), lambda g: (g.reshape(a.shape),))
+
+
+def sum_rows(a):
+    """Row sums of a 2-d tensor, the row axis dropped."""
+    return T.custom_op(
+        a.data.sum(axis=1), (a,), lambda g: (np.broadcast_to(g[:, None], a.shape).copy(),)
+    )
+
+
 def relu(a):
-    """max(a, 0) as a tape op: the unfused dense oracle's activation."""
+    """max(a, 0): the unfused dense oracle's activation."""
     mask = a.data > 0.0
     return T.custom_op(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
 
 
 def dense_chain_reference(X, layers, relu_last):
     """Dense layers as four tape ops each (matmul, ones-column matmul for
-    the bias, add, relu): the oracle for model.dense_chain's fused layers,
-    which must match its outputs and gradients byte for byte."""
+    the bias, add, relu): the oracle for model.dense_chain's fused layers."""
     h = X
     for i, (w, b) in enumerate(layers):
         ones = T.Tensor(np.ones((h.shape[0], 1)))
-        h = T.add(T.matmul(h, w), T.matmul(ones, b))
+        h = add(matmul(h, w), matmul(ones, b))
         if relu_last or i < len(layers) - 1:
             h = relu(h)
     return h
+
+
+def soft_normalize_reference(raw):
+    """Each row over sqrt(|r|^2 + 1e-4) in ten tape ops: the oracle for
+    model.soft_normalize."""
+    sq = reshape(sum_rows(T.square(raw)), (raw.shape[0], 1))
+    inv_norm = div(T.Tensor(1.0), exp(mul(log(add(sq, T.Tensor(1e-4))), T.Tensor(0.5))))
+    return mul(raw, matmul(inv_norm, T.Tensor(np.ones((1, raw.shape[1])))))
+
+
+def gram_objective_reference(Z, log_lengthscale, log_outputscale, log_noise):
+    """The noisy kernel matrix in 22 tape ops: the oracle for
+    gp.gram_objective."""
+    n = Z.shape[0]
+    sqn = reshape(sum_rows(T.square(Z)), (n, 1))
+    t1 = matmul(sqn, T.Tensor(np.ones((1, n))))
+    cross = matmul(Z, transpose(Z))
+    d2 = T.sub(add(t1, transpose(t1)), mul(cross, T.Tensor(2.0)))
+    two_l2 = mul(T.square(exp(log_lengthscale)), T.Tensor(2.0))
+    K = mul(exp(negate(div(d2, two_l2))), exp(log_outputscale))
+    noise_var = T.square(exp(log_noise))
+    return add(K, mul(T.Tensor(np.eye(n)), noise_var))
 
 
 def adam_step_reference(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):

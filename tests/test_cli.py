@@ -218,6 +218,13 @@ def test_validation_errors_exit_1(pipeline, tmp_path, capsys):
     mae.write_text(Path(pipeline["mae"]).read_text()[:-1])
     number = tmp_path / "number.json"
     number.write_text("5")
+    mistyped = {}
+    for name, field, value in [("meta", "meta", 5), ("cap", "max_attempts", "20")]:
+        mistyped[name] = tmp_path / f"{name}.jsonl"
+        mistyped[name].write_text(lines[0] + "\n" + json.dumps({**json.loads(lines[1]), field: value}) + "\n")
+    for name, mean in [("string_mae", {"0": "abc"}), ("shotless_mae", {"zero": 1.0})]:
+        mistyped[name] = tmp_path / f"{name}.json"
+        mistyped[name].write_text(json.dumps({**json.loads(Path(pipeline["mae"]).read_text()), "mean": mean}))
     for argv, where in [
         (["report", "--traces", str(truncated), "--out", str(tmp_path / "r")],
          f"{truncated}: line 2"),
@@ -225,6 +232,10 @@ def test_validation_errors_exit_1(pipeline, tmp_path, capsys):
          f"{shapeless}: line 2"),
         (["report", "--mae", str(mae), "--out", str(tmp_path / "r")], str(mae)),
         (["report", "--mae", str(number), "--out", str(tmp_path / "r")], str(number)),
+        *[(["report", "--traces", str(mistyped[name]), "--out", str(tmp_path / "r")],
+           f"{mistyped[name]}: line 2") for name in ("meta", "cap")],
+        *[(["report", "--mae", str(mistyped[name]), "--out", str(tmp_path / "r")],
+           str(mistyped[name])) for name in ("string_mae", "shotless_mae")],
     ]:
         assert cli.main(argv) == 1, argv
         assert where in capsys.readouterr().err

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import nlml_reference, nlml_terms_reference
+from helpers import gram_objective_reference, nlml_reference, nlml_terms_reference
 
 from scoopgp import gp
 from scoopgp import tensor as T
@@ -173,6 +173,27 @@ def test_nlml_gradients_match_finite_differences(seed):
             fd_Z[i, j] = (nlml_reference(Zp, y, kp) - nlml_reference(Zm, y, kp)) / (2 * h)
     denom = np.maximum(np.abs(fd_Z), 1e-6)
     assert np.max(np.abs(g_Z - fd_Z) / denom) < 1e-4
+
+
+@pytest.mark.parametrize("n", [1, 2, 37, 100])
+def test_fused_gram_objective_matches_op_by_op_oracle(n):
+    """The one-op Gram matrix has the bytes of the 22-op composition in its
+    output and in the gradient of the embeddings and of each log
+    hyperparameter."""
+    rng = np.random.default_rng(n)
+    Z0 = rng.normal(size=(n, 16)) / 4.0
+    kp0 = rng.normal(scale=0.3, size=3)
+    y = T.Tensor(rng.normal(size=(n, 1)))
+
+    def run(gram):
+        Z = T.Tensor(Z0, requires_grad=True)
+        kp = [T.Tensor(v, requires_grad=True) for v in kp0]
+        with T.Tape() as tape:
+            Kbar = gram(Z, *kp)
+            tape.backward(gp.nlml_objective(Kbar, y))
+        return [Kbar.data.tobytes()] + [t.grad.tobytes() for t in (Z, *kp)]
+
+    assert run(gp.gram_objective) == run(gram_objective_reference)
 
 
 def test_jitter_escalation_and_conditioning_error():

@@ -8,6 +8,7 @@ from scoopgp import training as TR
 from scoopgp.data import load_task_dataset, save_task_dataset
 from helpers import (
     dense_chain_reference,
+    soft_normalize_reference,
     embed_batch,
     extract_features,
     feature_vector,
@@ -270,3 +271,31 @@ def test_fused_dense_matches_unfused_reference(n, monkeypatch):
     fused = _mean_and_kernel_passes(model, X, y)
     monkeypatch.setattr(M, "dense_chain", dense_chain_reference)
     assert _mean_and_kernel_passes(model, X, y) == fused
+
+
+@pytest.mark.parametrize("n", [1, 2, 37, 100])
+def test_fused_kernel_t_matches_op_by_op_oracle(n, monkeypatch):
+    """kernel_t's one-op normalization has the bytes of the ten-op
+    composition in the embeddings and in the gradient of the kernel head's
+    input and weights, under the NLML's upstream gradient."""
+    arch = M.Architecture()
+    rng = np.random.default_rng(n)
+    model = M.DeepGPModel.init(arch, seed=n)
+    F0 = rng.uniform(0.0, 1.0, size=(n, arch.extractor_widths[-1]))
+    y = T.Tensor(rng.normal(size=(n, 1)))
+    kpt = TR._kp_tensors(model.kp)
+
+    def run():
+        F = T.Tensor(F0, requires_grad=True)
+        with T.Tape() as tape:
+            Z = model.kernel_t(F)
+            Kbar = gp.gram_objective(
+                Z, kpt["log_lengthscale"], kpt["log_outputscale"], kpt["log_noise"]
+            )
+            tape.backward(gp.nlml_objective(Kbar, y))
+        params = [F] + model.segment_params("kernel")
+        return [Z.data.tobytes()] + [p.grad.tobytes() for p in params]
+
+    fused = run()
+    monkeypatch.setattr(M, "soft_normalize", soft_normalize_reference)
+    assert run() == fused

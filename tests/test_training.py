@@ -8,13 +8,16 @@ from helpers import (
     dense_chain_reference,
     embed_batch,
     flip_patch,
+    gram_objective_reference,
     make_task,
     nlml_terms_reference,
     noisy_batch_reference,
     predict,
     predict_mean,
+    soft_normalize_reference,
 )
 
+from scoopgp import gp
 from scoopgp import model as M
 from scoopgp import ot
 from scoopgp import tensor as T
@@ -381,3 +384,17 @@ def test_train_sl_matches_unfused_reference(tiny_tasks, monkeypatch):
     reference, _ = TR.train_sl(tiny_tasks, cfg)
     for name, w in fused.weights.items():
         assert w.data.tobytes() == reference.weights[name].data.tobytes(), name
+
+
+def test_train_dkmt_matches_op_by_op_reference(tiny_tasks, monkeypatch):
+    """The one-op dense layers, kernel-head normalization and Gram matrix
+    give the weights and hyperparameters of the op-by-op tape."""
+    cfg = small_cfg(max_epochs_meta=5)
+    fused, _ = TR.train_dkmt(tiny_tasks, cfg)
+    monkeypatch.setattr(M, "dense_chain", dense_chain_reference)
+    monkeypatch.setattr(M, "soft_normalize", soft_normalize_reference)
+    monkeypatch.setattr(gp, "gram_objective", gram_objective_reference)
+    reference, _ = TR.train_dkmt(tiny_tasks, cfg)
+    for name, w in fused.weights.items():
+        assert w.data.tobytes() == reference.weights[name].data.tobytes(), name
+    assert fused.kp == reference.kp
