@@ -7,7 +7,9 @@ scoopgp from ./src:
 - train for sl, dkmt, kcmd-ot, kcmd-random and kcmd-manual at small
   epoch flags (checkpoint and manifest of each);
 - for each checkpoint, eval-deploy in replay and in live mode, and
-  eval-kshot.
+  eval-kshot;
+- report over every trace and MAE file (summary, tables, plot data and
+  charts).
 
 The output is one `sha256  path` line per file written, paths relative
 to the work directory, sorted. Two source trees that print the same
@@ -49,6 +51,9 @@ def steps(work: Path):
         yield ["train", "--method", method, "--data", data, "--out", ckpt, *TRAIN]
         for name, argv in EVALS.items():
             yield [*argv, "--model", ckpt, "--data", data, "--out", str(work / method / name)]
+    outputs = {name: [str(work / method / name) for method in METHODS] for name in EVALS}
+    yield ["report", "--traces", *outputs["replay.jsonl"], *outputs["live.jsonl"],
+           "--mae", *outputs["kshot.json"], "--out", str(work / "report")]
 
 
 def run_pipeline(root: Path, work: Path) -> None:

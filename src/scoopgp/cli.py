@@ -147,8 +147,6 @@ def load_suite_terrains(data_dir: Path) -> dict[str, TerrainTask]:
 
 
 def cmd_train(args) -> None:
-    if args.method not in METHODS:
-        raise ConfigError(f"method: {args.method!r} not one of {METHODS}")
     data_dir = _require_dir(_resolve(args.data), "data")
     view = "oracle" if args.method == "kcmd-manual" else "learner"
     tasks = [load_task_dataset(p, view=view) for p in _task_files(data_dir, "train")]
@@ -269,17 +267,15 @@ def cmd_eval_kshot(args) -> None:
             raise ConfigError(
                 f"shots: {shots[-1]} exceeds the {pool_size}-record support pool"
             )
+        X, y = ds.feature_matrix(model.arch), ds.rewards
         rng = np.random.default_rng([args.seed, task_index])
         perm = rng.permutation(n)
         query_idx, pool_idx = perm[:n_query], perm[n_query:]
-        queries = [(ds.records[i].obs, ds.records[i].action) for i in query_idx]
-        truth = np.array([ds.records[i].reward for i in query_idx])
         per_task[ds.task_id] = {}
         for k in shots:
             support_idx = rng.choice(pool_idx, size=k, replace=False) if k else []
-            support = ds.support_tuples(support_idx)
-            means, _ = model.predict_batch(queries, support)
-            per_task[ds.task_id][str(k)] = float(np.mean(np.abs(means - truth)))
+            means, _ = model.predict_rows(X[query_idx], X[support_idx], y[support_idx])
+            per_task[ds.task_id][str(k)] = float(np.mean(np.abs(means - y[query_idx])))
     mean_mae = {
         str(k): float(np.mean([per_task[t][str(k)] for t in per_task])) for k in shots
     }
@@ -459,23 +455,17 @@ def cmd_report(args) -> None:
     (out / "plotdata").mkdir(parents=True, exist_ok=True)
     (out / "summary.json").write_text(json.dumps(summary))
     (out / "tables.txt").write_text(_text_tables(summary))
-    if summary["deploy"]:
-        labels = list(summary["deploy"])
-        values = [summary["deploy"][m]["mean_attempts"] for m in labels]
-        (out / "plotdata" / "attempts.json").write_text(
-            json.dumps({"labels": labels, "mean_attempts": values})
-        )
-        _svg_bars(out / "attempts.svg", "mean attempts to threshold", "attempts", labels, values)
-    if summary["kshot_mae"]:
-        labels, values = [], []
-        for method, s in summary["kshot_mae"].items():
-            for k, v in s["mean"].items():
-                labels.append(f"{method}/{k}")
-                values.append(v)
-        (out / "plotdata" / "mae.json").write_text(
-            json.dumps({"labels": labels, "mae": values})
-        )
-        _svg_bars(out / "mae.svg", "k-shot MAE", "MAE (cm^3)", labels, values)
+    deploy, kshot = summary["deploy"], summary["kshot_mae"]
+    for drawn, name, key, title, ylabel, bars in (
+        (deploy, "attempts", "mean_attempts", "mean attempts to threshold", "attempts",
+         [(m, s["mean_attempts"]) for m, s in deploy.items()]),
+        (kshot, "mae", "mae", "k-shot MAE", "MAE (cm^3)",
+         [(f"{m}/{k}", v) for m, s in kshot.items() for k, v in s["mean"].items()]),
+    ):
+        if drawn:
+            labels, values = [label for label, _ in bars], [value for _, value in bars]
+            (out / "plotdata" / f"{name}.json").write_text(json.dumps({"labels": labels, key: values}))
+            _svg_bars(out / f"{name}.svg", title, ylabel, labels, values)
     print(_text_tables(summary))
     print(f"report: wrote {out}/summary.json")
 

@@ -61,9 +61,6 @@ class TaskDataset:
     records: list[ScoopRecord]
     constants: TrajectoryConstants = field(default_factory=TrajectoryConstants)
     ground_truth: dict | None = None
-    _feat_cache: tuple[Architecture, np.ndarray] | None = field(
-        default=None, repr=False, compare=False
-    )
 
     def __len__(self) -> int:
         return len(self.records)
@@ -73,15 +70,8 @@ class TaskDataset:
         return np.array([r.reward for r in self.records], dtype=np.float64)
 
     def feature_matrix(self, arch: Architecture) -> np.ndarray:
-        """(N, input_dim) model features for every record; cached per arch."""
-        if self._feat_cache is not None and self._feat_cache[0] == arch:
-            return self._feat_cache[1]
-        X = feature_matrix(arch, [(r.obs, r.action) for r in self.records])
-        self._feat_cache = (arch, X)
-        return X
-
-    def support_tuples(self, indices) -> list[tuple[Observation, ScoopAction, float]]:
-        return [(self.records[i].obs, self.records[i].action, self.records[i].reward) for i in indices]
+        """(N, input_dim) model features for every record."""
+        return feature_matrix(arch, [(r.obs, r.action) for r in self.records])
 
 
 def _check_records(where, patches: np.ndarray, actions, rewards) -> None:

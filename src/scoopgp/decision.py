@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import TaskDataset
-from .model import DEPTH_MAX, DEPTH_MIN, N_YAW, ScoopAction, action_rows, feature_rows, record_dict
+from .model import DEPTH_MAX, DEPTH_MIN, N_YAW, STIFFNESSES, ScoopAction, action_rows, feature_rows, record_dict
 from .terrain import (
     PATCH_CHANNELS,
     TerrainTask,
@@ -30,13 +30,11 @@ from .terrain import (
 
 @dataclass(frozen=True)
 class ActionGrid:
-    """Uniform grid over action parameters; depths sit at bin midpoints."""
+    """Uniform grid over starts and depths, every yaw and stiffness; depths sit at bin midpoints."""
 
     nx: int = 8
     ny: int = 6
-    n_yaw: int = N_YAW
     nd: int = 2
-    n_stiffness: int = 2
     # close enough to the tray wall that outward-facing border scoops
     # fail the feasibility predicate and exercise action masking
     margin: float = 0.05
@@ -47,7 +45,7 @@ class ActionGrid:
 
     @property
     def size(self) -> int:
-        return self.nx * self.ny * self.n_yaw * self.nd * self.n_stiffness
+        return self.nx * self.ny * N_YAW * self.nd * len(STIFFNESSES)
 
     def depths(self) -> np.ndarray:
         step = (DEPTH_MAX - DEPTH_MIN) / self.nd
@@ -60,9 +58,9 @@ class ActionGrid:
         actions = []
         for x in xs:
             for y in ys:
-                for yaw in range(self.n_yaw):
+                for yaw in range(N_YAW):
                     for d in depths:
-                        for s in range(self.n_stiffness):
+                        for s in STIFFNESSES:
                             actions.append(ScoopAction(float(x), float(y), yaw, float(d), s))
         return actions
 

@@ -10,7 +10,7 @@ for the residual GP.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -22,6 +22,7 @@ DEPTH_MAX = 0.08
 N_YAW = 8
 STIFF_SOFT = 0
 STIFF_HARD = 1
+STIFFNESSES = (STIFF_SOFT, STIFF_HARD)
 
 _DEPTH_MID = 0.5 * (DEPTH_MIN + DEPTH_MAX)
 _DEPTH_HALF = 0.5 * (DEPTH_MAX - DEPTH_MIN)
@@ -74,19 +75,16 @@ class ScoopAction:
     depth: float
     stiffness: int
 
-    def validate(self, extent: tuple[float, float] | None = None) -> None:
+    def validate(self) -> None:
+        """ValueError for a value out of range; patch_cells refuses a start outside the terrain."""
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"start ({self.x}, {self.y}) must be finite")
         if not 0 <= self.yaw < N_YAW:
             raise ValueError(f"yaw index {self.yaw} outside 0..{N_YAW - 1}")
         if not DEPTH_MIN <= self.depth <= DEPTH_MAX:
             raise ValueError(f"depth {self.depth} outside [{DEPTH_MIN}, {DEPTH_MAX}]")
-        if self.stiffness not in (STIFF_SOFT, STIFF_HARD):
+        if self.stiffness not in STIFFNESSES:
             raise ValueError(f"stiffness {self.stiffness} must be 0 (soft) or 1 (hard)")
-        if extent is not None:
-            ex, ey = extent
-            if not (0.0 <= self.x <= ex and 0.0 <= self.y <= ey):
-                raise ValueError(f"({self.x}, {self.y}) outside terrain extent {extent}")
 
     @property
     def yaw_angle(self) -> float:
@@ -121,15 +119,10 @@ class Observation:
 
     patch: np.ndarray  # (channels, height, width)
 
-    def validate(self) -> None:
-        if self.patch.ndim != 3:
-            raise ValueError(f"patch must be (C, H, W), got shape {self.patch.shape}")
-        validate_patches(self.patch[None])
-
 
 def validate_patches(patches: np.ndarray) -> None:
-    """Observation.validate for a stack of (C, H, W) patches at once;
-    the message names the first bad patch's index."""
+    """ValueError when a patch of a (n, C, H, W) stack is non-finite or has appearance
+    outside [0, 1]; the message names the first bad patch's index."""
     bad = ~np.isfinite(patches).all(axis=(1, 2, 3))
     if bad.any():
         raise ValueError(f"patch {np.flatnonzero(bad)[0]} contains non-finite values")
@@ -364,8 +357,7 @@ class DeepGPModel:
         return self.mean_t(T.Tensor(self.extract_batch(X))).data[:, 0]
 
     def feature_vector(self, obs: Observation, act: ScoopAction) -> np.ndarray:
-        """One pair's feature row; nothing in the package calls it, but
-        perfbench/layers.py wraps it."""
+        """One pair's feature row; kept because perfbench/layers.py wraps it."""
         return feature_matrix(self.arch, [(obs, act)])[0]
 
     def predict_batch(self, candidates, support=()) -> tuple[np.ndarray, np.ndarray]:
@@ -380,7 +372,8 @@ class DeepGPModel:
 
     def predict_rows(self, Xq: np.ndarray, Xs: np.ndarray, rewards) -> tuple[np.ndarray, np.ndarray]:
         """Posterior means and variances, in reward units, of the feature
-        rows Xq given support rows Xs and their observed rewards."""
+        rows Xq given support rows Xs and their observed rewards (the
+        prior for an empty support; zero variance without a kernel)."""
         for X in (Xq, Xs):
             if X.shape[1] != self.arch.input_dim:
                 raise T.ShapeError(
@@ -391,10 +384,6 @@ class DeepGPModel:
         if not self.has_kernel:
             means = mq * self.reward_std + self.reward_mean
             return means, np.zeros_like(means)
-        if len(rewards) == 0:
-            prior = self.kp.outputscale + self.kp.noise**2
-            means = mq * self.reward_std + self.reward_mean
-            return means, np.full_like(means, prior * self.reward_std**2)
         rewards = np.asarray(rewards, dtype=np.float64)
         Fs = self.extract_batch(Xs)
         ms = self.mean_t(T.Tensor(Fs)).data[:, 0]

@@ -216,10 +216,10 @@ def entropic_transport_cost(
     return float(np.sum(P)), converged
 
 
-def pair_epsilon(C_ab: np.ndarray, scale: float = DEFAULT_EPS_SCALE) -> float:
-    """Regularization: scale times the median of the cross costs C_ab,
-    one pair's matrix or every pair's entries."""
-    return max(scale * float(np.median(C_ab)), 1e-12)
+def pair_epsilon(C_ab: np.ndarray) -> float:
+    """Regularization: DEFAULT_EPS_SCALE times the median of the cross
+    costs C_ab, one pair's matrix or every pair's entries."""
+    return max(DEFAULT_EPS_SCALE * float(np.median(C_ab)), 1e-12)
 
 
 def _debiased_divergences(

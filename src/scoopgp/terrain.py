@@ -27,6 +27,7 @@ from .model import (
     N_YAW,
     STIFF_HARD,
     STIFF_SOFT,
+    STIFFNESSES,
     Observation,
     ScoopAction,
     TrajectoryConstants,
@@ -48,6 +49,7 @@ APPEARANCE_MARGIN = 0.12
 HEIGHT_NOISE = 0.002
 # three appearance channels, then the height
 PATCH_CHANNELS = 4
+PATCH_H = PATCH_W = 16  # cells of a patch across and along the scoop direction
 
 COMPOSITIONS = ("Single", "Partition", "Mixture", "Layers")
 
@@ -64,10 +66,6 @@ class LatentMaterial:
     depth_width: float
     jam_penalty: float  # cm^3 lost per degree of slope beyond the free range
     stiffness_pref: int
-
-    @property
-    def scoopable(self) -> bool:
-        return self.peak_volume > 0.0
 
     @classmethod
     def from_dict(cls, d: dict) -> "LatentMaterial":
@@ -89,7 +87,7 @@ class LatentMaterial:
             all(type(v) in JSON_NUMBERS and math.isfinite(v) for v in values)
             and len(mat.color) == 3 and all(0.0 <= c <= 1.0 for c in mat.color)
             and min(mat.texture_scale, mat.peak_volume, mat.jam_penalty) >= 0.0 < mat.depth_width
-            and type(mat.stiffness_pref) is int and mat.stiffness_pref in (STIFF_SOFT, STIFF_HARD)
+            and type(mat.stiffness_pref) is int and mat.stiffness_pref in STIFFNESSES
         ):
             raise ValueError(f"material {mat.id!r} has parameters out of range: {d}")
         return mat
@@ -327,11 +325,10 @@ def _gen_heightfield(rng: np.random.Generator, shape, cell) -> np.ndarray:
     return h
 
 
-def _partition_grid(shape, mat_indices, rng, cut_range=(0.3, 0.7), axis=None) -> np.ndarray:
+def _partition_grid(shape, mat_indices, rng, cut_range) -> np.ndarray:
     X, Y = _cell_centers(shape, CELL)
     grid = np.full(shape, mat_indices[0], dtype=np.int64)
-    if axis is None:
-        axis = 0 if rng.random() < 0.5 else 1
+    axis = 0 if rng.random() < 0.5 else 1
     axis_vals = X if axis == 0 else Y
     extent = shape[axis] * CELL
     cuts = np.sort(rng.uniform(*cut_range, size=len(mat_indices) - 1)) * extent
@@ -340,9 +337,9 @@ def _partition_grid(shape, mat_indices, rng, cut_range=(0.3, 0.7), axis=None) ->
     return grid
 
 
-def _mixture_grid(shape, mat_indices, rng, n_blobs=None) -> np.ndarray:
+def _mixture_grid(shape, mat_indices, rng) -> np.ndarray:
     X, Y = _cell_centers(shape, CELL)
-    n_blobs = n_blobs or int(rng.integers(6, 13))
+    n_blobs = int(rng.integers(6, 13))
     px = rng.uniform(0, shape[0] * CELL, size=n_blobs)
     py = rng.uniform(0, shape[1] * CELL, size=n_blobs)
     blob_mat = np.array(
@@ -446,31 +443,22 @@ def generate_suite(
                 )
             )
 
-    test_specs = []
-    for i in range(n_test_tasks):
-        kind = COMPOSITIONS[i % len(COMPOSITIONS)]
-        if kind == "Single":
-            test_specs.append(("Single", [dense]))
-        elif kind == "Partition":
-            test_specs.append(("Partition", [gleam, 2]))
-        elif kind == "Mixture":
-            test_specs.append(("Mixture", [sheet, 2, gleam, fluff]))
-        else:
-            # deceptive lid over an unscoopable layer, next to high yield
-            test_specs.append(("Layers", [gleam, sheet, dense]))
+    # held-out picks and cut ranges. Deceptive compositions get a majority
+    # share of the lure material, so a non-adaptive ranking has plenty of
+    # attractive bad actions; the layered tray (a deceptive lid over an
+    # unscoopable layer, next to high yield) keeps its yielding region
+    # small so random records undersample it and the threshold stays fair
+    test_specs = {
+        "Single": ([dense], (0.3, 0.7)),
+        "Partition": ([gleam, 2], (0.55, 0.65)),
+        "Mixture": ([sheet, 2, gleam, fluff], (0.3, 0.7)),
+        "Layers": ([gleam, sheet, dense], (0.78, 0.84)),
+    }
     test_tasks = []
-    for i, (composition, picks) in enumerate(test_specs):
+    for i in range(n_test_tasks):
         tid = f"test-{i:02d}"
-        # deceptive compositions get a majority share of the lure material,
-        # so a non-adaptive ranking has plenty of attractive bad actions;
-        # the layered tray keeps its yielding region small so random
-        # records undersample it and the success threshold stays fair
-        if composition == "Layers":
-            cut_range = (0.78, 0.84)
-        elif composition == "Partition":
-            cut_range = (0.55, 0.65)
-        else:
-            cut_range = (0.3, 0.7)
+        composition = COMPOSITIONS[i % len(COMPOSITIONS)]
+        picks, cut_range = test_specs[composition]
         terrain = _make_terrain(
             composition, picks, materials, rng, seed=int(rng.integers(2**31)),
             cut_range=cut_range,
@@ -512,13 +500,11 @@ def _patch_cells(start, along, across, du, dv, cell, count) -> np.ndarray:
     return np.clip(cells, 0, count - 1, out=cells)
 
 
-def patch_cells(
-    terrain: TerrainInstance, actions: list[ScoopAction], patch_h: int = 16, patch_w: int = 16
-) -> np.ndarray:
-    """(n, H, W) flat indices into the terrain's grids of every action's
-    patch cells, oriented along its yaw with the left edge at the scoop
-    start. They depend only on the actions and the grid's shape, extent
-    and cell size, never on what a scoop changes.
+def patch_cells(terrain: TerrainInstance, actions: list[ScoopAction]) -> np.ndarray:
+    """(n, PATCH_H, PATCH_W) flat indices into the terrain's grids of
+    every action's patch cells, oriented along its yaw with the left edge
+    at the scoop start. They depend only on the actions and the grid's
+    shape, extent and cell size, never on what a scoop changes.
 
     Raises BoundsError, naming the first such action, when a start lies
     outside the terrain extent.
@@ -531,8 +517,8 @@ def patch_cells(
         act = actions[int(np.argmin(inside))]
         raise BoundsError(f"action start ({act.x}, {act.y}) outside extent {terrain.extent}")
     axes = _YAW_AXES[np.array([a.yaw for a in actions], dtype=np.int64)]
-    du = (np.arange(patch_w) + 0.5) / patch_w * PATCH_LEN
-    dv = ((np.arange(patch_h) + 0.5) / patch_h - 0.5) * PATCH_LEN
+    du = (np.arange(PATCH_W) + 0.5) / PATCH_W * PATCH_LEN
+    dv = ((np.arange(PATCH_H) + 0.5) / PATCH_H - 0.5) * PATCH_LEN
     flat = _patch_cells(xs, axes[:, 0], axes[:, 2], du, dv, terrain.cell, nx)
     flat *= ny
     flat += _patch_cells(ys, axes[:, 1], axes[:, 3], du, dv, terrain.cell, ny)
@@ -548,22 +534,20 @@ def render_patches(
     terrain: TerrainInstance,
     actions: list[ScoopAction],
     rng: np.random.Generator | None = None,
-    patch_h: int = 16,
-    patch_w: int = 16,
     *,
     cells: np.ndarray | None = None,
     out: np.ndarray | None = None,
     uniforms: np.ndarray | None = None,
 ) -> np.ndarray:
-    """(n, 4, H, W) patches oriented along each action's yaw, left edge at
-    the scoop start. Noise-free when both rng and uniforms are None.
+    """(n, 4, H, W) patches, H = PATCH_H and W = PATCH_W, oriented along
+    each action's yaw, left edge at the scoop start. Noise-free when both
+    rng and uniforms are None.
 
-    `cells`, when given, is patch_cells(terrain, actions, patch_h,
-    patch_w) from earlier; only the surface and height gathers and the
-    noise then run here. `out`, when given, is an (n, m) array with
-    m >= 4 * H * W, such as a feature matrix: the patches are written
-    into its first 4 * H * W columns, and the returned array is a view
-    of them.
+    `cells`, when given, is patch_cells(terrain, actions) from earlier;
+    only the surface and height gathers and the noise then run here.
+    `out`, when given, is an (n, m) array with m >= 4 * H * W, such as a
+    feature matrix: the patches are written into its first 4 * H * W
+    columns, and the returned array is a view of them.
 
     Noise contract: with an rng, all noise is one stream of uniforms
     drawn in action-major (n, 4, H, W) order, three texture channels then
@@ -581,16 +565,16 @@ def render_patches(
         raise ValueError("pass an rng or uniforms, not both")
     n = len(actions)
     if cells is None:
-        cells = patch_cells(terrain, actions, patch_h, patch_w)
-    size = PATCH_CHANNELS * patch_h * patch_w
+        cells = patch_cells(terrain, actions)
+    size = PATCH_CHANNELS * PATCH_H * PATCH_W
     if out is None:
         out = np.empty((n, size))
-    patches = out[:, :size].reshape(n, PATCH_CHANNELS, patch_h, patch_w)
+    patches = out[:, :size].reshape(n, PATCH_CHANNELS, PATCH_H, PATCH_W)
     surface = np.ravel(terrain.surface)
     heights = np.ravel(terrain.heightfield)
     # per material: twice the texture scale, then the three color channels
     materials = np.array([(2.0 * m.texture_scale, *m.color) for m in terrain.materials]).T
-    buf = np.empty((min(n, _RENDER_BLOCK), PATCH_CHANNELS, patch_h, patch_w))
+    buf = np.empty((min(n, _RENDER_BLOCK), PATCH_CHANNELS, PATCH_H, PATCH_W))
     for start in range(0, n, _RENDER_BLOCK):
         stop = min(start + _RENDER_BLOCK, n)
         flat = cells[start:stop]
@@ -703,18 +687,21 @@ def _local_slope_deg(terrain: TerrainInstance, ix: int, iy: int) -> float:
     return math.degrees(math.atan(math.hypot(gx, gy)))
 
 
-def effective_material(terrain: TerrainInstance, act: ScoopAction) -> LatentMaterial:
-    """Material the scoop actually engages: the hidden layer when the
-    scoop goes below the layer boundary."""
-    ix, iy = _center_cell(terrain, act)
-    idx = int(terrain.surface[ix, iy])
-    if (
+def _pierces_layer(terrain: TerrainInstance, act: ScoopAction) -> bool:
+    """Whether the scoop goes below the boundary of a hidden layer."""
+    return (
         terrain.hidden is not None
         and terrain.layer_depth is not None
         and act.depth > terrain.layer_depth
-    ):
-        idx = int(terrain.hidden[ix, iy])
-    return terrain.materials[idx]
+    )
+
+
+def effective_material(terrain: TerrainInstance, act: ScoopAction) -> LatentMaterial:
+    """Material the scoop actually engages: the hidden layer when the
+    scoop pierces it."""
+    ix, iy = _center_cell(terrain, act)
+    grid = terrain.hidden if _pierces_layer(terrain, act) else terrain.surface
+    return terrain.materials[int(grid[ix, iy])]
 
 
 def base_reward(terrain: TerrainInstance, act: ScoopAction) -> float:
@@ -751,11 +738,7 @@ def execute_scoop(
     terrain.heightfield[ix, iy] = np.maximum(
         terrain.heightfield[ix, iy] - 0.6 * act.depth, 0.0
     )
-    if (
-        terrain.hidden is not None
-        and terrain.layer_depth is not None
-        and act.depth > terrain.layer_depth
-    ):
+    if _pierces_layer(terrain, act):
         terrain.surface[ix, iy] = terrain.hidden[ix, iy]
     return reward
 
@@ -797,7 +780,7 @@ def collect_offline(task: TerrainTask, n_samples: int = 100, seed: int = 0) -> T
     rng = np.random.default_rng(seed)
     terrain = task.terrain
     actions, rewards = [], []
-    uniforms = np.empty((n_samples, PATCH_CHANNELS, 16, 16))
+    uniforms = np.empty((n_samples, PATCH_CHANNELS, PATCH_H, PATCH_W))
     while len(actions) < n_samples:
         act = sample_random_action(terrain, rng)
         if not feasible(terrain, act):

@@ -19,7 +19,9 @@ from scoopgp.terrain import (
     FOOT_MARGIN,
     HEIGHT_NOISE,
     PATCH_CHANNELS,
+    PATCH_H,
     PATCH_LEN,
+    PATCH_W,
     SCOOP_WIDTH,
     BoundsError,
     _direction,
@@ -64,7 +66,7 @@ def make_task(
     return TaskDataset(task_id, records)
 
 
-def render_patches_reference(terrain, actions, rng=None, patch_h=16, patch_w=16):
+def render_patches_reference(terrain, actions, rng=None):
     """One action at a time, drawing each action's noise as it goes: the
     oracle for terrain.render_patches, which must match it byte for byte
     and leave the generator in the same state."""
@@ -72,10 +74,10 @@ def render_patches_reference(terrain, actions, rng=None, patch_h=16, patch_w=16)
     nx, ny = terrain.surface.shape
     colors = np.array([m.color for m in terrain.materials])
     textures = np.array([m.texture_scale for m in terrain.materials])
-    du = (np.arange(patch_w) + 0.5) / patch_w * PATCH_LEN
-    dv = ((np.arange(patch_h) + 0.5) / patch_h - 0.5) * PATCH_LEN
+    du = (np.arange(PATCH_W) + 0.5) / PATCH_W * PATCH_LEN
+    dv = ((np.arange(PATCH_H) + 0.5) / PATCH_H - 0.5) * PATCH_LEN
     DU, DV = np.meshgrid(du, dv)  # (H, W)
-    out = np.empty((n, 4, patch_h, patch_w))
+    out = np.empty((n, 4, PATCH_H, PATCH_W))
     for i, act in enumerate(actions):
         if not (0.0 <= act.x <= terrain.extent[0] and 0.0 <= act.y <= terrain.extent[1]):
             raise BoundsError(f"action start ({act.x}, {act.y}) outside extent {terrain.extent}")
@@ -89,8 +91,8 @@ def render_patches_reference(terrain, actions, rng=None, patch_h=16, patch_w=16)
         out[i, 3] = terrain.heightfield[ix, iy]
         if rng is not None:
             scale = textures[mats]
-            out[i, :3] += rng.uniform(-1.0, 1.0, size=(3, patch_h, patch_w)) * scale
-            out[i, 3] += rng.uniform(-HEIGHT_NOISE, HEIGHT_NOISE, size=(patch_h, patch_w))
+            out[i, :3] += rng.uniform(-1.0, 1.0, size=(3, PATCH_H, PATCH_W)) * scale
+            out[i, 3] += rng.uniform(-HEIGHT_NOISE, HEIGHT_NOISE, size=(PATCH_H, PATCH_W))
     np.clip(out[:, :3], 0.0, 1.0, out=out[:, :3])
     return out
 
@@ -155,7 +157,7 @@ class LiveEnvironmentReference:
         self.terrain = task.terrain.copy()
         self.actions = grid.enumerate(self.terrain.extent)
         self._infeasible = {i for i, a in enumerate(self.actions) if not feasible_reference(self.terrain, a)}
-        self._features = action_rows(self.actions, PATCH_CHANNELS * 16 * 16)
+        self._features = action_rows(self.actions, PATCH_CHANNELS * PATCH_H * PATCH_W)
         self.rng = np.random.default_rng(seed)
 
     def candidates(self):
@@ -190,6 +192,32 @@ def extract_features(model, obs, act) -> np.ndarray:
 def embed_batch(model, X) -> np.ndarray:
     """The kernel head's embeddings of feature rows."""
     return model.kernel_t(T.Tensor(model.extract_batch(X))).data
+
+
+def support_tuples(ds, indices) -> list:
+    """The (obs, action, reward) support set of a dataset's records at
+    indices, as model.predict_batch takes it."""
+    return [(ds.records[i].obs, ds.records[i].action, ds.records[i].reward) for i in indices]
+
+
+def kshot_mae_reference(model, datasets, shots, seed) -> dict:
+    """eval-kshot's per-task MAE scored through model.predict_batch on
+    (obs, action) pairs and support tuples, with the command's query,
+    pool and support draws: the oracle for its feature-row scoring."""
+    per_task = {}
+    for task_index, ds in enumerate(datasets):
+        n_query = round(0.8 * len(ds))
+        rng = np.random.default_rng([seed, task_index])
+        perm = rng.permutation(len(ds))
+        query_idx, pool_idx = perm[:n_query], perm[n_query:]
+        queries = [(ds.records[i].obs, ds.records[i].action) for i in query_idx]
+        truth = np.array([ds.records[i].reward for i in query_idx])
+        per_task[ds.task_id] = {}
+        for k in shots:
+            support_idx = rng.choice(pool_idx, size=k, replace=False) if k else []
+            means, _ = model.predict_batch(queries, support_tuples(ds, support_idx))
+            per_task[ds.task_id][str(k)] = float(np.mean(np.abs(means - truth)))
+    return per_task
 
 
 def predict(model, obs, act, support=()) -> gp.GPPosterior:

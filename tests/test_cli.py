@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import kshot_mae_reference
 
 import scoopgp
 from scoopgp import cli
@@ -141,6 +142,17 @@ def test_report_matches_independent_recomputation(pipeline):
     assert (pipeline["report"] / "attempts.svg").exists()
     assert (pipeline["report"] / "plotdata" / "mae.json").exists()
     assert "kcmd-ot" in summary["kshot_mae"]
+
+
+def test_eval_kshot_matches_pair_scoring_oracle(pipeline):
+    """eval-kshot scores feature rows through predict_rows; its MAE file
+    holds, bit for bit, what scoring (obs, action) pairs and support
+    tuples through predict_batch gives."""
+    payload = json.loads(pipeline["mae"].read_text())
+    model, _ = load_checkpoint(pipeline["ckpt"])
+    tasks = [load_task_dataset(p) for p in sorted((pipeline["data"] / "tasks").glob("test-*.json"))]
+    assert payload["shots"] == [0, 3]
+    assert payload["per_task"] == kshot_mae_reference(model, tasks, [0, 3], seed=0)
 
 
 def test_eval_commands_use_learner_view(pipeline, tmp_path, monkeypatch):

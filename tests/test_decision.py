@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import LiveEnvironmentReference, make_task, render_patches_reference
+from helpers import LiveEnvironmentReference, make_task, render_patches_reference, support_tuples
 
 from scoopgp import decision as D
 from scoopgp import gp
@@ -29,7 +29,7 @@ def test_action_grid_sizes():
     acts = D.ActionGrid().enumerate((0.9, 0.6))
     assert len(acts) == 1536
     for a in acts[:50]:
-        a.validate(extent=(0.9, 0.6))
+        a.validate()
     depths = D.ActionGrid(nd=2).depths()
     assert np.allclose(depths, [0.0425, 0.0675])
 
@@ -42,7 +42,7 @@ def test_ucb_score_reductions():
     m = trained_toy_model()
     task = make_task("t", 5, seed=1)
     cands = [(r.obs, r.action) for r in task.records]
-    means, variances = m.predict_batch(cands, task.support_tuples([1, 2]))
+    means, variances = m.predict_batch(cands, support_tuples(task, [1, 2]))
     assert np.array_equal(D.Policy.ucb(0.0).scores(means, variances), means)
     assert np.array_equal(D.Policy.greedy().scores(means, variances), means)
     s2 = D.Policy.ucb(2.0).scores(means, variances)
@@ -93,7 +93,7 @@ def test_select_action_scores_rows_like_predict_batch():
     task = make_task("t", 9, seed=6)
     cands = [(r.obs, r.action) for r in task.records]
     X = M.feature_matrix(ARCH, cands)
-    support = task.support_tuples([7, 8])
+    support = support_tuples(task, [7, 8])
     Xs = M.feature_matrix(ARCH, [(o, a) for o, a, _ in support])
     rewards = [r for _, _, r in support]
     excluded = {0, 4, 7, 8}

@@ -32,27 +32,31 @@ def small_obs_act(seed=0, arch=SMALL):
 
 
 def test_action_validation():
-    M.ScoopAction(0.1, 0.1, 3, 0.05, 1).validate(extent=(0.9, 0.6))
+    M.ScoopAction(0.1, 0.1, 3, 0.05, 1).validate()
     with pytest.raises(ValueError):
         M.ScoopAction(0.1, 0.1, 8, 0.05, 1).validate()
     with pytest.raises(ValueError):
         M.ScoopAction(0.1, 0.1, 0, 0.09, 1).validate()
     with pytest.raises(ValueError):
         M.ScoopAction(0.1, 0.1, 0, 0.05, 2).validate()
-    with pytest.raises(ValueError):
-        M.ScoopAction(1.0, 0.1, 0, 0.05, 1).validate(extent=(0.9, 0.6))
     with pytest.raises(ValueError, match="finite"):
         M.ScoopAction(float("nan"), 0.1, 0, 0.05, 1).validate()
 
 
 def test_observation_validation():
-    M.Observation(np.zeros((2, 4, 4))).validate()
-    with pytest.raises(ValueError):
-        M.Observation(np.full((2, 4, 4), np.nan)).validate()
-    bad = np.zeros((2, 4, 4))
-    bad[0, 0, 0] = 1.5
-    with pytest.raises(ValueError):
-        M.Observation(bad).validate()
+    M.validate_patches(np.zeros((3, 2, 4, 4)))
+    nan = np.zeros((3, 2, 4, 4))
+    nan[1, 1, 2, 3] = np.nan
+    with pytest.raises(ValueError, match="patch 1 contains non-finite"):
+        M.validate_patches(nan)
+    bad = np.zeros((3, 2, 4, 4))
+    bad[2, 0, 0, 0] = 1.5
+    with pytest.raises(ValueError, match="patch 2: appearance"):
+        M.validate_patches(bad)
+    # the last channel is the height, which is not bounded
+    tall = np.zeros((1, 2, 4, 4))
+    tall[0, 1] = 1.5
+    M.validate_patches(tall)
 
 
 def test_feature_vector_layout():
@@ -132,6 +136,22 @@ def test_zero_shot_predict_equals_mean():
     assert post.variance == pytest.approx(
         (m.kp.outputscale + m.kp.noise**2) * m.reward_std**2
     )
+
+
+@pytest.mark.parametrize("has_kernel", [True, False])
+def test_predict_rows_with_empty_support_is_the_prior(has_kernel):
+    """No support: the de-standardized mean head, with gp.posterior_batch's
+    prior variance (outputscale + noise^2) std^2, or zero without a kernel."""
+    m = M.DeepGPModel.init(SMALL, seed=8, has_kernel=has_kernel)
+    rng = np.random.default_rng(8)
+    m.weights["mean.1.w"].data[:] = rng.normal(size=m.weights["mean.1.w"].shape)
+    m.kp = gp.KernelParams(log_outputscale=0.3, log_noise=-1.7)
+    m.reward_mean, m.reward_std = 12.5, 3.25
+    X = rng.uniform(0.0, 1.0, size=(7, SMALL.input_dim))
+    means, variances = m.predict_rows(X, X[[]], np.empty(0))
+    assert means.tobytes() == (m.mean_batch(X) * m.reward_std + m.reward_mean).tobytes()
+    prior = (m.kp.outputscale + m.kp.noise**2) * m.reward_std**2 if has_kernel else 0.0
+    assert variances.tobytes() == np.full(7, prior).tobytes()
 
 
 def test_support_at_query_with_tiny_noise_interpolates():
@@ -222,14 +242,6 @@ def test_dataset_schema_version_rejected(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="schema_version"):
         load_task_dataset(path)
-
-
-def test_feature_matrix_cached(tmp_path):
-    task = make_task("t2", 4, seed=2)
-    X1 = task.feature_matrix(SMALL)
-    X2 = task.feature_matrix(SMALL)
-    assert X1 is X2
-    assert X1.shape == (4, SMALL.input_dim)
 
 
 def _mean_and_kernel_passes(model, X, y):

@@ -75,7 +75,7 @@ def test_novel_pool_has_unscoopable_and_appearance_margin(suite):
     materials = test[0].terrain.materials
     train_mats = [m for m in materials if m.id.startswith("train-")]
     novel = [m for m in materials if m.id.startswith("novel-")]
-    assert any(not m.scoopable for m in novel)
+    assert any(not m.peak_volume > 0 for m in novel)
     assert terrain.appearance_gap(train_mats, novel) >= terrain.APPEARANCE_MARGIN
 
 
@@ -394,7 +394,7 @@ def test_layers_reward_switches_at_boundary():
 def test_unscoopable_reward_is_noise_floor():
     rng = np.random.default_rng(0)
     mats = terrain.training_materials(rng) + terrain.novel_materials(rng)
-    sheet = next(i for i, m in enumerate(mats) if not m.scoopable)
+    sheet = next(i for i, m in enumerate(mats) if not m.peak_volume > 0)
     t = flat_terrain([sheet], mats)
     rewards = [
         terrain.sample_reward(t, ScoopAction(0.4, 0.3, 0, 0.06, 1), np.random.default_rng(s))
