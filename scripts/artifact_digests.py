@@ -3,7 +3,8 @@
 Each step runs in a fresh `python -m scoopgp.cli` process that imports
 scoopgp from ./src:
 
-- gen-data for one small suite;
+- gen-data for one small suite whose four test tasks hold one of
+  each composition, Layers included;
 - train for sl, dkmt, kcmd-ot, kcmd-random and kcmd-manual at small
   epoch flags (checkpoint and manifest of each);
 - for each checkpoint, eval-deploy in replay and in live mode, and
@@ -33,7 +34,7 @@ import tempfile
 from pathlib import Path
 
 METHODS = ("sl", "dkmt", "kcmd-ot", "kcmd-random", "kcmd-manual")
-GEN_DATA = ["--seed", "3", "--n-train", "6", "--n-test", "2", "--samples", "40"]
+GEN_DATA = ["--seed", "3", "--n-train", "6", "--n-test", "4", "--samples", "40"]
 TRAIN = ["--seed", "1", "--k-folds", "3", "--patience", "3", "--batch-size", "32",
          "--max-epochs-mean", "12", "--max-epochs-meta", "10"]
 EVALS = {

@@ -184,10 +184,6 @@ def cmd_train(args) -> None:
 
 
 def cmd_eval_deploy(args) -> None:
-    if args.mode not in ("replay", "live"):
-        raise ConfigError(f"mode: {args.mode!r} not one of replay|live")
-    if args.policy not in ("auto", "ucb", "greedy"):
-        raise ConfigError(f"policy: {args.policy!r} not one of auto|ucb|greedy")
     if args.gamma < 0:
         raise ConfigError("gamma: must be nonnegative")
     if args.max_attempts < 1:
@@ -473,10 +469,16 @@ def cmd_report(args) -> None:
 # --- entry point ---------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, its subcommands' included, whose flag errors
+    are ConfigErrors, so that they exit 1 like every other config error."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="scoopgp", description="few-shot scooping benchmark harness"
-    )
+    parser = _Parser(prog="scoopgp", description="few-shot scooping benchmark harness")
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen-data", help="generate a suite and offline datasets")
@@ -504,8 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--model", required=True)
     d.add_argument("--data", required=True)
     d.add_argument("--out", required=True)
-    d.add_argument("--mode", default="replay")
-    d.add_argument("--policy", default="auto")
+    d.add_argument("--mode", choices=("replay", "live"), default="replay")
+    d.add_argument("--policy", choices=("auto", "ucb", "greedy"), default="auto")
     d.add_argument("--gamma", type=float, default=2.0)
     d.add_argument("--max-attempts", type=int, default=20)
     d.add_argument("--reps", type=int, default=3)
@@ -530,9 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         args.func(args)
         return 0
     except (ConfigError, CheckpointError, DatasetError) as err:

@@ -27,7 +27,6 @@ import numpy as np
 from .model import (
     JSON_NUMBERS,
     Architecture,
-    Observation,
     ScoopAction,
     TrajectoryConstants,
     feature_matrix,
@@ -48,7 +47,7 @@ class DatasetError(ValueError):
 
 @dataclass
 class ScoopRecord:
-    obs: Observation
+    obs: np.ndarray  # the (C, H, W) patch observed before the scoop
     action: ScoopAction
     reward: float
 
@@ -162,7 +161,7 @@ def save_task_dataset(ds: TaskDataset, path) -> None:
     if not ds.records:
         raise DatasetError(f"refusing to save empty dataset {ds.task_id}")
     try:
-        patches = np.stack([r.obs.patch for r in ds.records]).astype(np.float64, copy=False)
+        patches = np.stack([r.obs for r in ds.records]).astype(np.float64, copy=False)
     except ValueError as err:
         raise DatasetError(f"{ds.task_id}: patches differ in shape: {err}") from err
     if patches.ndim != 4:
@@ -254,7 +253,7 @@ def load_task_dataset(path, view: str = "learner") -> TaskDataset:
     patches = _patch_values(path, raw, size).reshape(len(raw), *shape)
     _check_records(path, patches, actions, rewards)
     records = [
-        ScoopRecord(obs=Observation(patch), action=action, reward=float(reward))
+        ScoopRecord(obs=patch, action=action, reward=float(reward))
         for patch, action, reward in zip(patches, actions, rewards)
     ]
     return TaskDataset(

@@ -27,6 +27,11 @@ from .terrain import (
     skip_uniforms,
 )
 
+# the grid's starts keep this far from the tray wall: close enough that
+# outward-facing border scoops fail the feasibility predicate and
+# exercise action masking
+GRID_MARGIN = 0.05
+
 
 @dataclass(frozen=True)
 class ActionGrid:
@@ -35,25 +40,18 @@ class ActionGrid:
     nx: int = 8
     ny: int = 6
     nd: int = 2
-    # close enough to the tray wall that outward-facing border scoops
-    # fail the feasibility predicate and exercise action masking
-    margin: float = 0.05
 
     @classmethod
     def paper_scale(cls) -> "ActionGrid":
         return cls(nx=15, ny=12, nd=4)
-
-    @property
-    def size(self) -> int:
-        return self.nx * self.ny * N_YAW * self.nd * len(STIFFNESSES)
 
     def depths(self) -> np.ndarray:
         step = (DEPTH_MAX - DEPTH_MIN) / self.nd
         return DEPTH_MIN + (np.arange(self.nd) + 0.5) * step
 
     def enumerate(self, extent: tuple[float, float]) -> list[ScoopAction]:
-        xs = np.linspace(self.margin, extent[0] - self.margin, self.nx)
-        ys = np.linspace(self.margin, extent[1] - self.margin, self.ny)
+        xs = np.linspace(GRID_MARGIN, extent[0] - GRID_MARGIN, self.nx)
+        ys = np.linspace(GRID_MARGIN, extent[1] - GRID_MARGIN, self.ny)
         depths = self.depths()
         actions = []
         for x in xs:

@@ -86,8 +86,8 @@ def sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.maximum(d2, 0.0)
 
 
-def gram(Z: np.ndarray, kp: KernelParams, with_noise: bool = False) -> np.ndarray:
-    """Symmetric PSD kernel matrix; noise variance on the diagonal if asked.
+def gram(Z: np.ndarray, kp: KernelParams) -> np.ndarray:
+    """Symmetric kernel matrix with the noise variance on its diagonal.
 
     This is not gram_objective's arithmetic: the evaluation artifacts'
     bytes depend on this syrk d2, its clip at 0 and the symmetrization."""
@@ -95,9 +95,7 @@ def gram(Z: np.ndarray, kp: KernelParams, with_noise: bool = False) -> np.ndarra
     d2 = sq_dists(Z, Z)
     K = kp.outputscale * np.exp(-d2 / (2.0 * kp.lengthscale**2))
     K = 0.5 * (K + K.T)
-    if with_noise:
-        K = K + (kp.noise**2) * np.eye(len(Z))
-    return K
+    return K + (kp.noise**2) * np.eye(len(Z))
 
 
 def cross_gram(Zq: np.ndarray, Zs: np.ndarray, kp: KernelParams) -> np.ndarray:
@@ -148,13 +146,13 @@ def posterior_batch(
     """Posterior means and variances for a batch of query embeddings."""
     query_Z = np.atleast_2d(np.asarray(query_Z, dtype=np.float64))
     m = len(query_Z)
-    if support_Z is None or np.size(support_Z) == 0:
+    if np.size(support_Z) == 0:
         prior = kp.outputscale + kp.noise**2
         return np.zeros(m), np.full(m, prior)
     support_Z = np.atleast_2d(np.asarray(support_Z, dtype=np.float64))
     n = len(support_Z)
     y = np.asarray(residuals, dtype=np.float64).reshape(n)
-    Kbar = gram(support_Z, kp, with_noise=True)
+    Kbar = gram(support_Z, kp)
     L, _ = cholesky_with_jitter(Kbar)
     alpha = np.linalg.solve(L.T, np.linalg.solve(L, y))
     Kqs = cross_gram(query_Z, support_Z, kp)

@@ -1,11 +1,12 @@
 """Reward model: a shared dense feature extractor feeding a scalar mean
 head and a GP embedding head.
 
-Observations are small oriented image patches (appearance channels plus
-a height channel); actions contribute depth and stiffness as raw
-features, while position and yaw are consumed by patch extraction. The
-mean head predicts standardized reward; the kernel head embeds inputs
-for the residual GP.
+The model sees small oriented (C, H, W) image patches: appearance
+channels plus a height channel, the left edge at the scoop start and the
+horizontal axis along the scoop direction. Actions contribute depth and
+stiffness as raw features, while position and yaw are consumed by patch
+extraction. The mean head predicts standardized reward; the kernel
+head embeds inputs for the residual GP.
 """
 from __future__ import annotations
 
@@ -109,17 +110,6 @@ class ScoopAction:
         return cls(x, y, yaw, depth, stiffness)
 
 
-@dataclass
-class Observation:
-    """Oriented local patch: appearance channels plus one height channel.
-
-    The patch's left edge sits at the scoop start and its horizontal axis
-    runs along the scoop direction.
-    """
-
-    patch: np.ndarray  # (channels, height, width)
-
-
 def validate_patches(patches: np.ndarray) -> None:
     """ValueError when a patch of a (n, C, H, W) stack is non-finite or has appearance
     outside [0, 1]; the message names the first bad patch's index."""
@@ -182,13 +172,13 @@ def action_rows(actions, patch_size: int) -> np.ndarray:
 
 
 def feature_rows(pairs) -> np.ndarray:
-    """(n, C * H * W + 2) model features of [(obs, act)] pairs whose
+    """(n, C * H * W + 2) model features of [(patch, act)] pairs whose
     patches share one (C, H, W) shape: each row is the flattened patch
     plus normalized depth and the stiffness flag."""
     pairs = list(pairs)
-    shape = pairs[0][0].patch.shape
+    shape = pairs[0][0].shape
     X = action_rows([act for _, act in pairs], math.prod(shape))
-    np.stack([obs.patch for obs, _ in pairs], out=X[:, :-2].reshape(len(pairs), *shape))
+    np.stack([patch for patch, _ in pairs], out=X[:, :-2].reshape(len(pairs), *shape))
     return X
 
 
@@ -196,11 +186,9 @@ def feature_matrix(arch: Architecture, pairs) -> np.ndarray:
     """feature_rows of pairs whose patches have the architecture's shape."""
     pairs = list(pairs)
     shape = (arch.channels, arch.patch_h, arch.patch_w)
-    for obs, _ in pairs:
-        if obs.patch.shape != shape:
-            raise T.ShapeError(
-                f"patch shape {obs.patch.shape} does not match architecture {shape}"
-            )
+    for patch, _ in pairs:
+        if patch.shape != shape:
+            raise T.ShapeError(f"patch shape {patch.shape} does not match architecture {shape}")
     return feature_rows(pairs)
 
 
@@ -356,12 +344,12 @@ class DeepGPModel:
         """Standardized mean predictions for a feature matrix."""
         return self.mean_t(T.Tensor(self.extract_batch(X))).data[:, 0]
 
-    def feature_vector(self, obs: Observation, act: ScoopAction) -> np.ndarray:
-        """One pair's feature row; kept because perfbench/layers.py wraps it."""
+    def feature_vector(self, obs: np.ndarray, act: ScoopAction) -> np.ndarray:
+        """One (patch, action) pair's feature row; kept because perfbench/layers.py wraps it."""
         return feature_matrix(self.arch, [(obs, act)])[0]
 
     def predict_batch(self, candidates, support=()) -> tuple[np.ndarray, np.ndarray]:
-        """predict_rows over [(obs, act)] candidates and an [(obs, act,
+        """predict_rows over [(patch, act)] candidates and a [(patch, act,
         reward)] support set."""
         support = list(support)
         if support:

@@ -16,11 +16,13 @@ import numpy as np
 
 from .data import TaskDataset
 from .gp import sq_dists
-from .model import Observation
 
-DEFAULT_MAX_ITER = 500
-DEFAULT_TOL = 1e-6
+# Sinkhorn stops after MAX_ITER iterations or once every row marginal is
+# within TOL (max norm)
+MAX_ITER = 500
+TOL = 1e-6
 DEFAULT_EPS_SCALE = 0.05
+HISTOGRAM_BINS = 32
 
 
 class SplitError(ValueError):
@@ -28,7 +30,7 @@ class SplitError(ValueError):
 
 
 class SinkhornWarning(UserWarning):
-    """Sinkhorn iterations hit max_iter before the marginal tolerance."""
+    """Sinkhorn iterations hit MAX_ITER before the marginal tolerance."""
 
 
 @dataclass(frozen=True)
@@ -42,16 +44,16 @@ class SampleCostParams:
     c_image: float
     c_action: float
     c_reward: float
-    histogram_bins: int = 32
+    histogram_bins: int = HISTOGRAM_BINS
     channel_ranges: tuple[tuple[float, float], ...] = ()
 
     @classmethod
-    def from_tasks(cls, tasks: list[TaskDataset], bins: int = 32) -> "SampleCostParams":
+    def from_tasks(cls, tasks: list[TaskDataset]) -> "SampleCostParams":
         patches = [_task_patches(task) for task in tasks]
         lo = np.min([p.min(axis=(0, 2, 3)) for p in patches], axis=0)
         hi = np.max([p.max(axis=(0, 2, 3)) for p in patches], axis=0)
         ranges = tuple((float(a), float(b if b > a else a + 1e-9)) for a, b in zip(lo, hi))
-        partial = cls(1.0, 1.0, 1.0, histogram_bins=bins, channel_ranges=ranges)
+        partial = cls(1.0, 1.0, 1.0, channel_ranges=ranges)
         c_img = c_act = c_rew = 0.0
         for task, task_patches in zip(tasks, patches):
             for h in histogram_matrix(task_patches, partial):
@@ -63,13 +65,12 @@ class SampleCostParams:
             c_image=max(c_img, 1e-12),
             c_action=max(c_act, 1e-12),
             c_reward=max(c_rew, 1e-12),
-            histogram_bins=bins,
             channel_ranges=ranges,
         )
 
 
 def _task_patches(task: TaskDataset) -> np.ndarray:
-    return np.stack([rec.obs.patch for rec in task.records])
+    return np.stack([rec.obs for rec in task.records])
 
 
 def histogram_matrix(patches: np.ndarray, params: SampleCostParams) -> np.ndarray:
@@ -101,13 +102,13 @@ def histogram_matrix(patches: np.ndarray, params: SampleCostParams) -> np.ndarra
     return out
 
 
-def histogram_feature(obs: Observation, params: SampleCostParams) -> np.ndarray:
-    """Histogram features of one observation (see histogram_matrix)."""
-    return histogram_matrix(obs.patch[None], params)[0]
+def histogram_feature(patch: np.ndarray, params: SampleCostParams) -> np.ndarray:
+    """Histogram features of one (C, H, W) patch (see histogram_matrix)."""
+    return histogram_matrix(patch[None], params)[0]
 
 
 def sample_cost(s1, s2, params: SampleCostParams) -> float:
-    """Composite distance between two (obs, action, reward) samples."""
+    """Composite distance between two (patch, action, reward) samples."""
     o1, a1, r1 = s1
     o2, a2, r2 = s2
     d_img = float(
@@ -152,23 +153,19 @@ def _logsumexp_inplace(M: np.ndarray, axis: int) -> np.ndarray:
     return np.squeeze(m + np.log(M.sum(axis=axis, keepdims=True)), axis=axis)
 
 
-def entropic_transport_cost(
-    C: np.ndarray,
-    eps: float,
-    max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_TOL,
-) -> tuple[float, bool]:
+def entropic_transport_cost(C: np.ndarray, eps: float) -> tuple[float, bool]:
     """<P, C> under the entropic-optimal plan, by log-domain Sinkhorn.
 
     Uniform marginals. Returns (cost, converged); iteration stops when
-    the row-marginal violation drops below tol in the max norm. The
-    matrix is canonicalized in orientation first, so transposed inputs
-    produce bit-identical values (the OT value is transpose-invariant).
+    the row-marginal violation drops below TOL in the max norm, or after
+    MAX_ITER iterations. The matrix is canonicalized in orientation
+    first, so transposed inputs produce bit-identical values (the OT
+    value is transpose-invariant).
 
     Each iteration first tests the row that was worst at the last full
     check, with the full check's arithmetic: while that row is off by
-    tol the maximum is too, so the plan is formed in full only when it
-    is within tol, and the full check then decides.
+    TOL the maximum is too, so the plan is formed in full only when it
+    is within TOL, and the full check then decides.
     """
     C = np.ascontiguousarray(C, dtype=np.float64)
     Ct = np.ascontiguousarray(C.T)
@@ -195,7 +192,7 @@ def entropic_transport_cost(
 
     worst = 0
     converged = False
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         np.subtract(g, C, out=buf)
         buf /= eps
         buf += log_nu
@@ -205,10 +202,10 @@ def entropic_transport_cost(
         buf += log_mu[:, None]
         g = -eps * _logsumexp_inplace(buf, axis=0)
         row = np.exp((f[worst] + g - C[worst]) / eps + log_mu[worst] + log_nu)
-        if abs(row.sum() - mu[worst]) < tol:
+        if abs(row.sum() - mu[worst]) < TOL:
             violation = np.abs(plan().sum(axis=1) - mu)
             worst = int(np.argmax(violation))
-            if violation[worst] < tol:
+            if violation[worst] < TOL:
                 converged = True
                 break
     P = buf if converged else plan()
@@ -223,11 +220,7 @@ def pair_epsilon(C_ab: np.ndarray) -> float:
 
 
 def _debiased_divergences(
-    tasks: list[TaskDataset],
-    params: SampleCostParams,
-    eps: float | None,
-    max_iter: int,
-    tol: float,
+    tasks: list[TaskDataset], params: SampleCostParams, eps: float | None
 ) -> tuple[np.ndarray, float]:
     """OT(a,b) - (OT(a,a) + OT(b,b)) / 2 for every pair of tasks, all at
     one eps, and that eps; None takes pair_epsilon of every entry of the
@@ -240,50 +233,38 @@ def _debiased_divergences(
     if eps is None:
         eps = pair_epsilon(np.concatenate([C.ravel() for C in cross]))
     self_terms = [
-        entropic_transport_cost(cost_matrix_arrays(x, x, params), eps, max_iter, tol)
+        entropic_transport_cost(cost_matrix_arrays(x, x, params), eps)
         for x in arrays
     ]
     D = np.zeros((len(tasks), len(tasks)))
     for (a, b), C_ab in zip(pairs, cross):
-        v_ab, converged = entropic_transport_cost(C_ab, eps, max_iter, tol)
+        v_ab, converged = entropic_transport_cost(C_ab, eps)
         (v_aa, ok_aa), (v_bb, ok_bb) = self_terms[a], self_terms[b]
         D[a, b] = D[b, a] = v_ab - 0.5 * v_aa - 0.5 * v_bb
         if not (converged and ok_aa and ok_bb):
             warnings.warn(
-                f"sinkhorn did not reach tol={tol} within {max_iter} iterations "
+                f"sinkhorn did not reach tol={TOL} within {MAX_ITER} iterations "
                 f"for pair ({tasks[a].task_id}, {tasks[b].task_id}); value is partial",
                 SinkhornWarning,
             )
     return D, eps
 
 
-def sinkhorn_divergence(
-    A: TaskDataset,
-    B: TaskDataset,
-    params: SampleCostParams,
-    eps: float,
-    max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_TOL,
-) -> float:
+def sinkhorn_divergence(A: TaskDataset, B: TaskDataset, params: SampleCostParams, eps: float) -> float:
     """Debiased divergence OT(A,B) - (OT(A,A) + OT(B,B)) / 2 at one eps."""
     if not A.records or not B.records:
         raise ValueError("sinkhorn_divergence needs nonempty datasets")
-    return float(_debiased_divergences([A, B], params, eps, max_iter, tol)[0][0, 1])
+    return float(_debiased_divergences([A, B], params, eps)[0][0, 1])
 
 
-def task_distance_matrix(
-    tasks: list[TaskDataset],
-    params: SampleCostParams,
-    max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_TOL,
-) -> tuple[np.ndarray, float]:
+def task_distance_matrix(tasks: list[TaskDataset], params: SampleCostParams) -> tuple[np.ndarray, float]:
     """The symmetric matrix of debiased divergences between tasks
     (diagonal zero) and its eps.
 
     One eps serves every solve, DEFAULT_EPS_SCALE times the median of
     all the cross costs, as in the Sinkhorn divergence of Feydy et al.
     (2019), so each task's self-term is solved once."""
-    return _debiased_divergences(tasks, params, None, max_iter, tol)
+    return _debiased_divergences(tasks, params, None)
 
 
 @dataclass

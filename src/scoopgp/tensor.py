@@ -1,7 +1,7 @@
 """Dense float64 tensors with a reverse-mode gradient tape.
 
 The tape keeps only the ops the model records: `dense` (one fused layer),
-`sub`, `square` and `reduce` (the mean head's squared-error loss), and
+`sub`, `square` and `mean` (the mean head's squared-error loss), and
 `custom_op`, through which the kernel head's normalization, the GP Gram
 matrix and the NLML record their forward and analytic gradient as one op
 each. Adam updates the parameters. Everything is float64; there is no
@@ -176,22 +176,14 @@ def square(a: Tensor) -> Tensor:
     return _track(out, (a,), backward_fn)
 
 
-def reduce(op: str, a: Tensor) -> Tensor:
-    """sum or mean over all elements."""
+def mean(a: Tensor) -> Tensor:
+    """The mean over all elements."""
     a = _lift(a)
-    if op not in ("sum", "mean"):
-        raise ValueError(f"unknown reduce op {op!r}")
-    if op == "sum":
-        out = Tensor(a.data.sum())
-        count = 1.0
-    else:
-        out = Tensor(a.data.mean())
-        count = a.data.size
-    in_shape = a.shape
+    out = Tensor(a.data.mean())
+    count, in_shape = a.data.size, a.shape
 
     def backward_fn(g):
-        gb = np.broadcast_to(g, in_shape)
-        return (gb / count if count != 1.0 else gb.copy(),)
+        return (np.broadcast_to(g, in_shape) / count,)
 
     return _track(out, (a,), backward_fn)
 
@@ -200,6 +192,12 @@ def custom_op(out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> 
     """Record an op whose forward ran outside the op set (e.g. a Cholesky
     solve) but whose input gradients are known analytically."""
     return _track(Tensor(out_data), inputs, backward_fn)
+
+
+# Adam's moment decay rates and its denominator's stabilizer (Kingma & Ba, 2015)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -212,16 +210,9 @@ class AdamState:
     v: np.ndarray | None = None
 
 
-def adam_step(
-    params: list[Tensor],
-    grads: list[np.ndarray],
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
-    """One Adam update, in place on params' data.
+def adam_step(params: list[Tensor], grads: list[np.ndarray], state: AdamState, lr: float) -> None:
+    """One Adam update, in place on params' data, at ADAM_BETA1,
+    ADAM_BETA2 and ADAM_EPS.
 
     The update runs once over all parameters flattened into one vector.
     Every gradient is checked before anything is written: on an error
@@ -249,18 +240,18 @@ def adam_step(
     # the per-parameter formula, operation for operation:
     # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g;
     # p -= lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
-    upd = np.multiply(flat, 1.0 - beta1)
-    m *= beta1
+    upd = np.multiply(flat, 1.0 - ADAM_BETA1)
+    m *= ADAM_BETA1
     m += upd
-    np.multiply(flat, 1.0 - beta2, out=upd)
+    np.multiply(flat, 1.0 - ADAM_BETA2, out=upd)
     upd *= flat
-    v *= beta2
+    v *= ADAM_BETA2
     v += upd
-    np.divide(m, 1.0 - beta1**t, out=upd)
+    np.divide(m, 1.0 - ADAM_BETA1**t, out=upd)
     upd *= lr
-    denom = np.divide(v, 1.0 - beta2**t, out=flat)
+    denom = np.divide(v, 1.0 - ADAM_BETA2**t, out=flat)
     np.sqrt(denom, out=denom)
-    denom += eps
+    denom += ADAM_EPS
     upd /= denom
     start = 0
     for p in params:

@@ -28,7 +28,6 @@ from .model import (
     STIFF_HARD,
     STIFF_SOFT,
     STIFFNESSES,
-    Observation,
     ScoopAction,
     TrajectoryConstants,
     record_dict,
@@ -301,24 +300,24 @@ def _grid_shape(extent=EXTENT, cell=CELL) -> tuple[int, int]:
     return int(round(extent[0] / cell)), int(round(extent[1] / cell))
 
 
-def _cell_centers(shape, cell):
-    xs = (np.arange(shape[0]) + 0.5) * cell
-    ys = (np.arange(shape[1]) + 0.5) * cell
+def _cell_centers(shape):
+    xs = (np.arange(shape[0]) + 0.5) * CELL
+    ys = (np.arange(shape[1]) + 0.5) * CELL
     return np.meshgrid(xs, ys, indexing="ij")
 
 
-def _gen_heightfield(rng: np.random.Generator, shape, cell) -> np.ndarray:
-    X, Y = _cell_centers(shape, cell)
+def _gen_heightfield(rng: np.random.Generator, shape) -> np.ndarray:
+    X, Y = _cell_centers(shape)
     h = np.zeros(shape)
     for _ in range(int(rng.integers(2, 6))):
-        cx = rng.uniform(0.0, shape[0] * cell)
-        cy = rng.uniform(0.0, shape[1] * cell)
+        cx = rng.uniform(0.0, shape[0] * CELL)
+        cy = rng.uniform(0.0, shape[1] * CELL)
         amp = rng.uniform(0.03, 0.14)
         sx = rng.uniform(0.10, 0.30)
         sy = sx * rng.uniform(0.4, 1.0)  # anisotropic bumps double as ridges
         h += amp * np.exp(-(((X - cx) / sx) ** 2 + ((Y - cy) / sy) ** 2) / 2.0)
     h = np.minimum(h, MAX_ELEVATION * 0.95)
-    gx, gy = np.gradient(h, cell)
+    gx, gy = np.gradient(h, CELL)
     max_slope = math.degrees(math.atan(float(np.sqrt(gx**2 + gy**2).max())))
     if max_slope > MAX_SLOPE_DEG:
         h *= math.tan(math.radians(MAX_SLOPE_DEG)) / math.tan(math.radians(max_slope)) * 0.98
@@ -326,7 +325,7 @@ def _gen_heightfield(rng: np.random.Generator, shape, cell) -> np.ndarray:
 
 
 def _partition_grid(shape, mat_indices, rng, cut_range) -> np.ndarray:
-    X, Y = _cell_centers(shape, CELL)
+    X, Y = _cell_centers(shape)
     grid = np.full(shape, mat_indices[0], dtype=np.int64)
     axis = 0 if rng.random() < 0.5 else 1
     axis_vals = X if axis == 0 else Y
@@ -338,7 +337,7 @@ def _partition_grid(shape, mat_indices, rng, cut_range) -> np.ndarray:
 
 
 def _mixture_grid(shape, mat_indices, rng) -> np.ndarray:
-    X, Y = _cell_centers(shape, CELL)
+    X, Y = _cell_centers(shape)
     n_blobs = int(rng.integers(6, 13))
     px = rng.uniform(0, shape[0] * CELL, size=n_blobs)
     py = rng.uniform(0, shape[1] * CELL, size=n_blobs)
@@ -354,7 +353,7 @@ def _make_terrain(
     composition, mat_indices, materials, rng, seed, cut_range=(0.3, 0.7)
 ) -> TerrainInstance:
     shape = _grid_shape()
-    height = _gen_heightfield(rng, shape, CELL)
+    height = _gen_heightfield(rng, shape)
     hidden = None
     layer_depth = None
     if composition == "Single":
@@ -477,15 +476,13 @@ def generate_suite(
 # --- rendering -------------------------------------------------------------
 
 
-def _direction(yaw: int) -> tuple[np.ndarray, np.ndarray]:
-    a = yaw * (2.0 * math.pi / N_YAW)
-    d = np.array([math.cos(a), math.sin(a)])
-    p = np.array([-math.sin(a), math.cos(a)])
-    return d, p
-
-
-# per yaw index: d_x, d_y, p_x, p_y of _direction
-_YAW_AXES = np.array([np.concatenate(_direction(k)) for k in range(N_YAW)])
+# per yaw index a = k 2 pi / N_YAW: the drag axis (d_x, d_y) = (cos a, sin a)
+# and the side axis (p_x, p_y) = (-sin a, cos a), by math's cos and sin
+# (numpy's may differ in the last bit)
+_YAW_AXES = np.array([
+    (math.cos(a), math.sin(a), -math.sin(a), math.cos(a))
+    for a in (k * (2.0 * math.pi / N_YAW) for k in range(N_YAW))
+])
 
 
 def _patch_cells(start, along, across, du, dv, cell, count) -> np.ndarray:
@@ -540,8 +537,9 @@ def render_patches(
     uniforms: np.ndarray | None = None,
 ) -> np.ndarray:
     """(n, 4, H, W) patches, H = PATCH_H and W = PATCH_W, oriented along
-    each action's yaw, left edge at the scoop start. Noise-free when both
-    rng and uniforms are None.
+    each action's yaw, left edge at the scoop start, their noise from
+    exactly one of rng and uniforms (all-0.5 uniforms render the patches
+    without noise).
 
     `cells`, when given, is patch_cells(terrain, actions) from earlier;
     only the surface and height gathers and the noise then run here.
@@ -561,8 +559,8 @@ def render_patches(
     action that is not rendered never has its noise drawn: a caller that
     skips actions moves the stream past them with skip_uniforms.
     """
-    if rng is not None and uniforms is not None:
-        raise ValueError("pass an rng or uniforms, not both")
+    if (rng is None) == (uniforms is None):
+        raise ValueError("pass exactly one of an rng and uniforms")
     n = len(actions)
     if cells is None:
         cells = patch_cells(terrain, actions)
@@ -581,21 +579,18 @@ def render_patches(
         mat = materials.take(surface.take(flat), axis=1)
         block = buf[: stop - start]
         texture, height = block[:, :3], block[:, 3]
-        if rng is not None or uniforms is not None:
-            if rng is not None:
-                rng.random(out=block)
-            else:
-                block[...] = uniforms[start:stop]
-            # Generator.uniform(low, high) computes low + (high - low) * u.
-            # For the texture, (-1 + 2u) * scale: u is a multiple of 2**-53
-            # in [0, 1), so -1 + 2u and u - 0.5 are exact, and (u - 0.5) *
-            # (2 * scale) rounds the same exact product in one pass less.
-            texture -= 0.5
-            texture *= mat[0][:, None]
-            height *= HEIGHT_NOISE - -HEIGHT_NOISE
-            height += -HEIGHT_NOISE
+        if rng is not None:
+            rng.random(out=block)
         else:
-            block.fill(0.0)
+            block[...] = uniforms[start:stop]
+        # Generator.uniform(low, high) computes low + (high - low) * u.
+        # For the texture, (-1 + 2u) * scale: u is a multiple of 2**-53
+        # in [0, 1), so -1 + 2u and u - 0.5 are exact, and (u - 0.5) *
+        # (2 * scale) rounds the same exact product in one pass less.
+        texture -= 0.5
+        texture *= mat[0][:, None]
+        height *= HEIGHT_NOISE - -HEIGHT_NOISE
+        height += -HEIGHT_NOISE
         texture += mat[1:].transpose(1, 0, 2, 3)
         np.clip(texture, 0.0, 1.0, out=patches[start:stop, :3])
         np.add(height, heights.take(flat), out=patches[start:stop, 3])
@@ -651,13 +646,13 @@ def feasible(terrain: TerrainInstance, act: ScoopAction) -> bool:
 
 
 def _footprint_cells(terrain: TerrainInstance, act: ScoopAction):
-    d, p = _direction(act.yaw)
+    d_x, d_y, p_x, p_y = _YAW_AXES[act.yaw]
     drag = TrajectoryConstants().drag_length_m
     along = np.linspace(0.0, drag, 7)
     side = np.linspace(-SCOOP_WIDTH / 2, SCOOP_WIDTH / 2, 7)
     A, S = np.meshgrid(along, side)
-    px = act.x + d[0] * A + p[0] * S
-    py = act.y + d[1] * A + p[1] * S
+    px = act.x + d_x * A + p_x * S
+    py = act.y + d_y * A + p_y * S
     nx, ny = terrain.surface.shape
     ix = np.clip((px / terrain.cell).astype(np.int64), 0, nx - 1)
     iy = np.clip((py / terrain.cell).astype(np.int64), 0, ny - 1)
@@ -665,10 +660,10 @@ def _footprint_cells(terrain: TerrainInstance, act: ScoopAction):
 
 
 def _center_cell(terrain: TerrainInstance, act: ScoopAction):
-    d, _ = _direction(act.yaw)
+    d_x, d_y = _YAW_AXES[act.yaw, :2]
     drag = TrajectoryConstants().drag_length_m
-    cx = act.x + d[0] * drag / 2.0
-    cy = act.y + d[1] * drag / 2.0
+    cx = act.x + d_x * drag / 2.0
+    cy = act.y + d_y * drag / 2.0
     nx, ny = terrain.surface.shape
     # the value first: max and min then keep a NaN, and int() refuses it
     return (
@@ -790,7 +785,7 @@ def collect_offline(task: TerrainTask, n_samples: int = 100, seed: int = 0) -> T
         actions.append(act)
     patches = render_patches(terrain, actions, uniforms=uniforms)
     records = [
-        ScoopRecord(obs=Observation(patch), action=act, reward=reward)
+        ScoopRecord(obs=patch, action=act, reward=reward)
         for patch, act, reward in zip(patches, actions, rewards)
     ]
     material_ids = terrain.material_ids()

@@ -222,7 +222,7 @@ def _train_mean(
             yb = ytr[idx][:, None]
             with T.Tape() as tape:
                 pred = model.mean_t(model.extractor_t(T.Tensor(xb)))
-                loss = T.reduce("mean", T.square(T.sub(pred, T.Tensor(yb))))
+                loss = T.mean(T.square(T.sub(pred, T.Tensor(yb))))
                 tape.backward(loss)
             try:
                 T.adam_step(params, [p.grad for p in params], state, cfg.lr_mean)

@@ -1,5 +1,6 @@
 """Small builders and reference oracles shared across test modules."""
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ from scoopgp import gp, ot
 from scoopgp import tensor as T
 from scoopgp.data import SCHEMA_VERSION, ScoopRecord, TaskDataset
 from scoopgp.model import (
-    Observation,
+    N_YAW,
     ScoopAction,
     TrajectoryConstants,
     action_rows,
@@ -24,7 +25,6 @@ from scoopgp.terrain import (
     PATCH_W,
     SCOOP_WIDTH,
     BoundsError,
-    _direction,
     execute_scoop,
     render_patches,
     sample_random_action,
@@ -58,7 +58,7 @@ def make_task(
         patch[-1] = rng.uniform(0.0, 0.2, size=(h, w))
         records.append(
             ScoopRecord(
-                obs=Observation(patch),
+                obs=patch,
                 action=random_action(rng),
                 reward=float(rng.uniform(0.0, 30.0)) + reward_shift,
             )
@@ -66,10 +66,18 @@ def make_task(
     return TaskDataset(task_id, records)
 
 
+def direction(yaw: int) -> tuple[np.ndarray, np.ndarray]:
+    """The drag axis d and the side axis p of a yaw index, by math's cos and sin."""
+    a = yaw * (2.0 * math.pi / N_YAW)
+    return np.array([math.cos(a), math.sin(a)]), np.array([-math.sin(a), math.cos(a)])
+
+
 def render_patches_reference(terrain, actions, rng=None):
     """One action at a time, drawing each action's noise as it goes: the
     oracle for terrain.render_patches, which must match it byte for byte
-    and leave the generator in the same state."""
+    and leave the generator in the same state. Without an rng the
+    patches carry no noise, as terrain.render_patches renders them from
+    all-0.5 uniforms."""
     n = len(actions)
     nx, ny = terrain.surface.shape
     colors = np.array([m.color for m in terrain.materials])
@@ -81,7 +89,7 @@ def render_patches_reference(terrain, actions, rng=None):
     for i, act in enumerate(actions):
         if not (0.0 <= act.x <= terrain.extent[0] and 0.0 <= act.y <= terrain.extent[1]):
             raise BoundsError(f"action start ({act.x}, {act.y}) outside extent {terrain.extent}")
-        d, p = _direction(act.yaw)
+        d, p = direction(act.yaw)
         px = act.x + d[0] * DU + p[0] * DV
         py = act.y + d[1] * DU + p[1] * DV
         ix = np.clip((px / terrain.cell).astype(np.int64), 0, nx - 1)
@@ -97,15 +105,19 @@ def render_patches_reference(terrain, actions, rng=None):
     return out
 
 
-def render_patch(terrain, act, rng=None) -> Observation:
-    """One action's observation, its noise drawn from rng."""
-    return Observation(render_patches(terrain, [act], rng)[0])
+def render_patch(terrain, act, rng=None) -> np.ndarray:
+    """One action's (4, H, W) patch, its noise drawn from rng; without an
+    rng, from all-0.5 uniforms, which render it without noise."""
+    if rng is None:
+        half = np.full((1, PATCH_CHANNELS, PATCH_H, PATCH_W), 0.5)
+        return render_patches(terrain, [act], uniforms=half)[0]
+    return render_patches(terrain, [act], rng)[0]
 
 
 def feasible_reference(terrain, act) -> bool:
     """The four swath corners one at a time in Python floats: the oracle
     for terrain.feasible_mask, which must agree on every action."""
-    d, p = _direction(act.yaw)
+    d, p = direction(act.yaw)
     drag = TrajectoryConstants().drag_length_m
     half_w = SCOOP_WIDTH / 2.0
     corners = []
@@ -239,9 +251,14 @@ def nlml_terms_reference(Z, y, kp):
     Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
     n = len(Z)
     y = np.asarray(y, dtype=np.float64).reshape(n)
-    L, _ = gp.cholesky_with_jitter(gp.gram(Z, kp, with_noise=True))
+    L, _ = gp.cholesky_with_jitter(gp.gram(Z, kp))
     alpha = np.linalg.solve(L.T, np.linalg.solve(L, y))
     return float(np.sum(np.log(np.diag(L)))), 0.5 * float(y @ alpha), 0.5 * n * gp.LOG_2PI
+
+
+def rbf_gram_reference(Z, kp) -> np.ndarray:
+    """The noiseless kernel matrix of embeddings Z, one gp.rbf per entry."""
+    return np.array([[gp.rbf(a, b, kp) for b in Z] for a in Z])
 
 
 def nlml_reference(Z, y, kp) -> float:
@@ -311,6 +328,11 @@ def sum_rows(a):
     return T.custom_op(
         a.data.sum(axis=1), (a,), lambda g: (np.broadcast_to(g[:, None], a.shape).copy(),)
     )
+
+
+def sum_all(a):
+    """The sum of all elements, a scalar: the loss of the tape tests."""
+    return T.custom_op(a.data.sum(), (a,), lambda g: (np.broadcast_to(g, a.shape).copy(),))
 
 
 def relu(a):
@@ -400,14 +422,14 @@ def save_task_dataset_reference(ds, path):
     payload = {
         "schema_version": SCHEMA_VERSION,
         "task_id": ds.task_id,
-        "patch_shape": list(ds.records[0].obs.patch.shape),
+        "patch_shape": list(ds.records[0].obs.shape),
         "trajectory_constants": record_dict(ds.constants),
         "ground_truth": ds.ground_truth,
         "records": [
             {
                 "action": record_dict(r.action),
                 "reward": round(float(r.reward), 6),
-                "patch": [round(float(v), 6) for v in r.obs.patch.ravel()],
+                "patch": [round(float(v), 6) for v in r.obs.ravel()],
             }
             for r in ds.records
         ],
@@ -415,7 +437,7 @@ def save_task_dataset_reference(ds, path):
     Path(path).write_text(json.dumps(payload))
 
 
-def entropic_transport_cost_reference(C, eps, max_iter=500, tol=1e-6):
+def entropic_transport_cost_reference(C, eps, max_iter=ot.MAX_ITER, tol=ot.TOL):
     """Log-domain Sinkhorn that forms the full plan at every iteration to
     test convergence: the oracle for ot.entropic_transport_cost, which
     must return the same value and converged flag bit for bit."""
@@ -449,7 +471,7 @@ def entropic_transport_cost_reference(C, eps, max_iter=500, tol=1e-6):
     return float(np.sum(P * C)), converged
 
 
-def task_distance_matrix_reference(tasks, params, max_iter=500, tol=1e-6):
+def task_distance_matrix_reference(tasks, params, max_iter=ot.MAX_ITER, tol=ot.TOL):
     """Every pair in index order, its self costs rebuilt and re-solved,
     all at one eps, 0.05 times the median of every cross-cost entry
     (pairs i < j), by the reference Sinkhorn: the oracle for

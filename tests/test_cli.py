@@ -204,6 +204,14 @@ def test_validation_errors_exit_1(pipeline, tmp_path, capsys):
          "--out", str(tmp_path / "k.json"), "--seed", "-3"],
         ["eval-kshot", "--model", str(pipeline["ckpt"]), "--data", str(pipeline["data"]),
          "--out", str(tmp_path / "k.json"), "--shots=-1,2"],
+        # flags the parser refuses: an unknown choice, a value of the
+        # wrong type, a missing required flag and an unknown subcommand
+        ["train", "--method", "bogus", "--data", str(pipeline["data"]), "--out", str(tmp_path / "m.json")],
+        ["gen-data", "--out", str(tmp_path / "d"), "--seed", "abc"],
+        ["eval-kshot", "--data", str(pipeline["data"]), "--out", str(tmp_path / "k.json")],
+        ["eval-deploy", "--model", str(pipeline["ckpt"]), "--data", str(pipeline["data"]),
+         "--out", str(tmp_path / "t.jsonl"), "--max-attempts", "many"],
+        ["fly"],
     ]
     for flag, value in [("--policy", "bogus"), ("--gamma", "-1"), ("--reps", "0")]:
         bad.append(["eval-deploy", "--model", str(pipeline["ckpt"]), "--data",
@@ -219,6 +227,12 @@ def test_validation_errors_exit_1(pipeline, tmp_path, capsys):
     for argv in bad:
         assert cli.main(argv) == 1, argv
         assert "error" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+    for argv in (["--help"], ["eval-deploy", "--help"]):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == 0
+        assert "usage: scoopgp" in capsys.readouterr().out
     # a report input that is not JSON, or JSON of the wrong shape, is
     # named, a trace by its line too
     lines = Path(pipeline["traces"]).read_text().splitlines()

@@ -51,8 +51,8 @@ def test_writer_matches_reference_on_adversarial_patches(tmp_path):
     heights = np.resize(values, n * per_record).reshape(n, 5, 7)
     appearance = np.resize(unit[::-1], n * 2 * per_record).reshape(n, 2, 5, 7)
     for i, rec in enumerate(ds.records):
-        rec.obs.patch[:2] = appearance[i]
-        rec.obs.patch[2] = heights[i]
+        rec.obs[:2] = appearance[i]
+        rec.obs[2] = heights[i]
         rec.reward = float(values[i])
     save_task_dataset(ds, tmp_path / "fast.json")
     save_task_dataset_reference(ds, tmp_path / "reference.json")
@@ -69,7 +69,7 @@ def test_round_exact_matches_python_round():
 def test_writer_refuses_non_finite_values(tmp_path, fault):
     ds = make_task("t", 4, seed=5)
     if fault == "patch":
-        ds.records[2].obs.patch[1, 0, 3] = np.nan
+        ds.records[2].obs[1, 0, 3] = np.nan
     else:
         ds.records[3].reward = np.inf
     path = tmp_path / "t.json"
@@ -89,10 +89,10 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 def test_save_load_roundtrip_equals_python_round(tmp_path_factory, appearance, heights):
     patch = np.concatenate([appearance, heights]).reshape(3, 2, 2)
     ds = make_task("prop", 1, seed=0, channels=3, h=2, w=2)
-    ds.records[0].obs.patch[...] = patch
+    ds.records[0].obs[...] = patch
     path = tmp_path_factory.mktemp("prop") / "prop.json"
     save_task_dataset(ds, path)
-    loaded = load_task_dataset(path).records[0].obs.patch
+    loaded = load_task_dataset(path).records[0].obs
     expected = np.array([round(float(v), 6) for v in patch.ravel()]).reshape(patch.shape)
     assert loaded.tobytes() == expected.tobytes()
 
@@ -107,10 +107,10 @@ def test_float_encoder_equals_json_dumps(values):
 
 def test_load_refuses_boolean_patch_values_but_not_equal_floats(tmp_path):
     ds = make_task("edges", 3, seed=2)
-    ds.records[1].obs.patch[0, 0, :2] = (0.0, 1.0)
+    ds.records[1].obs[0, 0, :2] = (0.0, 1.0)
     path = tmp_path / "edges.json"
     save_task_dataset(ds, path)
-    assert load_task_dataset(path).records[1].obs.patch[0, 0, :2].tolist() == [0.0, 1.0]
+    assert load_task_dataset(path).records[1].obs[0, 0, :2].tolist() == [0.0, 1.0]
     payload = json.loads(path.read_text())
     for k, value in ((0, False), (1, True)):
         bad = json.loads(json.dumps(payload))

@@ -24,8 +24,7 @@ def trained_toy_model(seed=0, has_kernel=True):
 
 
 def test_action_grid_sizes():
-    assert D.ActionGrid().size == 1536
-    assert D.ActionGrid.paper_scale().size == 11520
+    assert len(D.ActionGrid.paper_scale().enumerate((0.9, 0.6))) == 11520
     acts = D.ActionGrid().enumerate((0.9, 0.6))
     assert len(acts) == 1536
     for a in acts[:50]:
@@ -294,7 +293,7 @@ def live_episode_peak_bytes(grid, steps):
     task = next(t for t in suite_test if t.composition == "Layers")
     m = M.DeepGPModel.init(M.Architecture(), seed=2)
     m.reward_mean, m.reward_std = 30.0, 15.0
-    render_bytes = grid.size * m.arch.patch_size * 8
+    render_bytes = len(grid.enumerate(task.terrain.extent)) * m.arch.patch_size * 8
     tracemalloc.start()
     try:
         env = D.LiveEnvironment(task, grid, seed=4)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import gram_objective_reference, nlml_reference, nlml_terms_reference
+from helpers import gram_objective_reference, nlml_reference, nlml_terms_reference, rbf_gram_reference
 
 from scoopgp import gp
 from scoopgp import tensor as T
@@ -36,12 +36,12 @@ def test_rbf_dim_mismatch():
 
 def test_gram_small_cases():
     kp = gp.KernelParams()
-    K = gp.gram(np.array([[0.5]]), kp, with_noise=False)
-    assert np.allclose(K, [[1.0]])
+    K = gp.gram(np.array([[0.5]]), kp)
+    assert np.allclose(K, [[1.0 + kp.noise**2]])
     rng = np.random.default_rng(0)
     Z = rng.normal(size=(3, 4))
     K = gp.gram(Z, kp)
-    oracle = np.array([[gp.rbf(Z[i], Z[j], kp) for j in range(3)] for i in range(3)])
+    oracle = rbf_gram_reference(Z, kp) + kp.noise**2 * np.eye(3)
     assert np.allclose(K, oracle, atol=1e-12)
     assert np.allclose(K, K.T)
 
@@ -52,7 +52,7 @@ def test_gram_psd_on_random_instances():
     for _ in range(20):
         Z = rng.normal(size=(rng.integers(2, 9), 5))
         eig = np.linalg.eigvalsh(gp.gram(Z, kp))
-        assert eig.min() >= -1e-10
+        assert eig.min() >= kp.noise**2 - 1e-10
 
 
 def test_posterior_prior_case():
@@ -199,7 +199,7 @@ def test_fused_gram_objective_matches_op_by_op_oracle(n):
 def test_jitter_escalation_and_conditioning_error():
     # identical embeddings with zero-ish noise force jitter
     Z = np.zeros((4, 2))
-    Kbar = gp.gram(Z, gp.KernelParams(), with_noise=False)
+    Kbar = rbf_gram_reference(Z, gp.KernelParams())
     L, jitter = gp.cholesky_with_jitter(Kbar)
     assert jitter > 0.0
     assert np.allclose(L @ L.T, Kbar + jitter * np.eye(4), atol=1e-8)

@@ -28,7 +28,7 @@ SMALL = M.Architecture(
 def small_obs_act(seed=0, arch=SMALL):
     rng = np.random.default_rng(seed)
     patch = rng.uniform(0, 1, size=(arch.channels, arch.patch_h, arch.patch_w))
-    return M.Observation(patch), random_action(rng)
+    return patch, random_action(rng)
 
 
 def test_action_validation():
@@ -77,14 +77,14 @@ def test_feature_matrix_equals_stacked_feature_vectors():
     # the layout written out by hand: flattened patch, depth, stiffness
     by_hand = np.stack([
         np.concatenate([
-            obs.patch.ravel(),
+            obs.ravel(),
             [(act.depth - M._DEPTH_MID) / M._DEPTH_HALF, float(act.stiffness)],
         ])
         for obs, act in pairs
     ])
     assert X.shape == (7, SMALL.input_dim)
     assert X.tobytes() == rows.tobytes() == by_hand.tobytes()
-    bad = M.Observation(rng.uniform(0, 1, size=(2, 4, 5)))
+    bad = rng.uniform(0, 1, size=(2, 4, 5))
     with pytest.raises(M.T.ShapeError):
         M.feature_matrix(SMALL, pairs[:3] + [(bad, pairs[3][1])] + pairs[4:])
 
@@ -92,7 +92,7 @@ def test_feature_matrix_equals_stacked_feature_vectors():
 def test_flip_permutation_matches_flipped_patch():
     obs, act = small_obs_act(3)
     x = feature_vector(SMALL, obs, act)
-    flipped = feature_vector(SMALL, M.Observation(flip_patch(obs.patch)), act)
+    flipped = feature_vector(SMALL, flip_patch(obs), act)
     perm = M.flip_permutation(SMALL)
     assert np.array_equal(x[perm], flipped)
 
@@ -106,7 +106,7 @@ def test_extract_features_deterministic_and_sized():
     assert f1.shape == (SMALL.feature_dim,)
     default = M.DeepGPModel.init(M.Architecture(), seed=0)
     rng = np.random.default_rng(0)
-    obs4 = M.Observation(rng.uniform(0, 1, size=(4, 16, 16)))
+    obs4 = rng.uniform(0, 1, size=(4, 16, 16))
     assert extract_features(default, obs4, act).shape == (64,)
 
 
@@ -225,7 +225,7 @@ def test_dataset_roundtrip_and_views(tmp_path):
     assert np.allclose(learner.rewards, np.round(task.rewards, 6))
     assert M.record_dict(learner.records[2].action) == M.record_dict(task.records[2].action)
     assert np.allclose(
-        learner.records[3].obs.patch, task.records[3].obs.patch, atol=1e-6
+        learner.records[3].obs, task.records[3].obs, atol=1e-6
     )
     with pytest.raises(ValueError):
         load_task_dataset(path, view="secret")
@@ -252,7 +252,7 @@ def _mean_and_kernel_passes(model, X, y):
     kernel_params = model.segment_params("kernel") + list(kpt.values())
     with T.Tape() as tape:
         pred = model.mean_t(model.extractor_t(T.Tensor(X)))
-        loss = T.reduce("mean", T.square(T.sub(pred, T.Tensor(y[:, None]))))
+        loss = T.mean(T.square(T.sub(pred, T.Tensor(y[:, None]))))
         tape.backward(loss)
     out = [pred.data.tobytes(), loss.data.tobytes()]
     out += [p.grad.tobytes() for p in mean_params]

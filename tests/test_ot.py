@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from helpers import (
 
 from scoopgp import ot
 from scoopgp.data import ScoopRecord, TaskDataset
-from scoopgp.model import Observation, ScoopAction
+from scoopgp.model import ScoopAction
 from scoopgp.terrain import collect_offline, generate_suite
 
 
@@ -30,9 +31,9 @@ def params(two_tasks):
 def test_histogram_constant_channel_is_one_hot():
     patch = np.full((2, 4, 4), 0.5)
     patch[1] = 0.1
-    task = TaskDataset("t", [ScoopRecord(Observation(patch), ScoopAction(0.2, 0.2, 0, 0.05, 0), 1.0)])
-    p = ot.SampleCostParams.from_tasks([task], bins=8)
-    h = ot.histogram_feature(Observation(patch), p)
+    task = TaskDataset("t", [ScoopRecord(patch, ScoopAction(0.2, 0.2, 0, 0.05, 0), 1.0)])
+    p = replace(ot.SampleCostParams.from_tasks([task]), histogram_bins=8)
+    h = ot.histogram_feature(patch, p)
     assert h.shape == (16,)
     for block in (h[:8], h[8:]):
         assert block.sum() == pytest.approx(1.0)
@@ -42,9 +43,9 @@ def test_histogram_constant_channel_is_one_hot():
 def test_histogram_128_dims_for_four_channels():
     rng = np.random.default_rng(0)
     patch = rng.uniform(0, 1, size=(4, 16, 16))
-    task = TaskDataset("t", [ScoopRecord(Observation(patch), ScoopAction(0.2, 0.2, 0, 0.05, 0), 1.0)])
+    task = TaskDataset("t", [ScoopRecord(patch, ScoopAction(0.2, 0.2, 0, 0.05, 0), 1.0)])
     p = ot.SampleCostParams.from_tasks([task])
-    assert ot.histogram_feature(Observation(patch), p).shape == (128,)
+    assert ot.histogram_feature(patch, p).shape == (128,)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -53,7 +54,7 @@ def test_histogram_uniform_channel_is_flat(seed):
     patch = rng.uniform(0, 1, size=(1, 16, 16))
     ranges = ((0.0, 1.0),)
     p = ot.SampleCostParams(1, 1, 1, histogram_bins=32, channel_ranges=ranges)
-    h = ot.histogram_feature(Observation(patch), p)
+    h = ot.histogram_feature(patch, p)
     assert h.sum() == pytest.approx(1.0)
     assert h.max() <= 3.0 * h.mean()
 
@@ -73,13 +74,13 @@ def test_histogram_matrix_matches_per_record_histograms(bins):
     patches[5, 1, 2, 3] = np.nan  # np.histogram leaves NaN uncounted
     H = ot.histogram_matrix(patches, p)
     assert H.tobytes() == histogram_matrix_reference(patches, p).tobytes()
-    assert ot.histogram_feature(Observation(patches[3]), p).tobytes() == H[3].tobytes()
+    assert ot.histogram_feature(patches[3], p).tobytes() == H[3].tobytes()
 
 
 def test_cost_params_match_per_record_histograms():
     tasks = [make_task("a", 12, seed=1, channels=3), make_task("b", 9, seed=2, channels=3)]
     p = ot.SampleCostParams.from_tasks(tasks)
-    patches = np.stack([r.obs.patch for t in tasks for r in t.records])
+    patches = np.stack([r.obs for t in tasks for r in t.records])
     flat = patches.reshape(len(patches), 3, -1)
     assert p.channel_ranges == tuple(
         (float(a), float(b)) for a, b in zip(flat.min(axis=(0, 2)), flat.max(axis=(0, 2)))
@@ -178,11 +179,18 @@ def test_sinkhorn_grows_with_reward_shift(two_tasks, params):
     )
 
 
-def test_sinkhorn_warns_when_not_converged(two_tasks, params):
+def sinkhorn_limits(monkeypatch, max_iter, tol):
+    """Every Sinkhorn solve stops after max_iter iterations or at tol."""
+    monkeypatch.setattr(ot, "MAX_ITER", max_iter)
+    monkeypatch.setattr(ot, "TOL", tol)
+
+
+def test_sinkhorn_warns_when_not_converged(two_tasks, params, monkeypatch):
     A, B = two_tasks
     eps = ot.pair_epsilon(ot.cost_matrix(A, B, params))
+    sinkhorn_limits(monkeypatch, 1, 1e-14)
     with pytest.warns(ot.SinkhornWarning):
-        ot.sinkhorn_divergence(A, B, params, eps, max_iter=1, tol=1e-14)
+        ot.sinkhorn_divergence(A, B, params, eps)
 
 
 def assert_same_solve(got, want):
@@ -210,21 +218,23 @@ def test_sinkhorn_matches_reference_on_suite_pairs(suite_tasks):
 
 @pytest.mark.parametrize("shape", [(30, 30), (12, 45), (45, 12), (1, 7)])
 @pytest.mark.parametrize("seed", range(3))
-def test_sinkhorn_matches_reference_on_random_costs(shape, seed):
+def test_sinkhorn_matches_reference_on_random_costs(shape, seed, monkeypatch):
     rng = np.random.default_rng(seed)
     C = rng.uniform(0.0, 2.0, size=shape)
-    cases = [
-        dict(eps=0.2),
-        dict(eps=0.05, tol=1e-9),
-        dict(eps=0.05, max_iter=3, tol=1e-14),  # stops at max_iter
-        dict(eps=1e-4, max_iter=40),  # tiny eps: potentials far above the costs
+    cases = [  # (eps, max_iter, tol)
+        (0.2, ot.MAX_ITER, ot.TOL),
+        (0.05, ot.MAX_ITER, 1e-9),
+        (0.05, 3, 1e-14),  # stops at max_iter
+        (1e-4, 40, ot.TOL),  # tiny eps: potentials far above the costs
     ]
-    for kw in cases:
-        want = entropic_transport_cost_reference(C, **kw)
-        assert_same_solve(ot.entropic_transport_cost(C, **kw), want)
-        assert_same_solve(ot.entropic_transport_cost(C.T, **kw), want)
+    for eps, max_iter, tol in cases:
+        want = entropic_transport_cost_reference(C, eps, max_iter, tol)
+        sinkhorn_limits(monkeypatch, max_iter, tol)
+        assert_same_solve(ot.entropic_transport_cost(C, eps), want)
+        assert_same_solve(ot.entropic_transport_cost(C.T, eps), want)
     if min(shape) > 1:  # a single row or column is matched in one iteration
-        assert not ot.entropic_transport_cost(C, eps=0.05, max_iter=3, tol=1e-14)[1]
+        sinkhorn_limits(monkeypatch, 3, 1e-14)
+        assert not ot.entropic_transport_cost(C, 0.05)[1]
 
 
 @pytest.mark.parametrize("kind", ["suite", "unequal-sizes"])
@@ -295,13 +305,14 @@ def test_distance_rows_match_reference_in_any_order(suite_tasks, distance_path):
     assert multiprocessing.active_children() == []
 
 
-def test_distance_rows_warn_in_the_caller(suite_tasks, distance_path):
+def test_distance_rows_warn_in_the_caller(suite_tasks, distance_path, monkeypatch):
     tasks = suite_tasks[:3]
     params = ot.SampleCostParams.from_tasks(tasks)
     _, _, unconverged = task_distance_matrix_reference(tasks, params, max_iter=1)
     assert unconverged
+    sinkhorn_limits(monkeypatch, 1, ot.TOL)
     with pytest.warns(ot.SinkhornWarning) as record:
-        ot.task_distance_matrix(tasks, params, max_iter=1)
+        ot.task_distance_matrix(tasks, params)
     messages = " ".join(str(w.message) for w in record)
     for i, j in unconverged:
         assert f"({tasks[i].task_id}, {tasks[j].task_id})" in messages

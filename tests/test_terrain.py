@@ -5,6 +5,7 @@ import pytest
 
 from helpers import (
     collect_offline_reference,
+    direction,
     feasible_reference,
     render_patch,
     render_patches_reference,
@@ -12,14 +13,13 @@ from helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scoopgp import terrain
+from scoopgp import decision, terrain
 from scoopgp.data import save_task_dataset
 from scoopgp.decision import ActionGrid, LiveEnvironment
 from scoopgp.model import (
     STIFF_HARD,
     STIFF_SOFT,
     Architecture,
-    Observation,
     ScoopAction,
     TrajectoryConstants,
     action_rows,
@@ -93,11 +93,11 @@ def test_render_uniform_flat_terrain_is_constant():
     rng = np.random.default_rng(0)
     mats = terrain.training_materials(rng)
     t = flat_terrain([2], mats)
-    obs = render_patch(t, ScoopAction(0.4, 0.3, 3, 0.05, 0))
+    patch = render_patch(t, ScoopAction(0.4, 0.3, 3, 0.05, 0))
     for c in range(3):
-        assert np.all(obs.patch[c] == obs.patch[c, 0, 0])
-        assert obs.patch[c, 0, 0] == pytest.approx(mats[2].color[c])
-    assert np.all(obs.patch[3] == 0.0)
+        assert np.all(patch[c] == patch[c, 0, 0])
+        assert patch[c, 0, 0] == pytest.approx(mats[2].color[c])
+    assert np.all(patch[3] == 0.0)
 
 
 def test_render_never_shows_hidden_layer():
@@ -106,9 +106,9 @@ def test_render_never_shows_hidden_layer():
     shape = terrain._grid_shape()
     hidden = np.full(shape, 5, dtype=np.int64)
     t = flat_terrain([0], mats, composition="Layers", hidden=hidden, layer_depth=0.05)
-    obs = render_patch(t, ScoopAction(0.4, 0.3, 0, 0.07, 0))
+    patch = render_patch(t, ScoopAction(0.4, 0.3, 0, 0.07, 0))
     for c in range(3):
-        assert np.all(obs.patch[c] == pytest.approx(mats[0].color[c]))
+        assert np.all(patch[c] == pytest.approx(mats[0].color[c]))
 
 
 def test_render_rotation_equivariance():
@@ -129,8 +129,8 @@ def test_render_rotation_equivariance():
     x, y, c = 0.2, 0.3, 0.3
     act1 = ScoopAction(x, y, 0, 0.05, 0)
     act2 = ScoopAction(c - (y - c), c + (x - c), 2, 0.05, 0)
-    p1 = render_patch(t1, act1).patch
-    p2 = render_patch(t2, act2).patch
+    p1 = render_patch(t1, act1)
+    p2 = render_patch(t2, act2)
     assert np.array_equal(p1, p2)
 
 
@@ -139,8 +139,8 @@ def test_render_determinism_with_seeded_noise():
     mats = terrain.training_materials(rng)
     t = flat_terrain([1], mats)
     act = ScoopAction(0.4, 0.3, 1, 0.05, 0)
-    a = render_patch(t, act, np.random.default_rng(11)).patch
-    b = render_patch(t, act, np.random.default_rng(11)).patch
+    a = render_patch(t, act, np.random.default_rng(11))
+    b = render_patch(t, act, np.random.default_rng(11))
     assert np.array_equal(a, b)
     assert a[:3].min() >= 0.0 and a[:3].max() <= 1.0
 
@@ -154,39 +154,44 @@ def test_render_out_of_extent_raises():
 
 def reference_feature_rows(ref, actions, start, stop):
     """Rows start:stop of the reference patches stacked by feature_matrix."""
-    pairs = [(Observation(p), a) for p, a in zip(ref[start:stop], actions[start:stop])]
+    pairs = [(p, a) for p, a in zip(ref[start:stop], actions[start:stop])]
     return feature_matrix(Architecture(), pairs)
 
 
 def assert_render_matches_reference(t, actions, seed):
     """Same bytes as the per-action oracle, whether rendered into a new
     array or, from precomputed cells, into feature rows; and each time
-    the generators end in the same state."""
-    def rng():
-        return None if seed is None else np.random.default_rng(seed)
+    the generators end in the same state. Seed None renders from all-0.5
+    uniforms, which must give the oracle's noise-free patches."""
+    def noise():
+        if seed is None:
+            return {"uniforms": np.full((len(actions), 4, terrain.PATCH_H, terrain.PATCH_W), 0.5)}
+        return {"rng": np.random.default_rng(seed)}
 
-    rng_ref = rng()
+    rng_ref = None if seed is None else np.random.default_rng(seed)
     ref = render_patches_reference(t, actions, rng_ref)
-    rng_new = rng()
-    new = terrain.render_patches(t, actions, rng_new)
+    new_noise = noise()
+    new = terrain.render_patches(t, actions, **new_noise)
     assert new.shape == ref.shape
     assert new.tobytes() == ref.tobytes()
     del new
-    rng_rows = rng()
+    rows_noise = noise()
     X = action_rows(actions, Architecture().patch_size)
-    view = terrain.render_patches(t, actions, rng_rows, cells=terrain.patch_cells(t, actions), out=X)
+    view = terrain.render_patches(t, actions, **rows_noise, cells=terrain.patch_cells(t, actions), out=X)
     assert view.shape == ref.shape and np.shares_memory(view, X)
     for start in range(0, len(actions), 2048):
         stop = start + 2048
         assert X[start:stop].tobytes() == reference_feature_rows(ref, actions, start, stop).tobytes()
     if seed is not None:
         state = rng_ref.bit_generator.state
-        assert rng_new.bit_generator.state == state
-        assert rng_rows.bit_generator.state == state
+        assert new_noise["rng"].bit_generator.state == state
+        assert rows_noise["rng"].bit_generator.state == state
 
 
 @pytest.mark.parametrize("seed", [None, 5], ids=["noise-free", "seeded"])
 def test_render_patches_matches_per_action_reference(suite, seed):
+    """On every composition, Layers included; noise-free means from
+    all-0.5 uniforms."""
     _, test = suite
     assert sorted(task.composition for task in test) == sorted(terrain.COMPOSITIONS)
     for task in test:
@@ -276,7 +281,7 @@ def test_feasible_mask_matches_reference_on_random_and_boundary_actions():
     t = flat_terrain([0], terrain.training_materials(rng))
     actions = [terrain.sample_random_action(t, rng) for _ in range(2000)]
     for yaw in range(8):
-        (dx, dy), (px, py) = terrain._direction(yaw)
+        (dx, dy), (px, py) = direction(yaw)
         for along in (-terrain.FOOT_MARGIN, terrain._DRAG_END):
             for side in (-terrain._HALF_SWATH, terrain._HALF_SWATH):
                 for wall_x in (0.0, t.extent[0]):
@@ -327,6 +332,8 @@ def test_render_patches_from_uniforms_matches_rng(suite):
     assert terrain.render_patches(t, actions, uniforms=uniforms).tobytes() == ref.tobytes()
     with pytest.raises(ValueError):
         terrain.render_patches(t, actions, np.random.default_rng(3), uniforms=uniforms)
+    with pytest.raises(ValueError):
+        terrain.render_patches(t, actions)
 
 
 @pytest.mark.parametrize("value", [
@@ -341,7 +348,7 @@ def test_center_cell_clamps_like_np_clip(value):
     # yaw 0 drags along +x, so the centre sits half a drag past the start
     drag = TrajectoryConstants().drag_length_m
     act = ScoopAction(value * t.cell - drag / 2.0, value * t.cell, 0, 0.05, 0)
-    d = terrain._direction(0)[0]
+    d = direction(0)[0]
     cx, cy = act.x + d[0] * drag / 2.0, act.y + d[1] * drag / 2.0
     expected = (int(np.clip(cx / t.cell, 0, nx - 1)), int(np.clip(cy / t.cell, 0, ny - 1)))
     assert terrain._center_cell(t, act) == expected
@@ -355,10 +362,11 @@ def test_center_cell_refuses_nan():
         terrain._center_cell(t, ScoopAction(0.3, math.nan, 0, 0.05, 0))
 
 
-def test_live_environment_checks_bounds_at_construction(suite):
+def test_live_environment_checks_bounds_at_construction(suite, monkeypatch):
     task = suite[1][0]
+    monkeypatch.setattr(decision, "GRID_MARGIN", -0.1)
     with pytest.raises(terrain.BoundsError):
-        LiveEnvironment(task, ActionGrid(margin=-0.1), seed=0)
+        LiveEnvironment(task, ActionGrid(), seed=0)
 
 
 def test_render_patches_names_the_one_action_out_of_extent(suite):
@@ -481,7 +489,7 @@ def test_collect_offline_deterministic(suite):
     a = terrain.collect_offline(train[1], 20, seed=9)
     b = terrain.collect_offline(train[1], 20, seed=9)
     assert np.array_equal(a.rewards, b.rewards)
-    assert np.array_equal(a.records[7].obs.patch, b.records[7].obs.patch)
+    assert np.array_equal(a.records[7].obs, b.records[7].obs)
 
 
 def test_border_actions_are_infeasible(suite):

@@ -250,14 +250,13 @@ def test_kcmd_rejects_bad_split_method(tiny_tasks):
 def test_flip_invariance_after_flip_augmented_training():
     # the toy set is symmetric by construction: training consumes both
     # orientations, so converged predictions should match across flips
-    from scoopgp.model import Observation
 
     task = make_task("sym", 8, seed=21)
     model, _ = TR.train_sl([task], small_cfg(max_epochs_mean=120))
     diffs = []
     for rec in task.records:
         p1 = predict_mean(model, rec.obs, rec.action)
-        p2 = predict_mean(model, Observation(flip_patch(rec.obs.patch)), rec.action)
+        p2 = predict_mean(model, flip_patch(rec.obs), rec.action)
         diffs.append(abs(p1 - p2))
     assert max(diffs) < 0.2 * model.reward_std
 
