@@ -29,7 +29,9 @@ from .model import (
     Architecture,
     ScoopAction,
     TrajectoryConstants,
-    feature_matrix,
+    action_rows,
+    check_patch_shape,
+    feature_rows,
     record_dict,
     validate_patches,
 )
@@ -54,12 +56,20 @@ class ScoopRecord:
 
 @dataclass
 class TaskDataset:
-    """All scoop records collected on one terrain."""
+    """All scoop records collected on one terrain. features is their
+    (N, C * H * W + 2) feature_rows matrix, from the loader or built here;
+    each record's obs is a view into its row."""
 
     task_id: str
     records: list[ScoopRecord]
     constants: TrajectoryConstants = field(default_factory=TrajectoryConstants)
     ground_truth: dict | None = None
+    features: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.features is None:
+            self.features = feature_rows([(r.obs, r.action) for r in self.records])
+            self.records = [ScoopRecord(p, r.action, r.reward) for p, r in zip(self.patches, self.records)]
 
     def __len__(self) -> int:
         return len(self.records)
@@ -68,9 +78,15 @@ class TaskDataset:
     def rewards(self) -> np.ndarray:
         return np.array([r.reward for r in self.records], dtype=np.float64)
 
+    @property
+    def patches(self) -> np.ndarray:
+        """(N, C, H, W) view of the records' patches in features."""
+        return self.features[:, :-2].reshape(len(self.features), *self.records[0].obs.shape)
+
     def feature_matrix(self, arch: Architecture) -> np.ndarray:
-        """(N, input_dim) model features for every record."""
-        return feature_matrix(arch, [(r.obs, r.action) for r in self.records])
+        """The held (N, input_dim) features themselves; callers must not write them."""
+        check_patch_shape(arch, self.records[0].obs.shape)
+        return self.features
 
 
 def _check_records(where, patches: np.ndarray, actions, rewards) -> None:
@@ -158,12 +174,7 @@ def _json_rows(rounded: np.ndarray) -> list[str]:
 def save_task_dataset(ds: TaskDataset, path) -> None:
     """Write one dataset as JSON, patch values and rewards rounded to
     DECIMALS places; the bytes are json.dumps of the payload dict."""
-    if not ds.records:
-        raise DatasetError(f"refusing to save empty dataset {ds.task_id}")
-    try:
-        patches = np.stack([r.obs for r in ds.records]).astype(np.float64, copy=False)
-    except ValueError as err:
-        raise DatasetError(f"{ds.task_id}: patches differ in shape: {err}") from err
+    patches = ds.patches
     if patches.ndim != 4:
         raise DatasetError(f"{ds.task_id}: patches must be (C, H, W), got {patches.shape[1:]}")
     rounded = round_exact(patches)
@@ -187,23 +198,24 @@ def save_task_dataset(ds: TaskDataset, path) -> None:
     Path(path).write_text(text)
 
 
-def _patch_values(path, raw, size: int) -> np.ndarray:
-    """(n, size) patch values of the raw records; DatasetError when one
-    is not a JSON number.
+def _patch_values(path, raw, X: np.ndarray) -> np.ndarray:
+    """Write the raw records' patch values into the leading (n, size)
+    columns of X, and return them; DatasetError when one is not a JSON number.
 
-    struct's "d" packing writes each record straight into the matrix and
+    struct's "d" packing writes each record straight into its row and
     refuses a string or null, where numpy's conversion parses "0.5" as
     0.5; it is also a third of numpy's time. It takes a boolean as 0.0
     or 1.0, so the values equal to those are looked up by type; a patch
     strictly inside (0, 1) has none.
     """
-    values = np.empty((len(raw), size))
+    size = X.shape[1] - 2
     row = struct.Struct(f"{size}d")
     for i, rec in enumerate(raw):
         try:
-            row.pack_into(values, i * row.size, *rec["patch"])
+            row.pack_into(X, i * X.strides[0], *rec["patch"])
         except (struct.error, OverflowError) as err:
             raise DatasetError(f"{path}: record {i}: patch values are not numbers: {err}") from err
+    values = X[:, :size]
     if not (values.min() > 0.0 and values.max() < 1.0):
         for k in np.flatnonzero((values == 0.0) | (values == 1.0)).tolist():
             i, j = divmod(k, size)
@@ -250,8 +262,10 @@ def load_task_dataset(path, view: str = "learner") -> TaskDataset:
             )
         if type(reward) not in JSON_NUMBERS:
             raise DatasetError(f"{path}: record {i}: reward {reward!r} is not a number")
-    patches = _patch_values(path, raw, size).reshape(len(raw), *shape)
+    X = np.empty((len(raw), size + 2))
+    patches = _patch_values(path, raw, X).reshape(len(raw), *shape)
     _check_records(path, patches, actions, rewards)
+    X[:, -2:] = action_rows(actions, 0)
     records = [
         ScoopRecord(obs=patch, action=action, reward=float(reward))
         for patch, action, reward in zip(patches, actions, rewards)
@@ -261,4 +275,5 @@ def load_task_dataset(path, view: str = "learner") -> TaskDataset:
         records=records,
         constants=constants,
         ground_truth=ground_truth if view == "oracle" else None,
+        features=X,
     )

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import TaskDataset
-from .model import DEPTH_MAX, DEPTH_MIN, N_YAW, STIFFNESSES, ScoopAction, action_rows, feature_rows, record_dict
+from .model import DEPTH_MAX, DEPTH_MIN, N_YAW, STIFFNESSES, ScoopAction, action_rows, record_dict
 from .terrain import (
     PATCH_CHANNELS,
     TerrainTask,
@@ -181,7 +181,7 @@ class ReplayEnvironment:
         self.task_id = dataset.task_id
         self._records = dataset.records
         self._actions = [r.action for r in self._records]
-        self._features = feature_rows((r.obs, r.action) for r in self._records)
+        self._features = dataset.features
         self._indices = np.arange(len(self._records))
         self._used: set[int] = set()
 

@@ -182,13 +182,18 @@ def feature_rows(pairs) -> np.ndarray:
     return X
 
 
+def check_patch_shape(arch: Architecture, shape: tuple[int, ...]) -> None:
+    """ShapeError unless a patch shape is the architecture's (C, H, W)."""
+    expected = (arch.channels, arch.patch_h, arch.patch_w)
+    if shape != expected:
+        raise T.ShapeError(f"patch shape {shape} does not match architecture {expected}")
+
+
 def feature_matrix(arch: Architecture, pairs) -> np.ndarray:
     """feature_rows of pairs whose patches have the architecture's shape."""
     pairs = list(pairs)
-    shape = (arch.channels, arch.patch_h, arch.patch_w)
     for patch, _ in pairs:
-        if patch.shape != shape:
-            raise T.ShapeError(f"patch shape {patch.shape} does not match architecture {shape}")
+        check_patch_shape(arch, patch.shape)
     return feature_rows(pairs)
 
 

@@ -44,12 +44,11 @@ class SampleCostParams:
     c_image: float
     c_action: float
     c_reward: float
-    histogram_bins: int = HISTOGRAM_BINS
     channel_ranges: tuple[tuple[float, float], ...] = ()
 
     @classmethod
     def from_tasks(cls, tasks: list[TaskDataset]) -> "SampleCostParams":
-        patches = [_task_patches(task) for task in tasks]
+        patches = [task.patches for task in tasks]
         lo = np.min([p.min(axis=(0, 2, 3)) for p in patches], axis=0)
         hi = np.max([p.max(axis=(0, 2, 3)) for p in patches], axis=0)
         ranges = tuple((float(a), float(b if b > a else a + 1e-9)) for a, b in zip(lo, hi))
@@ -69,10 +68,6 @@ class SampleCostParams:
         )
 
 
-def _task_patches(task: TaskDataset) -> np.ndarray:
-    return np.stack([rec.obs for rec in task.records])
-
-
 def histogram_matrix(patches: np.ndarray, params: SampleCostParams) -> np.ndarray:
     """Histogram features of n patches (n, C, H, W), one row per patch.
 
@@ -87,7 +82,7 @@ def histogram_matrix(patches: np.ndarray, params: SampleCostParams) -> np.ndarra
         raise ValueError(
             f"params carry {len(params.channel_ranges)} channel ranges, patch has {n_channels}"
         )
-    bins = params.histogram_bins
+    bins = HISTOGRAM_BINS
     values = patches.reshape(n, n_channels, -1)
     row_offsets = np.arange(n)[:, None] * bins
     out = np.empty((n, n_channels * bins))
@@ -126,7 +121,7 @@ def sample_cost(s1, s2, params: SampleCostParams) -> float:
 
 
 def _task_arrays(task: TaskDataset, params: SampleCostParams):
-    H = histogram_matrix(_task_patches(task), params)
+    H = histogram_matrix(task.patches, params)
     A = np.stack([r.action.vector() for r in task.records])
     r = task.rewards
     return H, A, r
@@ -252,8 +247,6 @@ def _debiased_divergences(
 
 def sinkhorn_divergence(A: TaskDataset, B: TaskDataset, params: SampleCostParams, eps: float) -> float:
     """Debiased divergence OT(A,B) - (OT(A,A) + OT(B,B)) / 2 at one eps."""
-    if not A.records or not B.records:
-        raise ValueError("sinkhorn_divergence needs nonempty datasets")
     return float(_debiased_divergences([A, B], params, eps)[0][0, 1])
 
 

@@ -87,9 +87,6 @@ class Tape:
     def __exit__(self, *exc) -> None:
         Tape._active = None
 
-    def __len__(self) -> int:
-        return len(self._records)
-
     def backward(self, loss: Tensor) -> None:
         """Seed d(loss)=1 and accumulate grads along the reversed record list."""
         if self._spent:
@@ -262,7 +259,7 @@ def adam_step(params: list[Tensor], grads: list[np.ndarray], state: AdamState, l
 def weights_to_json(weights: dict[str, Tensor]) -> dict:
     """Flat {name -> {shape, data}} serialization of a weight dict."""
     return {
-        name: {"shape": list(t.shape), "data": [float(x) for x in t.data.ravel()]}
+        name: {"shape": list(t.shape), "data": t.data.ravel().tolist()}
         for name, t in weights.items()
     }
 

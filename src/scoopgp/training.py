@@ -38,6 +38,7 @@ from .data import TaskDataset
 from .model import Architecture, DeepGPModel, flip_permutation, init_segment_weights, record_dict
 
 SPLIT_METHODS = ("ot", "random", "manual")
+DISTANCE_BLOCK = 16  # rows per block of the lengthscale start's distances
 
 
 class TrainingError(RuntimeError):
@@ -126,12 +127,6 @@ class _EarlyStop:
             p.data = data
 
 
-def _pool(tasks: list[TaskDataset], arch: Architecture):
-    X = np.vstack([t.feature_matrix(arch) for t in tasks])
-    y = np.concatenate([t.rewards for t in tasks])
-    return X, y
-
-
 def _noise_amplitudes(arch: Architecture) -> np.ndarray:
     hw = arch.patch_h * arch.patch_w
     amp = np.concatenate(
@@ -171,8 +166,8 @@ def _noisy_batch(
 
 def _train_mean(
     model: DeepGPModel,
-    X: np.ndarray,
-    y_std: np.ndarray,
+    Xs: list[np.ndarray],
+    ys: list[np.ndarray],
     cfg: TrainConfig,
     rng: np.random.Generator,
     manifest: TrainingManifest,
@@ -180,7 +175,7 @@ def _train_mean(
     anchor: dict[str, np.ndarray] | None = None,
     anchor_coeff: float = 0.0,
 ) -> None:
-    """MSE training of extractor+mean with val-loss early stopping.
+    """MSE training of extractor+mean on per-task rows Xs, ys, with val-loss early stopping.
 
     Training data is doubled with flipped patches and gets fresh additive
     noise per batch; validation stays clean. With an anchor, the
@@ -190,19 +185,23 @@ def _train_mean(
     steps cannot reach the anchor for large coefficients, while a
     per-batch proximal step overpins the extractor at the paper-scale
     coefficient and flattens the deployment gap between folds."""
-    n = len(X)
+    y_std = np.concatenate(ys)
+    n, d = len(y_std), Xs[0].shape[1]
     n_val = min(math.ceil(cfg.validation_fraction * n), n - 1)
     perm = rng.permutation(n)
     val_idx, train_idx = perm[:n_val], perm[n_val:]
     n_tr = len(train_idx)
-    # the doubled training matrix, flipped copy second, built in place;
-    # both index sets are in range, so "clip" never clips and spares the
-    # temporary copy that take(out=...) makes in its default mode
-    Xtr = np.empty((2 * n_tr, X.shape[1]))
-    np.take(X, train_idx, axis=0, out=Xtr[:n_tr], mode="clip")
+    # the tasks' rows in perm's order, validation rows first, then the
+    # training rows flipped; "clip" never clips and spares take(out=...)'s copy
+    task = np.concatenate([np.full(len(X), i) for i, X in enumerate(Xs)])[perm]
+    local = np.concatenate([np.arange(len(X)) for X in Xs])[perm]
+    rows = np.empty((n + n_tr, d))
+    for i, X in enumerate(Xs):
+        rows[:n][task == i] = X[local[task == i]]
+    Xtr = rows[n_val:]
     np.take(Xtr[:n_tr], flip_permutation(cfg.arch), axis=1, out=Xtr[n_tr:], mode="clip")
     ytr = np.concatenate([y_std[train_idx], y_std[train_idx]])
-    Xval, yval = (X[val_idx], y_std[val_idx]) if n_val else (Xtr[:n_tr], y_std[train_idx])
+    Xval, yval = (rows[:n_val], y_std[val_idx]) if n_val else (Xtr[:n_tr], y_std[train_idx])
     amp2 = 2.0 * _noise_amplitudes(cfg.arch)
 
     params = model.segment_params("extractor") + model.segment_params("mean")
@@ -210,7 +209,7 @@ def _train_mean(
     state = T.AdamState()
     stopper = _EarlyStop(params, cfg.patience)
     curve = []
-    buf = np.empty((min(cfg.batch_size, len(Xtr)), X.shape[1]))
+    buf = np.empty((min(cfg.batch_size, len(Xtr)), d))
     noise = np.empty_like(buf)
     for epoch in range(cfg.max_epochs_mean):
         order = rng.permutation(len(Xtr))
@@ -263,10 +262,10 @@ def train_sl(
     rng = np.random.default_rng(cfg.seed)
     model = DeepGPModel.init(cfg.arch, seed=cfg.seed, has_kernel=False)
     model.reward_mean, model.reward_std = _reward_stats(tasks)
-    X, y = _pool(tasks, cfg.arch)
-    y_std = (y - model.reward_mean) / model.reward_std
+    Xs = [t.feature_matrix(cfg.arch) for t in tasks]
+    ys = [(t.rewards - model.reward_mean) / model.reward_std for t in tasks]
     manifest.log("phase:sl:start")
-    _train_mean(model, X, y_std, cfg, rng, manifest, curve_tag="sl")
+    _train_mean(model, Xs, ys, cfg, rng, manifest, curve_tag="sl")
     manifest.log("phase:sl:done")
     manifest.stats["reward_mean"] = model.reward_mean
     manifest.stats["reward_std"] = model.reward_std
@@ -279,6 +278,17 @@ def _kp_tensors(kp: gp.KernelParams) -> dict[str, T.Tensor]:
         name: T.Tensor(np.asarray(value), requires_grad=True, name=f"kp.{name}")
         for name, value in record_dict(kp).items()
     }
+
+
+def _median_distance(Z: np.ndarray) -> float:
+    """Median distance between distinct rows of Z, 1.0 for one row: bit for bit
+    one broadcast (n, n, d) difference's, taken DISTANCE_BLOCK rows at a time."""
+    n = len(Z)
+    sq = np.empty((n, n))
+    for start in range(0, n, DISTANCE_BLOCK):
+        D = Z[start : start + DISTANCE_BLOCK, None, :] - Z[None, :, :]
+        sq[start : start + DISTANCE_BLOCK] = (D * D).sum(-1)
+    return float(np.median(np.sqrt(np.maximum(sq[np.triu_indices(n, k=1)], 0.0)))) if n > 1 else 1.0
 
 
 def _meta_train(
@@ -317,10 +327,7 @@ def _meta_train(
         head_y.append(y[: 256 - n])
         n += len(head[-1])
     Z = model.kernel_t(forward(np.vstack(head), np.concatenate(head_y))[0]).data
-    D = Z[:, None, :] - Z[None, :, :]
-    dists = np.sqrt(np.maximum((D * D).sum(-1), 0.0))
-    med = float(np.median(dists[np.triu_indices(n, k=1)])) if n > 1 else 1.0
-    kpt["log_lengthscale"].data = np.asarray(math.log(max(med, 1e-3)))
+    kpt["log_lengthscale"].data = np.asarray(math.log(max(_median_distance(Z), 1e-3)))
     y_all = np.concatenate([y for *_, y in batches])
     kpt["log_outputscale"].data = np.asarray(math.log(max(float(np.var(y_all)), 1e-4)))
 
@@ -524,13 +531,11 @@ def train_kcmd(
         )
         fold_model.reward_mean = sl_model.reward_mean
         fold_model.reward_std = sl_model.reward_std
-        X_mean = np.vstack([per_task_X[i] for i in plan.mean_task_ids])
-        y_mean = np.concatenate([per_task_y[i] for i in plan.mean_task_ids])
         try:
             _train_mean(
                 fold_model,
-                X_mean,
-                y_mean,
+                [per_task_X[i] for i in plan.mean_task_ids],
+                [per_task_y[i] for i in plan.mean_task_ids],
                 cfg,
                 fold_rng,
                 manifest,

@@ -402,6 +402,36 @@ def noisy_batch_reference(Xtr, idx, amp2, rng, buf, noise):
     return Xtr[idx] + rng.uniform(-1.0, 1.0, size=(len(idx), Xtr.shape[1])) * amp
 
 
+def pool_reference(tasks, arch, reward_mean, reward_std):
+    """Every task's feature rows stacked in task order, and their rewards
+    standardized: the pooled copy that training made before it gathered
+    rows from the per-task matrices."""
+    X = np.vstack([t.feature_matrix(arch) for t in tasks])
+    y = np.concatenate([t.rewards for t in tasks])
+    return X, (y - reward_mean) / reward_std
+
+
+def training_rows_reference(X, perm, n_val, flip_cols):
+    """The doubled training matrix (flipped copy second) and the validation
+    rows, taken with np.take from the pooled matrix X: the oracle for the
+    rows training._train_mean gathers from per-task matrices. Without a
+    validation split the training rows validate."""
+    Xtr = np.take(X, perm[n_val:], axis=0)
+    Xtr = np.vstack([Xtr, np.take(Xtr, flip_cols, axis=1)])
+    Xval = np.take(X, perm[:n_val], axis=0) if n_val else Xtr[: len(X) - n_val]
+    return Xtr, Xval
+
+
+def median_distance_reference(Z) -> float:
+    """The median distance between distinct rows of Z from one broadcast
+    (n, n, d) difference, 1.0 for one row: the oracle for
+    training._median_distance."""
+    n = len(Z)
+    D = Z[:, None, :] - Z[None, :, :]
+    dists = np.sqrt(np.maximum((D * D).sum(-1), 0.0))
+    return float(np.median(dists[np.triu_indices(n, k=1)])) if n > 1 else 1.0
+
+
 def histogram_matrix_reference(patches, params):
     """One np.histogram call per patch and channel: the oracle for
     ot.histogram_matrix."""
@@ -410,7 +440,7 @@ def histogram_matrix_reference(patches, params):
         parts = []
         for c, (lo, hi) in enumerate(params.channel_ranges):
             values = np.clip(patch[c].ravel(), lo, hi)
-            counts, _ = np.histogram(values, bins=params.histogram_bins, range=(lo, hi))
+            counts, _ = np.histogram(values, bins=ot.HISTOGRAM_BINS, range=(lo, hi))
             parts.append(counts / values.size)
         rows.append(np.concatenate(parts))
     return np.array(rows)

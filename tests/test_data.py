@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from helpers import make_task, save_task_dataset_reference
 from scoopgp import data
 from scoopgp.data import DatasetError, load_task_dataset, save_task_dataset
-from scoopgp.model import TrajectoryConstants, record_dict
+from scoopgp.model import Architecture, TrajectoryConstants, feature_matrix, record_dict
+from scoopgp.tensor import ShapeError
 from scoopgp.terrain import collect_offline, generate_suite
 
 
@@ -148,3 +149,22 @@ def test_load_refuses_malformed_trajectory_constants(tmp_path, constants):
     path.write_text(json.dumps(payload))
     with pytest.raises(DatasetError, match="trajectory constants"):
         load_task_dataset(path)
+
+
+def test_records_are_views_into_the_one_feature_matrix(tmp_path):
+    """An in-memory and a loaded dataset hold each record's features once:
+    every record's obs shares memory with the matrix feature_matrix
+    returns, which is the same array at every call and holds the rows
+    model.feature_matrix stacks from the records."""
+    arch = Architecture(channels=2, patch_h=4, patch_w=4)
+    built = make_task("views", 6, seed=3)
+    save_task_dataset(built, tmp_path / "views.json")
+    for ds in (built, load_task_dataset(tmp_path / "views.json")):
+        X = ds.feature_matrix(arch)
+        assert X is ds.feature_matrix(arch)
+        assert all(np.shares_memory(rec.obs, X) for rec in ds.records)
+        assert X.tobytes() == feature_matrix(arch, [(r.obs, r.action) for r in ds.records]).tobytes()
+        ds.records[2].obs[1, 0, 0] = 0.25
+        assert X[2, 16] == 0.25
+    with pytest.raises(ShapeError):
+        built.feature_matrix(Architecture())

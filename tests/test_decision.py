@@ -286,6 +286,13 @@ def test_live_support_rows_are_the_rows_chosen_then():
     assert not np.array_equal(chosen[0], chosen[1]), "each step draws fresh noise"
 
 
+def test_replay_candidates_are_the_dataset_matrix():
+    """A replay environment hands out its dataset's feature matrix, not a copy."""
+    task = make_task("replay", 8, seed=4, channels=4, h=16, w=16)
+    features, _, _ = D.ReplayEnvironment(task).candidates()
+    assert features is task.feature_matrix(M.Architecture())
+
+
 def live_episode_peak_bytes(grid, steps):
     """Traced peak allocation of a live UCB episode of `steps` attempts on
     the desk-grid layered tray, and the bytes of one full render."""

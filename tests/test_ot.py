@@ -1,6 +1,5 @@
 import multiprocessing
 import os
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,11 +27,12 @@ def params(two_tasks):
     return ot.SampleCostParams.from_tasks(list(two_tasks))
 
 
-def test_histogram_constant_channel_is_one_hot():
+def test_histogram_constant_channel_is_one_hot(monkeypatch):
+    monkeypatch.setattr(ot, "HISTOGRAM_BINS", 8)
     patch = np.full((2, 4, 4), 0.5)
     patch[1] = 0.1
     task = TaskDataset("t", [ScoopRecord(patch, ScoopAction(0.2, 0.2, 0, 0.05, 0), 1.0)])
-    p = replace(ot.SampleCostParams.from_tasks([task]), histogram_bins=8)
+    p = ot.SampleCostParams.from_tasks([task])
     h = ot.histogram_feature(patch, p)
     assert h.shape == (16,)
     for block in (h[:8], h[8:]):
@@ -53,17 +53,18 @@ def test_histogram_uniform_channel_is_flat(seed):
     rng = np.random.default_rng(seed)
     patch = rng.uniform(0, 1, size=(1, 16, 16))
     ranges = ((0.0, 1.0),)
-    p = ot.SampleCostParams(1, 1, 1, histogram_bins=32, channel_ranges=ranges)
+    p = ot.SampleCostParams(1, 1, 1, channel_ranges=ranges)
     h = ot.histogram_feature(patch, p)
     assert h.sum() == pytest.approx(1.0)
     assert h.max() <= 3.0 * h.mean()
 
 
 @pytest.mark.parametrize("bins", [8, 32])
-def test_histogram_matrix_matches_per_record_histograms(bins):
+def test_histogram_matrix_matches_per_record_histograms(bins, monkeypatch):
+    monkeypatch.setattr(ot, "HISTOGRAM_BINS", bins)
     rng = np.random.default_rng(bins)
     ranges = ((0.0, 1.0), (0.1, 0.35), (-0.02, 0.07))
-    p = ot.SampleCostParams(1, 1, 1, histogram_bins=bins, channel_ranges=ranges)
+    p = ot.SampleCostParams(1, 1, 1, channel_ranges=ranges)
     patches = np.empty((40, 3, 8, 8))
     for c, (lo, hi) in enumerate(ranges):
         # values below, inside and above the range, exactly on every edge, and NaN

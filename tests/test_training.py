@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,11 +11,14 @@ from helpers import (
     flip_patch,
     gram_objective_reference,
     make_task,
+    median_distance_reference,
     nlml_terms_reference,
     noisy_batch_reference,
+    pool_reference,
     predict,
     predict_mean,
     soft_normalize_reference,
+    training_rows_reference,
 )
 
 from scoopgp import gp
@@ -397,3 +401,98 @@ def test_train_dkmt_matches_op_by_op_reference(tiny_tasks, monkeypatch):
     for name, w in fused.weights.items():
         assert w.data.tobytes() == reference.weights[name].data.tobytes(), name
     assert fused.kp == reference.kp
+
+
+def _run_train_mean(model, Xs, ys, cfg, **anchor):
+    manifest = TR.TrainingManifest("t", 0, {})
+    TR._train_mean(model, Xs, ys, cfg, np.random.default_rng(7), manifest, "t", **anchor)
+    return manifest
+
+
+@pytest.mark.parametrize("validation_fraction", [0.1, 0.0])
+def test_train_mean_gathers_the_pooled_rows(monkeypatch, validation_fraction):
+    """The training and validation rows _train_mean gathers from per-task
+    matrices of unequal sizes, a one-record task among them, are those
+    np.take gives from the pooled matrix, in the same order."""
+    tasks = [make_task(f"u{i}", n, seed=i) for i, n in enumerate((14, 1, 9, 20))]
+    cfg = small_cfg(max_epochs_mean=1, batch_size=12, validation_fraction=validation_fraction)
+    seen = {}
+    noisy_batch = TR._noisy_batch
+
+    def train_spy(Xtr, *rest):
+        seen.setdefault("train", Xtr.copy())
+        return noisy_batch(Xtr, *rest)
+
+    monkeypatch.setattr(TR, "_noisy_batch", train_spy)
+    model = M.DeepGPModel.init(ARCH, seed=0, has_kernel=False)
+    mean_batch = model.mean_batch
+
+    def val_spy(X):
+        seen.setdefault("val", X.copy())
+        return mean_batch(X)
+
+    model.mean_batch = val_spy
+    _run_train_mean(model, [t.feature_matrix(ARCH) for t in tasks], [t.rewards for t in tasks], cfg)
+    X, _ = pool_reference(tasks, ARCH, 0.0, 1.0)
+    n_val = min(math.ceil(validation_fraction * len(X)), len(X) - 1)
+    perm = np.random.default_rng(7).permutation(len(X))
+    Xtr, Xval = training_rows_reference(X, perm, n_val, M.flip_permutation(ARCH))
+    assert seen["train"].tobytes() == Xtr.tobytes()
+    assert seen["val"].tobytes() == Xval.tobytes()
+
+
+@pytest.mark.parametrize("anchored", [False, True])
+def test_train_mean_per_task_equals_the_pooled_path(tiny_tasks, anchored):
+    """Weights, loss curve and stats of _train_mean on the per-task
+    matrices equal, bit for bit, those on the one pooled matrix."""
+    cfg = small_cfg(max_epochs_mean=6, batch_size=12)
+    tasks = tiny_tasks[1:] if anchored else tiny_tasks
+    anchor = {}
+    if anchored:
+        init = M.DeepGPModel.init(ARCH, seed=9, has_kernel=False)
+        anchor = {
+            "anchor": {n: w + 0.01 for n, w in init.copy_weight_arrays().items() if n.startswith("extractor.")},
+            "anchor_coeff": 1.0,
+        }
+    Xs = [t.feature_matrix(ARCH) for t in tasks]
+    ys = [(t.rewards - 14.0) / 8.0 for t in tasks]
+    X, y = pool_reference(tasks, ARCH, 14.0, 8.0)
+    per_task = M.DeepGPModel.init(ARCH, seed=3, has_kernel=False)
+    pooled = M.DeepGPModel.init(ARCH, seed=3, has_kernel=False)
+    m_per_task = _run_train_mean(per_task, Xs, ys, cfg, **anchor)
+    m_pooled = _run_train_mean(pooled, [X], [y], cfg, **anchor)
+    assert m_per_task.loss_curves == m_pooled.loss_curves
+    assert m_per_task.stats == m_pooled.stats
+    for name, w in per_task.weights.items():
+        assert w.data.tobytes() == pooled.weights[name].data.tobytes(), name
+
+
+def _normalized_rows(n, seed):
+    raw = np.random.default_rng(seed).normal(size=(n, 16))
+    raw[n // 2 :: 7] = raw[0]  # repeated rows: zero distances
+    return raw / np.sqrt((raw * raw).sum(axis=1, keepdims=True) + 1e-4)
+
+
+@pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 100, 256])
+def test_median_distance_matches_the_broadcast_oracle(n):
+    Z = _normalized_rows(n, seed=n)
+    assert TR._median_distance(Z).hex() == median_distance_reference(Z).hex()
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_median_distance_memory_stays_below_the_broadcast_temporaries():
+    """The lengthscale start on 256 embeddings peaks below 4 MB traced;
+    the broadcast (256, 256, 16) difference and its square take 17 MB."""
+    Z = _normalized_rows(256, seed=1)
+    peak = _peak_bytes(TR._median_distance, Z)
+    assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"
+    assert _peak_bytes(median_distance_reference, Z) > 4 * peak
