@@ -13,8 +13,11 @@ scoopgp from ./src:
   charts).
 
 The output is one `sha256  path` line per file written, paths relative
-to the work directory, sorted. Two source trees that print the same
-lines wrote the same bytes, which is the behaviour check for a refactor.
+to the work directory, sorted. Each `*.jsonl` trace file also gets a
+`sha256  path:indices` line, the digest of its episodes' chosen index
+sequences alone. Two source trees that print the same lines wrote the
+same bytes, which is the behaviour check for a refactor; two that print
+the same `:indices` lines made the same choices, whatever their scores.
 Run it from the root of the tree to check (a checkout or a worktree of
 another commit works the same way):
 
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -68,12 +72,20 @@ def run_pipeline(root: Path, work: Path) -> None:
             raise RuntimeError(f"{' '.join(argv[:3])} exited {proc.returncode}:\n{proc.stderr}")
 
 
+def index_sequences(path: Path) -> bytes:
+    """One line per episode of a trace file: its steps' indices as JSON."""
+    lines = path.read_text().splitlines()
+    return "\n".join(json.dumps([s["index"] for s in json.loads(line)["steps"]]) for line in lines).encode()
+
+
 def digests(work: Path) -> list[str]:
-    return [
-        f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(work)}"
-        for path in sorted(work.rglob("*"))
-        if path.is_file()
-    ]
+    lines = []
+    for path in sorted(work.rglob("*")):
+        if path.is_file():
+            lines.append(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(work)}")
+            if path.suffix == ".jsonl":
+                lines.append(f"{hashlib.sha256(index_sequences(path)).hexdigest()}  {path.relative_to(work)}:indices")
+    return lines
 
 
 def main(argv=None) -> int:

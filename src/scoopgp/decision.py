@@ -3,10 +3,12 @@
 A policy scores a discrete candidate set with the model posterior
 (greedy uses the mean, UCB adds a multiple of the standard deviation)
 and picks the argmax, breaking ties toward the lowest candidate index.
-Candidates and the support set are model feature rows. Episodes loop
-observe / select / execute until the reward threshold is met or the
-attempt budget runs out; the growing history, kept as copied feature
-rows and rewards, is the support set handed to the model at each step.
+Episodes loop observe / select / execute until the reward threshold is
+met or the attempt budget runs out. The candidates' feature rows go
+through the network once per episode when they cannot change (replay)
+and once per step when they are re-rendered (live); the posterior then
+conditions their embeddings on the growing history, kept as the chosen
+rows' embeddings and rewards, never as feature rows to embed again.
 """
 from __future__ import annotations
 
@@ -90,21 +92,22 @@ class Policy:
 
 
 def select_action(
-    model, features: np.ndarray, support, policy: Policy, excluded=frozenset()
+    model, candidates, support, policy: Policy, excluded=frozenset()
 ) -> tuple[int, float]:
-    """Argmax of the policy score over the non-excluded rows of a
-    candidate feature matrix; support is (feature rows, rewards).
+    """Argmax of the policy score over the non-excluded rows of embedded
+    candidates, (means, Z) as model.embed_rows gives them, conditioned
+    on an embedded support (means, Z, rewards).
 
     Returns (row index, score); ties go to the lowest index.
     """
-    keep = np.ones(len(features), dtype=bool)
+    means, Z = candidates
+    keep = np.ones(len(means), dtype=bool)
     keep[list(excluded)] = False
     allowed = np.flatnonzero(keep)
     if not allowed.size:
         raise ValueError("no candidates left after exclusion")
-    rows = features if allowed.size == len(features) else features.take(allowed, axis=0)
-    means, variances = model.predict_rows(rows, *support)
-    scores = policy.scores(means, variances)
+    Z = None if Z is None else Z[allowed]
+    scores = policy.scores(*model.condition(means[allowed], Z, *support))
     best = int(np.argmax(scores))
     return int(allowed[best]), float(scores[best])
 
@@ -181,13 +184,15 @@ class ReplayEnvironment:
         self.task_id = dataset.task_id
         self._records = dataset.records
         self._actions = [r.action for r in self._records]
-        self._features = dataset.features
+        self._features = dataset.features.view()
+        self._features.flags.writeable = False
         self._indices = np.arange(len(self._records))
         self._used: set[int] = set()
 
     def candidates(self) -> tuple[np.ndarray, list[ScoopAction], np.ndarray]:
         """(feature rows, actions, indices) with one row per record, used
-        or not: row k is record indices[k] = k."""
+        or not: row k is record indices[k] = k. The rows are a read-only
+        view of the dataset's matrix, the same array at every call."""
         return self._features, self._actions, self._indices
 
     def excluded(self) -> set[int]:
@@ -261,7 +266,11 @@ def run_episode(
     An environment's candidates() gives (feature rows, actions, indices),
     row k being actions[indices[k]]; excluded() and execute() speak of
     indices into actions, and so does each trace step's index.
-    The support set at attempt n holds exactly the n-1 earlier records.
+    The rows are embedded once per episode when candidates() hands out
+    the same read-only array at every step (replay), else at every step
+    (live). The support set at attempt n holds exactly the n-1 earlier
+    records: their rows' embeddings from the step that chose them, and
+    their rewards.
     Environment faults abort the episode and leave a partial trace.
     """
     trace = EpisodeTrace(
@@ -270,8 +279,7 @@ def run_episode(
         threshold=threshold,
         max_attempts=max_attempts,
     )
-    rows: list[np.ndarray] = []
-    rewards: list[float] = []
+    fixed, support = None, ([], [], [])  # the chosen rows' mean-head outputs, embeddings, rewards
     for _ in range(max_attempts):
         try:
             features, actions, indices = env.candidates()
@@ -281,11 +289,13 @@ def run_episode(
         excluded = env.excluded()
         if len(excluded) >= len(actions):
             break
-        support = (np.array(rows).reshape(len(rows), features.shape[1]), rewards)
+        if features is not fixed:
+            means, Z = model.embed_rows(features)
+            fixed = None if features.flags.writeable else features
         blocked = np.zeros(len(actions), dtype=bool)
         blocked[list(excluded)] = True
         excluded_rows = np.flatnonzero(blocked[indices]).tolist()
-        row, score = select_action(model, features, support, policy, excluded_rows)
+        row, score = select_action(model, (means, Z), support, policy, excluded_rows)
         index = int(indices[row])
         try:
             reward = env.execute(index)
@@ -296,6 +306,7 @@ def run_episode(
         if reward >= threshold:
             trace.success = True
             break
-        rows.append(features[row].copy())
-        rewards.append(reward)
+        support[0].append(means[row])
+        support[1].append(None if Z is None else Z[row].copy())
+        support[2].append(reward)
     return trace

@@ -367,26 +367,28 @@ class DeepGPModel:
         """Posterior means and variances, in reward units, of the feature
         rows Xq given support rows Xs and their observed rewards (the
         prior for an empty support; zero variance without a kernel)."""
-        for X in (Xq, Xs):
-            if X.shape[1] != self.arch.input_dim:
-                raise T.ShapeError(
-                    f"feature rows have {X.shape[1]} columns, architecture needs {self.arch.input_dim}"
-                )
-        Fq = self.extract_batch(Xq)
-        mq = self.mean_t(T.Tensor(Fq)).data[:, 0]
+        return self.condition(*self.embed_rows(Xq), *self.embed_rows(Xs), rewards)
+
+    def embed_rows(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """(standardized mean-head outputs, kernel embeddings) of feature
+        rows X; the embeddings are None without a kernel."""
+        if X.shape[1] != self.arch.input_dim:
+            raise T.ShapeError(
+                f"feature rows have {X.shape[1]} columns, architecture needs {self.arch.input_dim}"
+            )
+        F = T.Tensor(self.extract_batch(X))
+        return self.mean_t(F).data[:, 0], self.kernel_t(F).data if self.has_kernel else None
+
+    def condition(self, mq, Zq, ms, Zs, rewards) -> tuple[np.ndarray, np.ndarray]:
+        """predict_rows on embedded rows: the queries' embed_rows (mq, Zq)
+        given the support's (ms, Zs) and its observed rewards."""
         if not self.has_kernel:
             means = mq * self.reward_std + self.reward_mean
             return means, np.zeros_like(means)
-        rewards = np.asarray(rewards, dtype=np.float64)
-        Fs = self.extract_batch(Xs)
-        ms = self.mean_t(T.Tensor(Fs)).data[:, 0]
-        resid = (rewards - self.reward_mean) / self.reward_std - ms
-        Zs = self.kernel_t(T.Tensor(Fs)).data
-        Zq = self.kernel_t(T.Tensor(Fq)).data
+        resid = (np.asarray(rewards, dtype=np.float64) - self.reward_mean) / self.reward_std - ms
         g_mean, g_var = gp.posterior_batch(Zs, resid, Zq, self.kp)
         means = (mq + g_mean) * self.reward_std + self.reward_mean
-        variances = g_var * self.reward_std**2
-        return means, variances
+        return means, g_var * self.reward_std**2
 
     def copy_weight_arrays(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.weights.items()}

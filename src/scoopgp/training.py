@@ -305,7 +305,8 @@ def _meta_train(
     and of the groups' parameters, one batch at a time, early-stopped on
     the mean epoch loss.
 
-    batches are (label, plain rows, flipped rows, targets). Each epoch
+    batches are (label, plain rows, flipped rows, targets), where a 1-D
+    flipped is the column permutation that flips a plain row. Each epoch
     visits them in a fresh permutation and takes each row flipped with
     probability 1/2. forward(rows, targets) returns the kernel head's
     input tensor and the residual tensor the NLML scores. groups are
@@ -341,7 +342,8 @@ def _meta_train(
         for i in orders[-1]:
             label, plain, flipped, y = batches[i]
             mask = rng.random(len(plain)) < 0.5
-            rows = np.where(mask[:, None], flipped, plain)
+            rows = plain.copy()
+            rows[mask] = flipped[mask] if flipped.ndim > 1 else plain[np.ix_(mask, flipped)]
             try:
                 with T.Tape() as tape:
                     F, resid = forward(rows, y)
@@ -385,7 +387,7 @@ def train_dkmt(
     for t in tasks:
         X = t.feature_matrix(cfg.arch)
         y_std = (t.rewards - model.reward_mean) / model.reward_std
-        batches.append((f"dkmt: task {t.task_id}", X, X[:, flip_cols], y_std))
+        batches.append((f"dkmt: task {t.task_id}", X, flip_cols, y_std))
 
     def forward(rows, y):
         F = model.extractor_t(T.Tensor(rows))

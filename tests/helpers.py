@@ -8,6 +8,7 @@ import numpy as np
 from scoopgp import gp, ot
 from scoopgp import tensor as T
 from scoopgp.data import SCHEMA_VERSION, ScoopRecord, TaskDataset
+from scoopgp.decision import EpisodeStep, EpisodeTrace
 from scoopgp.model import (
     N_YAW,
     ScoopAction,
@@ -184,6 +185,36 @@ class LiveEnvironmentReference:
         if index in self._infeasible:
             raise RuntimeError(f"action {index} is kinematically infeasible")
         return execute_scoop(self.terrain, self.actions[index], self.rng)
+
+
+def run_episode_reference(model, env, threshold, max_attempts, policy):
+    """decision.run_episode as it scored rows before embeddings were kept:
+    at every step predict_rows on the allowed candidate rows, gathered
+    from the feature matrix, with the support as copies of the chosen
+    feature rows. The oracle for the embed-once episode: the same index
+    sequence, and scores equal up to where BLAS rounds a row differently
+    in another batch."""
+    trace = EpisodeTrace(env.task_id, policy.label(), threshold, max_attempts)
+    rows, rewards = [], []
+    for _ in range(max_attempts):
+        features, actions, indices = env.candidates()
+        excluded = env.excluded()
+        if len(excluded) >= len(actions):
+            break
+        allowed = np.flatnonzero(~np.isin(indices, list(excluded)))
+        Xs = np.array(rows).reshape(len(rows), features.shape[1])
+        scores = policy.scores(*model.predict_rows(features.take(allowed, axis=0), Xs, rewards))
+        best = int(np.argmax(scores))
+        row = int(allowed[best])
+        index = int(indices[row])
+        reward = env.execute(index)
+        trace.steps.append(EpisodeStep(index, actions[index], reward, float(scores[best])))
+        if reward >= threshold:
+            trace.success = True
+            break
+        rows.append(features[row].copy())
+        rewards.append(reward)
+    return trace
 
 
 def flip_patch(patch: np.ndarray) -> np.ndarray:

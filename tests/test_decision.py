@@ -2,7 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import LiveEnvironmentReference, make_task, render_patches_reference, support_tuples
+from helpers import (
+    LiveEnvironmentReference,
+    make_task,
+    render_patches_reference,
+    run_episode_reference,
+    support_tuples,
+)
 
 from scoopgp import decision as D
 from scoopgp import gp
@@ -34,7 +40,8 @@ def test_action_grid_sizes():
 
 
 def no_support(arch=ARCH):
-    return np.empty((0, arch.input_dim)), []
+    """An embedded support of no rows: (means, Z, rewards)."""
+    return np.empty(0), np.empty((0, arch.embed_dim)), []
 
 
 def test_ucb_score_reductions():
@@ -64,16 +71,17 @@ def test_select_action_basics():
     m = trained_toy_model(2)
     task = make_task("t", 6, seed=3)
     X = M.feature_matrix(ARCH, [(r.obs, r.action) for r in task.records])
-    idx, score = D.select_action(m, X[:1], no_support(), D.Policy.greedy())
+    E = m.embed_rows(X)
+    idx, score = D.select_action(m, m.embed_rows(X[:1]), no_support(), D.Policy.greedy())
     assert idx == 0
-    idx_g, _ = D.select_action(m, X, no_support(), D.Policy.greedy())
-    idx_u0, _ = D.select_action(m, X, no_support(), D.Policy.ucb(0.0))
+    idx_g, _ = D.select_action(m, E, no_support(), D.Policy.greedy())
+    idx_u0, _ = D.select_action(m, E, no_support(), D.Policy.ucb(0.0))
     assert idx_g == idx_u0
     excl = {idx_g}
-    idx2, _ = D.select_action(m, X, no_support(), D.Policy.greedy(), excl)
+    idx2, _ = D.select_action(m, E, no_support(), D.Policy.greedy(), excl)
     assert idx2 != idx_g
     with pytest.raises(ValueError):
-        D.select_action(m, X, no_support(), D.Policy.greedy(), set(range(len(X))))
+        D.select_action(m, E, no_support(), D.Policy.greedy(), set(range(len(X))))
 
 
 def test_select_action_scale_invariance_of_argmax():
@@ -86,8 +94,10 @@ def test_select_action_scale_invariance_of_argmax():
 
 
 def test_select_action_scores_rows_like_predict_batch():
-    """Excluding rows leaves the scores of the others as predict_batch
-    gives them for exactly those candidates, bit for bit."""
+    """Excluding rows leaves the scores of the others as the posterior
+    gives them for exactly those rows' embeddings, bit for bit, and as
+    predict_batch gives them for exactly those candidates, up to the
+    rounding of a row in another BLAS batch."""
     m = trained_toy_model(5)
     task = make_task("t", 9, seed=6)
     cands = [(r.obs, r.action) for r in task.records]
@@ -97,11 +107,14 @@ def test_select_action_scores_rows_like_predict_batch():
     rewards = [r for _, _, r in support]
     excluded = {0, 4, 7, 8}
     allowed = [i for i in range(9) if i not in excluded]
+    (mq, Zq), (ms, Zs) = m.embed_rows(X), m.embed_rows(Xs)
+    exact = D.Policy.ucb(2.0).scores(*m.condition(mq[allowed], Zq[allowed], ms, Zs, rewards))
     means, variances = m.predict_batch([cands[i] for i in allowed], support)
     scores = D.Policy.ucb(2.0).scores(means, variances)
-    idx, score = D.select_action(m, X, (Xs, rewards), D.Policy.ucb(2.0), excluded)
-    assert idx == allowed[int(np.argmax(scores))]
-    assert score == float(scores.max())
+    idx, score = D.select_action(m, (mq, Zq), (ms, Zs, rewards), D.Policy.ucb(2.0), excluded)
+    assert idx == allowed[int(np.argmax(exact))] == allowed[int(np.argmax(scores))]
+    assert score == float(exact.max())
+    assert score == pytest.approx(float(scores.max()), rel=1e-12)
 
 
 def test_replay_episode_without_replacement_and_support_growth():
@@ -131,9 +144,11 @@ def test_replay_episode_oracle_threshold_max_record():
             rows = M.feature_rows((rec.obs, rec.action) for rec in ds.records)
             self.r = {row.tobytes(): rec.reward for row, rec in zip(rows, ds.records)}
 
-        def predict_rows(self, X, Xs, rewards):
-            means = np.array([self.r[row.tobytes()] for row in X])
-            return means, np.zeros_like(means)
+        def embed_rows(self, X):
+            return np.array([self.r[row.tobytes()] for row in X]), None
+
+        def condition(self, mq, Zq, ms, Zs, rewards):
+            return mq, np.zeros_like(mq)
 
     task = make_task("oracle", 12, seed=9)
     env = D.ReplayEnvironment(task)
@@ -170,22 +185,30 @@ def test_gamma_zero_trace_equals_greedy_trace():
 
 
 def test_support_is_prior_history():
-    calls = []
+    """The support at attempt n is the n-1 earlier records: their rows'
+    mean-head outputs and embeddings from the one embedding of the replay
+    matrix, and their rewards."""
+    calls, embedded = [], []
 
     class Spy:
-        def predict_rows(self, X, Xs, rewards):
-            calls.append((Xs.copy(), list(rewards)))
-            means = np.zeros(len(X))
-            return means, np.zeros_like(means)
+        def embed_rows(self, X):
+            embedded.append(X)
+            return X[:, 0].copy(), X  # each row embeds as itself
+
+        def condition(self, mq, Zq, ms, Zs, rewards):
+            calls.append((np.array(ms), np.array(Zs).reshape(len(Zs), Zq.shape[1]), list(rewards)))
+            return mq, np.zeros_like(mq)
 
     task = make_task("spy", 6, seed=13)
     env = D.ReplayEnvironment(task)
     trace = D.run_episode(Spy(), env, np.inf, 4, D.Policy.greedy())
-    assert [len(r) for _, r in calls] == [0, 1, 2, 3]
+    assert len(embedded) == 1
+    assert [len(r) for *_, r in calls] == [0, 1, 2, 3]
     X = M.feature_rows((r.obs, r.action) for r in task.records)
     chosen = [s.index for s in trace.steps]
-    for n, (Xs, rewards) in enumerate(calls):
-        assert np.array_equal(Xs, X[chosen[:n]])
+    for n, (ms, Zs, rewards) in enumerate(calls):
+        assert np.array_equal(Zs, X[chosen[:n]])
+        assert np.array_equal(ms, X[chosen[:n], 0])
         assert rewards == [task.records[i].reward for i in chosen[:n]]
 
 
@@ -265,32 +288,137 @@ def test_live_episode_matches_full_grid_reference(policy):
 
 
 def test_live_support_rows_are_the_rows_chosen_then():
-    """The live environment re-renders into one feature matrix, so the
-    support must hold copies: at each step its rows equal the chosen rows
-    as they were rendered at their own step."""
+    """The live environment re-renders into one feature matrix, so every
+    step embeds it anew and the support must hold copies: at each step
+    its embeddings equal the chosen rows' as they were at their own step.
+    The test double embeds each row as the rendered row itself, a view
+    that the next render overwrites."""
     _, suite_test = terrain.generate_suite(seed=0)
-    chosen, supports = [], []
+    chosen, supports, embedded = [], [], []
 
     class FirstRow:
-        def predict_rows(self, X, Xs, rewards):
-            supports.append(Xs.copy())
-            chosen.append(X[0].copy())
-            means = -np.arange(len(X), dtype=np.float64)
-            return means, np.zeros_like(means)
+        def embed_rows(self, X):
+            embedded.append(len(X))
+            return -np.arange(len(X), dtype=np.float64), X
+
+        def condition(self, mq, Zq, ms, Zs, rewards):
+            supports.append(np.array(Zs).reshape(len(Zs), Zq.shape[1]))
+            chosen.append(Zq[0].copy())
+            return mq, np.zeros_like(mq)
 
     env = D.LiveEnvironment(suite_test[0], D.ActionGrid(nx=4, ny=3), seed=1)
     D.run_episode(FirstRow(), env, np.inf, 4, D.Policy.greedy())
-    assert len(supports) == 4
-    for n, Xs in enumerate(supports):
-        assert np.array_equal(Xs, np.array(chosen[:n]).reshape(n, Xs.shape[1]))
+    assert len(supports) == 4 and len(embedded) == 4
+    for n, Zs in enumerate(supports):
+        assert np.array_equal(Zs, np.array(chosen[:n]).reshape(n, Zs.shape[1]))
     assert not np.array_equal(chosen[0], chosen[1]), "each step draws fresh noise"
 
 
 def test_replay_candidates_are_the_dataset_matrix():
-    """A replay environment hands out its dataset's feature matrix, not a copy."""
+    """A replay environment hands out its dataset's feature matrix, not a
+    copy: a read-only view of it, the same array at every step."""
     task = make_task("replay", 8, seed=4, channels=4, h=16, w=16)
-    features, _, _ = D.ReplayEnvironment(task).candidates()
-    assert features is task.feature_matrix(M.Architecture())
+    env = D.ReplayEnvironment(task)
+    features, _, _ = env.candidates()
+    held = task.feature_matrix(M.Architecture())
+    assert np.shares_memory(features, held) and features.base is held
+    assert features.shape == held.shape and np.array_equal(features, held)
+    with pytest.raises(ValueError):
+        features[0, 0] = 1.0
+    assert env.candidates()[0] is features
+    assert held.flags.writeable, "the dataset's own matrix stays writable"
+
+
+def default_model(seed, has_kernel=True):
+    """A default-architecture model whose mean head is not flat."""
+    m = M.DeepGPModel.init(M.Architecture(), seed=seed, has_kernel=has_kernel)
+    rng = np.random.default_rng(seed)
+    m.weights["mean.1.w"].data[:] = rng.normal(scale=0.5, size=m.weights["mean.1.w"].shape)
+    m.reward_mean, m.reward_std = 15.0, 8.0
+    return m
+
+
+def test_replay_episode_embeds_each_record_once(monkeypatch):
+    """A 100-attempt replay episode pushes each of the 100 records through
+    the extractor once, support rows included."""
+    rows = []
+    extractor_t = M.DeepGPModel.extractor_t
+
+    def spy(self, X):
+        rows.append(X.shape[0])
+        return extractor_t(self, X)
+
+    monkeypatch.setattr(M.DeepGPModel, "extractor_t", spy)
+    task = make_task("once", 100, seed=21, channels=4, h=16, w=16)
+    trace = D.run_episode(default_model(6), D.ReplayEnvironment(task), np.inf, 100, D.Policy.ucb(2.0))
+    assert trace.attempts == 100
+    assert rows == [100]
+
+
+def test_live_support_embeddings_are_those_of_their_step():
+    """Each live step embeds its new render, and the support holds each
+    chosen row's embedding as that step computed it, bit for bit."""
+    _, suite_test = terrain.generate_suite(seed=0)
+    m = default_model(7)
+    embedded, supports = [], []
+    embed_rows, condition = m.embed_rows, m.condition
+
+    def embed_spy(X):
+        out = embed_rows(X)
+        embedded.append(out)
+        return out
+
+    def condition_spy(mq, Zq, ms, Zs, rewards):
+        supports.append((np.array(ms), np.array(Zs).reshape(len(Zs), Zq.shape[1])))
+        return condition(mq, Zq, ms, Zs, rewards)
+
+    m.embed_rows, m.condition = embed_spy, condition_spy
+    env = D.LiveEnvironment(suite_test[2], D.ActionGrid(nx=4, ny=3), seed=8)
+    trace = D.run_episode(m, env, np.inf, 5, D.Policy.ucb(2.0))
+    assert trace.attempts == 5 and len(embedded) == 5 == len(supports)
+    feasible = [i for i in range(len(env.actions)) if i not in env.excluded()]
+    rows = [feasible.index(s.index) for s in trace.steps]
+    for n, (ms, Zs) in enumerate(supports):
+        assert ms.tobytes() == np.array([embedded[k][0][rows[k]] for k in range(n)]).tobytes()
+        assert Zs.tobytes() == np.array([embedded[k][1][rows[k]] for k in range(n)]).tobytes()
+
+
+def assert_same_choices(trace, reference, model):
+    """The same indices and rewards, and scores within 1e-12 relative: of
+    the score, or of the reward scale where a score is near 0 (an untrained
+    model's UCB scores cross 0, where any rounding is a large share)."""
+    assert [s.index for s in trace.steps] == [s.index for s in reference.steps]
+    assert [s.reward for s in trace.steps] == [s.reward for s in reference.steps]
+    for s, r in zip(trace.steps, reference.steps):
+        assert abs(s.score - r.score) <= 1e-12 * max(abs(r.score), model.reward_std)
+
+
+@pytest.mark.parametrize("has_kernel", [True, False], ids=["kernel", "mean-only"])
+def test_replay_episode_matches_per_step_reference(has_kernel):
+    """Embedding the replay matrix once picks the records that scoring the
+    allowed rows and the support rows at every step picks."""
+    for seed in range(3):
+        task = make_task(f"ref{seed}", 100, seed=30 + seed, channels=4, h=16, w=16)
+        m = default_model(seed, has_kernel)
+        for policy in (D.Policy.ucb(2.0), D.Policy.greedy()):
+            trace = D.run_episode(m, D.ReplayEnvironment(task), np.inf, 100, policy)
+            reference = run_episode_reference(m, D.ReplayEnvironment(task), np.inf, 100, policy)
+            assert trace.attempts == 100
+            assert_same_choices(trace, reference, m)
+
+
+def test_live_episode_matches_per_step_reference():
+    """Keeping live support embeddings picks the grid actions that
+    re-embedding the support rows at every step picks."""
+    _, suite_test = terrain.generate_suite(seed=0)
+    m = default_model(9)
+    for task in suite_test[:2]:
+        for seed in (11, 12):
+            trace = D.run_episode(m, D.LiveEnvironment(task, D.ActionGrid(), seed), np.inf, 8, D.Policy.ucb(2.0))
+            env = D.LiveEnvironment(task, D.ActionGrid(), seed)
+            reference = run_episode_reference(m, env, np.inf, 8, D.Policy.ucb(2.0))
+            assert trace.attempts == 8
+            assert_same_choices(trace, reference, m)
 
 
 def live_episode_peak_bytes(grid, steps):

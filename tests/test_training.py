@@ -403,6 +403,28 @@ def test_train_dkmt_matches_op_by_op_reference(tiny_tasks, monkeypatch):
     assert fused.kp == reference.kp
 
 
+def test_train_dkmt_flips_picked_rows_like_precomputed_flipped_matrices(tiny_tasks, monkeypatch):
+    """dkmt hands _meta_train each task's flip permutation, not a flipped
+    copy of its features; flipping only the rows an epoch picks gives the
+    weights, hyperparameters and loss curve of precomputed flipped rows."""
+    cfg = small_cfg(max_epochs_meta=5)
+    picked, picked_manifest = TR.train_dkmt(tiny_tasks, cfg)
+    meta_train, seen = TR._meta_train, []
+
+    def precomputed(model, batches, *args):
+        seen.extend(flipped.ndim for _, _, flipped, _ in batches)
+        batches = [(label, X, X[:, flipped], y) for label, X, flipped, y in batches]
+        return meta_train(model, batches, *args)
+
+    monkeypatch.setattr(TR, "_meta_train", precomputed)
+    reference, reference_manifest = TR.train_dkmt(tiny_tasks, cfg)
+    assert seen == [1] * len(tiny_tasks)
+    for name, w in picked.weights.items():
+        assert w.data.tobytes() == reference.weights[name].data.tobytes(), name
+    assert picked.kp == reference.kp
+    assert picked_manifest.loss_curves == reference_manifest.loss_curves
+
+
 def _run_train_mean(model, Xs, ys, cfg, **anchor):
     manifest = TR.TrainingManifest("t", 0, {})
     TR._train_mean(model, Xs, ys, cfg, np.random.default_rng(7), manifest, "t", **anchor)
