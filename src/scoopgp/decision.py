@@ -6,9 +6,9 @@ and picks the argmax, breaking ties toward the lowest candidate index.
 Episodes loop observe / select / execute until the reward threshold is
 met or the attempt budget runs out. The candidates' feature rows go
 through the network once per episode when they cannot change (replay)
-and once per step when they are re-rendered (live); the posterior then
-conditions their embeddings on the growing history, kept as the chosen
-rows' embeddings and rewards, never as feature rows to embed again.
+and once per step when they are re-rendered (live). One gp.Posterior
+of their embeddings grows by the chosen row after each attempt and
+re-projects a live step's new embeddings: no step refactorizes it.
 """
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import gp
 from .data import TaskDataset
 from .model import DEPTH_MAX, DEPTH_MIN, N_YAW, STIFFNESSES, ScoopAction, action_rows, record_dict
 from .terrain import (
@@ -91,23 +92,19 @@ class Policy:
         return "greedy" if self.kind == "greedy" else f"ucb({self.gamma:g})"
 
 
-def select_action(
-    model, candidates, support, policy: Policy, excluded=frozenset()
-) -> tuple[int, float]:
-    """Argmax of the policy score over the non-excluded rows of embedded
-    candidates, (means, Z) as model.embed_rows gives them, conditioned
-    on an embedded support (means, Z, rewards).
+def select_action(model, means, post, policy: Policy, excluded=frozenset()) -> tuple[int, float]:
+    """Argmax of the policy score over the non-excluded candidate rows,
+    scored by model.condition from their standardized mean-head outputs
+    and post, the gp.Posterior of their embeddings (None without a kernel).
 
     Returns (row index, score); ties go to the lowest index.
     """
-    means, Z = candidates
     keep = np.ones(len(means), dtype=bool)
     keep[list(excluded)] = False
     allowed = np.flatnonzero(keep)
     if not allowed.size:
         raise ValueError("no candidates left after exclusion")
-    Z = None if Z is None else Z[allowed]
-    scores = policy.scores(*model.condition(means[allowed], Z, *support))
+    scores = policy.scores(*model.condition(means, post))[allowed]
     best = int(np.argmax(scores))
     return int(allowed[best]), float(scores[best])
 
@@ -268,9 +265,10 @@ def run_episode(
     indices into actions, and so does each trace step's index.
     The rows are embedded once per episode when candidates() hands out
     the same read-only array at every step (replay), else at every step
-    (live). The support set at attempt n holds exactly the n-1 earlier
-    records: their rows' embeddings from the step that chose them, and
-    their rewards.
+    (live), where one gp.Posterior re-projects them. It grows by the
+    chosen row after each attempt but the last, so at attempt n it holds
+    exactly the n-1 earlier records: their rows' embeddings from the
+    step that chose them, and their residual rewards.
     Environment faults abort the episode and leave a partial trace.
     """
     trace = EpisodeTrace(
@@ -279,7 +277,7 @@ def run_episode(
         threshold=threshold,
         max_attempts=max_attempts,
     )
-    fixed, support = None, ([], [], [])  # the chosen rows' mean-head outputs, embeddings, rewards
+    fixed, post = None, None
     for _ in range(max_attempts):
         try:
             features, actions, indices = env.candidates()
@@ -292,10 +290,14 @@ def run_episode(
         if features is not fixed:
             means, Z = model.embed_rows(features)
             fixed = None if features.flags.writeable else features
+            if post is not None:
+                post.project(Z)
+            elif Z is not None:
+                post = gp.Posterior(model.kp, Z)
         blocked = np.zeros(len(actions), dtype=bool)
         blocked[list(excluded)] = True
         excluded_rows = np.flatnonzero(blocked[indices]).tolist()
-        row, score = select_action(model, (means, Z), support, policy, excluded_rows)
+        row, score = select_action(model, means, post, policy, excluded_rows)
         index = int(indices[row])
         try:
             reward = env.execute(index)
@@ -306,7 +308,6 @@ def run_episode(
         if reward >= threshold:
             trace.success = True
             break
-        support[0].append(means[row])
-        support[1].append(None if Z is None else Z[row].copy())
-        support[2].append(reward)
+        if post is not None and trace.attempts < max_attempts:
+            post.grow(Z[row], model.residuals(means[row], reward))
     return trace

@@ -2,8 +2,10 @@
 
 RBF kernel, posterior prediction over residuals, and the negative log
 marginal likelihood with its analytic gradient. All hyperparameters are
-stored in log space so the exponentiated values stay positive. Solves
-go through a Cholesky factor with an escalating jitter fallback.
+stored in log space so the exponentiated values stay positive. Every
+posterior is a Posterior, whose support grows a row at a time, so
+deployment never refactorizes it; the NLML, and a row whose pivot is
+not positive, go through a Cholesky factor with escalating jitter.
 """
 from __future__ import annotations
 
@@ -89,8 +91,8 @@ def sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def gram(Z: np.ndarray, kp: KernelParams) -> np.ndarray:
     """Symmetric kernel matrix with the noise variance on its diagonal.
 
-    This is not gram_objective's arithmetic: the evaluation artifacts'
-    bytes depend on this syrk d2, its clip at 0 and the symmetrization."""
+    Posterior refactorizes it when a new row's pivot is not positive. It
+    is not gram_objective's arithmetic (syrk d2, clip at 0, symmetrized)."""
     Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
     d2 = sq_dists(Z, Z)
     K = kp.outputscale * np.exp(-d2 / (2.0 * kp.lengthscale**2))
@@ -133,33 +135,63 @@ def posterior(
 
     n = 0 returns the prior: mean 0, variance k(q,q) + noise^2.
     """
-    means, variances = posterior_batch(support_Z, residuals, np.atleast_2d(query_z), kp)
+    means, variances = posterior_batch(support_Z, residuals, np.atleast_2d(query_z), kp).predict()
     return GPPosterior(mean=float(means[0]), variance=float(variances[0]))
 
 
-def posterior_batch(
-    support_Z: np.ndarray,
-    residuals: np.ndarray,
-    query_Z: np.ndarray,
-    kp: KernelParams,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior means and variances for a batch of query embeddings."""
-    query_Z = np.atleast_2d(np.asarray(query_Z, dtype=np.float64))
-    m = len(query_Z)
-    if np.size(support_Z) == 0:
-        prior = kp.outputscale + kp.noise**2
-        return np.zeros(m), np.full(m, prior)
-    support_Z = np.atleast_2d(np.asarray(support_Z, dtype=np.float64))
-    n = len(support_Z)
-    y = np.asarray(residuals, dtype=np.float64).reshape(n)
-    Kbar = gram(support_Z, kp)
-    L, _ = cholesky_with_jitter(Kbar)
-    alpha = np.linalg.solve(L.T, np.linalg.solve(L, y))
-    Kqs = cross_gram(query_Z, support_Z, kp)
-    means = Kqs @ alpha
-    V = np.linalg.solve(L, Kqs.T)
-    variances = kp.outputscale - np.sum(V * V, axis=0)
-    return means, np.maximum(variances, VARIANCE_FLOOR)
+def posterior_batch(support_Z: np.ndarray, residuals, query_Z: np.ndarray, kp: KernelParams) -> "Posterior":
+    """The Posterior of query embeddings given support rows and their
+    residuals, grown one row at a time."""
+    post = Posterior(kp, query_Z)
+    for z, y in zip(np.atleast_2d(support_Z), np.ravel(residuals)):
+        post.grow(z, y)
+    return post
+
+
+class Posterior:
+    """GP posterior of the residuals at query embeddings Zq given a support (Z, y)
+    grown a row at a time (GPML Alg. 2.1, by rows). It keeps the inverse Cholesky
+    factor Q (Q Kbar Q^T = I), w = Q y, V = Q K(Z, Zq), the means V^T w and V's
+    column sums of squares, so a row costs matrix-vector products. A pivot that is
+    not positive refactors the support through cholesky_with_jitter, whose jitter
+    stays on each later row's diagonal: a larger support holds the same block."""
+
+    def __init__(self, kp: KernelParams, query_Z: np.ndarray):
+        self.kp, self.jitter = kp, 0.0
+        self.Z, self.y = np.empty((0, np.shape(query_Z)[-1])), np.empty(0)
+        self.Q, self.w = np.empty((0, 0)), np.empty(0)
+        self.project(query_Z)
+
+    def project(self, query_Z: np.ndarray) -> None:
+        """Condition new query embeddings on the same support."""
+        self.Zq = np.atleast_2d(np.asarray(query_Z, dtype=np.float64))
+        self.V = self.Q @ cross_gram(self.Z, self.Zq, self.kp)
+        self.means, self.sumsq = self.V.T @ self.w, np.sum(self.V * self.V, axis=0)
+
+    def grow(self, z: np.ndarray, y: float) -> None:
+        """Add a support row: embedding z with residual y."""
+        z = np.asarray(z, dtype=np.float64).reshape(1, -1)
+        row = self.Q @ cross_gram(self.Z, z, self.kp)[:, 0]  # the new row of the factor
+        pivot = self.kp.outputscale + self.kp.noise**2 + self.jitter - row @ row
+        self.Z, self.y = np.vstack([self.Z, z]), np.append(self.y, y)
+        if pivot > 0.0:
+            d = math.sqrt(pivot)
+            self.Q = np.block([[self.Q, np.zeros((len(row), 1))], [-(row @ self.Q) / d, 1.0 / d]])
+            w, v = (y - row @ self.w) / d, (cross_gram(z, self.Zq, self.kp)[0] - row @ self.V) / d
+            self.w, self.V = np.append(self.w, w), np.vstack([self.V, v])
+            self.means, self.sumsq = self.means + w * v, self.sumsq + v * v
+        else:  # NaN too
+            L, self.jitter = cholesky_with_jitter(gram(self.Z, self.kp))
+            self.Q = np.linalg.inv(L)
+            self.w = self.Q @ self.y
+            self.project(self.Zq)
+
+    def predict(self) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior means and variances at the query embeddings; the
+        prior, mean 0 and variance k(q,q) + noise^2, for an empty support."""
+        if not len(self.y):
+            return np.zeros(len(self.Zq)), np.full(len(self.Zq), self.kp.outputscale + self.kp.noise**2)
+        return self.means, np.maximum(self.kp.outputscale - self.sumsq, VARIANCE_FLOOR)
 
 
 # --- differentiable path -------------------------------------------------

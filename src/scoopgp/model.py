@@ -367,7 +367,9 @@ class DeepGPModel:
         """Posterior means and variances, in reward units, of the feature
         rows Xq given support rows Xs and their observed rewards (the
         prior for an empty support; zero variance without a kernel)."""
-        return self.condition(*self.embed_rows(Xq), *self.embed_rows(Xs), rewards)
+        (mq, Zq), (ms, Zs) = self.embed_rows(Xq), self.embed_rows(Xs)
+        post = None if Zq is None else gp.posterior_batch(Zs, self.residuals(ms, rewards), Zq, self.kp)
+        return self.condition(mq, post)
 
     def embed_rows(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """(standardized mean-head outputs, kernel embeddings) of feature
@@ -379,14 +381,19 @@ class DeepGPModel:
         F = T.Tensor(self.extract_batch(X))
         return self.mean_t(F).data[:, 0], self.kernel_t(F).data if self.has_kernel else None
 
-    def condition(self, mq, Zq, ms, Zs, rewards) -> tuple[np.ndarray, np.ndarray]:
-        """predict_rows on embedded rows: the queries' embed_rows (mq, Zq)
-        given the support's (ms, Zs) and its observed rewards."""
-        if not self.has_kernel:
+    def residuals(self, ms, rewards):
+        """The GP's targets: observed rewards, standardized, less the
+        standardized mean-head outputs ms of their rows."""
+        return (np.asarray(rewards, dtype=np.float64) - self.reward_mean) / self.reward_std - ms
+
+    def condition(self, mq, post) -> tuple[np.ndarray, np.ndarray]:
+        """Means and variances, in reward units, of query rows with mean-head
+        outputs mq and post, the gp.Posterior of their embeddings given the
+        support; zero variance without a kernel, where post is None."""
+        if post is None:
             means = mq * self.reward_std + self.reward_mean
             return means, np.zeros_like(means)
-        resid = (np.asarray(rewards, dtype=np.float64) - self.reward_mean) / self.reward_std - ms
-        g_mean, g_var = gp.posterior_batch(Zs, resid, Zq, self.kp)
+        g_mean, g_var = post.predict()
         means = (mq + g_mean) * self.reward_std + self.reward_mean
         return means, g_var * self.reward_std**2
 

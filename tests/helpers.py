@@ -287,6 +287,28 @@ def nlml_terms_reference(Z, y, kp):
     return float(np.sum(np.log(np.diag(L)))), 0.5 * float(y @ alpha), 0.5 * n * gp.LOG_2PI
 
 
+def posterior_batch_reference(support_Z, residuals, query_Z, kp):
+    """gp.posterior_batch as it was before the support grew row by row:
+    the full Cholesky factor of the support's Gram matrix, then general
+    solves against it. The oracle for gp.Posterior."""
+    query_Z = np.atleast_2d(np.asarray(query_Z, dtype=np.float64))
+    m = len(query_Z)
+    if np.size(support_Z) == 0:
+        prior = kp.outputscale + kp.noise**2
+        return np.zeros(m), np.full(m, prior)
+    support_Z = np.atleast_2d(np.asarray(support_Z, dtype=np.float64))
+    n = len(support_Z)
+    y = np.asarray(residuals, dtype=np.float64).reshape(n)
+    Kbar = gp.gram(support_Z, kp)
+    L, _ = gp.cholesky_with_jitter(Kbar)
+    alpha = np.linalg.solve(L.T, np.linalg.solve(L, y))
+    Kqs = gp.cross_gram(query_Z, support_Z, kp)
+    means = Kqs @ alpha
+    V = np.linalg.solve(L, Kqs.T)
+    variances = kp.outputscale - np.sum(V * V, axis=0)
+    return means, np.maximum(variances, gp.VARIANCE_FLOOR)
+
+
 def rbf_gram_reference(Z, kp) -> np.ndarray:
     """The noiseless kernel matrix of embeddings Z, one gp.rbf per entry."""
     return np.array([[gp.rbf(a, b, kp) for b in Z] for a in Z])

@@ -39,9 +39,11 @@ def test_action_grid_sizes():
     assert np.allclose(depths, [0.0425, 0.0675])
 
 
-def no_support(arch=ARCH):
-    """An embedded support of no rows: (means, Z, rewards)."""
-    return np.empty(0), np.empty((0, arch.embed_dim)), []
+def embedded(m, X):
+    """Feature rows' mean-head outputs and the posterior of their
+    embeddings given no support: select_action's candidates."""
+    means, Z = m.embed_rows(X)
+    return means, gp.Posterior(m.kp, Z)
 
 
 def test_ucb_score_reductions():
@@ -71,17 +73,17 @@ def test_select_action_basics():
     m = trained_toy_model(2)
     task = make_task("t", 6, seed=3)
     X = M.feature_matrix(ARCH, [(r.obs, r.action) for r in task.records])
-    E = m.embed_rows(X)
-    idx, score = D.select_action(m, m.embed_rows(X[:1]), no_support(), D.Policy.greedy())
+    E = embedded(m, X)
+    idx, score = D.select_action(m, *embedded(m, X[:1]), D.Policy.greedy())
     assert idx == 0
-    idx_g, _ = D.select_action(m, E, no_support(), D.Policy.greedy())
-    idx_u0, _ = D.select_action(m, E, no_support(), D.Policy.ucb(0.0))
+    idx_g, _ = D.select_action(m, *E, D.Policy.greedy())
+    idx_u0, _ = D.select_action(m, *E, D.Policy.ucb(0.0))
     assert idx_g == idx_u0
     excl = {idx_g}
-    idx2, _ = D.select_action(m, E, no_support(), D.Policy.greedy(), excl)
+    idx2, _ = D.select_action(m, *E, D.Policy.greedy(), excl)
     assert idx2 != idx_g
     with pytest.raises(ValueError):
-        D.select_action(m, E, no_support(), D.Policy.greedy(), set(range(len(X))))
+        D.select_action(m, *E, D.Policy.greedy(), set(range(len(X))))
 
 
 def test_select_action_scale_invariance_of_argmax():
@@ -94,10 +96,10 @@ def test_select_action_scale_invariance_of_argmax():
 
 
 def test_select_action_scores_rows_like_predict_batch():
-    """Excluding rows leaves the scores of the others as the posterior
-    gives them for exactly those rows' embeddings, bit for bit, and as
-    predict_batch gives them for exactly those candidates, up to the
-    rounding of a row in another BLAS batch."""
+    """Excluding rows leaves the scores of the others as the posterior of
+    every row gives them, bit for bit, and as predict_batch gives them for
+    exactly those candidates, up to the rounding of a row in another BLAS
+    batch."""
     m = trained_toy_model(5)
     task = make_task("t", 9, seed=6)
     cands = [(r.obs, r.action) for r in task.records]
@@ -108,10 +110,11 @@ def test_select_action_scores_rows_like_predict_batch():
     excluded = {0, 4, 7, 8}
     allowed = [i for i in range(9) if i not in excluded]
     (mq, Zq), (ms, Zs) = m.embed_rows(X), m.embed_rows(Xs)
-    exact = D.Policy.ucb(2.0).scores(*m.condition(mq[allowed], Zq[allowed], ms, Zs, rewards))
+    post = gp.posterior_batch(Zs, m.residuals(ms, rewards), Zq, m.kp)
+    exact = D.Policy.ucb(2.0).scores(*m.condition(mq, post))[allowed]
     means, variances = m.predict_batch([cands[i] for i in allowed], support)
     scores = D.Policy.ucb(2.0).scores(means, variances)
-    idx, score = D.select_action(m, (mq, Zq), (ms, Zs, rewards), D.Policy.ucb(2.0), excluded)
+    idx, score = D.select_action(m, mq, post, D.Policy.ucb(2.0), excluded)
     assert idx == allowed[int(np.argmax(exact))] == allowed[int(np.argmax(scores))]
     assert score == float(exact.max())
     assert score == pytest.approx(float(scores.max()), rel=1e-12)
@@ -147,7 +150,7 @@ def test_replay_episode_oracle_threshold_max_record():
         def embed_rows(self, X):
             return np.array([self.r[row.tobytes()] for row in X]), None
 
-        def condition(self, mq, Zq, ms, Zs, rewards):
+        def condition(self, mq, post):
             return mq, np.zeros_like(mq)
 
     task = make_task("oracle", 12, seed=9)
@@ -184,32 +187,42 @@ def test_gamma_zero_trace_equals_greedy_trace():
         assert [s.index for s in t1.steps] == [s.index for s in t2.steps]
 
 
+class RowDouble:
+    """A model double for run_episode: the default kernel, and rewards
+    less the mean-head outputs as the GP's residuals."""
+
+    kp = gp.KernelParams()
+
+    def residuals(self, ms, rewards):
+        return rewards - ms
+
+
 def test_support_is_prior_history():
     """The support at attempt n is the n-1 earlier records: their rows'
-    mean-head outputs and embeddings from the one embedding of the replay
-    matrix, and their rewards."""
+    embeddings from the one embedding of the replay matrix, and their
+    rewards less their rows' mean-head outputs."""
     calls, embedded = [], []
 
-    class Spy:
+    class Spy(RowDouble):
         def embed_rows(self, X):
             embedded.append(X)
             return X[:, 0].copy(), X  # each row embeds as itself
 
-        def condition(self, mq, Zq, ms, Zs, rewards):
-            calls.append((np.array(ms), np.array(Zs).reshape(len(Zs), Zq.shape[1]), list(rewards)))
+        def condition(self, mq, post):
+            calls.append((post.Z.copy(), post.y.copy()))
             return mq, np.zeros_like(mq)
 
     task = make_task("spy", 6, seed=13)
     env = D.ReplayEnvironment(task)
     trace = D.run_episode(Spy(), env, np.inf, 4, D.Policy.greedy())
     assert len(embedded) == 1
-    assert [len(r) for *_, r in calls] == [0, 1, 2, 3]
+    assert [len(y) for _, y in calls] == [0, 1, 2, 3]
     X = M.feature_rows((r.obs, r.action) for r in task.records)
     chosen = [s.index for s in trace.steps]
-    for n, (ms, Zs, rewards) in enumerate(calls):
+    for n, (Zs, y) in enumerate(calls):
         assert np.array_equal(Zs, X[chosen[:n]])
-        assert np.array_equal(ms, X[chosen[:n], 0])
-        assert rewards == [task.records[i].reward for i in chosen[:n]]
+        rewards = np.array([task.records[i].reward for i in chosen[:n]])
+        assert y.tobytes() == (rewards - X[chosen[:n], 0]).tobytes()
 
 
 def test_live_environment_episode_and_masking():
@@ -296,14 +309,14 @@ def test_live_support_rows_are_the_rows_chosen_then():
     _, suite_test = terrain.generate_suite(seed=0)
     chosen, supports, embedded = [], [], []
 
-    class FirstRow:
+    class FirstRow(RowDouble):
         def embed_rows(self, X):
             embedded.append(len(X))
             return -np.arange(len(X), dtype=np.float64), X
 
-        def condition(self, mq, Zq, ms, Zs, rewards):
-            supports.append(np.array(Zs).reshape(len(Zs), Zq.shape[1]))
-            chosen.append(Zq[0].copy())
+        def condition(self, mq, post):
+            supports.append(post.Z.copy())
+            chosen.append(post.Zq[0].copy())
             return mq, np.zeros_like(mq)
 
     env = D.LiveEnvironment(suite_test[0], D.ActionGrid(nx=4, ny=3), seed=1)
@@ -368,9 +381,9 @@ def test_live_support_embeddings_are_those_of_their_step():
         embedded.append(out)
         return out
 
-    def condition_spy(mq, Zq, ms, Zs, rewards):
-        supports.append((np.array(ms), np.array(Zs).reshape(len(Zs), Zq.shape[1])))
-        return condition(mq, Zq, ms, Zs, rewards)
+    def condition_spy(mq, post):
+        supports.append((post.y.copy(), post.Z.copy()))
+        return condition(mq, post)
 
     m.embed_rows, m.condition = embed_spy, condition_spy
     env = D.LiveEnvironment(suite_test[2], D.ActionGrid(nx=4, ny=3), seed=8)
@@ -378,8 +391,9 @@ def test_live_support_embeddings_are_those_of_their_step():
     assert trace.attempts == 5 and len(embedded) == 5 == len(supports)
     feasible = [i for i in range(len(env.actions)) if i not in env.excluded()]
     rows = [feasible.index(s.index) for s in trace.steps]
-    for n, (ms, Zs) in enumerate(supports):
-        assert ms.tobytes() == np.array([embedded[k][0][rows[k]] for k in range(n)]).tobytes()
+    for n, (y, Zs) in enumerate(supports):
+        ms = np.array([embedded[k][0][rows[k]] for k in range(n)])
+        assert y.tobytes() == m.residuals(ms, [s.reward for s in trace.steps[:n]]).tobytes()
         assert Zs.tobytes() == np.array([embedded[k][1][rows[k]] for k in range(n)]).tobytes()
 
 
@@ -419,6 +433,33 @@ def test_live_episode_matches_per_step_reference():
             reference = run_episode_reference(m, env, np.inf, 8, D.Policy.ucb(2.0))
             assert trace.attempts == 8
             assert_same_choices(trace, reference, m)
+
+
+def test_deployment_grows_the_posterior_without_refactorizing(monkeypatch):
+    """Neither a 100-attempt replay episode nor an 8-attempt live episode
+    factorizes a support matrix: the posterior grows by one row per
+    attempt. The replay matrix is embedded once, each live render once,
+    and select_action runs once a step."""
+    calls = dict.fromkeys(["cholesky", "embed", "select"], 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(gp, "cholesky_with_jitter", counting("cholesky", gp.cholesky_with_jitter))
+    monkeypatch.setattr(M.DeepGPModel, "embed_rows", counting("embed", M.DeepGPModel.embed_rows))
+    monkeypatch.setattr(D, "select_action", counting("select", D.select_action))
+    m = default_model(8)
+    task = make_task("guard", 100, seed=22, channels=4, h=16, w=16)
+    trace = D.run_episode(m, D.ReplayEnvironment(task), np.inf, 100, D.Policy.ucb(2.0))
+    assert trace.attempts == 100 and calls == {"cholesky": 0, "embed": 1, "select": 100}
+    _, suite_test = terrain.generate_suite(seed=0)
+    calls.update(dict.fromkeys(calls, 0))
+    trace = D.run_episode(m, D.LiveEnvironment(suite_test[0], D.ActionGrid(), 13), np.inf, 8, D.Policy.ucb(2.0))
+    assert trace.attempts == 8 and calls == {"cholesky": 0, "embed": 8, "select": 8}
 
 
 def live_episode_peak_bytes(grid, steps):

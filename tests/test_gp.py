@@ -2,7 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from helpers import gram_objective_reference, nlml_reference, nlml_terms_reference, rbf_gram_reference
+from helpers import (
+    gram_objective_reference,
+    nlml_reference,
+    nlml_terms_reference,
+    posterior_batch_reference,
+    rbf_gram_reference,
+)
 
 from scoopgp import gp
 from scoopgp import tensor as T
@@ -95,6 +101,96 @@ def test_posterior_variance_nonincreasing_in_support():
         ]
         for a, b in zip(variances, variances[1:]):
             assert b <= a + 1e-9
+
+
+def embeddings(rng, n, d=16):
+    """n rows like the kernel head's: softly unit-normalized."""
+    Z = rng.normal(size=(n, d))
+    return Z / np.sqrt(np.sum(Z * Z, axis=1) + 1e-4)[:, None]
+
+
+def random_kernel_params(rng):
+    return gp.KernelParams(
+        log_lengthscale=float(rng.normal(scale=0.5)),
+        log_outputscale=float(rng.normal(scale=0.5)),
+        log_noise=float(rng.uniform(math.log(0.01), math.log(0.5))),
+    )
+
+
+def assert_close_posteriors(got, expected, kp, tol):
+    """Means within tol, variances within tol of the output scale."""
+    assert np.max(np.abs(got[0] - expected[0]), initial=0.0) <= tol
+    assert np.max(np.abs(got[1] - expected[1]), initial=0.0) <= tol * kp.outputscale
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_grown_posterior_matches_cholesky_oracle(seed):
+    """Growing the inverse factor row by row gives the posterior that the
+    full Cholesky factor and general solves give, support sizes 0-99."""
+    rng = np.random.default_rng(seed)
+    for _ in range(5):
+        kp = random_kernel_params(rng)
+        for n in (0, 1, 2, 9, 40, 99):
+            for m in (1, 13, 100):
+                Z, y, Zq = embeddings(rng, n), rng.normal(size=n), embeddings(rng, m)
+                got = gp.posterior_batch(Z, y, Zq, kp).predict()
+                assert_close_posteriors(got, posterior_batch_reference(Z, y, Zq, kp), kp, 1e-10)
+
+
+def test_growing_matches_reprojecting_and_fresh_builds():
+    """Row by row, the running means and sums of squares agree with a
+    projection of the same queries after every row, and bit for bit with
+    a fresh build of each support prefix."""
+    rng = np.random.default_rng(7)
+    kp = random_kernel_params(rng)
+    Z, y, Zq = embeddings(rng, 60), rng.normal(size=60), embeddings(rng, 30)
+    grown = gp.Posterior(kp, Zq)
+    projected = gp.Posterior(kp, embeddings(rng, 5))
+    for k in range(60):
+        grown.grow(Z[k], y[k])
+        projected.grow(Z[k], y[k])
+        projected.project(Zq)
+        fresh = gp.posterior_batch(Z[: k + 1], y[: k + 1], Zq, kp).predict()
+        got = grown.predict()
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in fresh]
+        assert_close_posteriors(got, projected.predict(), kp, 1e-12)
+
+
+def test_non_positive_pivot_refactors_with_jitter(monkeypatch):
+    """Duplicated support rows with noise e^-20 leave a pivot that is not
+    positive: the whole support is refactored through cholesky_with_jitter,
+    and the posterior is the jittered oracle's. The jitter stays on later
+    rows, so the later duplicates need no second refactorization."""
+    rng = np.random.default_rng(3)
+    kp = gp.KernelParams(log_noise=-20.0)
+    base = rng.integers(-2, 3, size=(4, 3)) / 4.0  # exact squared distances
+    Z, y = base[[0, 0, 1, 2, 1, 3, 0]], rng.normal(size=7)
+    Zq = np.vstack([base, rng.integers(-2, 3, size=(5, 3)) / 4.0])
+    jitters = []
+    cholesky_with_jitter = gp.cholesky_with_jitter
+
+    def spy(Kbar):
+        L, jitter = cholesky_with_jitter(Kbar)
+        jitters.append(jitter)
+        return L, jitter
+
+    monkeypatch.setattr(gp, "cholesky_with_jitter", spy)
+    got = gp.posterior_batch(Z, y, Zq, kp).predict()
+    assert jitters == [gp.JITTER_START]
+    expected = posterior_batch_reference(Z, y, Zq, kp)
+    assert np.allclose(got[0], expected[0], rtol=1e-6, atol=1e-6)
+    assert np.allclose(got[1], expected[1], rtol=0.0, atol=1e-12)
+
+
+def test_conditioning_error_past_jitter_max():
+    """A support that no jitter up to JITTER_MAX conditions raises
+    ConditioningError, as the full factorization does."""
+    kp = gp.KernelParams(log_outputscale=40.0, log_noise=-20.0)
+    Z, y, Zq = np.zeros((3, 2)), np.ones(3), np.ones((2, 2))
+    with pytest.raises(gp.ConditioningError):
+        posterior_batch_reference(Z, y, Zq, kp)
+    with pytest.raises(gp.ConditioningError):
+        gp.posterior_batch(Z, y, Zq, kp)
 
 
 def test_nlml_known_value_and_decomposition():
