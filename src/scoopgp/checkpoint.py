@@ -61,7 +61,7 @@ def load_checkpoint(path) -> tuple[DeepGPModel, dict]:
         )
     try:
         arch = Architecture.from_dict(payload["architecture"])
-        weights = T.weights_from_json(payload["weights"], requires_grad=True)
+        weights = T.weights_from_json(payload["weights"])
         kp = KernelParams.from_dict(payload["kernel_params"])
         kp.validate()
         norm = payload["normalization"]

@@ -38,6 +38,7 @@ from .decision import (
     run_episode,
 )
 from .model import record_dict
+from .ot import SPLIT_RULES
 from .terrain import (
     TerrainInstance,
     TerrainTask,
@@ -318,12 +319,11 @@ def aggregate_metrics(traces: list[EpisodeTrace], mae_tables: list[dict]) -> dic
     Failed trials count at their attempt cap and are flagged: the cap is
     a floor on the attempts a failed trial would have needed.
     """
-    for tr in traces:
-        if "method" not in tr.meta or "model_seed" not in tr.meta:
-            raise ConfigError("traces: missing method/model_seed meta (mixed schema?)")
     deploy: dict[str, dict] = {}
     rows = []
     for tr in traces:
+        if "method" not in tr.meta or "model_seed" not in tr.meta:
+            raise ConfigError("traces: missing method/model_seed meta (mixed schema?)")
         method = tr.meta["method"]
         seed = tr.meta["model_seed"]
         counted = tr.attempts if tr.success else tr.max_attempts
@@ -499,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
     t.add_argument("--max-epochs-mean", type=int, default=TrainConfig.max_epochs_mean)
     t.add_argument("--max-epochs-meta", type=int, default=TrainConfig.max_epochs_meta)
-    t.add_argument("--split-rule", choices=("median", "count"), default=TrainConfig.split_rule)
+    t.add_argument("--split-rule", choices=SPLIT_RULES, default=TrainConfig.split_rule)
     t.set_defaults(func=cmd_train)
 
     d = sub.add_parser("eval-deploy", help="simulated deployment episodes")

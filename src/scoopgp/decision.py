@@ -92,16 +92,13 @@ class Policy:
         return "greedy" if self.kind == "greedy" else f"ucb({self.gamma:g})"
 
 
-def select_action(model, means, post, policy: Policy, excluded=frozenset()) -> tuple[int, float]:
-    """Argmax of the policy score over the non-excluded candidate rows,
-    scored by model.condition from their standardized mean-head outputs
-    and post, the gp.Posterior of their embeddings (None without a kernel).
+def select_action(model, means, post, policy: Policy, allowed: np.ndarray) -> tuple[int, float]:
+    """Argmax of the policy score over the candidate rows in the increasing
+    index array allowed, scored by model.condition from their mean-head
+    outputs and post, the gp.Posterior of their embeddings (None without a kernel).
 
     Returns (row index, score); ties go to the lowest index.
     """
-    keep = np.ones(len(means), dtype=bool)
-    keep[list(excluded)] = False
-    allowed = np.flatnonzero(keep)
     if not allowed.size:
         raise ValueError("no candidates left after exclusion")
     scores = policy.scores(*model.condition(means, post))[allowed]
@@ -262,7 +259,8 @@ def run_episode(
 
     An environment's candidates() gives (feature rows, actions, indices),
     row k being actions[indices[k]]; excluded() and execute() speak of
-    indices into actions, and so does each trace step's index.
+    indices into actions, and so does each trace step's index. Each step
+    reads excluded() once; a step that it leaves no row ends the episode.
     The rows are embedded once per episode when candidates() hands out
     the same read-only array at every step (replay), else at every step
     (live), where one gp.Posterior re-projects them. It grows by the
@@ -284,8 +282,10 @@ def run_episode(
         except Exception as e:  # noqa: BLE001 - env fault ends the trial
             trace.fault = f"{type(e).__name__}: {e}"
             break
-        excluded = env.excluded()
-        if len(excluded) >= len(actions):
+        blocked = np.zeros(len(actions), dtype=bool)
+        blocked[list(env.excluded())] = True
+        allowed = np.flatnonzero(~blocked[indices])
+        if not allowed.size:
             break
         if features is not fixed:
             means, Z = model.embed_rows(features)
@@ -294,10 +294,7 @@ def run_episode(
                 post.project(Z)
             elif Z is not None:
                 post = gp.Posterior(model.kp, Z)
-        blocked = np.zeros(len(actions), dtype=bool)
-        blocked[list(excluded)] = True
-        excluded_rows = np.flatnonzero(blocked[indices]).tolist()
-        row, score = select_action(model, means, post, policy, excluded_rows)
+        row, score = select_action(model, means, post, policy, allowed)
         index = int(indices[row])
         try:
             reward = env.execute(index)

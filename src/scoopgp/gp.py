@@ -93,11 +93,8 @@ def gram(Z: np.ndarray, kp: KernelParams) -> np.ndarray:
 
     Posterior refactorizes it when a new row's pivot is not positive. It
     is not gram_objective's arithmetic (syrk d2, clip at 0, symmetrized)."""
-    Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
-    d2 = sq_dists(Z, Z)
-    K = kp.outputscale * np.exp(-d2 / (2.0 * kp.lengthscale**2))
-    K = 0.5 * (K + K.T)
-    return K + (kp.noise**2) * np.eye(len(Z))
+    K = cross_gram(Z, Z, kp)
+    return 0.5 * (K + K.T) + (kp.noise**2) * np.eye(len(K))
 
 
 def cross_gram(Zq: np.ndarray, Zs: np.ndarray, kp: KernelParams) -> np.ndarray:

@@ -148,15 +148,13 @@ class Architecture:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Architecture":
-        return cls(
-            channels=d["channels"],
-            patch_h=d["patch_h"],
-            patch_w=d["patch_w"],
-            extractor_widths=tuple(d["extractor_widths"]),
-            mean_widths=tuple(d["mean_widths"]),
-            kernel_widths=tuple(d["kernel_widths"]),
-            embed_dim=d["embed_dim"],
-        )
+        """Refuses, with ValueError, a missing or unknown field: a missing
+        one must not take its default."""
+        names = [f.name for f in fields(cls)]
+        if sorted(d) != sorted(names):
+            raise ValueError(f"architecture fields {sorted(d)} are not {names}")
+        return cls(**{f.name: tuple(d[f.name]) if isinstance(f.default, tuple) else d[f.name]
+                      for f in fields(cls)})
 
 
 def action_rows(actions, patch_size: int) -> np.ndarray:
@@ -315,12 +313,7 @@ class DeepGPModel:
                     )
 
     def segment_params(self, segment: str) -> list[T.Tensor]:
-        n_layers = len(_segment_layers(self.arch, segment))
-        return [
-            self.weights[f"{segment}.{i}.{kind}"]
-            for i in range(n_layers)
-            for kind in ("w", "b")
-        ]
+        return [t for layer in self._layers(segment) for t in layer]
 
     def _layers(self, segment: str) -> list[tuple[T.Tensor, T.Tensor]]:
         n_layers = len(_segment_layers(self.arch, segment))
@@ -396,6 +389,3 @@ class DeepGPModel:
         g_mean, g_var = post.predict()
         means = (mq + g_mean) * self.reward_std + self.reward_mean
         return means, g_var * self.reward_std**2
-
-    def copy_weight_arrays(self) -> dict[str, np.ndarray]:
-        return {name: t.data.copy() for name, t in self.weights.items()}

@@ -23,6 +23,7 @@ MAX_ITER = 500
 TOL = 1e-6
 DEFAULT_EPS_SCALE = 0.05
 HISTOGRAM_BINS = 32
+SPLIT_RULES = ("median", "count")  # median_split's rules
 
 
 class SplitError(ValueError):
@@ -308,7 +309,7 @@ def median_split(
     M = len(tasks)
     if M < 2:
         raise SplitError("median_split needs at least 2 tasks")
-    if rule not in ("median", "count"):
+    if rule not in SPLIT_RULES:
         raise ValueError(f"unknown split rule {rule!r}")
     d = np.asarray(D)[ref_index]
     degenerate = bool(np.all(d == d[0]))

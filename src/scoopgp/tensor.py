@@ -264,9 +264,10 @@ def weights_to_json(weights: dict[str, Tensor]) -> dict:
     }
 
 
-def weights_from_json(obj: dict, requires_grad: bool = False) -> dict[str, Tensor]:
+def weights_from_json(obj: dict) -> dict[str, Tensor]:
+    """The trainable weight dict that weights_to_json wrote."""
     out = {}
     for name, entry in obj.items():
         arr = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        out[name] = Tensor(arr, requires_grad=requires_grad, name=name)
+        out[name] = Tensor(arr, requires_grad=True, name=name)
     return out

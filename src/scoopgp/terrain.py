@@ -15,7 +15,7 @@ the heightfield and may expose a hidden layer).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -68,18 +68,13 @@ class LatentMaterial:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LatentMaterial":
-        """Refuses, with ValueError, parameters that are not finite numbers
-        in range and a stiffness preference other than 0 or 1."""
-        mat = cls(
-            id=d["id"],
-            color=tuple(d["color"]),
-            texture_scale=d["texture_scale"],
-            peak_volume=d["peak_volume"],
-            peak_depth=d["peak_depth"],
-            depth_width=d["depth_width"],
-            jam_penalty=d["jam_penalty"],
-            stiffness_pref=d["stiffness_pref"],
-        )
+        """Refuses, with ValueError, a missing or unknown parameter, one that
+        is not a finite number in range and a stiffness preference other
+        than 0 or 1."""
+        names = [f.name for f in fields(cls)]
+        if sorted(d) != sorted(names):
+            raise ValueError(f"material parameters {sorted(d)} are not {names}")
+        mat = cls(**{**d, "color": tuple(d["color"])})
         values = (*mat.color, mat.texture_scale, mat.peak_volume, mat.peak_depth,
                   mat.depth_width, mat.jam_penalty)
         if not (
@@ -623,7 +618,8 @@ def skip_uniforms(rng: np.random.Generator, count: int) -> None:
 # the foot margin behind the start to past the drag's end, and the scoop's
 # half width plus the foot margin to either side
 _HALF_SWATH = SCOOP_WIDTH / 2.0 + FOOT_MARGIN
-_DRAG_END = TrajectoryConstants().drag_length_m + FOOT_MARGIN
+_DRAG = TrajectoryConstants().drag_length_m  # the scoop's drag, start to end
+_DRAG_END = _DRAG + FOOT_MARGIN
 _CORNER_ALONG = np.array([-FOOT_MARGIN, -FOOT_MARGIN, _DRAG_END, _DRAG_END])
 _CORNER_SIDE = np.array([-_HALF_SWATH, _HALF_SWATH, -_HALF_SWATH, _HALF_SWATH])
 
@@ -647,8 +643,7 @@ def feasible(terrain: TerrainInstance, act: ScoopAction) -> bool:
 
 def _footprint_cells(terrain: TerrainInstance, act: ScoopAction):
     d_x, d_y, p_x, p_y = _YAW_AXES[act.yaw]
-    drag = TrajectoryConstants().drag_length_m
-    along = np.linspace(0.0, drag, 7)
+    along = np.linspace(0.0, _DRAG, 7)
     side = np.linspace(-SCOOP_WIDTH / 2, SCOOP_WIDTH / 2, 7)
     A, S = np.meshgrid(along, side)
     px = act.x + d_x * A + p_x * S
@@ -661,9 +656,8 @@ def _footprint_cells(terrain: TerrainInstance, act: ScoopAction):
 
 def _center_cell(terrain: TerrainInstance, act: ScoopAction):
     d_x, d_y = _YAW_AXES[act.yaw, :2]
-    drag = TrajectoryConstants().drag_length_m
-    cx = act.x + d_x * drag / 2.0
-    cy = act.y + d_y * drag / 2.0
+    cx = act.x + d_x * _DRAG / 2.0
+    cy = act.y + d_y * _DRAG / 2.0
     nx, ny = terrain.surface.shape
     # the value first: max and min then keep a NaN, and int() refuses it
     return (

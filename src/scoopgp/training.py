@@ -71,7 +71,7 @@ class TrainConfig:
             raise ValueError("patience and batch_size must be positive")
         if self.max_epochs_mean < 1 or self.max_epochs_meta < 1:
             raise ValueError("max_epochs_mean and max_epochs_meta must be at least 1")
-        if self.split_rule not in ("median", "count"):
+        if self.split_rule not in ot.SPLIT_RULES:
             raise ValueError(f"unknown split_rule {self.split_rule!r}")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
@@ -93,11 +93,11 @@ class TrainingManifest:
         self.events.append(event)
 
 
-def weight_digest(arrays: dict[str, np.ndarray]) -> str:
+def weight_digest(weights: dict[str, T.Tensor]) -> str:
     h = hashlib.sha256()
-    for name in sorted(arrays):
+    for name in sorted(weights):
         h.update(name.encode())
-        h.update(np.ascontiguousarray(arrays[name]).tobytes())
+        h.update(np.ascontiguousarray(weights[name].data).tobytes())
     return h.hexdigest()
 
 
@@ -120,9 +120,10 @@ class _EarlyStop:
             self._snapshot = [p.data.copy() for p in self.params]
         return epoch - self.best_epoch >= self.patience
 
-    def restore(self) -> None:
+    def restore(self, tag: str) -> None:
+        """Restore the best epoch; TrainingError naming tag when no epoch's loss was finite."""
         if self.best_epoch < 0:
-            raise TrainingError("no epoch reached a finite loss")
+            raise TrainingError(f"{tag}: no epoch reached a finite loss")
         for p, data in zip(self.params, self._snapshot):
             p.data = data
 
@@ -173,13 +174,12 @@ def _train_mean(
     manifest: TrainingManifest,
     curve_tag: str,
     anchor: dict[str, np.ndarray] | None = None,
-    anchor_coeff: float = 0.0,
 ) -> None:
     """MSE training of extractor+mean on per-task rows Xs, ys, with val-loss early stopping.
 
     Training data is doubled with flipped patches and gets fresh additive
-    noise per batch; validation stays clean. With an anchor, the
-    quadratic penalty anchor_coeff * ||w - a||^2 on the extractor weights
+    noise per batch; validation stays clean. With an anchor, the quadratic
+    penalty cfg.l2_anchor_coeff * ||w - a||^2 on the extractor weights
     is applied as its exact proximal step once per epoch (decoupled, like
     AdamW weight decay): feeding the penalty through Adam's normalized
     steps cannot reach the anchor for large coefficients, while a
@@ -229,8 +229,8 @@ def _train_mean(
                 raise TrainingError(f"{curve_tag}: diverged at epoch {epoch}: {err}") from err
             epoch_loss += loss.item()
             n_batches += 1
-        if anchor is not None and anchor_coeff > 0.0:
-            shrink = 1.0 / (1.0 + 2.0 * anchor_coeff * cfg.lr_mean)
+        if anchor is not None and cfg.l2_anchor_coeff > 0.0:
+            shrink = 1.0 / (1.0 + 2.0 * cfg.l2_anchor_coeff * cfg.lr_mean)
             for p in extractor_params:
                 a = anchor[p.name]
                 p.data = a + (p.data - a) * shrink
@@ -239,7 +239,7 @@ def _train_mean(
         curve.append([epoch_loss / max(n_batches, 1), val_mse])
         if stopper.update(epoch, val_mse):
             break
-    stopper.restore()
+    stopper.restore(curve_tag)
     manifest.loss_curves[curve_tag] = curve
     manifest.stats[f"{curve_tag}.val_size"] = int(n_val)
     manifest.stats[f"{curve_tag}.best_epoch"] = stopper.best_epoch
@@ -269,7 +269,7 @@ def train_sl(
     manifest.log("phase:sl:done")
     manifest.stats["reward_mean"] = model.reward_mean
     manifest.stats["reward_std"] = model.reward_std
-    manifest.stats["sl_weight_digest"] = weight_digest(model.copy_weight_arrays())
+    manifest.stats["sl_weight_digest"] = weight_digest(model.weights)
     return model, manifest
 
 
@@ -363,7 +363,7 @@ def _meta_train(
         curve.append(epoch_loss / len(batches))
         if stopper.update(epoch, curve[-1]):
             break
-    stopper.restore()
+    stopper.restore(curve_tag)
     model.kp = gp.KernelParams(**{name: float(t.data) for name, t in kpt.items()})
     manifest.loss_curves[curve_tag] = curve
     manifest.kernel_params = record_dict(model.kp)
@@ -485,10 +485,9 @@ def train_kcmd(
     manifest.events.extend(sl_manifest.events)
     manifest.loss_curves.update(sl_manifest.loss_curves)
     manifest.stats.update(sl_manifest.stats)
-    retained = sl_model.copy_weight_arrays()
-    anchor = {
-        name: arr for name, arr in retained.items() if name.startswith("extractor.")
-    }
+    # nothing writes phase 1's weights again: the folds anchor on them
+    # and the returned model holds them
+    anchor = {p.name: p.data for p in sl_model.segment_params("extractor")}
 
     per_task_X = [t.feature_matrix(cfg.arch) for t in tasks]
     per_task_y = [
@@ -531,22 +530,16 @@ def train_kcmd(
         fold_model = DeepGPModel.init(
             cfg.arch, seed=int(fold_rng.integers(2**31)), has_kernel=False
         )
-        fold_model.reward_mean = sl_model.reward_mean
-        fold_model.reward_std = sl_model.reward_std
-        try:
-            _train_mean(
-                fold_model,
-                [per_task_X[i] for i in plan.mean_task_ids],
-                [per_task_y[i] for i in plan.mean_task_ids],
-                cfg,
-                fold_rng,
-                manifest,
-                curve_tag=f"fold-{k}",
-                anchor=anchor,
-                anchor_coeff=cfg.l2_anchor_coeff,
-            )
-        except TrainingError as err:
-            raise TrainingError(f"fold {k}: {err}") from err
+        _train_mean(
+            fold_model,
+            [per_task_X[i] for i in plan.mean_task_ids],
+            [per_task_y[i] for i in plan.mean_task_ids],
+            cfg,
+            fold_rng,
+            manifest,
+            curve_tag=f"fold-{k}",
+            anchor=anchor,
+        )
         drift = max(
             float(np.max(np.abs(p.data - anchor[p.name])))
             for p in fold_model.segment_params("extractor")
@@ -569,16 +562,11 @@ def train_kcmd(
     manifest.stats["residual_db_size"] = sum(c["count"] for c in cells)
     manifest.stats["residual_db_cells"] = cells
 
-    # assemble the returned model: retained weights plus a fresh kernel head
-    weights = {
-        name: T.Tensor(arr.copy(), requires_grad=True, name=name)
-        for name, arr in retained.items()
-    }
+    # the returned model: phase 1's weights plus a fresh kernel head
     kernel_rng = np.random.default_rng([cfg.seed, 7])
-    weights.update(init_segment_weights(cfg.arch, "kernel", kernel_rng))
     final = DeepGPModel(
         cfg.arch,
-        weights,
+        {**sl_model.weights, **init_segment_weights(cfg.arch, "kernel", kernel_rng)},
         gp.KernelParams(),
         reward_mean=sl_model.reward_mean,
         reward_std=sl_model.reward_std,
@@ -598,6 +586,6 @@ def train_kcmd(
     )
     manifest.log("phase:kernel:done")
     manifest.stats["returned_weight_digest"] = weight_digest(
-        {n: w.data for n, w in final.weights.items() if not n.startswith("kernel.")}
+        {n: w for n, w in final.weights.items() if not n.startswith("kernel.")}
     )
     return final, manifest

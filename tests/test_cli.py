@@ -14,6 +14,7 @@ from scoopgp import cli
 from scoopgp.checkpoint import load_checkpoint, save_checkpoint
 from scoopgp.data import load_task_dataset
 from scoopgp.decision import EpisodeTrace
+from scoopgp.model import Architecture
 
 
 @pytest.fixture(scope="module")
@@ -396,6 +397,10 @@ def _material_color_out_of_range(suite):
     _terrain(suite)["materials"][0]["color"][1] = 1.4
 
 
+def _material_unknown_key(suite):
+    _terrain(suite)["materials"][0]["hardness"] = 0.5
+
+
 def _missing_cell(suite):
     del _terrain(suite)["cell"]
 
@@ -408,7 +413,7 @@ def _suite_not_json(suite):
     "corrupt",
     [_fractional_surface_index, _surface_index_out_of_range, _string_height,
      _ragged_heightfield, _grid_off_extent, _layer_depth_without_layer,
-     _material_color_out_of_range, _missing_cell, _suite_not_json],
+     _material_color_out_of_range, _material_unknown_key, _missing_cell, _suite_not_json],
     ids=lambda f: f.__name__.strip("_"),
 )
 def test_malformed_suite_terrain_exits_1(pipeline, tmp_path, capsys, corrupt):
@@ -439,8 +444,20 @@ def _zero_reward_std(payload):
     payload["normalization"]["reward_std"] = 0.0
 
 
+def _architecture_unknown_key(payload):
+    payload["architecture"]["dropout"] = 0.1
+
+
+def _architecture_missing_field(payload):
+    # the checkpoint's embed_dim is the default: a loader that filled a
+    # missing field with its default would load this one
+    assert payload["architecture"]["embed_dim"] == Architecture().embed_dim
+    del payload["architecture"]["embed_dim"]
+
+
 @pytest.mark.parametrize(
-    "corrupt", [_nan_weight, _infinite_log_noise, _zero_reward_std],
+    "corrupt", [_nan_weight, _infinite_log_noise, _zero_reward_std, _architecture_unknown_key,
+                _architecture_missing_field],
     ids=lambda f: f.__name__.strip("_"),
 )
 def test_corrupt_checkpoint_exits_1(pipeline, tmp_path, capsys, corrupt):

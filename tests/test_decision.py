@@ -74,16 +74,16 @@ def test_select_action_basics():
     task = make_task("t", 6, seed=3)
     X = M.feature_matrix(ARCH, [(r.obs, r.action) for r in task.records])
     E = embedded(m, X)
-    idx, score = D.select_action(m, *embedded(m, X[:1]), D.Policy.greedy())
+    every = np.arange(len(X))
+    idx, score = D.select_action(m, *embedded(m, X[:1]), D.Policy.greedy(), every[:1])
     assert idx == 0
-    idx_g, _ = D.select_action(m, *E, D.Policy.greedy())
-    idx_u0, _ = D.select_action(m, *E, D.Policy.ucb(0.0))
+    idx_g, _ = D.select_action(m, *E, D.Policy.greedy(), every)
+    idx_u0, _ = D.select_action(m, *E, D.Policy.ucb(0.0), every)
     assert idx_g == idx_u0
-    excl = {idx_g}
-    idx2, _ = D.select_action(m, *E, D.Policy.greedy(), excl)
+    idx2, _ = D.select_action(m, *E, D.Policy.greedy(), every[every != idx_g])
     assert idx2 != idx_g
     with pytest.raises(ValueError):
-        D.select_action(m, *E, D.Policy.greedy(), set(range(len(X))))
+        D.select_action(m, *E, D.Policy.greedy(), every[:0])
 
 
 def test_select_action_scale_invariance_of_argmax():
@@ -114,7 +114,7 @@ def test_select_action_scores_rows_like_predict_batch():
     exact = D.Policy.ucb(2.0).scores(*m.condition(mq, post))[allowed]
     means, variances = m.predict_batch([cands[i] for i in allowed], support)
     scores = D.Policy.ucb(2.0).scores(means, variances)
-    idx, score = D.select_action(m, mq, post, D.Policy.ucb(2.0), excluded)
+    idx, score = D.select_action(m, mq, post, D.Policy.ucb(2.0), np.array(allowed))
     assert idx == allowed[int(np.argmax(exact))] == allowed[int(np.argmax(scores))]
     assert score == float(exact.max())
     assert score == pytest.approx(float(scores.max()), rel=1e-12)

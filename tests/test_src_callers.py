@@ -1,10 +1,13 @@
-"""Every public name that src/scoopgp defines has a caller in src/.
+"""Every name that src/scoopgp defines has a caller in src/.
 
 A function, class, method or property that only tests use belongs in
-tests/ as an oracle, or nowhere. Uses are matched by name, as a name or
-an attribute read outside the definition's own body, so an attribute of
-the same name on another class counts as a use: the guard catches a name
-nothing reads, not every unused method.
+tests/ as an oracle, or nowhere; a private helper that nothing calls any
+more belongs nowhere. Uses are matched by name, as a name or an attribute
+read outside the definition's own body, so an attribute of the same name
+on another class counts as a use: the guard catches a name nothing reads,
+not every unused method. Dunder methods stay out: the language calls
+them (__init__ on construction, __enter__ in a with statement), so no
+code reads them by name.
 """
 import ast
 from pathlib import Path
@@ -30,15 +33,20 @@ KEEP = {
 }
 
 
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def _definitions(tree: ast.Module, module: str):
-    """(qualified name, bare name, node) of each public module-level
-    function and class and each public method and property of a class."""
+    """(qualified name, bare name, node) of each module-level function and
+    class and each method and property of a class, public or private,
+    dunder methods aside."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not _dunder(node.name):
             yield f"{module}.{node.name}", node.name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                if isinstance(item, ast.FunctionDef) and not _dunder(item.name):
                     yield f"{module}.{node.name}.{item.name}", item.name, item
 
 
@@ -50,9 +58,9 @@ def _reads(node: ast.AST) -> list[str]:
     ]
 
 
-def unused_public_names() -> list[str]:
-    """Qualified names of the public definitions nothing in src/ reads,
-    the keep-list's included."""
+def unused_names() -> list[str]:
+    """Qualified names of the definitions nothing in src/ reads, the
+    keep-list's included."""
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     reads: dict[str, int] = {}
     for tree in trees.values():
@@ -67,9 +75,14 @@ def unused_public_names() -> list[str]:
 
 
 def test_every_public_name_has_a_src_caller():
-    assert sorted(set(unused_public_names()) - set(KEEP)) == []
+    assert sorted(set(unused_names()) - set(KEEP)) == []
 
 
 def test_every_kept_name_exists_without_a_src_caller():
     # a kept name that is gone, or that src/ has come to use, leaves the list
-    assert sorted(set(KEEP) - set(unused_public_names())) == []
+    assert sorted(set(KEEP) - set(unused_names())) == []
+
+
+def test_private_names_are_checked_and_dunder_methods_are_not():
+    tree = ast.parse("def _helper(): pass\nclass _K:\n    def __init__(self): pass\n    def _m(self): pass\n")
+    assert [qualified for qualified, _, _ in _definitions(tree, "m")] == ["m._helper", "m._K", "m._K._m"]

@@ -246,6 +246,45 @@ def test_kcmd_huge_anchor_pins_fold_extractors(tiny_tasks):
         assert manifest.stats[f"fold-{k}.anchor_drift_inf"] < 1e-3
 
 
+def test_fold_divergence_names_the_fold_once(tiny_tasks, monkeypatch):
+    """An optimizer error in fold 1 raises one TrainingError that names
+    the fold once, by its curve tag."""
+    train_mean = TR._train_mean
+
+    def adam_step(*args):
+        raise T.OptimizerError("non-finite gradient for parameter extractor.0.w")
+
+    def diverge_in_fold_1(*args, curve_tag, **kwargs):
+        if curve_tag == "fold-1":
+            monkeypatch.setattr(T, "adam_step", adam_step)
+        return train_mean(*args, curve_tag=curve_tag, **kwargs)
+
+    monkeypatch.setattr(TR, "_train_mean", diverge_in_fold_1)
+    with pytest.raises(TR.TrainingError) as err:
+        TR.train_kcmd(tiny_tasks, small_cfg(k_folds=2), split_method="random")
+    assert str(err.value) == "fold-1: diverged at epoch 0: non-finite gradient for parameter extractor.0.w"
+    assert isinstance(err.value.__cause__, T.OptimizerError)
+
+
+@pytest.mark.parametrize("phase", ["sl", "dkmt", "kernel"])
+def test_no_finite_loss_names_the_phase(tiny_tasks, monkeypatch, phase):
+    """A phase none of whose epochs reaches a finite early-stopping loss
+    names itself in the TrainingError: a NaN validation loss for sl, a NaN
+    NLML with finite gradients for dkmt and kcmd's kernel phase."""
+    if phase == "sl":
+        monkeypatch.setattr(M.DeepGPModel, "mean_batch", lambda self, X: np.full(len(X), np.nan))
+    else:
+        def nlml(Kbar, resid):
+            return T.custom_op(np.asarray(np.nan), (Kbar, resid),
+                               lambda g: (np.zeros(Kbar.shape), np.zeros(resid.shape)))
+        monkeypatch.setattr(gp, "nlml_objective", nlml)
+    train = {"sl": TR.train_sl, "dkmt": TR.train_dkmt,
+             "kernel": lambda tasks, cfg: TR.train_kcmd(tasks, cfg, split_method="random")}[phase]
+    with pytest.raises(TR.TrainingError) as err:
+        train(tiny_tasks, small_cfg(max_epochs_mean=3, max_epochs_meta=3))
+    assert str(err.value) == f"{phase}: no epoch reached a finite loss"
+
+
 def test_kcmd_rejects_bad_split_method(tiny_tasks):
     with pytest.raises(ValueError):
         TR.train_kcmd(tiny_tasks, small_cfg(), split_method="best")
@@ -467,15 +506,12 @@ def test_train_mean_gathers_the_pooled_rows(monkeypatch, validation_fraction):
 def test_train_mean_per_task_equals_the_pooled_path(tiny_tasks, anchored):
     """Weights, loss curve and stats of _train_mean on the per-task
     matrices equal, bit for bit, those on the one pooled matrix."""
-    cfg = small_cfg(max_epochs_mean=6, batch_size=12)
+    cfg = small_cfg(max_epochs_mean=6, batch_size=12, l2_anchor_coeff=1.0)
     tasks = tiny_tasks[1:] if anchored else tiny_tasks
     anchor = {}
     if anchored:
         init = M.DeepGPModel.init(ARCH, seed=9, has_kernel=False)
-        anchor = {
-            "anchor": {n: w + 0.01 for n, w in init.copy_weight_arrays().items() if n.startswith("extractor.")},
-            "anchor_coeff": 1.0,
-        }
+        anchor = {"anchor": {p.name: p.data + 0.01 for p in init.segment_params("extractor")}}
     Xs = [t.feature_matrix(ARCH) for t in tasks]
     ys = [(t.rewards - 14.0) / 8.0 for t in tasks]
     X, y = pool_reference(tasks, ARCH, 14.0, 8.0)
