@@ -1,27 +1,54 @@
 """Model checkpoints: one JSON file with architecture, weights, GP
 hyperparameters, and reward normalization.
 
-The payload is rebuilt in a canonical key order on every save and floats
-serialize through repr, so load followed by save reproduces the file
-byte for byte.
+The file is a Checkpoint record that model.record_dict writes, floats
+through repr, so load followed by save reproduces it byte for byte.
+Loading reads it with model.record_from_dict: keys are exactly each
+record's fields, floats are finite numbers and booleans are not numbers.
+It refuses, with CheckpointError naming the file, any other JSON, a
+non-finite weight, a log hyperparameter whose exp is not a positive,
+finite double, and a reward std that is not positive.
 """
 from __future__ import annotations
 
 import json
-import math
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import tensor as T
 from .gp import KernelParams
-from .model import Architecture, DeepGPModel, record_dict
+from .model import Architecture, DeepGPModel, record_dict, record_from_dict
 
 SCHEMA_VERSION = 1
 
 
 class CheckpointError(ValueError):
     """Unreadable, version-mismatched or corrupt checkpoint."""
+
+
+@dataclass(frozen=True)
+class Normalization:
+    """The reward standardization the model was trained with."""
+
+    reward_mean: float
+    reward_std: float
+
+
+@dataclass(frozen=True)
+class Checkpoint:
+    """A checkpoint file's payload; weights is T.weights_to_json of the weights in name order."""
+
+    schema_version: int
+    method: str
+    seed: int
+    architecture: Architecture
+    has_kernel: bool
+    normalization: Normalization
+    kernel_params: KernelParams
+    manifest_digest: str
+    weights: dict
 
 
 def save_checkpoint(
@@ -31,62 +58,35 @@ def save_checkpoint(
     seed: int = 0,
     manifest_digest: str = "",
 ) -> None:
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "method": method,
-        "seed": seed,
-        "architecture": record_dict(model.arch),
-        "has_kernel": model.has_kernel,
-        "normalization": {
-            "reward_mean": model.reward_mean,
-            "reward_std": model.reward_std,
-        },
-        "kernel_params": record_dict(model.kp),
-        "manifest_digest": manifest_digest,
-        "weights": T.weights_to_json(dict(sorted(model.weights.items()))),
-    }
-    Path(path).write_text(json.dumps(payload))
+    ckpt = Checkpoint(SCHEMA_VERSION, method, seed, model.arch, model.has_kernel,
+                      Normalization(model.reward_mean, model.reward_std), model.kp, manifest_digest,
+                      T.weights_to_json(dict(sorted(model.weights.items()))))
+    Path(path).write_text(json.dumps(record_dict(ckpt)))
 
 
-def load_checkpoint(path) -> tuple[DeepGPModel, dict]:
-    """Returns (model, meta) where meta carries method and digest."""
+def load_checkpoint(path) -> tuple[DeepGPModel, Checkpoint]:
+    """Returns (model, the checkpoint's record without its weights)."""
     try:
         payload = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as err:
         raise CheckpointError(f"cannot read checkpoint {path}: {err}") from err
-    version = payload.get("schema_version")
+    version = payload.get("schema_version") if isinstance(payload, dict) else None
     if version != SCHEMA_VERSION:
         raise CheckpointError(
             f"{path}: checkpoint schema {version} not supported (expected {SCHEMA_VERSION})"
         )
     try:
-        arch = Architecture.from_dict(payload["architecture"])
-        weights = T.weights_from_json(payload["weights"])
-        kp = KernelParams.from_dict(payload["kernel_params"])
-        kp.validate()
-        norm = payload["normalization"]
-        model = DeepGPModel(
-            arch,
-            weights,
-            kp,
-            reward_mean=norm["reward_mean"],
-            reward_std=norm["reward_std"],
-            has_kernel=payload["has_kernel"],
-        )
-        meta = {
-            "method": payload["method"],
-            "seed": payload["seed"],
-            "manifest_digest": payload["manifest_digest"],
-        }
-        reward_mean, reward_std = float(norm["reward_mean"]), float(norm["reward_std"])
+        ckpt = record_from_dict(Checkpoint, payload)
+        ckpt.kernel_params.validate()
+        norm = ckpt.normalization
+        model = DeepGPModel(ckpt.architecture, T.weights_from_json(ckpt.weights), ckpt.kernel_params,
+                            norm.reward_mean, norm.reward_std, ckpt.has_kernel)
     except (KeyError, TypeError, ValueError) as err:
         raise CheckpointError(f"{path}: malformed checkpoint: {err!r}") from err
-    bad = [name for name, w in sorted(weights.items()) if not np.isfinite(w.data).all()]
+    bad = [name for name, w in sorted(model.weights.items()) if not np.isfinite(w.data).all()]
     if bad:
         raise CheckpointError(f"{path}: weight {bad[0]} has non-finite values")
-    if not (math.isfinite(reward_mean) and 0.0 < reward_std < math.inf):
-        raise CheckpointError(
-            f"{path}: normalization ({reward_mean}, {reward_std}) needs a finite mean "
-            "and a positive, finite std"
-        )
-    return model, meta
+    if not norm.reward_std > 0.0:
+        raise CheckpointError(f"{path}: normalization ({norm.reward_mean}, {norm.reward_std}) needs a positive std")
+    # the weights' JSON lists are not kept alive beside the model's arrays
+    return model, replace(ckpt, weights={})

@@ -225,8 +225,8 @@ def cmd_eval_deploy(args) -> None:
                     trace = run_episode(model, env, threshold, args.max_attempts, policy)
                 trace.meta = {
                     "mode": args.mode,
-                    "method": meta["method"],
-                    "model_seed": meta["seed"],
+                    "method": meta.method,
+                    "model_seed": meta.seed,
                     "eval_seed": args.seed,
                     "rep": rep,
                     "env_seed": env_seed,
@@ -277,8 +277,8 @@ def cmd_eval_kshot(args) -> None:
         str(k): float(np.mean([per_task[t][str(k)] for t in per_task])) for k in shots
     }
     payload = {
-        "method": meta["method"],
-        "model_seed": meta["seed"],
+        "method": meta.method,
+        "model_seed": meta.seed,
         "eval_seed": args.seed,
         "shots": shots,
         "per_task": per_task,
@@ -303,12 +303,11 @@ def read_traces(paths) -> list[EpisodeTrace]:
                     payload = _parse_json(line, where)
                     try:
                         tr = EpisodeTrace.from_dict(payload)
+                        tr.validate()
                     except (KeyError, TypeError, ValueError) as err:
                         raise ConfigError(f"{where} is not an episode trace: {err!r}") from err
-                    if not (isinstance(tr.meta, dict) and isinstance(tr.meta.get("method", ""), str)):
-                        raise ConfigError(f"{where}: meta is not an object with a method string")
-                    if type(tr.max_attempts) is not int or type(tr.success) is not bool:
-                        raise ConfigError(f"{where}: max_attempts is not an integer or success not a boolean")
+                    if not isinstance(tr.meta.get("method", ""), str):
+                        raise ConfigError(f"{where}: meta has no method string")
                     traces.append(tr)
     return traces
 

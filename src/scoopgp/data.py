@@ -8,11 +8,14 @@ the manual-split trainer and for reporting.
 
 Saving and loading both refuse, with DatasetError, a record whose patch
 is non-finite or has appearance outside [0, 1], whose action is invalid
-or whose reward is non-finite. Loading also refuses a patch value or
-reward that is not a JSON number (a string or a boolean) and a yaw or
-stiffness that is not an integer. The writer's bytes are json.dumps of the
-payload dict with every float rounded by round(v, DECIMALS); it builds
-them in a few numpy passes per task instead of one call per value.
+or whose reward is non-finite. Loading names the file. It also refuses a
+patch value or reward that is not a JSON number (a boolean is not one)
+and a patch_shape that is not three positive integers, and it reads each
+action and the trajectory constants with model.record_from_dict: keys
+are exactly the record's fields, floats are finite numbers and booleans
+are not numbers. The writer's bytes are json.dumps of the payload dict
+with every float rounded by round(v, DECIMALS); it builds them in a few
+numpy passes per task instead of one call per value.
 """
 from __future__ import annotations
 
@@ -33,6 +36,7 @@ from .model import (
     check_patch_shape,
     feature_rows,
     record_dict,
+    record_from_dict,
     validate_patches,
 )
 
@@ -240,18 +244,21 @@ def load_task_dataset(path, view: str = "learner") -> TaskDataset:
             f"{path}: schema_version {version} not supported (expected {SCHEMA_VERSION})"
         )
     try:
-        shape = tuple(int(d) for d in payload["patch_shape"])
+        constants = record_from_dict(TrajectoryConstants, payload["trajectory_constants"])
+    except (KeyError, ValueError) as err:
+        raise DatasetError(f"{path}: trajectory constants: {err}") from err
+    try:
+        shape = payload["patch_shape"]
         raw = payload["records"]
         lengths = [len(rec["patch"]) for rec in raw]
-        actions = [ScoopAction.from_dict(rec["action"]) for rec in raw]
+        actions = [record_from_dict(ScoopAction, rec["action"]) for rec in raw]
         rewards = [rec["reward"] for rec in raw]
-        constants = TrajectoryConstants.from_dict(payload["trajectory_constants"])
         ground_truth = payload["ground_truth"]
         task_id = payload["task_id"]
     except (KeyError, TypeError, ValueError) as err:
         raise DatasetError(f"{path}: malformed dataset: {err!r}") from err
-    if len(shape) != 3 or min(shape) < 1:
-        raise DatasetError(f"{path}: patch_shape {list(shape)} is not (C, H, W)")
+    if not (type(shape) is list and len(shape) == 3 and all(type(d) is int and d >= 1 for d in shape)):
+        raise DatasetError(f"{path}: patch_shape {shape!r} is not three positive integers (C, H, W)")
     if not raw:
         raise DatasetError(f"{path}: no records")
     size = math.prod(shape)

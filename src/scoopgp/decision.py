@@ -18,7 +18,7 @@ import numpy as np
 
 from . import gp
 from .data import TaskDataset
-from .model import DEPTH_MAX, DEPTH_MIN, N_YAW, STIFFNESSES, ScoopAction, action_rows, record_dict
+from .model import DEPTH_MAX, DEPTH_MIN, N_YAW, STIFFNESSES, ScoopAction, action_rows, record_dict, record_from_dict
 from .terrain import (
     PATCH_CHANNELS,
     TerrainTask,
@@ -113,10 +113,6 @@ class EpisodeStep:
     reward: float
     score: float
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "EpisodeStep":
-        return cls(d["index"], ScoopAction.from_dict(d["action"]), d["reward"], d["score"])
-
 
 @dataclass
 class EpisodeTrace:
@@ -158,16 +154,12 @@ class EpisodeTrace:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EpisodeTrace":
-        return cls(
-            task_id=d["task_id"],
-            policy=d["policy"],
-            threshold=d["threshold"],
-            max_attempts=d["max_attempts"],
-            steps=[EpisodeStep.from_dict(s) for s in d["steps"]],
-            success=d["success"],
-            fault=d["fault"],
-            meta=d.get("meta", {}),
-        )
+        """record_from_dict of d less its derived attempts key, which must be the number of steps."""
+        attempts = d["attempts"]
+        trace = record_from_dict(cls, {k: v for k, v in d.items() if k != "attempts"})
+        if type(attempts) is not int or attempts != trace.attempts:
+            raise ValueError(f"attempts {attempts!r} is not the number of steps, {trace.attempts}")
+        return trace
 
 
 class ReplayEnvironment:

@@ -20,6 +20,8 @@ JITTER_START = 1e-8
 JITTER_MAX = 1e-4
 VARIANCE_FLOOR = 1e-12
 LOG_2PI = math.log(2.0 * math.pi)
+LOG_MIN = math.log(math.ulp(0.0))
+LOG_MAX = math.log(math.nextafter(math.inf, 0.0))
 
 
 class ConditioningError(RuntimeError):
@@ -47,18 +49,11 @@ class KernelParams:
         return math.exp(self.log_noise)
 
     def validate(self) -> None:
-        for name in ("log_lengthscale", "log_outputscale", "log_noise"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v}")
-        for name in ("lengthscale", "outputscale", "noise"):
-            v = getattr(self, name)
-            if not (0.0 < v < math.inf):
-                raise ValueError(f"{name} must be positive and finite, got {v}")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "KernelParams":
-        return cls(d["log_lengthscale"], d["log_outputscale"], d["log_noise"])
+        """ValueError for a log value outside [LOG_MIN, LOG_MAX], the range
+        where math.exp gives a positive, finite double."""
+        for name, v in vars(self).items():
+            if not LOG_MIN <= v <= LOG_MAX:
+                raise ValueError(f"{name} {v} is outside [{LOG_MIN:.2f}, {LOG_MAX:.2f}], where exp is finite and > 0")
 
 
 @dataclass

@@ -11,7 +11,11 @@ head embeds inputs for the residual GP.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+import sys
+import types
+import typing
+from dataclasses import dataclass, fields, is_dataclass
+from functools import cache
 
 import numpy as np
 
@@ -29,6 +33,7 @@ _DEPTH_MID = 0.5 * (DEPTH_MIN + DEPTH_MAX)
 _DEPTH_HALF = 0.5 * (DEPTH_MAX - DEPTH_MIN)
 # the types of a JSON number once parsed; bool, an int subclass, is not one
 JSON_NUMBERS = (int, float)
+_FLOAT_MAX = sys.float_info.max
 
 
 def record_dict(record) -> dict:
@@ -40,6 +45,49 @@ def record_dict(record) -> dict:
         k: record_dict(v) if hasattr(v, "__dataclass_fields__") else v
         for k, v in vars(record).items()
     }
+
+
+def record_from_dict(cls, d):
+    """The record of dataclass cls that record_dict wrote as d, before or
+    after a JSON round trip. Refuses, with ValueError naming the field, an
+    object whose keys are not exactly cls's fields and a value whose JSON
+    type is not its field's: a float takes a finite number, never a
+    boolean; an int, str, bool or dict exactly that type; a tuple or list
+    an array of its item type; a record its object; None only where the
+    annotation allows it. A number is kept as read: an int stays an int."""
+    spec = _field_spec(cls)
+    if type(d) is not dict or d.keys() != spec.keys():
+        got = sorted(d) if type(d) is dict else type(d).__name__
+        raise ValueError(f"{cls.__name__} needs an object with the keys {list(spec)}, got {got}")
+    return cls(**{name: _read(hint, d[name], where) for name, (hint, where) in spec.items()})
+
+
+@cache
+def _field_spec(cls) -> dict:
+    """{field name: (its annotation, its name in messages)}, resolved once per class."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: (hints[f.name], f"{cls.__name__}.{f.name}") for f in fields(cls)}
+
+
+def _read(hint, v, where: str):
+    """v as a value of the annotation hint, by record_from_dict's rules."""
+    if hint is float:
+        if type(v) in JSON_NUMBERS and -_FLOAT_MAX <= v <= _FLOAT_MAX:
+            return v
+    elif type(v) is hint:  # a JSON value's type is never a record class
+        return v
+    elif is_dataclass(hint) and type(v) is dict:
+        return record_from_dict(hint, v)
+    elif not is_dataclass(hint):
+        origin, args = typing.get_origin(hint), typing.get_args(hint)
+        if origin in (types.UnionType, typing.Union):
+            (inner,) = [a for a in args if a is not type(None)]
+            return None if v is None else _read(inner, v, where)
+        if origin in (tuple, list) and type(v) in (list, tuple):
+            items = args[:1] * len(v) if origin is list or args[-1] is Ellipsis else args
+            if len(v) == len(items):
+                return origin(_read(h, x, where) for h, x in zip(items, v))
+    raise ValueError(f"{where}: {v!r:.60} is not {hint.__name__ if isinstance(hint, type) else hint}")
 
 
 @dataclass(frozen=True)
@@ -54,16 +102,6 @@ class TrajectoryConstants:
     linear_stiffness_hard: float = 750.0
     torsion_stiffness_soft: float = 6.0
     torsion_stiffness_hard: float = 20.0
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrajectoryConstants":
-        """Refuses, with ValueError, a missing or unknown constant and a
-        value that is not a finite number; a JSON boolean is not one."""
-        names = [f.name for f in fields(cls)]
-        if not (isinstance(d, dict) and sorted(d) == sorted(names)
-                and all(type(v) in JSON_NUMBERS and math.isfinite(v) for v in d.values())):
-            raise ValueError(f"trajectory constants {d!r} are not finite numbers named {names}")
-        return cls(**d)
 
 
 @dataclass
@@ -96,18 +134,6 @@ class ScoopAction:
         return np.array(
             [self.x, self.y, self.yaw_angle, self.depth, float(self.stiffness)]
         )
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScoopAction":
-        """Refuses, with ValueError, a yaw or stiffness that is not an
-        integer (2.7 is not truncated to 2) and a position or depth that
-        is not a number; a JSON boolean or string is neither."""
-        x, y, yaw, depth, stiffness = d["x"], d["y"], d["yaw"], d["depth"], d["stiffness"]
-        if type(yaw) is not int or type(stiffness) is not int:
-            raise ValueError(f"yaw {yaw!r} and stiffness {stiffness!r} must be integers")
-        if not (type(x) in JSON_NUMBERS and type(y) in JSON_NUMBERS and type(depth) in JSON_NUMBERS):
-            raise ValueError(f"start ({x!r}, {y!r}) and depth {depth!r} must be numbers")
-        return cls(x, y, yaw, depth, stiffness)
 
 
 def validate_patches(patches: np.ndarray) -> None:
@@ -145,16 +171,6 @@ class Architecture:
     @property
     def feature_dim(self) -> int:
         return self.extractor_widths[-1]
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Architecture":
-        """Refuses, with ValueError, a missing or unknown field: a missing
-        one must not take its default."""
-        names = [f.name for f in fields(cls)]
-        if sorted(d) != sorted(names):
-            raise ValueError(f"architecture fields {sorted(d)} are not {names}")
-        return cls(**{f.name: tuple(d[f.name]) if isinstance(f.default, tuple) else d[f.name]
-                      for f in fields(cls)})
 
 
 def action_rows(actions, patch_size: int) -> np.ndarray:

@@ -15,7 +15,7 @@ the heightfield and may expose a hidden layer).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .data import ScoopRecord, TaskDataset
 from .model import (
     DEPTH_MAX,
     DEPTH_MIN,
-    JSON_NUMBERS,
     N_YAW,
     STIFF_HARD,
     STIFF_SOFT,
@@ -31,6 +30,7 @@ from .model import (
     ScoopAction,
     TrajectoryConstants,
     record_dict,
+    record_from_dict,
 )
 
 EXTENT = (0.9, 0.6)
@@ -66,25 +66,16 @@ class LatentMaterial:
     jam_penalty: float  # cm^3 lost per degree of slope beyond the free range
     stiffness_pref: int
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "LatentMaterial":
-        """Refuses, with ValueError, a missing or unknown parameter, one that
-        is not a finite number in range and a stiffness preference other
-        than 0 or 1."""
-        names = [f.name for f in fields(cls)]
-        if sorted(d) != sorted(names):
-            raise ValueError(f"material parameters {sorted(d)} are not {names}")
-        mat = cls(**{**d, "color": tuple(d["color"])})
-        values = (*mat.color, mat.texture_scale, mat.peak_volume, mat.peak_depth,
-                  mat.depth_width, mat.jam_penalty)
+    def validate(self) -> None:
+        """ValueError for a color channel outside [0, 1], a negative texture scale,
+        peak volume or jam penalty, a depth width that is not positive, or a
+        stiffness preference other than 0 or 1."""
         if not (
-            all(type(v) in JSON_NUMBERS and math.isfinite(v) for v in values)
-            and len(mat.color) == 3 and all(0.0 <= c <= 1.0 for c in mat.color)
-            and min(mat.texture_scale, mat.peak_volume, mat.jam_penalty) >= 0.0 < mat.depth_width
-            and type(mat.stiffness_pref) is int and mat.stiffness_pref in STIFFNESSES
+            all(0.0 <= c <= 1.0 for c in self.color)
+            and min(self.texture_scale, self.peak_volume, self.jam_penalty) >= 0.0 < self.depth_width
+            and self.stiffness_pref in STIFFNESSES
         ):
-            raise ValueError(f"material {mat.id!r} has parameters out of range: {d}")
-        return mat
+            raise ValueError(f"material {self.id!r} has parameters out of range: {self}")
 
 
 @dataclass
@@ -130,31 +121,21 @@ class TerrainInstance:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TerrainInstance":
-        """Refuses, with ValueError, a grid that is not a rectangle of JSON
-        numbers (of integers for material indices) and a terrain that
-        fails validate()."""
-        t = cls(
-            surface=_grid(d["surface"], "iu"),
-            heightfield=_grid(d["heightfield"], "iuf").astype(np.float64),
-            materials=[LatentMaterial.from_dict(m) for m in d["materials"]],
-            composition=d["composition"],
-            seed=int(d["seed"]),
-            hidden=None if d["hidden"] is None else _grid(d["hidden"], "iu"),
-            layer_depth=d["layer_depth"],
-            extent=tuple(d["extent"]),
-            cell=d["cell"],
-        )
+        """record_from_dict of d with its grids read by _grid; refuses, with
+        ValueError, a terrain that fails validate()."""
+        t = record_from_dict(cls, {**d, "surface": _grid(d["surface"], "iu"),
+                                   "heightfield": _grid(d["heightfield"], "iuf").astype(np.float64),
+                                   "hidden": None if d["hidden"] is None else _grid(d["hidden"], "iu")})
         t.validate()
         return t
 
     def validate(self) -> None:
         """ValueError unless every grid has the shape of a positive extent
         at a positive cell size, the heights are finite, the material
-        indices are in range, and a hidden layer comes with a positive
-        layer depth and only with one."""
-        numbers = (*self.extent, self.cell)
-        if len(self.extent) != 2 or not all(type(v) in JSON_NUMBERS and 0 < v < math.inf for v in numbers):
-            raise ValueError(f"extent {self.extent} and cell {self.cell} must be positive numbers")
+        indices are in range, each material is in range, and a hidden
+        layer comes with a positive layer depth and only with one."""
+        if not (min(self.extent) > 0 and self.cell > 0):
+            raise ValueError(f"extent {self.extent} and cell {self.cell} must be positive")
         shape = _grid_shape(self.extent, self.cell)
         indices = [self.surface] + ([] if self.hidden is None else [self.hidden])
         if any(grid.shape != shape for grid in [self.heightfield, *indices]):
@@ -163,10 +144,10 @@ class TerrainInstance:
             raise ValueError("heightfield contains non-finite values")
         if any(grid.min() < 0 or grid.max() >= len(self.materials) for grid in indices):
             raise ValueError(f"material indices must lie in 0..{len(self.materials) - 1}")
+        for mat in self.materials:
+            mat.validate()
         depth = self.layer_depth
-        if (self.hidden is None) != (depth is None) or not (
-            depth is None or type(depth) in JSON_NUMBERS and 0 < depth < math.inf
-        ):
+        if (self.hidden is None) != (depth is None) or not (depth is None or depth > 0):
             raise ValueError(f"hidden and a positive layer_depth must come together, got layer_depth {depth!r}")
 
 

@@ -103,10 +103,10 @@ def test_records_are_written_in_field_order(pipeline):
 
 def test_checkpoint_roundtrip_bit_exact(pipeline, tmp_path):
     model, meta = load_checkpoint(pipeline["ckpt"])
-    assert meta["method"] == "kcmd-ot" and meta["seed"] == 1
+    assert meta.method == "kcmd-ot" and meta.seed == 1
     copy = tmp_path / "copy.json"
-    save_checkpoint(model, copy, method=meta["method"], seed=meta["seed"],
-                    manifest_digest=meta["manifest_digest"])
+    save_checkpoint(model, copy, method=meta.method, seed=meta.seed,
+                    manifest_digest=meta.manifest_digest)
     assert copy.read_bytes() == Path(pipeline["ckpt"]).read_bytes()
 
 
@@ -249,6 +249,12 @@ def test_validation_errors_exit_1(pipeline, tmp_path, capsys):
     for name, field, value in [("meta", "meta", 5), ("cap", "max_attempts", "20")]:
         mistyped[name] = tmp_path / f"{name}.jsonl"
         mistyped[name].write_text(lines[0] + "\n" + json.dumps({**json.loads(lines[1]), field: value}) + "\n")
+    # success claimed although the final reward is below the threshold
+    contradicting = json.loads(lines[1])
+    contradicting["success"] = True
+    contradicting["steps"][-1]["reward"] = contradicting["threshold"] - 1.0
+    mistyped["contradiction"] = tmp_path / "contradiction.jsonl"
+    mistyped["contradiction"].write_text(lines[0] + "\n" + json.dumps(contradicting) + "\n")
     for name, mean in [("string_mae", {"0": "abc"}), ("shotless_mae", {"zero": 1.0})]:
         mistyped[name] = tmp_path / f"{name}.json"
         mistyped[name].write_text(json.dumps({**json.loads(Path(pipeline["mae"]).read_text()), "mean": mean}))
@@ -260,7 +266,7 @@ def test_validation_errors_exit_1(pipeline, tmp_path, capsys):
         (["report", "--mae", str(mae), "--out", str(tmp_path / "r")], str(mae)),
         (["report", "--mae", str(number), "--out", str(tmp_path / "r")], str(number)),
         *[(["report", "--traces", str(mistyped[name]), "--out", str(tmp_path / "r")],
-           f"{mistyped[name]}: line 2") for name in ("meta", "cap")],
+           f"{mistyped[name]}: line 2") for name in ("meta", "cap", "contradiction")],
         *[(["report", "--mae", str(mistyped[name]), "--out", str(tmp_path / "r")],
            str(mistyped[name])) for name in ("string_mae", "shotless_mae")],
     ]:
@@ -342,12 +348,20 @@ def _string_reward(payload):
     payload["records"][4]["reward"] = "12.5"
 
 
+def _action_unknown_key(payload):
+    payload["records"][4]["action"]["force"] = 1.0
+
+
+def _fractional_patch_shape(payload):
+    payload["patch_shape"][0] += 0.7
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [_set_schema_version, _drop_patch_value, _nan_patch_value, _appearance_out_of_range,
      _yaw_out_of_range, _depth_out_of_range, _infinite_reward, _missing_reward, _no_records,
      _fractional_yaw, _fractional_stiffness, _string_patch_value, _boolean_patch_value,
-     _boolean_depth, _string_reward],
+     _boolean_depth, _string_reward, _action_unknown_key, _fractional_patch_shape],
     ids=lambda f: f.__name__.strip("_"),
 )
 def test_malformed_dataset_exits_1(pipeline, tmp_path, capsys, corrupt):
@@ -409,11 +423,20 @@ def _suite_not_json(suite):
     return "{not json"
 
 
+def _fractional_seed(suite):
+    _terrain(suite)["seed"] = 5.7
+
+
+def _terrain_unknown_key(suite):
+    _terrain(suite)["roughness"] = 0.1
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [_fractional_surface_index, _surface_index_out_of_range, _string_height,
      _ragged_heightfield, _grid_off_extent, _layer_depth_without_layer,
-     _material_color_out_of_range, _material_unknown_key, _missing_cell, _suite_not_json],
+     _material_color_out_of_range, _material_unknown_key, _missing_cell, _suite_not_json,
+     _fractional_seed, _terrain_unknown_key],
     ids=lambda f: f.__name__.strip("_"),
 )
 def test_malformed_suite_terrain_exits_1(pipeline, tmp_path, capsys, corrupt):
@@ -455,16 +478,46 @@ def _architecture_missing_field(payload):
     del payload["architecture"]["embed_dim"]
 
 
+def _string_reward_mean(payload):
+    payload["normalization"]["reward_mean"] = "30.0"
+
+
+def _normalization_unknown_key(payload):
+    payload["normalization"]["reward_sdt"] = -1.0
+
+
+def _string_has_kernel(payload):
+    payload["has_kernel"] = "no"
+
+
+def _kernel_params_unknown_key(payload):
+    payload["kernel_params"]["log_nosie"] = 5.0
+
+
+def _boolean_log_noise(payload):
+    payload["kernel_params"]["log_noise"] = True
+
+
+def _overflowing_log_noise(payload):
+    payload["kernel_params"]["log_noise"] = 1000.0
+
+
+def _checkpoint_is_a_list(payload):
+    return [payload]
+
+
 @pytest.mark.parametrize(
     "corrupt", [_nan_weight, _infinite_log_noise, _zero_reward_std, _architecture_unknown_key,
-                _architecture_missing_field],
+                _architecture_missing_field, _string_reward_mean, _normalization_unknown_key,
+                _string_has_kernel, _kernel_params_unknown_key, _boolean_log_noise,
+                _overflowing_log_noise, _checkpoint_is_a_list],
     ids=lambda f: f.__name__.strip("_"),
 )
 def test_corrupt_checkpoint_exits_1(pipeline, tmp_path, capsys, corrupt):
     payload = json.loads(Path(pipeline["ckpt"]).read_text())
-    corrupt(payload)
+    replaced = corrupt(payload)
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(payload))
+    bad.write_text(json.dumps(payload if replaced is None else replaced))
     rc = cli.main(
         ["eval-kshot", "--model", str(bad), "--data", str(pipeline["data"]),
          "--out", str(tmp_path / "m.json"), "--shots", "0"]
