@@ -1,18 +1,24 @@
-"""Model checkpoints: one JSON file with architecture, weights, GP
-hyperparameters, and reward normalization.
+"""Model checkpoints: a JSON file with architecture, GP hyperparameters
+and reward normalization, and a .npz file of weights.
 
-The file is a Checkpoint record that model.record_dict writes, floats
-through repr, so load followed by save reproduces it byte for byte.
-Loading reads it with model.record_from_dict: keys are exactly each
-record's fields, floats are finite numbers and booleans are not numbers.
-It refuses, with CheckpointError naming the file, any other JSON, a
-non-finite weight, a log hyperparameter whose exp is not a positive,
-finite double, and a reward std that is not positive.
+A checkpoint saved as <ckpt> is two files. <ckpt> is a Checkpoint record
+that model.record_dict writes, floats through repr. The sidecar
+<ckpt>.weights.npz holds each weight as a float64 array under its name,
+written by np.savez without compression. Load followed by save
+reproduces both byte for byte. Loading reads the record with
+model.record_from_dict: keys are exactly each record's fields, floats are
+finite numbers and booleans are not numbers. It refuses, with
+CheckpointError naming the file, any other JSON, a missing or unreadable
+weights file, weights that are not float64 or not exactly the
+architecture's names and shapes, a non-finite weight, a log
+hyperparameter whose exp is not a positive, finite double, and a reward
+std that is not positive. Neither file is unpickled.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+import zipfile
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +27,7 @@ from . import tensor as T
 from .gp import KernelParams
 from .model import Architecture, DeepGPModel, record_dict, record_from_dict
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -38,7 +44,7 @@ class Normalization:
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """A checkpoint file's payload; weights is T.weights_to_json of the weights in name order."""
+    """A checkpoint file's payload; the weights are in its sidecar."""
 
     schema_version: int
     method: str
@@ -48,7 +54,11 @@ class Checkpoint:
     normalization: Normalization
     kernel_params: KernelParams
     manifest_digest: str
-    weights: dict
+
+
+def weights_path(path) -> Path:
+    """The sidecar holding the weights of the checkpoint saved as path."""
+    return Path(str(path) + ".weights.npz")
 
 
 def save_checkpoint(
@@ -59,13 +69,29 @@ def save_checkpoint(
     manifest_digest: str = "",
 ) -> None:
     ckpt = Checkpoint(SCHEMA_VERSION, method, seed, model.arch, model.has_kernel,
-                      Normalization(model.reward_mean, model.reward_std), model.kp, manifest_digest,
-                      T.weights_to_json(dict(sorted(model.weights.items()))))
+                      Normalization(model.reward_mean, model.reward_std), model.kp, manifest_digest)
     Path(path).write_text(json.dumps(record_dict(ckpt)))
+    with weights_path(path).open("wb") as fh:
+        np.savez(fh, **{name: t.data for name, t in sorted(model.weights.items())})
+
+
+def _read_weights(path: Path) -> dict[str, T.Tensor]:
+    """The float64 arrays of the .npz file at path as trainable tensors, by name."""
+    try:
+        with path.open("rb") as fh, np.lib.npyio.NpzFile(fh, allow_pickle=False) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as err:
+        raise CheckpointError(f"{path}: cannot read the weights: {err}") from err
+    for name, a in arrays.items():
+        if type(a) is not np.ndarray or a.dtype != np.float64:
+            raise CheckpointError(f"{path}: weight {name} is {getattr(a, 'dtype', type(a))}, not float64")
+        if not np.isfinite(a).all():
+            raise CheckpointError(f"{path}: weight {name} has non-finite values")
+    return {name: T.Tensor(a, requires_grad=True, name=name) for name, a in arrays.items()}
 
 
 def load_checkpoint(path) -> tuple[DeepGPModel, Checkpoint]:
-    """Returns (model, the checkpoint's record without its weights)."""
+    """Returns (model, the checkpoint's record)."""
     try:
         payload = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as err:
@@ -78,15 +104,15 @@ def load_checkpoint(path) -> tuple[DeepGPModel, Checkpoint]:
     try:
         ckpt = record_from_dict(Checkpoint, payload)
         ckpt.kernel_params.validate()
-        norm = ckpt.normalization
-        model = DeepGPModel(ckpt.architecture, T.weights_from_json(ckpt.weights), ckpt.kernel_params,
-                            norm.reward_mean, norm.reward_std, ckpt.has_kernel)
-    except (KeyError, TypeError, ValueError) as err:
+    except ValueError as err:
         raise CheckpointError(f"{path}: malformed checkpoint: {err!r}") from err
-    bad = [name for name, w in sorted(model.weights.items()) if not np.isfinite(w.data).all()]
-    if bad:
-        raise CheckpointError(f"{path}: weight {bad[0]} has non-finite values")
+    norm = ckpt.normalization
     if not norm.reward_std > 0.0:
         raise CheckpointError(f"{path}: normalization ({norm.reward_mean}, {norm.reward_std}) needs a positive std")
-    # the weights' JSON lists are not kept alive beside the model's arrays
-    return model, replace(ckpt, weights={})
+    wpath = weights_path(path)
+    try:
+        model = DeepGPModel(ckpt.architecture, _read_weights(wpath), ckpt.kernel_params,
+                            norm.reward_mean, norm.reward_std, ckpt.has_kernel)
+    except T.ShapeError as err:
+        raise CheckpointError(f"{wpath}: {err}") from err
+    return model, ckpt

@@ -8,10 +8,11 @@ Subcommands:
 - eval-kshot   k-shot prediction accuracy (MAE) on the test datasets
 - report       aggregate traces and MAE tables into summaries and plots
 
-All artifacts are JSON (traces are JSON lines) and carry no timestamps
-or absolute paths, so fixed seeds reproduce them byte for byte. The
-SCOOPGP_ARTIFACTS environment variable, when set, anchors relative
-paths.
+Artifacts are JSON (traces are JSON lines), except the arrays: a
+dataset's patches go to a .npy and a checkpoint's weights to a .npz
+file beside it. None carries a timestamp or an absolute path, so fixed
+seeds reproduce them byte for byte. The SCOOPGP_ARTIFACTS environment
+variable, when set, anchors relative paths.
 
 The package import pins BLAS to one thread before numpy loads, so
 these bytes do not depend on the machine's core count (see scoopgp).
@@ -37,7 +38,7 @@ from .decision import (
     ReplayEnvironment,
     run_episode,
 )
-from .model import record_dict
+from .model import record_dict, record_from_dict
 from .ot import SPLIT_RULES
 from .terrain import (
     TerrainInstance,
@@ -134,14 +135,23 @@ def load_suite_terrains(data_dir: Path) -> dict[str, TerrainTask]:
     worlds = {}
     for i, t in enumerate(suite.get("tasks", [])):
         try:
-            worlds[t["task_id"]] = TerrainTask(
-                task_id=t["task_id"],
-                terrain=TerrainInstance.from_dict(t["terrain"]),
-                is_test=t["is_test"],
-            )
+            task = _suite_task(t)
         except (KeyError, TypeError, ValueError) as err:
-            raise ConfigError(f"data: {suite_path}: task {i}: malformed terrain: {err!r}") from err
+            raise ConfigError(f"data: {suite_path}: task {i}: malformed task: {err!r}") from err
+        worlds[task.task_id] = task
     return worlds
+
+
+def _suite_task(t) -> TerrainTask:
+    """record_from_dict of a suite task that gen-data wrote, its terrain
+    read by TerrainInstance.from_dict, less its derived composition key,
+    which must be the terrain's."""
+    fields = {**t, "terrain": TerrainInstance.from_dict(t["terrain"])}
+    composition = fields.pop("composition")
+    task = record_from_dict(TerrainTask, fields)
+    if composition != task.composition:
+        raise ValueError(f"composition {composition!r} is not the terrain's, {task.composition!r}")
+    return task
 
 
 # --- train -------------------------------------------------------------------

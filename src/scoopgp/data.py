@@ -1,6 +1,14 @@
-"""Task datasets: one terrain's scoop records, with JSON persistence.
+"""Task datasets: one terrain's scoop records, as a JSON header and a
+.npy file of patches.
 
-The on-disk format segregates simulator ground truth (material table,
+A dataset saved as <id>.json is two files. <id>.json is a DatasetHeader
+record: the schema version, task id, patch shape, trajectory constants,
+ground truth, and each record's action and reward. The sidecar
+<id>.json.patches.npy holds every record's (C, H, W) patch as one
+(N, C, H, W) float64 array. Patch values and rewards are rounded by
+round(v, DECIMALS) before they are written.
+
+The header segregates simulator ground truth (material table,
 composition, hidden layers) under a single "ground_truth" key. The
 default learner view drops that key at load time, so model and
 evaluation code cannot read latent fields; the oracle view keeps it for
@@ -8,27 +16,23 @@ the manual-split trainer and for reporting.
 
 Saving and loading both refuse, with DatasetError, a record whose patch
 is non-finite or has appearance outside [0, 1], whose action is invalid
-or whose reward is non-finite. Loading names the file. It also refuses a
-patch value or reward that is not a JSON number (a boolean is not one)
-and a patch_shape that is not three positive integers, and it reads each
-action and the trajectory constants with model.record_from_dict: keys
-are exactly the record's fields, floats are finite numbers and booleans
-are not numbers. The writer's bytes are json.dumps of the payload dict
-with every float rounded by round(v, DECIMALS); it builds them in a few
-numpy passes per task instead of one call per value.
+or whose reward is non-finite. Loading names the file. It reads the
+header with model.record_from_dict: keys are exactly the record's
+fields, floats are finite numbers and booleans are not numbers. It
+refuses a patch_shape that is not three positive integers, a missing or
+unreadable sidecar, and patches that are not float64 of the header's
+patch shape, one per record; the sidecar is read without unpickling.
 """
 from __future__ import annotations
 
 import json
 import math
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .model import (
-    JSON_NUMBERS,
     Architecture,
     ScoopAction,
     TrajectoryConstants,
@@ -40,7 +44,7 @@ from .model import (
     validate_patches,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 # patch values and rewards are written rounded to this many decimal places
 DECIMALS = 6
 _SCALE = 10.0**DECIMALS
@@ -56,6 +60,26 @@ class ScoopRecord:
     obs: np.ndarray  # the (C, H, W) patch observed before the scoop
     action: ScoopAction
     reward: float
+
+
+@dataclass
+class RecordEntry:
+    """A record in a dataset's header; its patch is in the sidecar."""
+
+    action: ScoopAction
+    reward: float
+
+
+@dataclass
+class DatasetHeader:
+    """A dataset file's JSON payload."""
+
+    schema_version: int
+    task_id: str
+    patch_shape: tuple[int, int, int]
+    trajectory_constants: TrajectoryConstants
+    ground_truth: dict | None
+    records: list[RecordEntry]
 
 
 @dataclass
@@ -93,6 +117,11 @@ class TaskDataset:
         return self.features
 
 
+def patches_path(path) -> Path:
+    """The sidecar holding the patches of the dataset saved as path."""
+    return Path(str(path) + ".patches.npy")
+
+
 def _check_records(where, patches: np.ndarray, actions, rewards) -> None:
     """Raise DatasetError unless every record is valid: finite patches with
     appearance in [0, 1], valid actions and finite rewards."""
@@ -127,105 +156,32 @@ def round_exact(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _json_rows(rounded: np.ndarray) -> list[str]:
-    """One JSON array body ("v, v, ...", no brackets) per row of an (m, n)
-    array of values already rounded to DECIMALS places, each equal to
-    json.dumps of the row's floats.
-
-    A rounded value is the double nearest k / 10**6. When it is 0 or
-    1e-4 <= |v| < 10 (k == 0 or 100 <= |k| < 10**7), its repr is the
-    sign, one integer digit, ".", and the fraction digits up to the last
-    non-zero one (at least one); those are built as digit bytes. Every
-    other value (exponent form below 1e-4, more integer digits from 10 up)
-    is left as a NUL placeholder and spliced in from json.dumps.
-    """
-    # the layout below is for DECIMALS == 6
-    m, n = rounded.shape
-    flat = rounded.ravel()
-    mag = np.abs(flat)
-    fixed = (mag == 0.0) | ((mag >= 1e-4) & (mag < 10.0))
-    k = np.rint(np.where(fixed, mag, 0.0) * _SCALE).astype(np.int32)
-    frac = k % 1_000_000
-    # per value: sign, integer digit, ".", six fraction digits, ", "
-    chars = np.empty((m * n, 11), dtype=np.uint8)
-    keep = np.ones((m * n, 11), dtype=bool)
-    chars[:, 0] = ord("-")
-    keep[:, 0] = np.signbit(flat)
-    chars[:, 1] = k // 1_000_000 + ord("0")
-    chars[:, 2] = ord(".")
-    for j in range(6):
-        chars[:, 3 + j] = frac // 10 ** (5 - j) % 10 + ord("0")
-        if j:
-            keep[:, 3 + j] = frac % 10 ** (6 - j) != 0
-    chars[:, 9] = ord(",")
-    chars[:, 10] = ord(" ")
-    other = np.flatnonzero(~fixed)
-    chars[other, 1] = 0
-    keep[other, 0] = False
-    keep[other, 2:9] = False
-    keep.reshape(m, n, 11)[:, -1, 9:] = False
-    text = chars[keep].tobytes().decode("ascii")
-    row_len = keep.reshape(m, -1).sum(axis=1)
-    if other.size:
-        reprs = [json.dumps(v) for v in flat[other].tolist()]
-        pieces = text.split("\0")
-        text = pieces[0] + "".join(r + p for r, p in zip(reprs, pieces[1:]))
-        np.add.at(row_len, other // n, [len(r) - 1 for r in reprs])
-    ends = np.cumsum(row_len).tolist()
-    return [text[start:end] for start, end in zip([0] + ends[:-1], ends)]
-
-
 def save_task_dataset(ds: TaskDataset, path) -> None:
-    """Write one dataset as JSON, patch values and rewards rounded to
-    DECIMALS places; the bytes are json.dumps of the payload dict."""
+    """Write one dataset's header to path and its patches to
+    patches_path(path), patch values and rewards rounded to DECIMALS places."""
     patches = ds.patches
     if patches.ndim != 4:
         raise DatasetError(f"{ds.task_id}: patches must be (C, H, W), got {patches.shape[1:]}")
     rounded = round_exact(patches)
-    rewards = [round(float(r.reward), DECIMALS) for r in ds.records]
-    _check_records(ds.task_id, rounded, [r.action for r in ds.records], rewards)
-    header = {
-        "schema_version": SCHEMA_VERSION,
-        "task_id": ds.task_id,
-        "patch_shape": list(patches.shape[1:]),
-        "trajectory_constants": record_dict(ds.constants),
-        "ground_truth": ds.ground_truth,
-    }
-    # "patch" is the last key of a record and "records" the last key of
-    # the payload, so each closing brace is cut and the list spliced in
-    records = [
-        json.dumps({"action": record_dict(r.action), "reward": reward})[:-1]
-        + ', "patch": [' + body + "]}"
-        for r, reward, body in zip(ds.records, rewards, _json_rows(rounded.reshape(len(rewards), -1)))
-    ]
-    text = json.dumps(header)[:-1] + ', "records": [' + ", ".join(records) + "]}"
-    Path(path).write_text(text)
+    entries = [RecordEntry(r.action, round(float(r.reward), DECIMALS)) for r in ds.records]
+    _check_records(ds.task_id, rounded, [e.action for e in entries], [e.reward for e in entries])
+    header = DatasetHeader(SCHEMA_VERSION, ds.task_id, patches.shape[1:], ds.constants, ds.ground_truth, entries)
+    Path(path).write_text(json.dumps(record_dict(header)))
+    with patches_path(path).open("wb") as fh:
+        np.save(fh, rounded, allow_pickle=False)
 
 
-def _patch_values(path, raw, X: np.ndarray) -> np.ndarray:
-    """Write the raw records' patch values into the leading (n, size)
-    columns of X, and return them; DatasetError when one is not a JSON number.
-
-    struct's "d" packing writes each record straight into its row and
-    refuses a string or null, where numpy's conversion parses "0.5" as
-    0.5; it is also a third of numpy's time. It takes a boolean as 0.0
-    or 1.0, so the values equal to those are looked up by type; a patch
-    strictly inside (0, 1) has none.
-    """
-    size = X.shape[1] - 2
-    row = struct.Struct(f"{size}d")
-    for i, rec in enumerate(raw):
-        try:
-            row.pack_into(X, i * X.strides[0], *rec["patch"])
-        except (struct.error, OverflowError) as err:
-            raise DatasetError(f"{path}: record {i}: patch values are not numbers: {err}") from err
-    values = X[:, :size]
-    if not (values.min() > 0.0 and values.max() < 1.0):
-        for k in np.flatnonzero((values == 0.0) | (values == 1.0)).tolist():
-            i, j = divmod(k, size)
-            if type(raw[i]["patch"][j]) is bool:
-                raise DatasetError(f"{path}: record {i}: patch value {j} is a boolean, not a number")
-    return values
+def _read_patches(path: Path, shape: tuple[int, ...]) -> np.ndarray:
+    """The float64 array of the given shape that the .npy file at path holds;
+    DatasetError for any other file."""
+    try:
+        with path.open("rb") as fh:
+            patches = np.lib.format.read_array(fh, allow_pickle=False)
+    except (OSError, ValueError) as err:
+        raise DatasetError(f"{path}: cannot read the patches: {err}") from err
+    if patches.dtype != np.float64 or patches.shape != shape:
+        raise DatasetError(f"{path}: patches are {patches.dtype} {patches.shape}, the header needs float64 {shape}")
+    return patches
 
 
 def load_task_dataset(path, view: str = "learner") -> TaskDataset:
@@ -244,43 +200,27 @@ def load_task_dataset(path, view: str = "learner") -> TaskDataset:
             f"{path}: schema_version {version} not supported (expected {SCHEMA_VERSION})"
         )
     try:
-        constants = record_from_dict(TrajectoryConstants, payload["trajectory_constants"])
-    except (KeyError, ValueError) as err:
-        raise DatasetError(f"{path}: trajectory constants: {err}") from err
-    try:
-        shape = payload["patch_shape"]
-        raw = payload["records"]
-        lengths = [len(rec["patch"]) for rec in raw]
-        actions = [record_from_dict(ScoopAction, rec["action"]) for rec in raw]
-        rewards = [rec["reward"] for rec in raw]
-        ground_truth = payload["ground_truth"]
-        task_id = payload["task_id"]
-    except (KeyError, TypeError, ValueError) as err:
-        raise DatasetError(f"{path}: malformed dataset: {err!r}") from err
-    if not (type(shape) is list and len(shape) == 3 and all(type(d) is int and d >= 1 for d in shape)):
-        raise DatasetError(f"{path}: patch_shape {shape!r} is not three positive integers (C, H, W)")
-    if not raw:
+        header = record_from_dict(DatasetHeader, payload)
+    except ValueError as err:
+        raise DatasetError(f"{path}: {err}") from err
+    if min(header.patch_shape) < 1:
+        raise DatasetError(f"{path}: patch_shape {list(header.patch_shape)} is not three positive integers (C, H, W)")
+    if not header.records:
         raise DatasetError(f"{path}: no records")
-    size = math.prod(shape)
-    for i, (length, reward) in enumerate(zip(lengths, rewards)):
-        if length != size:
-            raise DatasetError(
-                f"{path}: record {i}: patch has {length} values, shape {list(shape)} needs {size}"
-            )
-        if type(reward) not in JSON_NUMBERS:
-            raise DatasetError(f"{path}: record {i}: reward {reward!r} is not a number")
-    X = np.empty((len(raw), size + 2))
-    patches = _patch_values(path, raw, X).reshape(len(raw), *shape)
-    _check_records(path, patches, actions, rewards)
-    X[:, -2:] = action_rows(actions, 0)
+    entries = header.records
+    patches = _read_patches(patches_path(path), (len(entries), *header.patch_shape))
+    actions = [e.action for e in entries]
+    _check_records(path, patches, actions, [e.reward for e in entries])
+    X = action_rows(actions, math.prod(header.patch_shape))
+    X[:, :-2] = patches.reshape(len(entries), -1)
     records = [
-        ScoopRecord(obs=patch, action=action, reward=float(reward))
-        for patch, action, reward in zip(patches, actions, rewards)
+        ScoopRecord(obs=obs, action=e.action, reward=float(e.reward))
+        for obs, e in zip(X[:, :-2].reshape(patches.shape), entries)
     ]
     return TaskDataset(
-        task_id=task_id,
+        task_id=header.task_id,
         records=records,
-        constants=constants,
-        ground_truth=ground_truth if view == "oracle" else None,
+        constants=header.trajectory_constants,
+        ground_truth=header.ground_truth if view == "oracle" else None,
         features=X,
     )

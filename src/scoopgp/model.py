@@ -37,14 +37,20 @@ _FLOAT_MAX = sys.float_info.max
 
 
 def record_dict(record) -> dict:
-    """A dataclass record's fields in declaration order, each nested record
-    as its own dict: the JSON object every artifact writes for it. Unlike
-    dataclasses.asdict it copies no value, a cost the dataset and trace
-    writers would pay once per record."""
-    return {
-        k: record_dict(v) if hasattr(v, "__dataclass_fields__") else v
-        for k, v in vars(record).items()
-    }
+    """A dataclass record's fields in declaration order, each nested record,
+    and each record of a list of them, as its own dict: the JSON object
+    every artifact writes for it. Unlike dataclasses.asdict it copies no
+    other value, a cost the dataset and trace writers would pay once per
+    record."""
+    return {k: _json_value(v) for k, v in vars(record).items()}
+
+
+def _json_value(v):
+    if hasattr(v, "__dataclass_fields__"):
+        return record_dict(v)
+    if type(v) is list and v and hasattr(v[0], "__dataclass_fields__"):
+        return [record_dict(x) for x in v]
+    return v
 
 
 def record_from_dict(cls, d):
@@ -74,7 +80,7 @@ def _read(hint, v, where: str):
     if hint is float:
         if type(v) in JSON_NUMBERS and -_FLOAT_MAX <= v <= _FLOAT_MAX:
             return v
-    elif type(v) is hint:  # a JSON value's type is never a record class
+    elif type(v) is hint:  # a record here was read by its own reader, as a suite's terrain is
         return v
     elif is_dataclass(hint) and type(v) is dict:
         return record_from_dict(hint, v)
@@ -320,13 +326,19 @@ class DeepGPModel:
         return cls(arch, weights, gp.KernelParams(), has_kernel=has_kernel)
 
     def _check_dims(self) -> None:
-        for segment in ("extractor", "mean") + (("kernel",) if self.has_kernel else ()):
-            for i, (fan_in, fan_out) in enumerate(_segment_layers(self.arch, segment)):
-                w = self.weights[f"{segment}.{i}.w"]
-                if w.shape != (fan_in, fan_out):
-                    raise T.ShapeError(
-                        f"{segment}.{i}.w has shape {w.shape}, expected {(fan_in, fan_out)}"
-                    )
+        """ShapeError unless the weights are exactly the architecture's, by name and shape."""
+        shapes = {
+            f"{segment}.{i}.{kind}": shape
+            for segment in ("extractor", "mean") + (("kernel",) if self.has_kernel else ())
+            for i, (fan_in, fan_out) in enumerate(_segment_layers(self.arch, segment))
+            for kind, shape in (("w", (fan_in, fan_out)), ("b", (1, fan_out)))
+        }
+        if self.weights.keys() != shapes.keys():
+            raise T.ShapeError(f"weights lack {sorted(shapes.keys() - self.weights.keys())} "
+                               f"and have unknown {sorted(self.weights.keys() - shapes.keys())}")
+        for name, shape in shapes.items():
+            if self.weights[name].shape != shape:
+                raise T.ShapeError(f"{name} has shape {self.weights[name].shape}, expected {shape}")
 
     def segment_params(self, segment: str) -> list[T.Tensor]:
         return [t for layer in self._layers(segment) for t in layer]

@@ -254,20 +254,3 @@ def adam_step(params: list[Tensor], grads: list[np.ndarray], state: AdamState, l
     for p in params:
         p.data -= upd[start : start + p.size].reshape(p.shape)
         start += p.size
-
-
-def weights_to_json(weights: dict[str, Tensor]) -> dict:
-    """Flat {name -> {shape, data}} serialization of a weight dict."""
-    return {
-        name: {"shape": list(t.shape), "data": t.data.ravel().tolist()}
-        for name, t in weights.items()
-    }
-
-
-def weights_from_json(obj: dict) -> dict[str, Tensor]:
-    """The trainable weight dict that weights_to_json wrote."""
-    out = {}
-    for name, entry in obj.items():
-        arr = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        out[name] = Tensor(arr, requires_grad=True, name=name)
-    return out

@@ -7,7 +7,7 @@ import numpy as np
 
 from scoopgp import gp, ot
 from scoopgp import tensor as T
-from scoopgp.data import SCHEMA_VERSION, ScoopRecord, TaskDataset
+from scoopgp.data import SCHEMA_VERSION, ScoopRecord, TaskDataset, patches_path
 from scoopgp.decision import EpisodeStep, EpisodeTrace
 from scoopgp.model import (
     N_YAW,
@@ -500,8 +500,9 @@ def histogram_matrix_reference(patches, params):
 
 
 def save_task_dataset_reference(ds, path):
-    """json.dumps of the payload dict with one round() per value: the
-    oracle for data.save_task_dataset, which must write the same bytes."""
+    """json.dumps of the header dict and np.save of the patch stack, with
+    one round() per value: the oracle for data.save_task_dataset, which
+    must write the same bytes to both files."""
     payload = {
         "schema_version": SCHEMA_VERSION,
         "task_id": ds.task_id,
@@ -509,15 +510,13 @@ def save_task_dataset_reference(ds, path):
         "trajectory_constants": record_dict(ds.constants),
         "ground_truth": ds.ground_truth,
         "records": [
-            {
-                "action": record_dict(r.action),
-                "reward": round(float(r.reward), 6),
-                "patch": [round(float(v), 6) for v in r.obs.ravel()],
-            }
+            {"action": record_dict(r.action), "reward": round(float(r.reward), 6)}
             for r in ds.records
         ],
     }
     Path(path).write_text(json.dumps(payload))
+    patches = [[round(float(v), 6) for v in r.obs.ravel()] for r in ds.records]
+    np.save(patches_path(path), np.array(patches).reshape(len(ds.records), *ds.records[0].obs.shape))
 
 
 def entropic_transport_cost_reference(C, eps, max_iter=ot.MAX_ITER, tol=ot.TOL):

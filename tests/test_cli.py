@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +12,8 @@ from helpers import kshot_mae_reference
 
 import scoopgp
 from scoopgp import cli
-from scoopgp.checkpoint import load_checkpoint, save_checkpoint
-from scoopgp.data import load_task_dataset
+from scoopgp.checkpoint import load_checkpoint, save_checkpoint, weights_path
+from scoopgp.data import load_task_dataset, patches_path
 from scoopgp.decision import EpisodeTrace
 from scoopgp.model import Architecture
 
@@ -56,6 +57,7 @@ def test_gen_data_artifacts(pipeline):
         "test-00.json", "test-01.json",
         "train-00.json", "train-01.json", "train-02.json", "train-03.json",
     ]
+    assert sorted(p.name for p in (data / "tasks").glob("*.npy")) == [f + ".patches.npy" for f in files]
     suite = json.loads((data / "suite.json").read_text())
     assert suite["seed"] == 3 and len(suite["tasks"]) == 6
     ds = load_task_dataset(data / "tasks" / "test-00.json")
@@ -108,6 +110,7 @@ def test_checkpoint_roundtrip_bit_exact(pipeline, tmp_path):
     save_checkpoint(model, copy, method=meta.method, seed=meta.seed,
                     manifest_digest=meta.manifest_digest)
     assert copy.read_bytes() == Path(pipeline["ckpt"]).read_bytes()
+    assert weights_path(copy).read_bytes() == weights_path(pipeline["ckpt"]).read_bytes()
 
 
 def test_trace_bookkeeping(pipeline):
@@ -289,19 +292,7 @@ def test_version_mismatched_checkpoint_rejected(pipeline, tmp_path):
 
 
 def _set_schema_version(payload):
-    payload["schema_version"] = 2
-
-
-def _drop_patch_value(payload):
-    payload["records"][4]["patch"].pop()
-
-
-def _nan_patch_value(payload):
-    payload["records"][4]["patch"][-1] = float("nan")
-
-
-def _appearance_out_of_range(payload):
-    payload["records"][4]["patch"][0] = 1.5
+    payload["schema_version"] = 1
 
 
 def _yaw_out_of_range(payload):
@@ -332,14 +323,6 @@ def _fractional_stiffness(payload):
     payload["records"][4]["action"]["stiffness"] = 0.5
 
 
-def _string_patch_value(payload):
-    payload["records"][4]["patch"][7] = "0.5"
-
-
-def _boolean_patch_value(payload):
-    payload["records"][4]["patch"][7] = True
-
-
 def _boolean_depth(payload):
     payload["records"][4]["action"]["depth"] = False
 
@@ -356,12 +339,36 @@ def _fractional_patch_shape(payload):
     payload["patch_shape"][0] += 0.7
 
 
+def _patch_shape_of_another_size(payload):
+    payload["patch_shape"][2] //= 2
+
+
+def _numeric_task_id(payload):
+    payload["task_id"] = 5
+
+
+def _numeric_ground_truth(payload):
+    payload["ground_truth"] = 5
+
+
+def _record_with_patch(payload):
+    payload["records"][4]["patch"] = [0.5] * 1024
+
+
+def _train_sl_exits_1_naming_train_01(data, tmp_path, capsys):
+    rc = cli.main(["train", "--method", "sl", "--data", str(data),
+                   "--out", str(tmp_path / "sl.json")])
+    assert rc == 1
+    assert "train-01.json" in capsys.readouterr().err
+    assert not (tmp_path / "sl.json").exists()
+
+
 @pytest.mark.parametrize(
     "corrupt",
-    [_set_schema_version, _drop_patch_value, _nan_patch_value, _appearance_out_of_range,
-     _yaw_out_of_range, _depth_out_of_range, _infinite_reward, _missing_reward, _no_records,
-     _fractional_yaw, _fractional_stiffness, _string_patch_value, _boolean_patch_value,
-     _boolean_depth, _string_reward, _action_unknown_key, _fractional_patch_shape],
+    [_set_schema_version, _yaw_out_of_range, _depth_out_of_range, _infinite_reward,
+     _missing_reward, _no_records, _fractional_yaw, _fractional_stiffness, _boolean_depth,
+     _string_reward, _action_unknown_key, _fractional_patch_shape, _patch_shape_of_another_size,
+     _numeric_task_id, _numeric_ground_truth, _record_with_patch],
     ids=lambda f: f.__name__.strip("_"),
 )
 def test_malformed_dataset_exits_1(pipeline, tmp_path, capsys, corrupt):
@@ -371,11 +378,65 @@ def test_malformed_dataset_exits_1(pipeline, tmp_path, capsys, corrupt):
     payload = json.loads(path.read_text())
     corrupt(payload)
     path.write_text(json.dumps(payload))
-    rc = cli.main(["train", "--method", "sl", "--data", str(data),
-                   "--out", str(tmp_path / "sl.json")])
-    assert rc == 1
-    assert "train-01.json" in capsys.readouterr().err
-    assert not (tmp_path / "sl.json").exists()
+    _train_sl_exits_1_naming_train_01(data, tmp_path, capsys)
+
+
+def _missing_sidecar(sidecar):
+    sidecar.unlink()
+
+
+def _truncated_sidecar(sidecar):
+    sidecar.write_bytes(sidecar.read_bytes()[:-100])
+
+
+def _float32_patches(sidecar):
+    np.save(sidecar, np.load(sidecar).astype(np.float32))
+
+
+def _boolean_patches(sidecar):
+    np.save(sidecar, np.load(sidecar) > 0.5)
+
+
+def _string_patches(sidecar):
+    np.save(sidecar, np.load(sidecar).astype(str))
+
+
+def _pickled_patches(sidecar):
+    np.save(sidecar, np.load(sidecar).astype(object), allow_pickle=True)
+
+
+def _drop_patch(sidecar):
+    np.save(sidecar, np.load(sidecar)[:-1])
+
+
+def _flattened_patches(sidecar):
+    patches = np.load(sidecar)
+    np.save(sidecar, patches.reshape(len(patches), -1))
+
+
+def _nan_patch_value(sidecar):
+    patches = np.load(sidecar)
+    patches[4, -1, -1, -1] = np.nan
+    np.save(sidecar, patches)
+
+
+def _appearance_out_of_range(sidecar):
+    patches = np.load(sidecar)
+    patches[4, 0, 0, 0] = 1.5
+    np.save(sidecar, patches)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_missing_sidecar, _truncated_sidecar, _float32_patches, _boolean_patches, _string_patches,
+     _pickled_patches, _drop_patch, _flattened_patches, _nan_patch_value, _appearance_out_of_range],
+    ids=lambda f: f.__name__.strip("_"),
+)
+def test_malformed_patches_exit_1(pipeline, tmp_path, capsys, corrupt):
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    corrupt(patches_path(data / "tasks" / "train-01.json"))
+    _train_sl_exits_1_naming_train_01(data, tmp_path, capsys)
 
 
 def _terrain(suite):
@@ -431,12 +492,33 @@ def _terrain_unknown_key(suite):
     _terrain(suite)["roughness"] = 0.1
 
 
+def _numeric_suite_task_id(suite):
+    suite["tasks"][0]["task_id"] = 7  # a train task, which live deployment never looks up
+
+
+def _string_is_test(suite):
+    suite["tasks"][-1]["is_test"] = "no"
+
+
+def _wrong_composition(suite):
+    suite["tasks"][-1]["composition"] = "Marsh"
+
+
+def _missing_composition(suite):
+    del suite["tasks"][-1]["composition"]
+
+
+def _suite_task_unknown_key(suite):
+    suite["tasks"][-1]["difficulty"] = 3
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [_fractional_surface_index, _surface_index_out_of_range, _string_height,
      _ragged_heightfield, _grid_off_extent, _layer_depth_without_layer,
      _material_color_out_of_range, _material_unknown_key, _missing_cell, _suite_not_json,
-     _fractional_seed, _terrain_unknown_key],
+     _fractional_seed, _terrain_unknown_key, _numeric_suite_task_id, _string_is_test,
+     _wrong_composition, _missing_composition, _suite_task_unknown_key],
     ids=lambda f: f.__name__.strip("_"),
 )
 def test_malformed_suite_terrain_exits_1(pipeline, tmp_path, capsys, corrupt):
@@ -452,11 +534,6 @@ def test_malformed_suite_terrain_exits_1(pipeline, tmp_path, capsys, corrupt):
     assert rc == 1
     assert "suite.json" in capsys.readouterr().err
     assert not out.exists()
-
-
-def _nan_weight(payload):
-    name = sorted(payload["weights"])[0]
-    payload["weights"][name]["data"][3] = float("nan")
 
 
 def _infinite_log_noise(payload):
@@ -507,7 +584,7 @@ def _checkpoint_is_a_list(payload):
 
 
 @pytest.mark.parametrize(
-    "corrupt", [_nan_weight, _infinite_log_noise, _zero_reward_std, _architecture_unknown_key,
+    "corrupt", [_infinite_log_noise, _zero_reward_std, _architecture_unknown_key,
                 _architecture_missing_field, _string_reward_mean, _normalization_unknown_key,
                 _string_has_kernel, _kernel_params_unknown_key, _boolean_log_noise,
                 _overflowing_log_noise, _checkpoint_is_a_list],
@@ -518,13 +595,90 @@ def test_corrupt_checkpoint_exits_1(pipeline, tmp_path, capsys, corrupt):
     replaced = corrupt(payload)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(payload if replaced is None else replaced))
+    shutil.copy(weights_path(pipeline["ckpt"]), weights_path(bad))
+    _eval_kshot_exits_1_naming_bad_json(pipeline, tmp_path, capsys)
+
+
+def _eval_kshot_exits_1_naming_bad_json(pipeline, tmp_path, capsys):
     rc = cli.main(
-        ["eval-kshot", "--model", str(bad), "--data", str(pipeline["data"]),
+        ["eval-kshot", "--model", str(tmp_path / "bad.json"), "--data", str(pipeline["data"]),
          "--out", str(tmp_path / "m.json"), "--shots", "0"]
     )
     assert rc == 1
     assert "bad.json" in capsys.readouterr().err
     assert not (tmp_path / "m.json").exists()
+
+
+def _weights(sidecar) -> dict:
+    with np.load(sidecar) as npz:
+        return dict(npz)
+
+
+def _missing_weights_file(sidecar):
+    sidecar.unlink()
+
+
+def _truncated_weights(sidecar):
+    sidecar.write_bytes(sidecar.read_bytes()[:-100])
+
+
+def _weights_not_a_zip(sidecar):
+    bias = _weights(sidecar)["mean.0.b"]
+    with sidecar.open("wb") as fh:
+        np.save(fh, bias)
+
+
+def _nan_weight(sidecar):
+    w = _weights(sidecar)
+    w[sorted(w)[0]][0, 3] = np.nan
+    np.savez(sidecar, **w)
+
+
+def _infinite_weight(sidecar):
+    w = _weights(sidecar)
+    w["kernel.1.b"][0, 0] = -np.inf
+    np.savez(sidecar, **w)
+
+
+def _missing_weight(sidecar):
+    w = _weights(sidecar)
+    del w["kernel.0.b"]
+    np.savez(sidecar, **w)
+
+
+def _extra_weight(sidecar):
+    np.savez(sidecar, **_weights(sidecar), **{"kernel.2.w": np.zeros((16, 16))})
+
+
+def _misshaped_weight(sidecar):
+    w = _weights(sidecar)
+    w["mean.1.b"] = np.zeros((1, 2))
+    np.savez(sidecar, **w)
+
+
+def _float32_weight(sidecar):
+    w = _weights(sidecar)
+    w["extractor.0.w"] = w["extractor.0.w"].astype(np.float32)
+    np.savez(sidecar, **w)
+
+
+def _pickled_weight(sidecar):
+    w = _weights(sidecar)
+    w["mean.0.b"] = w["mean.0.b"].astype(object)
+    np.savez(sidecar, **w)
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_missing_weights_file, _truncated_weights, _weights_not_a_zip, _nan_weight,
+                _infinite_weight, _missing_weight, _extra_weight, _misshaped_weight,
+                _float32_weight, _pickled_weight],
+    ids=lambda f: f.__name__.strip("_"),
+)
+def test_corrupt_weights_exit_1(pipeline, tmp_path, capsys, corrupt):
+    shutil.copy(pipeline["ckpt"], tmp_path / "bad.json")
+    shutil.copy(weights_path(pipeline["ckpt"]), weights_path(tmp_path / "bad.json"))
+    corrupt(weights_path(tmp_path / "bad.json"))
+    _eval_kshot_exits_1_naming_bad_json(pipeline, tmp_path, capsys)
 
 
 def test_artifacts_independent_of_blas_thread_count(tmp_path):
@@ -551,8 +705,29 @@ def test_artifacts_independent_of_blas_thread_count(tmp_path):
         return base
 
     one, two = run(1), run(2)
-    for rel in ("model.json", "model.json.manifest.json"):
+    for rel in ("model.json", "model.json.manifest.json", "model.json.weights.npz"):
         assert (one / rel).read_bytes() == (two / rel).read_bytes(), rel
+
+
+def test_gen_data_and_train_rewrite_every_file_byte_for_byte(tmp_path, monkeypatch):
+    """gen-data and train, run twice into two directories, write the same
+    bytes to every JSON, .npy and .npz file; the second run's clock reads
+    three years later, so no file holds the time it was written."""
+    def run(base):
+        assert cli.main(["gen-data", "--seed", "5", "--out", str(base / "data"), "--n-train", "3",
+                         "--n-test", "1", "--samples", "20"]) == 0
+        assert cli.main(["train", "--method", "dkmt", "--data", str(base / "data"),
+                         "--out", str(base / "dkmt.json"), "--seed", "1",
+                         "--max-epochs-mean", "5", "--max-epochs-meta", "5"]) == 0
+        return sorted(p.relative_to(base) for p in base.rglob("*") if p.is_file())
+
+    files = run(tmp_path / "first")
+    later = time.time() + 3 * 365 * 86400
+    monkeypatch.setattr(time, "time", lambda: later)
+    assert run(tmp_path / "second") == files
+    assert {p.suffix for p in files} == {".json", ".npy", ".npz"}
+    for rel in files:
+        assert (tmp_path / "first" / rel).read_bytes() == (tmp_path / "second" / rel).read_bytes(), rel
 
 
 def test_artifact_root_env_var(tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ from scoopgp import gp
 from scoopgp import model as M
 from scoopgp import tensor as T
 from scoopgp import training as TR
+from scoopgp.checkpoint import load_checkpoint, save_checkpoint, weights_path
 from scoopgp.data import load_task_dataset, save_task_dataset
 from helpers import (
     dense_chain_reference,
@@ -229,6 +230,25 @@ def test_dataset_roundtrip_and_views(tmp_path):
     )
     with pytest.raises(ValueError):
         load_task_dataset(path, view="secret")
+
+
+@pytest.mark.parametrize("has_kernel", [True, False])
+def test_checkpoint_roundtrip_keeps_weights_bit_exact(tmp_path, has_kernel):
+    """Every weight, extreme values included, loads with its name, shape
+    and bits, and saving the loaded model rewrites both files' bytes."""
+    model = M.DeepGPModel.init(SMALL, seed=3, has_kernel=has_kernel)
+    extremes = [-0.0, 5e-324, -1.7976931348623157e308, 1e-300, 0.1, -2.25]
+    model.weights["mean.0.b"].data[0, : len(extremes)] = extremes
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    save_checkpoint(model, a, method="sl", seed=3)
+    back, ckpt = load_checkpoint(a)
+    assert (ckpt.method, ckpt.seed, ckpt.has_kernel) == ("sl", 3, has_kernel)
+    assert list(back.weights) == sorted(model.weights)
+    for name, w in model.weights.items():
+        assert back.weights[name].shape == w.shape and back.weights[name].data.tobytes() == w.data.tobytes()
+    save_checkpoint(back, b, method="sl", seed=3)
+    assert a.read_bytes() == b.read_bytes()
+    assert weights_path(a).read_bytes() == weights_path(b).read_bytes()
 
 
 def test_dataset_schema_version_rejected(tmp_path):

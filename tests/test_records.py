@@ -9,6 +9,7 @@ import typing
 import pytest
 
 from scoopgp.checkpoint import Checkpoint, Normalization
+from scoopgp.data import DatasetHeader, RecordEntry
 from scoopgp.decision import EpisodeStep, EpisodeTrace
 from scoopgp.gp import KernelParams
 from scoopgp.model import Architecture, ScoopAction, TrajectoryConstants, record_dict, record_from_dict
@@ -23,8 +24,10 @@ RECORDS = [
     KernelParams(0.3, -0.2, -2.5),
     EpisodeStep(7, _ACTION, 31.5, 2.25),
     Normalization(30.0, 5.5),
-    Checkpoint(1, "kcmd-ot", 2, Architecture(), True, Normalization(30.0, 5.5), KernelParams(),
-               "ab12", {"mean.0.b": {"shape": [1, 1], "data": [0.5]}}),
+    Checkpoint(2, "kcmd-ot", 2, Architecture(), True, Normalization(30.0, 5.5), KernelParams(), "ab12"),
+    RecordEntry(_ACTION, 12.5),
+    DatasetHeader(2, "test-00", (4, 16, 16), TrajectoryConstants(), {"collect_seed": 3},
+                  [RecordEntry(_ACTION, 12.5), RecordEntry(ScoopAction(0.5, 0.1, 0, 0.08, 0), -1.0)]),
 ]
 # one JSON value of each kind; a field refuses every kind its annotation does not take
 WRONG = {
@@ -37,7 +40,7 @@ WRONG = {
     "infinity": -math.inf,
     "huge_integer": 10**400,
 }
-TAKES = {float: {"fraction"}, int: {"huge_integer"}, str: {"string"}, bool: {"boolean"}}
+TAKES = {float: {"fraction"}, int: {"huge_integer"}, str: {"string"}, bool: {"boolean"}, dict | None: {"null"}}
 
 
 FIELDS = [

@@ -338,14 +338,6 @@ def test_forward_backward_deterministic():
     assert run() == run()
 
 
-def test_weights_json_roundtrip():
-    w = {"a.w": T.Tensor([[1.5, -2.25], [0.0, 3.125]], name="a.w")}
-    obj = T.weights_to_json(w)
-    back = T.weights_from_json(obj)
-    assert np.array_equal(back["a.w"].data, w["a.w"].data)
-    assert back["a.w"].shape == (2, 2)
-
-
 def test_every_op_has_a_src_caller():
     # the tape keeps only the ops the model records: every public
     # function of tensor.py is called as T.<name> somewhere else in src/
