@@ -6,13 +6,14 @@ that model.record_dict writes, floats through repr. The sidecar
 <ckpt>.weights.npz holds each weight as a float64 array under its name,
 written by np.savez without compression. Load followed by save
 reproduces both byte for byte. Loading reads the record with
-model.record_from_dict: keys are exactly each record's fields, floats are
-finite numbers and booleans are not numbers. It refuses, with
-CheckpointError naming the file, any other JSON, a missing or unreadable
-weights file, weights that are not float64 or not exactly the
-architecture's names and shapes, a non-finite weight, a log
-hyperparameter whose exp is not a positive, finite double, and a reward
-std that is not positive. Neither file is unpickled.
+model.read_record, which checks the schema version: keys are exactly
+each record's fields, floats are finite numbers and booleans are not
+numbers. It refuses, with CheckpointError naming the file, any other
+JSON, an empty extractor_widths, a missing or unreadable weights file,
+weights that are not float64 or not exactly the architecture's names and
+shapes, a non-finite weight, a log hyperparameter whose exp is not a
+positive, finite double, and a reward std that is not positive.
+Neither file is unpickled.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import tensor as T
 from .gp import KernelParams
-from .model import Architecture, DeepGPModel, record_dict, record_from_dict
+from .model import Architecture, DeepGPModel, read_record, record_dict
 
 SCHEMA_VERSION = 2
 
@@ -93,25 +94,22 @@ def _read_weights(path: Path) -> dict[str, T.Tensor]:
 def load_checkpoint(path) -> tuple[DeepGPModel, Checkpoint]:
     """Returns (model, the checkpoint's record)."""
     try:
-        payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as err:
+        text = Path(path).read_text()
+    except OSError as err:
         raise CheckpointError(f"cannot read checkpoint {path}: {err}") from err
-    version = payload.get("schema_version") if isinstance(payload, dict) else None
-    if version != SCHEMA_VERSION:
-        raise CheckpointError(
-            f"{path}: checkpoint schema {version} not supported (expected {SCHEMA_VERSION})"
-        )
+    ckpt = read_record(Checkpoint, text, path, SCHEMA_VERSION, CheckpointError)
     try:
-        ckpt = record_from_dict(Checkpoint, payload)
         ckpt.kernel_params.validate()
     except ValueError as err:
-        raise CheckpointError(f"{path}: malformed checkpoint: {err!r}") from err
-    norm = ckpt.normalization
+        raise CheckpointError(f"{path}: {err}") from err
+    norm, arch = ckpt.normalization, ckpt.architecture
     if not norm.reward_std > 0.0:
         raise CheckpointError(f"{path}: normalization ({norm.reward_mean}, {norm.reward_std}) needs a positive std")
+    if not arch.extractor_widths:
+        raise CheckpointError(f"{path}: the architecture's extractor_widths is empty; it needs a layer")
     wpath = weights_path(path)
     try:
-        model = DeepGPModel(ckpt.architecture, _read_weights(wpath), ckpt.kernel_params,
+        model = DeepGPModel(arch, _read_weights(wpath), ckpt.kernel_params,
                             norm.reward_mean, norm.reward_std, ckpt.has_kernel)
     except T.ShapeError as err:
         raise CheckpointError(f"{wpath}: {err}") from err

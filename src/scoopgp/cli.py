@@ -24,6 +24,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +39,7 @@ from .decision import (
     ReplayEnvironment,
     run_episode,
 )
-from .model import record_dict, record_from_dict
+from .model import JSON_NUMBERS, read_record, record_dict
 from .ot import SPLIT_RULES
 from .terrain import (
     TerrainInstance,
@@ -57,6 +58,40 @@ class ConfigError(ValueError):
     """Invalid flags, missing files, or inconsistent artifacts."""
 
 
+@dataclass
+class SuiteTask:
+    """A task in suite.json: its terrain and the composition derived from it."""
+
+    task_id: str
+    is_test: bool
+    composition: str
+    terrain: TerrainInstance
+
+
+@dataclass
+class Suite:
+    """suite.json's payload: the gen-data flags and every task's terrain."""
+
+    schema_version: int
+    seed: int
+    n_train: int
+    n_test: int
+    samples: int
+    tasks: list[SuiteTask]
+
+
+@dataclass
+class KShotTable:
+    """eval-kshot's output: the MAE of each test task and their mean, by shot count."""
+
+    method: str
+    model_seed: int
+    eval_seed: int
+    shots: list[int]
+    per_task: dict
+    mean: dict
+
+
 def _resolve(path: str) -> Path:
     p = Path(path)
     root = os.environ.get("SCOOPGP_ARTIFACTS")
@@ -69,13 +104,6 @@ def _require_dir(path: Path, field: str) -> Path:
     if not path.is_dir():
         raise ConfigError(f"{field}: directory {path} does not exist")
     return path
-
-
-def _parse_json(text: str, where: str):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"{where} is not JSON: {err}") from err
 
 
 def _task_files(data_dir: Path, prefix: str) -> list[Path]:
@@ -98,26 +126,13 @@ def cmd_gen_data(args) -> None:
     out = _resolve(args.out)
     (out / "tasks").mkdir(parents=True, exist_ok=True)
     train_tasks, test_tasks = generate_suite(args.seed, args.n_train, args.n_test)
-    suite = {
-        "schema_version": SUITE_SCHEMA,
-        "seed": args.seed,
-        "n_train": args.n_train,
-        "n_test": args.n_test,
-        "samples": args.samples,
-        "tasks": [],
-    }
+    suite = Suite(SUITE_SCHEMA, args.seed, args.n_train, args.n_test, args.samples, [])
     for index, task in enumerate(train_tasks + test_tasks):
         ds = collect_offline(task, n_samples=args.samples, seed=args.seed * 100_003 + index)
         save_task_dataset(ds, out / "tasks" / f"{task.task_id}.json")
-        suite["tasks"].append(
-            {
-                "task_id": task.task_id,
-                "is_test": task.is_test,
-                "composition": task.composition,
-                "terrain": task.terrain.to_dict(),
-            }
-        )
-    (out / "suite.json").write_text(json.dumps(suite))
+        terrain = replace(task.terrain, heightfield=np.round(task.terrain.heightfield, 6))
+        suite.tasks.append(SuiteTask(task.task_id, task.is_test, task.composition, terrain))
+    (out / "suite.json").write_text(json.dumps(record_dict(suite)))
     print(
         f"gen-data: wrote {len(train_tasks)} train + {len(test_tasks)} test tasks "
         f"({args.samples} records each) to {out}"
@@ -128,30 +143,16 @@ def load_suite_terrains(data_dir: Path) -> dict[str, TerrainTask]:
     suite_path = data_dir / "suite.json"
     if not suite_path.exists():
         raise ConfigError(f"data: {suite_path} not found (run gen-data first)")
-    suite = _parse_json(suite_path.read_text(), f"data: {suite_path}")
-    version = suite.get("schema_version") if isinstance(suite, dict) else None
-    if version != SUITE_SCHEMA:
-        raise ConfigError(f"data: suite schema {version} unsupported")
+    suite = read_record(Suite, suite_path.read_text(), f"data: {suite_path}", SUITE_SCHEMA, ConfigError)
     worlds = {}
-    for i, t in enumerate(suite.get("tasks", [])):
-        try:
-            task = _suite_task(t)
-        except (KeyError, TypeError, ValueError) as err:
-            raise ConfigError(f"data: {suite_path}: task {i}: malformed task: {err!r}") from err
-        worlds[task.task_id] = task
+    for i, t in enumerate(suite.tasks):
+        if t.composition != t.terrain.composition:
+            raise ConfigError(f"data: {suite_path}: task {i}: composition {t.composition!r} "
+                              f"is not its terrain's, {t.terrain.composition!r}")
+        if t.task_id in worlds:
+            raise ConfigError(f"data: {suite_path}: task {i}: task id {t.task_id!r} is repeated")
+        worlds[t.task_id] = TerrainTask(t.task_id, t.terrain, t.is_test)
     return worlds
-
-
-def _suite_task(t) -> TerrainTask:
-    """record_from_dict of a suite task that gen-data wrote, its terrain
-    read by TerrainInstance.from_dict, less its derived composition key,
-    which must be the terrain's."""
-    fields = {**t, "terrain": TerrainInstance.from_dict(t["terrain"])}
-    composition = fields.pop("composition")
-    task = record_from_dict(TerrainTask, fields)
-    if composition != task.composition:
-        raise ValueError(f"composition {composition!r} is not the terrain's, {task.composition!r}")
-    return task
 
 
 # --- train -------------------------------------------------------------------
@@ -216,7 +217,7 @@ def cmd_eval_deploy(args) -> None:
     n_traces = 0
     with out.open("w") as fh:
         for task_index, path in enumerate(_task_files(data_dir, "test")):
-            ds = load_task_dataset(path, view="learner")
+            ds = load_task_dataset(path, view="learner", arch=model.arch)
             if task_filter and ds.task_id not in task_filter:
                 continue
             threshold = compute_threshold(ds.records)
@@ -266,7 +267,7 @@ def cmd_eval_kshot(args) -> None:
 
     per_task: dict[str, dict[str, float]] = {}
     for task_index, path in enumerate(_task_files(data_dir, "test")):
-        ds = load_task_dataset(path, view="learner")
+        ds = load_task_dataset(path, view="learner", arch=model.arch)
         n = len(ds)
         n_query = round(0.8 * n)
         pool_size = n - n_query
@@ -286,17 +287,10 @@ def cmd_eval_kshot(args) -> None:
     mean_mae = {
         str(k): float(np.mean([per_task[t][str(k)] for t in per_task])) for k in shots
     }
-    payload = {
-        "method": meta.method,
-        "model_seed": meta.seed,
-        "eval_seed": args.seed,
-        "shots": shots,
-        "per_task": per_task,
-        "mean": mean_mae,
-    }
+    table = KShotTable(meta.method, meta.seed, args.seed, shots, per_task, mean_mae)
     out = _resolve(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(payload))
+    out.write_text(json.dumps(record_dict(table)))
     print(f"eval-kshot: shots={shots} -> {out}")
 
 
@@ -310,19 +304,14 @@ def read_traces(paths) -> list[EpisodeTrace]:
             for n, line in enumerate(fh, 1):
                 if line.strip():
                     where = f"traces: {path}: line {n}"
-                    payload = _parse_json(line, where)
-                    try:
-                        tr = EpisodeTrace.from_dict(payload)
-                        tr.validate()
-                    except (KeyError, TypeError, ValueError) as err:
-                        raise ConfigError(f"{where} is not an episode trace: {err!r}") from err
+                    tr = read_record(EpisodeTrace, line, where, error=ConfigError)
                     if not isinstance(tr.meta.get("method", ""), str):
                         raise ConfigError(f"{where}: meta has no method string")
                     traces.append(tr)
     return traces
 
 
-def aggregate_metrics(traces: list[EpisodeTrace], mae_tables: list[dict]) -> dict:
+def aggregate_metrics(traces: list[EpisodeTrace], mae_tables: list[KShotTable]) -> dict:
     """Per-method deployment and accuracy tables.
 
     Failed trials count at their attempt cap and are flagged: the cap is
@@ -366,12 +355,10 @@ def aggregate_metrics(traces: list[EpisodeTrace], mae_tables: list[dict]) -> dic
     accuracy: dict[str, dict] = {}
     accuracy_seeds: dict[str, dict] = {}
     for table in mae_tables:
-        bucket = accuracy.setdefault(table["method"], {})
-        for k, v in table["mean"].items():
+        bucket = accuracy.setdefault(table.method, {})
+        for k, v in table.mean.items():
             bucket.setdefault(k, []).append(v)
-        accuracy_seeds.setdefault(table["method"], {})[
-            str(table.get("model_seed"))
-        ] = table["mean"]
+        accuracy_seeds.setdefault(table.method, {})[str(table.model_seed)] = table.mean
     accuracy_summary = {
         method: {
             "mean": {
@@ -445,13 +432,10 @@ def _text_tables(summary: dict) -> str:
 def cmd_report(args) -> None:
     traces = read_traces([_resolve(p) for p in args.traces or []])
     mae_paths = [_resolve(p) for p in args.mae or []]
-    mae_tables = [_parse_json(p.read_text(), f"mae: {p}") for p in mae_paths]
+    mae_tables = [read_record(KShotTable, p.read_text(), f"mae: {p}", error=ConfigError) for p in mae_paths]
     for path, table in zip(mae_paths, mae_tables):
-        if not (isinstance(table, dict) and isinstance(table.get("method"), str)
-                and isinstance(table.get("mean"), dict)):
-            raise ConfigError(f"mae: {path} is not an object with a method string and a mean object")
-        for k, v in table["mean"].items():
-            if not k.isdecimal() or type(v) not in (int, float):
+        for k, v in table.mean.items():
+            if not k.isdecimal() or type(v) not in JSON_NUMBERS:
                 raise ConfigError(f"mae: {path}: mean entry {k!r} is not a shot count with a number")
     if not traces and not mae_tables:
         raise ConfigError("report: need at least one --traces or --mae input")

@@ -17,9 +17,10 @@ the manual-split trainer and for reporting.
 Saving and loading both refuse, with DatasetError, a record whose patch
 is non-finite or has appearance outside [0, 1], whose action is invalid
 or whose reward is non-finite. Loading names the file. It reads the
-header with model.record_from_dict: keys are exactly the record's
-fields, floats are finite numbers and booleans are not numbers. It
-refuses a patch_shape that is not three positive integers, a missing or
+header with model.read_record, which checks the schema version: keys
+are exactly the record's fields, floats are finite numbers and booleans
+are not numbers. It refuses a patch_shape that is not three positive
+integers or, given an architecture, not its patch shape, a missing or
 unreadable sidecar, and patches that are not float64 of the header's
 patch shape, one per record; the sidecar is read without unpickling.
 """
@@ -39,8 +40,8 @@ from .model import (
     action_rows,
     check_patch_shape,
     feature_rows,
+    read_record,
     record_dict,
-    record_from_dict,
     validate_patches,
 )
 
@@ -184,29 +185,22 @@ def _read_patches(path: Path, shape: tuple[int, ...]) -> np.ndarray:
     return patches
 
 
-def load_task_dataset(path, view: str = "learner") -> TaskDataset:
+def load_task_dataset(path, view: str = "learner", arch: Architecture | None = None) -> TaskDataset:
     """Load a dataset; view='learner' strips ground truth, 'oracle' keeps it.
 
-    Raises DatasetError for a file that is not a valid dataset."""
+    Raises DatasetError for a file that is not a valid dataset or, given arch, not of its patch shape."""
     if view not in ("learner", "oracle"):
         raise ValueError(f"unknown view {view!r}; use 'learner' or 'oracle'")
-    try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as err:
-        raise DatasetError(f"{path}: not JSON: {err}") from err
-    version = payload.get("schema_version") if isinstance(payload, dict) else None
-    if version != SCHEMA_VERSION:
-        raise DatasetError(
-            f"{path}: schema_version {version} not supported (expected {SCHEMA_VERSION})"
-        )
-    try:
-        header = record_from_dict(DatasetHeader, payload)
-    except ValueError as err:
-        raise DatasetError(f"{path}: {err}") from err
+    header = read_record(DatasetHeader, Path(path).read_text(), path, SCHEMA_VERSION, DatasetError)
     if min(header.patch_shape) < 1:
         raise DatasetError(f"{path}: patch_shape {list(header.patch_shape)} is not three positive integers (C, H, W)")
     if not header.records:
         raise DatasetError(f"{path}: no records")
+    if arch is not None:
+        try:
+            check_patch_shape(arch, header.patch_shape)
+        except ValueError as err:
+            raise DatasetError(f"{path}: {err}") from err
     entries = header.records
     patches = _read_patches(patches_path(path), (len(entries), *header.patch_shape))
     actions = [e.action for e in entries]

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import gp
 from .data import TaskDataset
-from .model import DEPTH_MAX, DEPTH_MIN, N_YAW, STIFFNESSES, ScoopAction, action_rows, record_dict, record_from_dict
+from .model import DEPTH_MAX, DEPTH_MIN, N_YAW, STIFFNESSES, ScoopAction, action_rows, read_fields, record_dict
 from .terrain import (
     PATCH_CHANNELS,
     TerrainTask,
@@ -153,12 +153,14 @@ class EpisodeTrace:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "EpisodeTrace":
-        """record_from_dict of d less its derived attempts key, which must be the number of steps."""
-        attempts = d["attempts"]
-        trace = record_from_dict(cls, {k: v for k, v in d.items() if k != "attempts"})
+    def from_dict(cls, d) -> "EpisodeTrace":
+        """read_fields of d less its derived attempts key, which must be the
+        number of steps; refuses, with ValueError, a trace that fails validate()."""
+        trace = read_fields(cls, {k: v for k, v in d.items() if k != "attempts"} if type(d) is dict else d)
+        attempts = d.get("attempts")
         if type(attempts) is not int or attempts != trace.attempts:
             raise ValueError(f"attempts {attempts!r} is not the number of steps, {trace.attempts}")
+        trace.validate()
         return trace
 
 

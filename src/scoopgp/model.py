@@ -10,6 +10,7 @@ head embeds inputs for the residual GP.
 """
 from __future__ import annotations
 
+import json
 import math
 import sys
 import types
@@ -38,10 +39,10 @@ _FLOAT_MAX = sys.float_info.max
 
 def record_dict(record) -> dict:
     """A dataclass record's fields in declaration order, each nested record,
-    and each record of a list of them, as its own dict: the JSON object
-    every artifact writes for it. Unlike dataclasses.asdict it copies no
-    other value, a cost the dataset and trace writers would pay once per
-    record."""
+    and each record of a list of them, as its own dict, and each array as
+    its nested list: the JSON object every artifact writes for it. Unlike
+    dataclasses.asdict it copies no other value, a cost the dataset and
+    trace writers would pay once per record."""
     return {k: _json_value(v) for k, v in vars(record).items()}
 
 
@@ -50,17 +51,38 @@ def _json_value(v):
         return record_dict(v)
     if type(v) is list and v and hasattr(v[0], "__dataclass_fields__"):
         return [record_dict(x) for x in v]
-    return v
+    return v.tolist() if type(v) is np.ndarray else v
+
+
+def read_record(cls, text: str, where, schema: int | None = None, error=ValueError):
+    """The reader of every JSON input: record_from_dict of cls and the parsed text, whose
+    schema_version must be schema if one is given. Raises error, a ValueError class, naming where."""
+    try:
+        d = json.loads(text)
+        version = d.get("schema_version") if type(d) is dict else None
+        if schema is not None and version != schema:
+            raise ValueError(f"schema_version {version!r} not supported (expected {schema})")
+        return record_from_dict(cls, d)
+    except json.JSONDecodeError as err:
+        raise error(f"{where}: not JSON: {err}") from err
+    except ValueError as err:
+        raise error(f"{where}: {err}") from err
 
 
 def record_from_dict(cls, d):
-    """The record of dataclass cls that record_dict wrote as d, before or
-    after a JSON round trip. Refuses, with ValueError naming the field, an
-    object whose keys are not exactly cls's fields and a value whose JSON
-    type is not its field's: a float takes a finite number, never a
-    boolean; an int, str, bool or dict exactly that type; a tuple or list
-    an array of its item type; a record its object; None only where the
-    annotation allows it. A number is kept as read: an int stays an int."""
+    """The record of dataclass cls that record_dict wrote as d, before or after a
+    JSON round trip: cls.from_dict(d) where cls defines one, else read_fields(cls, d)."""
+    return cls.from_dict(d) if "from_dict" in vars(cls) else read_fields(cls, d)
+
+
+def read_fields(cls, d):
+    """The record of dataclass cls whose fields d holds. Refuses, with
+    ValueError naming the field, an object whose keys are not exactly
+    cls's fields and a value whose JSON type is not its field's: a float
+    takes a finite number, never a boolean; an int, str, bool or dict
+    exactly that type; a tuple or list an array of its item type; a record
+    its object; None only where the annotation allows it. A number is kept
+    as read: an int stays an int."""
     spec = _field_spec(cls)
     if type(d) is not dict or d.keys() != spec.keys():
         got = sorted(d) if type(d) is dict else type(d).__name__
@@ -80,7 +102,7 @@ def _read(hint, v, where: str):
     if hint is float:
         if type(v) in JSON_NUMBERS and -_FLOAT_MAX <= v <= _FLOAT_MAX:
             return v
-    elif type(v) is hint:  # a record here was read by its own reader, as a suite's terrain is
+    elif type(v) is hint:  # an array here was read by its record's own reader, as a terrain's grids are
         return v
     elif is_dataclass(hint) and type(v) is dict:
         return record_from_dict(hint, v)

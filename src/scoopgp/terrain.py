@@ -29,8 +29,8 @@ from .model import (
     STIFFNESSES,
     ScoopAction,
     TrajectoryConstants,
+    read_fields,
     record_dict,
-    record_from_dict,
 )
 
 EXTENT = (0.9, 0.6)
@@ -106,26 +106,15 @@ class TerrainInstance:
             ids |= {self.materials[i].id for i in np.unique(self.hidden)}
         return sorted(ids)
 
-    def to_dict(self) -> dict:
-        return {
-            "surface": self.surface.astype(int).tolist(),
-            "heightfield": np.round(self.heightfield, 6).tolist(),
-            "materials": [record_dict(m) for m in self.materials],
-            "composition": self.composition,
-            "seed": self.seed,
-            "hidden": None if self.hidden is None else self.hidden.astype(int).tolist(),
-            "layer_depth": self.layer_depth,
-            "extent": list(self.extent),
-            "cell": self.cell,
-        }
-
     @classmethod
-    def from_dict(cls, d: dict) -> "TerrainInstance":
-        """record_from_dict of d with its grids read by _grid; refuses, with
-        ValueError, a terrain that fails validate()."""
-        t = record_from_dict(cls, {**d, "surface": _grid(d["surface"], "iu"),
-                                   "heightfield": _grid(d["heightfield"], "iuf").astype(np.float64),
-                                   "hidden": None if d["hidden"] is None else _grid(d["hidden"], "iu")})
+    def from_dict(cls, d) -> "TerrainInstance":
+        """read_fields of d, its grids read by _grid if it has every grid key;
+        refuses, with ValueError, a terrain that fails validate()."""
+        if type(d) is dict and {"surface", "heightfield", "hidden"} <= d.keys():
+            d = {**d, "surface": _grid(d["surface"], "iu"),
+                 "heightfield": _grid(d["heightfield"], "iuf").astype(np.float64),
+                 "hidden": None if d["hidden"] is None else _grid(d["hidden"], "iu")}
+        t = read_fields(cls, d)
         t.validate()
         return t
 

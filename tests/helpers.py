@@ -519,6 +519,23 @@ def save_task_dataset_reference(ds, path):
     np.save(patches_path(path), np.array(patches).reshape(len(ds.records), *ds.records[0].obs.shape))
 
 
+def terrain_dict_reference(terrain) -> dict:
+    """The terrain as the hand-written dict gen-data wrote before suite.json
+    became a record, heights rounded to 6 places: the oracle for
+    record_dict of the rounded terrain, which must dump to the same bytes."""
+    return {
+        "surface": terrain.surface.astype(int).tolist(),
+        "heightfield": np.round(terrain.heightfield, 6).tolist(),
+        "materials": [record_dict(m) for m in terrain.materials],
+        "composition": terrain.composition,
+        "seed": terrain.seed,
+        "hidden": None if terrain.hidden is None else terrain.hidden.astype(int).tolist(),
+        "layer_depth": terrain.layer_depth,
+        "extent": list(terrain.extent),
+        "cell": terrain.cell,
+    }
+
+
 def entropic_transport_cost_reference(C, eps, max_iter=ot.MAX_ITER, tol=ot.TOL):
     """Log-domain Sinkhorn that forms the full plan at every iteration to
     test convergence: the oracle for ot.entropic_transport_cost, which

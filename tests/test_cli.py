@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import kshot_mae_reference
+from helpers import kshot_mae_reference, terrain_dict_reference
 
 import scoopgp
 from scoopgp import cli
@@ -16,6 +16,7 @@ from scoopgp.checkpoint import load_checkpoint, save_checkpoint, weights_path
 from scoopgp.data import load_task_dataset, patches_path
 from scoopgp.decision import EpisodeTrace
 from scoopgp.model import Architecture
+from scoopgp.terrain import generate_suite
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +65,18 @@ def test_gen_data_artifacts(pipeline):
     assert len(ds) == 30 and ds.ground_truth is None
     oracle = load_task_dataset(data / "tasks" / "test-00.json", view="oracle")
     assert oracle.ground_truth and "material_table" in oracle.ground_truth
+
+
+def test_suite_json_is_the_hand_written_terrain_dicts(pipeline):
+    """gen-data writes suite.json as record_dict of a Suite record; its
+    bytes are json.dumps of the hand-written dicts it replaced."""
+    train, test = generate_suite(3, 4, 2)
+    expected = {
+        "schema_version": 1, "seed": 3, "n_train": 4, "n_test": 2, "samples": 30,
+        "tasks": [{"task_id": t.task_id, "is_test": t.is_test, "composition": t.composition,
+                   "terrain": terrain_dict_reference(t.terrain)} for t in train + test],
+    }
+    assert (pipeline["data"] / "suite.json").read_text() == json.dumps(expected)
 
 
 def test_records_are_written_in_field_order(pipeline):
@@ -163,9 +176,9 @@ def test_eval_commands_use_learner_view(pipeline, tmp_path, monkeypatch):
     views = []
     orig = cli.load_task_dataset
 
-    def spy(path, view="learner"):
+    def spy(path, view="learner", **kwargs):
         views.append(view)
-        return orig(path, view=view)
+        return orig(path, view=view, **kwargs)
 
     monkeypatch.setattr(cli, "load_task_dataset", spy)
     out = tmp_path / "t.jsonl"
@@ -512,13 +525,44 @@ def _suite_task_unknown_key(suite):
     suite["tasks"][-1]["difficulty"] = 3
 
 
+def _tasks_not_a_list(suite):
+    suite["tasks"] = 5
+
+
+def _missing_tasks(suite):
+    del suite["tasks"]
+
+
+def _suite_unknown_key(suite):
+    suite["generator"] = "v2"
+
+
+def _string_samples(suite):
+    suite["samples"] = "x"
+
+
+def _repeated_task_id(suite):
+    # a train task under a test task's id, which the later test task would replace
+    suite["tasks"][0]["task_id"] = suite["tasks"][-1]["task_id"]
+
+
+def _terrain_missing_hidden(suite):
+    del _terrain(suite)["hidden"]
+
+
+def _terrain_missing_surface(suite):
+    del _terrain(suite)["surface"]
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [_fractional_surface_index, _surface_index_out_of_range, _string_height,
      _ragged_heightfield, _grid_off_extent, _layer_depth_without_layer,
      _material_color_out_of_range, _material_unknown_key, _missing_cell, _suite_not_json,
      _fractional_seed, _terrain_unknown_key, _numeric_suite_task_id, _string_is_test,
-     _wrong_composition, _missing_composition, _suite_task_unknown_key],
+     _wrong_composition, _missing_composition, _suite_task_unknown_key, _tasks_not_a_list,
+     _missing_tasks, _suite_unknown_key, _string_samples, _repeated_task_id,
+     _terrain_missing_hidden, _terrain_missing_surface],
     ids=lambda f: f.__name__.strip("_"),
 )
 def test_malformed_suite_terrain_exits_1(pipeline, tmp_path, capsys, corrupt):
@@ -583,11 +627,15 @@ def _checkpoint_is_a_list(payload):
     return [payload]
 
 
+def _architecture_empty_extractor(payload):
+    payload["architecture"]["extractor_widths"] = []
+
+
 @pytest.mark.parametrize(
     "corrupt", [_infinite_log_noise, _zero_reward_std, _architecture_unknown_key,
                 _architecture_missing_field, _string_reward_mean, _normalization_unknown_key,
                 _string_has_kernel, _kernel_params_unknown_key, _boolean_log_noise,
-                _overflowing_log_noise, _checkpoint_is_a_list],
+                _overflowing_log_noise, _checkpoint_is_a_list, _architecture_empty_extractor],
     ids=lambda f: f.__name__.strip("_"),
 )
 def test_corrupt_checkpoint_exits_1(pipeline, tmp_path, capsys, corrupt):
@@ -597,6 +645,25 @@ def test_corrupt_checkpoint_exits_1(pipeline, tmp_path, capsys, corrupt):
     bad.write_text(json.dumps(payload if replaced is None else replaced))
     shutil.copy(weights_path(pipeline["ckpt"]), weights_path(bad))
     _eval_kshot_exits_1_naming_bad_json(pipeline, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("command", ["eval-kshot", "eval-deploy"])
+def test_patch_shape_not_the_models_exits_1(pipeline, tmp_path, capsys, command):
+    """Test datasets that are valid files, but whose patches are narrower
+    than the checkpoint architecture's, are refused where they are loaded."""
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    for path in sorted((data / "tasks").glob("test-*.json")):
+        payload = json.loads(path.read_text())
+        payload["patch_shape"][2] //= 2
+        path.write_text(json.dumps(payload))
+        patches = np.load(patches_path(path))
+        np.save(patches_path(path), np.ascontiguousarray(patches[..., : payload["patch_shape"][2]]))
+    argv = [command, "--model", str(pipeline["ckpt"]), "--data", str(data), "--out", str(tmp_path / "out")]
+    if command == "eval-kshot":
+        argv += ["--shots", "0,3"]  # a 30-record dataset has a 6-record support pool
+    assert cli.main(argv) == 1
+    assert "test-00.json" in capsys.readouterr().err
 
 
 def _eval_kshot_exits_1_naming_bad_json(pipeline, tmp_path, capsys):

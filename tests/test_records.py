@@ -6,16 +6,31 @@ import math
 import re
 import typing
 
+import numpy as np
 import pytest
 
 from scoopgp.checkpoint import Checkpoint, Normalization
+from scoopgp.cli import KShotTable, Suite, SuiteTask
 from scoopgp.data import DatasetHeader, RecordEntry
 from scoopgp.decision import EpisodeStep, EpisodeTrace
 from scoopgp.gp import KernelParams
-from scoopgp.model import Architecture, ScoopAction, TrajectoryConstants, record_dict, record_from_dict
-from scoopgp.terrain import LatentMaterial
+from scoopgp.model import (
+    Architecture,
+    ScoopAction,
+    TrajectoryConstants,
+    read_record,
+    record_dict,
+    record_from_dict,
+)
+from scoopgp.terrain import LatentMaterial, TerrainInstance
 
 _ACTION = ScoopAction(0.25, 0.4, 3, 0.05, 1)
+_MATERIALS = [LatentMaterial("loam", (0.2, 0.5, 0.9), 0.3, 40.0, 0.05, 0.02, 1.5, 0),
+              LatentMaterial("clay", (0.6, 0.4, 0.3), 0.1, 20.0, 0.04, 0.03, 0.5, 1)]
+# a one-cell terrain: records holding it compare by ==, as its 1x1 grids do
+_TERRAIN = TerrainInstance(np.array([[0]]), np.array([[0.015]]), _MATERIALS, "Layers", 4,
+                           np.array([[1]]), 0.05, (0.01, 0.01), 0.01)
+_SUITE_TASK = SuiteTask("test-00", True, "Layers", _TERRAIN)
 RECORDS = [
     TrajectoryConstants(),
     _ACTION,
@@ -28,6 +43,9 @@ RECORDS = [
     RecordEntry(_ACTION, 12.5),
     DatasetHeader(2, "test-00", (4, 16, 16), TrajectoryConstants(), {"collect_seed": 3},
                   [RecordEntry(_ACTION, 12.5), RecordEntry(ScoopAction(0.5, 0.1, 0, 0.08, 0), -1.0)]),
+    _SUITE_TASK,
+    Suite(1, 3, 4, 2, 30, [SuiteTask("train-00", False, "Layers", _TERRAIN), _SUITE_TASK]),
+    KShotTable("dkmt", 2, 0, [0, 5], {"test-00": {"0": 12.5, "5": 9.25}}, {"0": 12.5, "5": 9.25}),
 ]
 # one JSON value of each kind; a field refuses every kind its annotation does not take
 WRONG = {
@@ -109,3 +127,39 @@ def test_trace_reads_optional_fault_and_checks_attempts():
                               ("attempts", 2, "attempts 2"), ("attempts", True, "attempts True")]:
         with pytest.raises(ValueError, match=match):
             EpisodeTrace.from_dict({**trace.to_dict(), key: value})
+
+
+def test_a_class_own_reader_is_used_at_top_level_and_nested():
+    trace = EpisodeTrace("t", "ucb(2)", 10.0, 20, [RECORDS[5]], success=True, meta={"method": "sl"})
+    assert record_from_dict(EpisodeTrace, json.loads(json.dumps(trace.to_dict()))) == trace  # attempts read
+    assert record_from_dict(TerrainInstance, _json(_TERRAIN)) == _TERRAIN
+    nested = {**_json(_SUITE_TASK), "terrain": {**_json(_TERRAIN), "surface": [[0.5]]}}
+    with pytest.raises(ValueError, match="a grid must be"):
+        record_from_dict(SuiteTask, nested)
+    for key in ("surface", "heightfield", "hidden"):
+        terrain = _json(_TERRAIN)
+        del terrain[key]  # refused by name, never read as a missing grid
+        with pytest.raises(ValueError, match="TerrainInstance needs an object with the keys"):
+            record_from_dict(SuiteTask, {**_json(_SUITE_TASK), "terrain": terrain})
+    with pytest.raises(ValueError, match="success flag"):
+        record_from_dict(EpisodeTrace, {**trace.to_dict(), "threshold": 40.0})  # fails validate()
+
+
+class _Refused(ValueError):
+    pass
+
+
+def test_read_record_checks_the_schema_and_names_where():
+    checkpoint = RECORDS[7]
+    text = json.dumps(record_dict(checkpoint))
+    assert read_record(Checkpoint, text, "ckpt.json", schema=2) == checkpoint
+    assert read_record(Checkpoint, text, "ckpt.json") == checkpoint
+    for bad, match in [
+        (text[:-1], "ckpt.json: not JSON: "),
+        ("[2]", "ckpt.json: schema_version None not supported"),
+        (json.dumps({**record_dict(checkpoint), "schema_version": 1}), "ckpt.json: schema_version 1 not supported"),
+        (json.dumps({**record_dict(checkpoint), "schema_version": True}), "ckpt.json: schema_version True"),
+        (json.dumps({**record_dict(checkpoint), "seed": "2"}), "ckpt.json: Checkpoint.seed"),
+    ]:
+        with pytest.raises(_Refused, match=re.escape(match)):
+            read_record(Checkpoint, bad, "ckpt.json", schema=2, error=_Refused)

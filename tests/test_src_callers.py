@@ -30,8 +30,6 @@ KEEP = {
     "model.DeepGPModel.predict_batch": "perfbench times model.predict through it",
     # scripts/paper_grid_step.py times a live step on the paper grid
     "decision.ActionGrid.paper_scale": "the paper-scale grid of scripts/paper_grid_step.py",
-    # argparse calls it for a flag it refuses
-    "cli._Parser.error": "argparse's hook that makes a refused flag a ConfigError",
 }
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -24,6 +25,8 @@ from scoopgp.model import (
     TrajectoryConstants,
     action_rows,
     feature_matrix,
+    record_dict,
+    record_from_dict,
 )
 
 
@@ -510,10 +513,15 @@ def test_suite_reward_scale(suite):
 
 
 def test_terrain_dict_roundtrip(suite):
+    """record_dict writes a terrain's grids as nested lists; read back
+    after a JSON round trip, every field is the terrain's, bit for bit."""
     _, test = suite
     t = test[3].terrain
-    back = terrain.TerrainInstance.from_dict(t.to_dict())
-    assert np.array_equal(back.surface, t.surface)
-    assert np.allclose(back.heightfield, t.heightfield, atol=1e-6)
-    assert back.layer_depth == t.layer_depth
-    assert back.materials[0].id == t.materials[0].id
+    assert t.hidden is not None
+    back = record_from_dict(terrain.TerrainInstance, json.loads(json.dumps(record_dict(t))))
+    for name in ("surface", "heightfield", "hidden"):
+        assert getattr(back, name).dtype == getattr(t, name).dtype
+        assert getattr(back, name).tobytes() == getattr(t, name).tobytes()
+    assert back.materials == t.materials
+    assert (back.composition, back.seed, back.layer_depth, back.extent, back.cell) == (
+        t.composition, t.seed, t.layer_depth, t.extent, t.cell)
