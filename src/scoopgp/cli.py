@@ -161,7 +161,6 @@ def load_suite_terrains(data_dir: Path) -> dict[str, TerrainTask]:
 def cmd_train(args) -> None:
     data_dir = _require_dir(_resolve(args.data), "data")
     view = "oracle" if args.method == "kcmd-manual" else "learner"
-    tasks = [load_task_dataset(p, view=view) for p in _task_files(data_dir, "train")]
     cfg = TrainConfig(
         k_folds=args.k_folds,
         patience=args.patience,
@@ -171,6 +170,7 @@ def cmd_train(args) -> None:
         max_epochs_meta=args.max_epochs_meta,
         split_rule=args.split_rule,
     )
+    tasks = [load_task_dataset(p, view=view, arch=cfg.arch) for p in _task_files(data_dir, "train")]
     try:
         cfg.validate(n_tasks=len(tasks) if args.method.startswith("kcmd") else None)
     except ValueError as err:
@@ -212,42 +212,42 @@ def cmd_eval_deploy(args) -> None:
     task_filter = set(args.tasks.split(",")) if args.tasks else None
     worlds = load_suite_terrains(data_dir) if args.mode == "live" else {}
 
+    lines = []
+    for task_index, path in enumerate(_task_files(data_dir, "test")):
+        ds = load_task_dataset(path, view="learner", arch=model.arch)
+        if task_filter and ds.task_id not in task_filter:
+            continue
+        threshold = compute_threshold(ds.records)
+        for rep in range(args.reps):
+            if args.mode == "live":
+                if ds.task_id not in worlds:
+                    raise ConfigError(f"data: suite.json lacks terrain for {ds.task_id}")
+                env_seed = args.seed * 99_991 + task_index * 101 + rep
+                env = LiveEnvironment(worlds[ds.task_id], ActionGrid(), seed=env_seed)
+                trace = run_episode(model, env, threshold, args.max_attempts, policy)
+            elif rep == 0:
+                # replay draws nothing at random, so every repetition
+                # is this one episode and only meta.rep differs
+                env_seed = None
+                env = ReplayEnvironment(ds)
+                trace = run_episode(model, env, threshold, args.max_attempts, policy)
+            trace.meta = {
+                "mode": args.mode,
+                "method": meta.method,
+                "model_seed": meta.seed,
+                "eval_seed": args.seed,
+                "rep": rep,
+                "env_seed": env_seed,
+            }
+            trace.validate()
+            lines.append(json.dumps(trace.to_dict()) + "\n")
+    if not lines:
+        raise ConfigError("tasks: filter matched no test tasks")
+    # written once every trace exists, so a refused input leaves an earlier file whole
     out = _resolve(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    n_traces = 0
-    with out.open("w") as fh:
-        for task_index, path in enumerate(_task_files(data_dir, "test")):
-            ds = load_task_dataset(path, view="learner", arch=model.arch)
-            if task_filter and ds.task_id not in task_filter:
-                continue
-            threshold = compute_threshold(ds.records)
-            for rep in range(args.reps):
-                if args.mode == "live":
-                    if ds.task_id not in worlds:
-                        raise ConfigError(f"data: suite.json lacks terrain for {ds.task_id}")
-                    env_seed = args.seed * 99_991 + task_index * 101 + rep
-                    env = LiveEnvironment(worlds[ds.task_id], ActionGrid(), seed=env_seed)
-                    trace = run_episode(model, env, threshold, args.max_attempts, policy)
-                elif rep == 0:
-                    # replay draws nothing at random, so every repetition
-                    # is this one episode and only meta.rep differs
-                    env_seed = None
-                    env = ReplayEnvironment(ds)
-                    trace = run_episode(model, env, threshold, args.max_attempts, policy)
-                trace.meta = {
-                    "mode": args.mode,
-                    "method": meta.method,
-                    "model_seed": meta.seed,
-                    "eval_seed": args.seed,
-                    "rep": rep,
-                    "env_seed": env_seed,
-                }
-                trace.validate()
-                fh.write(json.dumps(trace.to_dict()) + "\n")
-                n_traces += 1
-    if n_traces == 0:
-        raise ConfigError("tasks: filter matched no test tasks")
-    print(f"eval-deploy: {n_traces} traces ({args.mode}) -> {out}")
+    out.write_text("".join(lines))
+    print(f"eval-deploy: {len(lines)} traces ({args.mode}) -> {out}")
 
 
 # --- eval-kshot -----------------------------------------------------------------

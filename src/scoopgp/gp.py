@@ -3,9 +3,10 @@
 RBF kernel, posterior prediction over residuals, and the negative log
 marginal likelihood with its analytic gradient. All hyperparameters are
 stored in log space so the exponentiated values stay positive. Every
-posterior is a Posterior, whose support grows a row at a time, so
-deployment never refactorizes it; the NLML, and a row whose pivot is
-not positive, go through a Cholesky factor with escalating jitter.
+posterior is a Posterior, whose support grows a row at a time in place,
+in buffers that double when full and beside its rows' squared norms, so
+deployment never refactorizes or re-copies it; the NLML, and a row whose
+pivot is not positive, go through a Cholesky factor with escalating jitter.
 """
 from __future__ import annotations
 
@@ -74,12 +75,13 @@ def rbf(z1: np.ndarray, z2: np.ndarray, kp: KernelParams) -> float:
     return kp.outputscale * math.exp(-d2 / (2.0 * kp.lengthscale**2))
 
 
-def sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+def sq_dists(A: np.ndarray, B: np.ndarray, a2=None, b2=None) -> np.ndarray:
     """Squared Euclidean distances between the rows of A and of B:
-    ||a||^2 + ||b||^2 - 2 a.b, clipped against tiny negative round-off."""
-    a2 = np.sum(A * A, axis=1)[:, None]
-    b2 = np.sum(B * B, axis=1)[None, :]
-    d2 = a2 + b2 - 2.0 * (A @ B.T)
+    ||a||^2 + ||b||^2 - 2 a.b, clipped against tiny negative round-off.
+    a2 and b2 are the rows' squared norms, computed here unless given."""
+    a2 = np.sum(A * A, axis=1) if a2 is None else a2
+    b2 = np.sum(B * B, axis=1) if b2 is None else b2
+    d2 = a2[:, None] + b2[None, :] - 2.0 * (A @ B.T)
     return np.maximum(d2, 0.0)
 
 
@@ -92,10 +94,10 @@ def gram(Z: np.ndarray, kp: KernelParams) -> np.ndarray:
     return 0.5 * (K + K.T) + (kp.noise**2) * np.eye(len(K))
 
 
-def cross_gram(Zq: np.ndarray, Zs: np.ndarray, kp: KernelParams) -> np.ndarray:
+def cross_gram(Zq: np.ndarray, Zs: np.ndarray, kp: KernelParams, q2=None, s2=None) -> np.ndarray:
     Zq = np.atleast_2d(np.asarray(Zq, dtype=np.float64))
     Zs = np.atleast_2d(np.asarray(Zs, dtype=np.float64))
-    d2 = sq_dists(Zq, Zs)
+    d2 = sq_dists(Zq, Zs, q2, s2)
     return kp.outputscale * np.exp(-d2 / (2.0 * kp.lengthscale**2))
 
 
@@ -146,36 +148,54 @@ class Posterior:
     factor Q (Q Kbar Q^T = I), w = Q y, V = Q K(Z, Zq), the means V^T w and V's
     column sums of squares, so a row costs matrix-vector products. A pivot that is
     not positive refactors the support through cholesky_with_jitter, whose jitter
-    stays on each later row's diagonal: a larger support holds the same block."""
+    stays on each later row's diagonal: a larger support holds the same block.
+    Z, y, w, V, Q and the rows' squared norms live in buffers that double when
+    full; each attribute is a view of the first n rows (and columns) of its own."""
+
+    Z = property(lambda self: self._Z[: self.n])
+    y = property(lambda self: self._y[: self.n])
+    w = property(lambda self: self._w[: self.n])
+    V = property(lambda self: self._V[: self.n])
+    Q = property(lambda self: self._Q[: self.n, : self.n])
 
     def __init__(self, kp: KernelParams, query_Z: np.ndarray):
-        self.kp, self.jitter = kp, 0.0
-        self.Z, self.y = np.empty((0, np.shape(query_Z)[-1])), np.empty(0)
-        self.Q, self.w = np.empty((0, 0)), np.empty(0)
+        self.kp, self.jitter, self.n = kp, 0.0, 0
+        self._Z, self._z2 = np.empty((1, np.shape(query_Z)[-1])), np.empty(1)
+        self._y, self._w, self._Q = np.empty(1), np.empty(1), np.zeros((1, 1))
         self.project(query_Z)
 
     def project(self, query_Z: np.ndarray) -> None:
         """Condition new query embeddings on the same support."""
         self.Zq = np.atleast_2d(np.asarray(query_Z, dtype=np.float64))
-        self.V = self.Q @ cross_gram(self.Z, self.Zq, self.kp)
+        self._q2 = np.sum(self.Zq * self.Zq, axis=1)
+        self._V = np.empty((len(self._y), len(self.Zq)))
+        self._V[: self.n] = self.Q @ cross_gram(self.Z, self.Zq, self.kp, self._z2[: self.n], self._q2)
         self.means, self.sumsq = self.V.T @ self.w, np.sum(self.V * self.V, axis=0)
 
     def grow(self, z: np.ndarray, y: float) -> None:
         """Add a support row: embedding z with residual y."""
+        n, kp = self.n, self.kp
         z = np.asarray(z, dtype=np.float64).reshape(1, -1)
-        row = self.Q @ cross_gram(self.Z, z, self.kp)[:, 0]  # the new row of the factor
-        pivot = self.kp.outputscale + self.kp.noise**2 + self.jitter - row @ row
-        self.Z, self.y = np.vstack([self.Z, z]), np.append(self.y, y)
+        z2 = np.sum(z * z, axis=1)
+        row = self.Q @ cross_gram(self.Z, z, kp, self._z2[:n], z2)[:, 0]  # the new row of the factor
+        pivot = kp.outputscale + kp.noise**2 + self.jitter - row @ row
+        if n == len(self._y):  # full: double every buffer
+            self._Z, self._z2, self._y, self._w, self._V = (
+                np.concatenate([a, np.empty_like(a)]) for a in (self._Z, self._z2, self._y, self._w, self._V)
+            )
+            self._Q = np.pad(self._Q, (0, n))
+        self._Z[n], self._z2[n], self._y[n] = z[0], z2[0], y
         if pivot > 0.0:
             d = math.sqrt(pivot)
-            self.Q = np.block([[self.Q, np.zeros((len(row), 1))], [-(row @ self.Q) / d, 1.0 / d]])
-            w, v = (y - row @ self.w) / d, (cross_gram(z, self.Zq, self.kp)[0] - row @ self.V) / d
-            self.w, self.V = np.append(self.w, w), np.vstack([self.V, v])
+            self._Q[n, :n], self._Q[n, n] = -(row @ self.Q) / d, 1.0 / d
+            w, v = (y - row @ self.w) / d, (cross_gram(z, self.Zq, kp, z2, self._q2)[0] - row @ self.V) / d
+            self._w[n], self._V[n], self.n = w, v, n + 1
             self.means, self.sumsq = self.means + w * v, self.sumsq + v * v
         else:  # NaN too
-            L, self.jitter = cholesky_with_jitter(gram(self.Z, self.kp))
-            self.Q = np.linalg.inv(L)
-            self.w = self.Q @ self.y
+            self.n = n + 1
+            L, self.jitter = cholesky_with_jitter(gram(self.Z, kp))
+            Q = np.linalg.inv(L)
+            self._Q[: n + 1, : n + 1], self._w[: n + 1] = Q, Q @ self.y
             self.project(self.Zq)
 
     def predict(self) -> tuple[np.ndarray, np.ndarray]:

@@ -309,6 +309,46 @@ def posterior_batch_reference(support_Z, residuals, query_Z, kp):
     return means, np.maximum(variances, gp.VARIANCE_FLOOR)
 
 
+class PosteriorReference:
+    """gp.Posterior as it was before its support lived in doubling buffers:
+    every row re-stacks Z, y, w, V and Q, and re-derives the squared norms
+    of the support and of the queries. The oracle for the buffered one,
+    which must give the same bytes."""
+
+    def __init__(self, kp, query_Z):
+        self.kp, self.jitter = kp, 0.0
+        self.Z, self.y = np.empty((0, np.shape(query_Z)[-1])), np.empty(0)
+        self.Q, self.w = np.empty((0, 0)), np.empty(0)
+        self.project(query_Z)
+
+    def project(self, query_Z):
+        self.Zq = np.atleast_2d(np.asarray(query_Z, dtype=np.float64))
+        self.V = self.Q @ gp.cross_gram(self.Z, self.Zq, self.kp)
+        self.means, self.sumsq = self.V.T @ self.w, np.sum(self.V * self.V, axis=0)
+
+    def grow(self, z, y):
+        z = np.asarray(z, dtype=np.float64).reshape(1, -1)
+        row = self.Q @ gp.cross_gram(self.Z, z, self.kp)[:, 0]
+        pivot = self.kp.outputscale + self.kp.noise**2 + self.jitter - row @ row
+        self.Z, self.y = np.vstack([self.Z, z]), np.append(self.y, y)
+        if pivot > 0.0:
+            d = math.sqrt(pivot)
+            self.Q = np.block([[self.Q, np.zeros((len(row), 1))], [-(row @ self.Q) / d, 1.0 / d]])
+            w, v = (y - row @ self.w) / d, (gp.cross_gram(z, self.Zq, self.kp)[0] - row @ self.V) / d
+            self.w, self.V = np.append(self.w, w), np.vstack([self.V, v])
+            self.means, self.sumsq = self.means + w * v, self.sumsq + v * v
+        else:
+            L, self.jitter = gp.cholesky_with_jitter(gp.gram(self.Z, self.kp))
+            self.Q = np.linalg.inv(L)
+            self.w = self.Q @ self.y
+            self.project(self.Zq)
+
+    def predict(self):
+        if not len(self.y):
+            return np.zeros(len(self.Zq)), np.full(len(self.Zq), self.kp.outputscale + self.kp.noise**2)
+        return self.means, np.maximum(self.kp.outputscale - self.sumsq, gp.VARIANCE_FLOOR)
+
+
 def rbf_gram_reference(Z, kp) -> np.ndarray:
     """The noiseless kernel matrix of embeddings Z, one gp.rbf per entry."""
     return np.array([[gp.rbf(a, b, kp) for b in Z] for a in Z])

@@ -647,23 +647,49 @@ def test_corrupt_checkpoint_exits_1(pipeline, tmp_path, capsys, corrupt):
     _eval_kshot_exits_1_naming_bad_json(pipeline, tmp_path, capsys)
 
 
-@pytest.mark.parametrize("command", ["eval-kshot", "eval-deploy"])
-def test_patch_shape_not_the_models_exits_1(pipeline, tmp_path, capsys, command):
-    """Test datasets that are valid files, but whose patches are narrower
-    than the checkpoint architecture's, are refused where they are loaded."""
-    data = tmp_path / "data"
-    shutil.copytree(pipeline["data"], data)
-    for path in sorted((data / "tasks").glob("test-*.json")):
+def _narrowed_copy(data, tmp_path):
+    """A copy of a suite whose every dataset holds patches half as wide,
+    (4, 16, 8), as valid files."""
+    narrowed = tmp_path / "narrowed"
+    shutil.copytree(data, narrowed)
+    for path in sorted((narrowed / "tasks").glob("*.json")):
         payload = json.loads(path.read_text())
         payload["patch_shape"][2] //= 2
         path.write_text(json.dumps(payload))
         patches = np.load(patches_path(path))
         np.save(patches_path(path), np.ascontiguousarray(patches[..., : payload["patch_shape"][2]]))
-    argv = [command, "--model", str(pipeline["ckpt"]), "--data", str(data), "--out", str(tmp_path / "out")]
+    return narrowed
+
+
+@pytest.mark.parametrize("command", ["eval-kshot", "eval-deploy", "train"])
+def test_patch_shape_not_the_models_exits_1(pipeline, tmp_path, capsys, command):
+    """Datasets that are valid files, but whose patches are narrower than
+    the architecture's (the checkpoint's, or the default one that train
+    builds), are refused where they are loaded."""
+    data = _narrowed_copy(pipeline["data"], tmp_path)
+    if command == "train":
+        argv, first = ["train", "--method", "sl", "--out", str(tmp_path / "m.json")], "train-00.json"
+    else:
+        argv, first = [command, "--model", str(pipeline["ckpt"]), "--out", str(tmp_path / "out")], "test-00.json"
+    argv += ["--data", str(data)]
     if command == "eval-kshot":
         argv += ["--shots", "0,3"]  # a 30-record dataset has a 6-record support pool
     assert cli.main(argv) == 1
+    assert first in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_refused_eval_deploy_keeps_an_earlier_trace_file(pipeline, tmp_path, capsys):
+    """eval-deploy writes its trace file once every trace exists, so a run
+    that refuses a dataset leaves the file of an earlier run byte for byte."""
+    out = tmp_path / "t.jsonl"
+    argv = ["eval-deploy", "--model", str(pipeline["ckpt"]), "--out", str(out), "--max-attempts", "3", "--reps", "1"]
+    assert cli.main([*argv, "--data", str(pipeline["data"])]) == 0
+    written = out.read_bytes()
+    assert written.count(b"\n") == 2
+    assert cli.main([*argv, "--data", str(_narrowed_copy(pipeline["data"], tmp_path))]) == 1
     assert "test-00.json" in capsys.readouterr().err
+    assert out.read_bytes() == written
 
 
 def _eval_kshot_exits_1_naming_bad_json(pipeline, tmp_path, capsys):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from helpers import (
+    PosteriorReference,
     gram_objective_reference,
     nlml_reference,
     nlml_terms_reference,
@@ -154,6 +155,37 @@ def test_growing_matches_reprojecting_and_fresh_builds():
         got = grown.predict()
         assert [a.tobytes() for a in got] == [a.tobytes() for a in fresh]
         assert_close_posteriors(got, projected.predict(), kp, 1e-12)
+
+
+def _state_bytes(post) -> list[bytes]:
+    return [a.tobytes() for a in (*post.predict(), post.Z, post.y, post.Q, post.w, post.V, post.Zq)]
+
+
+@pytest.mark.parametrize("m", [1, 13, 100, 1196])
+def test_buffered_posterior_is_the_reference_byte_for_byte(m):
+    """After every grow and project, the posterior in doubling buffers with
+    cached norms gives the bytes of the one that re-stacks every row:
+    support sizes 0-130 cross each doubling, rows repeated with noise
+    e^-20 leave a pivot that is not positive mid-sequence, and new
+    queries are projected between grows."""
+    rng = np.random.default_rng(m)
+    kp = gp.KernelParams(log_lengthscale=-0.3, log_outputscale=5.0, log_noise=-20.0)
+    Z, y = embeddings(rng, 130), rng.normal(size=130)
+    Z[[40, 55, 70, 85, 100]] = Z[[3, 9, 12, 20, 31]]
+    Zq = embeddings(rng, m)
+    got, expected = gp.Posterior(kp, Zq), PosteriorReference(kp, Zq)
+    assert _state_bytes(got) == _state_bytes(expected)
+    for k in range(130):
+        got.grow(Z[k], y[k])
+        expected.grow(Z[k], y[k])
+        assert _state_bytes(got) == _state_bytes(expected), k
+        if k % 40 == 25:
+            Zq = embeddings(rng, m)
+            got.project(Zq)
+            expected.project(Zq)
+            assert _state_bytes(got) == _state_bytes(expected), k
+    assert expected.jitter > 0.0 and got.jitter == expected.jitter
+    assert 0 < len(got.y) <= len(got._y) < 2 * len(got.y)
 
 
 def test_non_positive_pivot_refactors_with_jitter(monkeypatch):
