@@ -51,6 +51,8 @@ from .terrain import (
 from .training import TrainConfig, train_dkmt, train_kcmd, train_sl
 
 METHODS = ("sl", "dkmt", "kcmd-ot", "kcmd-random", "kcmd-manual")
+# the TrainConfig fields that train sets from its flags of the same names
+TRAIN_FLAGS = ("seed", "k_folds", "patience", "batch_size", "max_epochs_mean", "max_epochs_meta", "split_rule")
 SUITE_SCHEMA = 1
 
 
@@ -117,12 +119,6 @@ def _task_files(data_dir: Path, prefix: str) -> list[Path]:
 
 
 def cmd_gen_data(args) -> None:
-    if args.samples < 5:
-        raise ConfigError("samples: need at least 5 records per task (threshold rule)")
-    if args.n_train < 2 or args.n_test < 1:
-        raise ConfigError("n-train, n-test: need at least 2 training and 1 test task")
-    if args.seed < 0:
-        raise ConfigError("seed: must be nonnegative")
     out = _resolve(args.out)
     (out / "tasks").mkdir(parents=True, exist_ok=True)
     train_tasks, test_tasks = generate_suite(args.seed, args.n_train, args.n_test)
@@ -161,16 +157,14 @@ def load_suite_terrains(data_dir: Path) -> dict[str, TerrainTask]:
 def cmd_train(args) -> None:
     data_dir = _require_dir(_resolve(args.data), "data")
     view = "oracle" if args.method == "kcmd-manual" else "learner"
-    cfg = TrainConfig(
-        k_folds=args.k_folds,
-        patience=args.patience,
-        seed=args.seed,
-        batch_size=args.batch_size,
-        max_epochs_mean=args.max_epochs_mean,
-        max_epochs_meta=args.max_epochs_meta,
-        split_rule=args.split_rule,
-    )
-    tasks = [load_task_dataset(p, view=view, arch=cfg.arch) for p in _task_files(data_dir, "train")]
+    cfg = TrainConfig(**{name: getattr(args, name) for name in TRAIN_FLAGS})
+    paths = _task_files(data_dir, "train")
+    tasks = [load_task_dataset(p, view=view, arch=cfg.arch) for p in paths]
+    if view == "oracle":  # kcmd-manual splits by these ids
+        for path, ds in zip(paths, tasks):
+            materials = (ds.ground_truth or {}).get("materials")
+            if not (isinstance(materials, list) and materials and all(isinstance(m, str) for m in materials)):
+                raise ConfigError(f"data: {path}: ground_truth has no non-empty list of string materials")
     try:
         cfg.validate(n_tasks=len(tasks) if args.method.startswith("kcmd") else None)
     except ValueError as err:
@@ -196,28 +190,20 @@ def cmd_train(args) -> None:
 
 
 def cmd_eval_deploy(args) -> None:
-    if args.gamma < 0:
-        raise ConfigError("gamma: must be nonnegative")
-    if args.max_attempts < 1:
-        raise ConfigError("max-attempts: must be positive")
-    if args.reps < 1:
-        raise ConfigError("reps: must be positive")
-    if args.seed < 0:
-        raise ConfigError("seed: must be nonnegative")
     data_dir = _require_dir(_resolve(args.data), "data")
     model, meta = load_checkpoint(_resolve(args.model))
     # auto is greedy for a model without a kernel, which has no variance
     greedy = args.policy == "greedy" or (args.policy == "auto" and not model.has_kernel)
     policy = Policy.greedy() if greedy else Policy.ucb(args.gamma)
-    task_filter = set(args.tasks.split(",")) if args.tasks else None
     worlds = load_suite_terrains(data_dir) if args.mode == "live" else {}
 
     lines = []
     for task_index, path in enumerate(_task_files(data_dir, "test")):
         ds = load_task_dataset(path, view="learner", arch=model.arch)
-        if task_filter and ds.task_id not in task_filter:
-            continue
-        threshold = compute_threshold(ds.records)
+        try:
+            threshold = compute_threshold(ds.records)
+        except ValueError as err:
+            raise ConfigError(f"data: {path}: threshold rule: {err}") from err
         for rep in range(args.reps):
             if args.mode == "live":
                 if ds.task_id not in worlds:
@@ -241,8 +227,6 @@ def cmd_eval_deploy(args) -> None:
             }
             trace.validate()
             lines.append(json.dumps(trace.to_dict()) + "\n")
-    if not lines:
-        raise ConfigError("tasks: filter matched no test tasks")
     # written once every trace exists, so a refused input leaves an earlier file whole
     out = _resolve(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -254,14 +238,7 @@ def cmd_eval_deploy(args) -> None:
 
 
 def cmd_eval_kshot(args) -> None:
-    try:
-        shots = sorted({int(s) for s in args.shots.split(",")})
-    except ValueError as err:
-        raise ConfigError(f"shots: {args.shots!r} is not a comma list of ints") from err
-    if args.seed < 0:
-        raise ConfigError("seed: must be nonnegative")
-    if shots[0] < 0:
-        raise ConfigError("shots: must be nonnegative")
+    shots = args.shots
     data_dir = _require_dir(_resolve(args.data), "data")
     model, meta = load_checkpoint(_resolve(args.model))
 
@@ -271,7 +248,7 @@ def cmd_eval_kshot(args) -> None:
         n = len(ds)
         n_query = round(0.8 * n)
         pool_size = n - n_query
-        if shots and shots[-1] > pool_size:
+        if shots[-1] > pool_size:
             raise ConfigError(
                 f"shots: {shots[-1]} exceeds the {pool_size}-record support pool"
             )
@@ -317,58 +294,44 @@ def aggregate_metrics(traces: list[EpisodeTrace], mae_tables: list[KShotTable]) 
     Failed trials count at their attempt cap and are flagged: the cap is
     a floor on the attempts a failed trial would have needed.
     """
-    deploy: dict[str, dict] = {}
     rows = []
     for tr in traces:
         if "method" not in tr.meta or "model_seed" not in tr.meta:
             raise ConfigError("traces: missing method/model_seed meta (mixed schema?)")
-        method = tr.meta["method"]
-        seed = tr.meta["model_seed"]
-        counted = tr.attempts if tr.success else tr.max_attempts
         rows.append(
             {
-                "method": method,
-                "model_seed": seed,
+                "method": tr.meta["method"],
+                "model_seed": tr.meta["model_seed"],
                 "task_id": tr.task_id,
                 "rep": tr.meta.get("rep"),
-                "attempts": counted,
+                "attempts": tr.attempts if tr.success else tr.max_attempts,
                 "success": tr.success,
             }
         )
-        bucket = deploy.setdefault(
-            method, {"attempts": [], "failures": 0, "per_seed": {}}
-        )
-        bucket["attempts"].append(counted)
-        bucket["failures"] += 0 if tr.success else 1
-        bucket["per_seed"].setdefault(str(seed), []).append(counted)
     deploy_summary = {}
-    for method, b in sorted(deploy.items()):
-        per_seed_mean = {s: float(np.mean(v)) for s, v in sorted(b["per_seed"].items())}
+    for method in sorted({row["method"] for row in rows}):
+        mine = [row for row in rows if row["method"] == method]
+        attempts = [row["attempts"] for row in mine]
+        seeds = sorted({str(row["model_seed"]) for row in mine})
         deploy_summary[method] = {
-            "mean_attempts": float(np.mean(b["attempts"])),
-            "max_attempts": int(np.max(b["attempts"])),
-            "n_trials": len(b["attempts"]),
-            "n_failures": b["failures"],
-            "per_seed_mean": per_seed_mean,
+            "mean_attempts": float(np.mean(attempts)),
+            "max_attempts": int(np.max(attempts)),
+            "n_trials": len(mine),
+            "n_failures": sum(not row["success"] for row in mine),
+            "per_seed_mean": {
+                s: float(np.mean([row["attempts"] for row in mine if str(row["model_seed"]) == s]))
+                for s in seeds
+            },
         }
 
-    accuracy: dict[str, dict] = {}
-    accuracy_seeds: dict[str, dict] = {}
-    for table in mae_tables:
-        bucket = accuracy.setdefault(table.method, {})
-        for k, v in table.mean.items():
-            bucket.setdefault(k, []).append(v)
-        accuracy_seeds.setdefault(table.method, {})[str(table.model_seed)] = table.mean
-    accuracy_summary = {
-        method: {
-            "mean": {
-                k: float(np.mean(v))
-                for k, v in sorted(b.items(), key=lambda kv: int(kv[0]))
-            },
-            "per_seed": accuracy_seeds[method],
+    accuracy_summary = {}
+    for method in sorted({t.method for t in mae_tables}):
+        mine = [t for t in mae_tables if t.method == method]
+        shots = sorted(dict.fromkeys(k for t in mine for k in t.mean), key=int)
+        accuracy_summary[method] = {
+            "mean": {k: float(np.mean([t.mean[k] for t in mine if k in t.mean])) for k in shots},
+            "per_seed": {str(t.model_seed): t.mean for t in mine},
         }
-        for method, b in sorted(accuracy.items())
-    }
     return {"deploy": deploy_summary, "kshot_mae": accuracy_summary, "rows": rows}
 
 
@@ -470,29 +433,47 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+def _at_least(low, kind=int):
+    """An argparse type: a finite kind value of at least low."""
+    def parse(text: str):
+        value = kind(text)
+        if not low <= value < np.inf:  # NaN fails both comparisons
+            raise argparse.ArgumentTypeError(f"must be finite and at least {low}, not {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in "invalid int value: 'abc'"
+    return parse
+
+
+def _shot_list(text: str) -> list[int]:
+    """An argparse type: a comma list of ints of at least 0, returned sorted without repeats."""
+    try:
+        return sorted({_at_least(0)(s) for s in text.split(",")})
+    except (ValueError, argparse.ArgumentTypeError) as err:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a comma list of ints of at least 0") from err
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="scoopgp", description="few-shot scooping benchmark harness")
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen-data", help="generate a suite and offline datasets")
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_at_least(0), default=0)
     g.add_argument("--out", required=True)
-    g.add_argument("--n-train", type=int, default=12)
-    g.add_argument("--n-test", type=int, default=4)
-    g.add_argument("--samples", type=int, default=100)
+    g.add_argument("--n-train", type=_at_least(2), default=12)
+    g.add_argument("--n-test", type=_at_least(1), default=4)
+    g.add_argument("--samples", type=_at_least(5), default=100,
+                   help="records per task, at least 5 for the threshold rule")
     g.set_defaults(func=cmd_gen_data)
 
     t = sub.add_parser("train", help="train a model on the suite's training tasks")
     t.add_argument("--method", required=True, choices=METHODS)
     t.add_argument("--data", required=True)
     t.add_argument("--out", required=True)
-    t.add_argument("--seed", type=int, default=TrainConfig.seed)
-    t.add_argument("--k-folds", type=int, default=TrainConfig.k_folds)
-    t.add_argument("--patience", type=int, default=TrainConfig.patience)
-    t.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
-    t.add_argument("--max-epochs-mean", type=int, default=TrainConfig.max_epochs_mean)
-    t.add_argument("--max-epochs-meta", type=int, default=TrainConfig.max_epochs_meta)
-    t.add_argument("--split-rule", choices=SPLIT_RULES, default=TrainConfig.split_rule)
+    for name in TRAIN_FLAGS:  # their ranges are TrainConfig.validate's
+        default = getattr(TrainConfig, name)
+        t.add_argument("--" + name.replace("_", "-"), type=type(default), default=default,
+                       choices=SPLIT_RULES if name == "split_rule" else None)
     t.set_defaults(func=cmd_train)
 
     d = sub.add_parser("eval-deploy", help="simulated deployment episodes")
@@ -501,19 +482,18 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--out", required=True)
     d.add_argument("--mode", choices=("replay", "live"), default="replay")
     d.add_argument("--policy", choices=("auto", "ucb", "greedy"), default="auto")
-    d.add_argument("--gamma", type=float, default=2.0)
-    d.add_argument("--max-attempts", type=int, default=20)
-    d.add_argument("--reps", type=int, default=3)
-    d.add_argument("--seed", type=int, default=0)
-    d.add_argument("--tasks", default="")
+    d.add_argument("--gamma", type=_at_least(0.0, float), default=2.0)
+    d.add_argument("--max-attempts", type=_at_least(1), default=20)
+    d.add_argument("--reps", type=_at_least(1), default=3)
+    d.add_argument("--seed", type=_at_least(0), default=0)
     d.set_defaults(func=cmd_eval_deploy)
 
     k = sub.add_parser("eval-kshot", help="k-shot prediction accuracy")
     k.add_argument("--model", required=True)
     k.add_argument("--data", required=True)
     k.add_argument("--out", required=True)
-    k.add_argument("--shots", default="0,5,10")
-    k.add_argument("--seed", type=int, default=0)
+    k.add_argument("--shots", type=_shot_list, default="0,5,10")
+    k.add_argument("--seed", type=_at_least(0), default=0)
     k.set_defaults(func=cmd_eval_kshot)
 
     r = sub.add_parser("report", help="aggregate traces and MAE tables")

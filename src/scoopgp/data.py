@@ -37,7 +37,6 @@ from .model import (
     Architecture,
     ScoopAction,
     TrajectoryConstants,
-    action_rows,
     check_patch_shape,
     feature_rows,
     read_record,
@@ -86,19 +85,18 @@ class DatasetHeader:
 @dataclass
 class TaskDataset:
     """All scoop records collected on one terrain. features is their
-    (N, C * H * W + 2) feature_rows matrix, from the loader or built here;
-    each record's obs is a view into its row."""
+    (N, C * H * W + 2) feature_rows matrix, built here from the records'
+    patches; each record is then replaced by one whose obs views its row."""
 
     task_id: str
     records: list[ScoopRecord]
     constants: TrajectoryConstants = field(default_factory=TrajectoryConstants)
     ground_truth: dict | None = None
-    features: np.ndarray | None = field(default=None, repr=False)
+    features: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.features is None:
-            self.features = feature_rows([(r.obs, r.action) for r in self.records])
-            self.records = [ScoopRecord(p, r.action, r.reward) for p, r in zip(self.patches, self.records)]
+        self.features = feature_rows([(r.obs, r.action) for r in self.records])
+        self.records = [ScoopRecord(p, r.action, r.reward) for p, r in zip(self.patches, self.records)]
 
     def __len__(self) -> int:
         return len(self.records)
@@ -203,18 +201,10 @@ def load_task_dataset(path, view: str = "learner", arch: Architecture | None = N
             raise DatasetError(f"{path}: {err}") from err
     entries = header.records
     patches = _read_patches(patches_path(path), (len(entries), *header.patch_shape))
-    actions = [e.action for e in entries]
-    _check_records(path, patches, actions, [e.reward for e in entries])
-    X = action_rows(actions, math.prod(header.patch_shape))
-    X[:, :-2] = patches.reshape(len(entries), -1)
-    records = [
-        ScoopRecord(obs=obs, action=e.action, reward=float(e.reward))
-        for obs, e in zip(X[:, :-2].reshape(patches.shape), entries)
-    ]
+    _check_records(path, patches, [e.action for e in entries], [e.reward for e in entries])
     return TaskDataset(
         task_id=header.task_id,
-        records=records,
+        records=[ScoopRecord(obs, e.action, float(e.reward)) for obs, e in zip(patches, entries)],
         constants=header.trajectory_constants,
         ground_truth=header.ground_truth if view == "oracle" else None,
-        features=X,
     )

@@ -73,8 +73,8 @@ class Policy:
 
     @classmethod
     def ucb(cls, gamma: float = 2.0) -> "Policy":
-        if gamma < 0:
-            raise ValueError("gamma must be nonnegative")
+        if not (np.isfinite(gamma) and gamma >= 0):
+            raise ValueError(f"gamma must be finite and nonnegative, not {gamma}")
         return cls("ucb", gamma)
 
     @classmethod

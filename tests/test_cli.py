@@ -13,7 +13,7 @@ from helpers import kshot_mae_reference, terrain_dict_reference
 import scoopgp
 from scoopgp import cli
 from scoopgp.checkpoint import load_checkpoint, save_checkpoint, weights_path
-from scoopgp.data import load_task_dataset, patches_path
+from scoopgp.data import TaskDataset, load_task_dataset, patches_path, save_task_dataset
 from scoopgp.decision import EpisodeTrace
 from scoopgp.model import Architecture
 from scoopgp.terrain import generate_suite
@@ -230,7 +230,8 @@ def test_validation_errors_exit_1(pipeline, tmp_path, capsys):
          "--out", str(tmp_path / "t.jsonl"), "--max-attempts", "many"],
         ["fly"],
     ]
-    for flag, value in [("--policy", "bogus"), ("--gamma", "-1"), ("--reps", "0")]:
+    for flag, value in [("--policy", "bogus"), ("--gamma", "-1"), ("--gamma", "nan"), ("--gamma", "inf"),
+                        ("--reps", "0")]:
         bad.append(["eval-deploy", "--model", str(pipeline["ckpt"]), "--data",
                     str(pipeline["data"]), "--out", str(tmp_path / "t.jsonl"), flag, value])
     for method, flag, value in [
@@ -290,6 +291,77 @@ def test_validation_errors_exit_1(pipeline, tmp_path, capsys):
         assert where in capsys.readouterr().err
     for out in ("d", "m.json", "t.jsonl", "k.json", "r"):
         assert not (tmp_path / out).exists(), out  # refused before any output was made
+
+
+# every flag with a range: its command, the lowest value the parser
+# accepts, what that parses to, and the value just below it
+RANGED_FLAGS = [
+    ("gen-data", "--seed", "0", 0, "-1"),
+    ("gen-data", "--n-train", "2", 2, "1"),
+    ("gen-data", "--n-test", "1", 1, "0"),
+    ("gen-data", "--samples", "5", 5, "4"),
+    ("eval-deploy", "--gamma", "0", 0.0, "-5e-324"),
+    ("eval-deploy", "--max-attempts", "1", 1, "0"),
+    ("eval-deploy", "--reps", "1", 1, "0"),
+    ("eval-deploy", "--seed", "0", 0, "-1"),
+    ("eval-kshot", "--seed", "0", 0, "-1"),
+    ("eval-kshot", "--shots", "0", [0], "-1"),
+]
+
+
+@pytest.mark.parametrize("command, flag, lowest, parsed, below", RANGED_FLAGS,
+                         ids=[f"{c}{f}" for c, f, *_ in RANGED_FLAGS])
+def test_flag_range_boundaries(tmp_path, capsys, command, flag, lowest, parsed, below):
+    """The lowest value of a ranged flag parses; the value just below it
+    exits 1 before the command reads or writes a file."""
+    argv = [command, "--out", str(tmp_path / "out")]
+    if command != "gen-data":
+        argv += ["--model", str(tmp_path / "model.json"), "--data", str(tmp_path / "data")]
+    args = cli.build_parser().parse_args([*argv, f"{flag}={lowest}"])
+    assert getattr(args, flag[2:].replace("-", "_")) == parsed
+    assert cli.main([*argv, f"{flag}={below}"]) == 1
+    assert "error" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_shots_parse_sorted_without_repeats():
+    args = cli.build_parser().parse_args(["eval-kshot", "--model", "m", "--data", "d", "--out", "o",
+                                          "--shots", "5,0,5"])
+    assert args.shots == [0, 5]
+    assert cli.build_parser().parse_args(["eval-kshot", "--model", "m", "--data", "d", "--out", "o"]).shots == [0, 5, 10]
+
+
+def test_eval_deploy_on_too_few_records_exits_1(pipeline, tmp_path, capsys):
+    """A test dataset with fewer than 5 records has no success threshold."""
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    path = data / "tasks" / "test-00.json"
+    ds = load_task_dataset(path, view="oracle")
+    save_task_dataset(TaskDataset(ds.task_id, ds.records[:4], ds.constants, ds.ground_truth), path)
+    out = tmp_path / "t.jsonl"
+    assert cli.main(["eval-deploy", "--model", str(pipeline["ckpt"]), "--data", str(data),
+                     "--out", str(out), "--max-attempts", "3", "--reps", "1"]) == 1
+    assert "test-00.json" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("materials", [None, "train-1", [], [3, 7]], ids=["null", "string", "empty", "numbers"])
+def test_kcmd_manual_refuses_untyped_materials(pipeline, tmp_path, capsys, materials):
+    """kcmd-manual splits by the ground truth's material ids, so a train
+    dataset without a non-empty list of string ids is refused by name."""
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    path = data / "tasks" / "train-01.json"
+    payload = json.loads(path.read_text())
+    if materials is None:
+        payload["ground_truth"] = None
+    else:
+        payload["ground_truth"]["materials"] = materials
+    path.write_text(json.dumps(payload))
+    assert cli.main(["train", "--method", "kcmd-manual", "--data", str(data), "--out",
+                     str(tmp_path / "m.json"), "--k-folds", "2"]) == 1
+    assert "train-01.json" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_version_mismatched_checkpoint_rejected(pipeline, tmp_path):

@@ -56,8 +56,9 @@ def test_ucb_score_reductions():
     s2 = D.Policy.ucb(2.0).scores(means, variances)
     assert np.array_equal(s2, means + 2.0 * np.sqrt(variances))
     assert (variances > 0).all() and (s2 > means).all()
-    with pytest.raises(ValueError):
-        D.Policy.ucb(-1.0)
+    for gamma in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            D.Policy.ucb(gamma)
 
 
 def test_ucb_prefers_uncertain_at_equal_mean():
