@@ -18,7 +18,6 @@ Neither file is unpickled.
 from __future__ import annotations
 
 import json
-import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,7 +25,7 @@ import numpy as np
 
 from . import tensor as T
 from .gp import KernelParams
-from .model import Architecture, DeepGPModel, read_record, record_dict
+from .model import Architecture, DeepGPModel, read_arrays, read_record, record_dict
 
 SCHEMA_VERSION = 2
 
@@ -78,14 +77,10 @@ def save_checkpoint(
 
 def _read_weights(path: Path) -> dict[str, T.Tensor]:
     """The float64 arrays of the .npz file at path as trainable tensors, by name."""
-    try:
-        with path.open("rb") as fh, np.lib.npyio.NpzFile(fh, allow_pickle=False) as npz:
-            arrays = {name: npz[name] for name in npz.files}
-    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as err:
-        raise CheckpointError(f"{path}: cannot read the weights: {err}") from err
+    arrays = read_arrays(path, path, CheckpointError)
     for name, a in arrays.items():
-        if type(a) is not np.ndarray or a.dtype != np.float64:
-            raise CheckpointError(f"{path}: weight {name} is {getattr(a, 'dtype', type(a))}, not float64")
+        if a.dtype != np.float64:
+            raise CheckpointError(f"{path}: weight {name} is {a.dtype}, not float64")
         if not np.isfinite(a).all():
             raise CheckpointError(f"{path}: weight {name} has non-finite values")
     return {name: T.Tensor(a, requires_grad=True, name=name) for name, a in arrays.items()}

@@ -9,9 +9,9 @@ Subcommands:
 - report       aggregate traces and MAE tables into summaries and plots
 
 Artifacts are JSON (traces are JSON lines), except the arrays: a
-dataset's patches go to a .npy and a checkpoint's weights to a .npz
-file beside it. None carries a timestamp or an absolute path, so fixed
-seeds reproduce them byte for byte. The SCOOPGP_ARTIFACTS environment
+dataset's patches go to a .npy, a checkpoint's weights and the suite's
+terrain grids to a .npz file beside it. None carries a timestamp or an
+absolute path, so fixed seeds reproduce them byte for byte. The SCOOPGP_ARTIFACTS environment
 variable, when set, anchors relative paths.
 
 The package import pins BLAS to one thread before numpy loads, so
@@ -24,7 +24,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,9 +39,10 @@ from .decision import (
     ReplayEnvironment,
     run_episode,
 )
-from .model import JSON_NUMBERS, read_record, record_dict
+from .model import JSON_NUMBERS, read_arrays, read_record, record_dict
 from .ot import SPLIT_RULES
 from .terrain import (
+    LatentMaterial,
     TerrainInstance,
     TerrainTask,
     collect_offline,
@@ -53,7 +54,7 @@ from .training import TrainConfig, train_dkmt, train_kcmd, train_sl
 METHODS = ("sl", "dkmt", "kcmd-ot", "kcmd-random", "kcmd-manual")
 # the TrainConfig fields that train sets from its flags of the same names
 TRAIN_FLAGS = ("seed", "k_folds", "patience", "batch_size", "max_epochs_mean", "max_epochs_meta", "split_rule")
-SUITE_SCHEMA = 1
+SUITE_SCHEMA = 2
 
 
 class ConfigError(ValueError):
@@ -62,12 +63,18 @@ class ConfigError(ValueError):
 
 @dataclass
 class SuiteTask:
-    """A task in suite.json: its terrain and the composition derived from it."""
+    """A task in suite.json: its terrain's fields but the grids, which the
+    grids sidecar holds as "<task_id>/surface", "/heightfield" and, for a
+    hidden layer, "/hidden"."""
 
     task_id: str
     is_test: bool
     composition: str
-    terrain: TerrainInstance
+    materials: list[LatentMaterial]
+    seed: int
+    layer_depth: float | None
+    extent: tuple[float, float]
+    cell: float
 
 
 @dataclass
@@ -118,17 +125,39 @@ def _task_files(data_dir: Path, prefix: str) -> list[Path]:
 # --- gen-data ---------------------------------------------------------------
 
 
+def grids_path(suite_path) -> Path:
+    """The sidecar holding the grids of the suite saved as suite_path."""
+    return Path(str(suite_path) + ".grids.npz")
+
+
 def cmd_gen_data(args) -> None:
     out = _resolve(args.out)
-    (out / "tasks").mkdir(parents=True, exist_ok=True)
     train_tasks, test_tasks = generate_suite(args.seed, args.n_train, args.n_test)
+    tasks = train_tasks + test_tasks
+    # train and eval read every dataset under tasks/, so one left by another suite would join this one
+    ours = {f"{task.task_id}.json" for task in tasks}
+    stale = sorted(p for prefix in ("train", "test") for p in (out / "tasks").glob(f"{prefix}-*.json")
+                   if p.name not in ours)
+    if stale:
+        raise ConfigError(f"out: {stale[0]} is a dataset this suite does not have; "
+                          "remove it or pick another --out")
+    (out / "tasks").mkdir(parents=True, exist_ok=True)
     suite = Suite(SUITE_SCHEMA, args.seed, args.n_train, args.n_test, args.samples, [])
-    for index, task in enumerate(train_tasks + test_tasks):
+    grids = {}
+    for index, task in enumerate(tasks):
         ds = collect_offline(task, n_samples=args.samples, seed=args.seed * 100_003 + index)
         save_task_dataset(ds, out / "tasks" / f"{task.task_id}.json")
-        terrain = replace(task.terrain, heightfield=np.round(task.terrain.heightfield, 6))
-        suite.tasks.append(SuiteTask(task.task_id, task.is_test, task.composition, terrain))
+        t = task.terrain
+        suite.tasks.append(SuiteTask(task.task_id, task.is_test, t.composition, t.materials,
+                                     t.seed, t.layer_depth, t.extent, t.cell))
+        grids[f"{task.task_id}/surface"] = t.surface
+        # the heights that a JSON round trip of 6-place text gave when suite.json held the grids
+        grids[f"{task.task_id}/heightfield"] = np.round(t.heightfield, 6)
+        if t.hidden is not None:
+            grids[f"{task.task_id}/hidden"] = t.hidden
     (out / "suite.json").write_text(json.dumps(record_dict(suite)))
+    with grids_path(out / "suite.json").open("wb") as fh:
+        np.savez(fh, **grids)
     print(
         f"gen-data: wrote {len(train_tasks)} train + {len(test_tasks)} test tasks "
         f"({args.samples} records each) to {out}"
@@ -136,18 +165,33 @@ def cmd_gen_data(args) -> None:
 
 
 def load_suite_terrains(data_dir: Path) -> dict[str, TerrainTask]:
+    """Every task of the suite under data_dir by id, its terrain joined
+    from suite.json and the grids sidecar. ConfigError, naming the file,
+    for a repeated task id, a missing or unknown grid and a terrain that
+    fails TerrainInstance.validate."""
     suite_path = data_dir / "suite.json"
     if not suite_path.exists():
         raise ConfigError(f"data: {suite_path} not found (run gen-data first)")
     suite = read_record(Suite, suite_path.read_text(), f"data: {suite_path}", SUITE_SCHEMA, ConfigError)
+    path = grids_path(suite_path)
+    grids = read_arrays(path, f"data: {path}", ConfigError)
     worlds = {}
     for i, t in enumerate(suite.tasks):
-        if t.composition != t.terrain.composition:
-            raise ConfigError(f"data: {suite_path}: task {i}: composition {t.composition!r} "
-                              f"is not its terrain's, {t.terrain.composition!r}")
         if t.task_id in worlds:
             raise ConfigError(f"data: {suite_path}: task {i}: task id {t.task_id!r} is repeated")
-        worlds[t.task_id] = TerrainTask(t.task_id, t.terrain, t.is_test)
+        try:
+            surface, heightfield = (grids.pop(f"{t.task_id}/{name}") for name in ("surface", "heightfield"))
+        except KeyError as err:
+            raise ConfigError(f"data: {path}: task {i} has no grid {err}") from err
+        terrain = TerrainInstance(surface, heightfield, t.materials, t.composition, t.seed,
+                                  grids.pop(f"{t.task_id}/hidden", None), t.layer_depth, t.extent, t.cell)
+        try:
+            terrain.validate()
+        except ValueError as err:
+            raise ConfigError(f"data: {suite_path} with {path.name}: task {t.task_id!r}: {err}") from err
+        worlds[t.task_id] = TerrainTask(t.task_id, terrain, t.is_test)
+    if grids:
+        raise ConfigError(f"data: {path}: grid {min(grids)!r} is of no task in {suite_path.name}")
     return worlds
 
 

@@ -15,6 +15,7 @@ import math
 import sys
 import types
 import typing
+import zipfile
 from dataclasses import dataclass, fields, is_dataclass
 from functools import cache
 
@@ -39,8 +40,8 @@ _FLOAT_MAX = sys.float_info.max
 
 def record_dict(record) -> dict:
     """A dataclass record's fields in declaration order, each nested record,
-    and each record of a list of them, as its own dict, and each array as
-    its nested list: the JSON object every artifact writes for it. Unlike
+    and each record of a list of them, as its own dict: the JSON object
+    every artifact writes for it; arrays go to .npy and .npz files. Unlike
     dataclasses.asdict it copies no other value, a cost the dataset and
     trace writers would pay once per record."""
     return {k: _json_value(v) for k, v in vars(record).items()}
@@ -51,7 +52,7 @@ def _json_value(v):
         return record_dict(v)
     if type(v) is list and v and hasattr(v[0], "__dataclass_fields__"):
         return [record_dict(x) for x in v]
-    return v.tolist() if type(v) is np.ndarray else v
+    return v
 
 
 def read_record(cls, text: str, where, schema: int | None = None, error=ValueError):
@@ -67,6 +68,21 @@ def read_record(cls, text: str, where, schema: int | None = None, error=ValueErr
         raise error(f"{where}: not JSON: {err}") from err
     except ValueError as err:
         raise error(f"{where}: {err}") from err
+
+
+def read_arrays(path, where, error=ValueError) -> dict[str, np.ndarray]:
+    """The reader of every .npz input: each array of the archive at path by
+    name, read without unpickling. Raises error, a ValueError class, naming
+    where, for a file that is not such an archive or holds anything else."""
+    try:
+        with open(path, "rb") as fh, np.lib.npyio.NpzFile(fh, allow_pickle=False) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as err:
+        raise error(f"{where}: cannot read the arrays: {err}") from err
+    for name, a in arrays.items():
+        if type(a) is not np.ndarray:
+            raise error(f"{where}: {name} is not an array")
+    return arrays
 
 
 def record_from_dict(cls, d):
@@ -102,7 +118,7 @@ def _read(hint, v, where: str):
     if hint is float:
         if type(v) in JSON_NUMBERS and -_FLOAT_MAX <= v <= _FLOAT_MAX:
             return v
-    elif type(v) is hint:  # an array here was read by its record's own reader, as a terrain's grids are
+    elif type(v) is hint:
         return v
     elif is_dataclass(hint) and type(v) is dict:
         return record_from_dict(hint, v)

@@ -29,7 +29,6 @@ from .model import (
     STIFFNESSES,
     ScoopAction,
     TrajectoryConstants,
-    read_fields,
     record_dict,
 )
 
@@ -106,27 +105,22 @@ class TerrainInstance:
             ids |= {self.materials[i].id for i in np.unique(self.hidden)}
         return sorted(ids)
 
-    @classmethod
-    def from_dict(cls, d) -> "TerrainInstance":
-        """read_fields of d, its grids read by _grid if it has every grid key;
-        refuses, with ValueError, a terrain that fails validate()."""
-        if type(d) is dict and {"surface", "heightfield", "hidden"} <= d.keys():
-            d = {**d, "surface": _grid(d["surface"], "iu"),
-                 "heightfield": _grid(d["heightfield"], "iuf").astype(np.float64),
-                 "hidden": None if d["hidden"] is None else _grid(d["hidden"], "iu")}
-        t = read_fields(cls, d)
-        t.validate()
-        return t
-
     def validate(self) -> None:
-        """ValueError unless every grid has the shape of a positive extent
-        at a positive cell size, the heights are finite, the material
-        indices are in range, each material is in range, and a hidden
-        layer comes with a positive layer depth and only with one."""
+        """ValueError unless the composition is one of COMPOSITIONS, the
+        heights are float64 and the material indices integers, every grid
+        has the shape of a positive extent at a positive cell size, the
+        heights are finite, the material indices are in range, each
+        material is in range, and a hidden layer comes with a positive
+        layer depth and only with one."""
+        if self.composition not in COMPOSITIONS:
+            raise ValueError(f"composition {self.composition!r} is not one of {list(COMPOSITIONS)}")
+        indices = [self.surface] + ([] if self.hidden is None else [self.hidden])
+        if self.heightfield.dtype != np.float64 or any(grid.dtype.kind not in "iu" for grid in indices):
+            raise ValueError(f"heights must be float64 and material indices integers, got "
+                             f"{self.heightfield.dtype} and {[str(grid.dtype) for grid in indices]}")
         if not (min(self.extent) > 0 and self.cell > 0):
             raise ValueError(f"extent {self.extent} and cell {self.cell} must be positive")
         shape = _grid_shape(self.extent, self.cell)
-        indices = [self.surface] + ([] if self.hidden is None else [self.hidden])
         if any(grid.shape != shape for grid in [self.heightfield, *indices]):
             raise ValueError(f"grids must have the shape {shape} of extent {self.extent} at cell {self.cell}")
         if not np.isfinite(self.heightfield).all():
@@ -138,15 +132,6 @@ class TerrainInstance:
         depth = self.layer_depth
         if (self.hidden is None) != (depth is None) or not (depth is None or depth > 0):
             raise ValueError(f"hidden and a positive layer_depth must come together, got layer_depth {depth!r}")
-
-
-def _grid(values, kinds: str) -> np.ndarray:
-    """values as a 2-D array whose numpy kind is one of `kinds`; a string,
-    a boolean or a fractional index is refused, never converted."""
-    grid = np.array(values)
-    if grid.ndim != 2 or grid.dtype.kind not in kinds:
-        raise ValueError(f"a grid must be a rectangle of JSON numbers of kind {kinds!r}, got {grid.dtype}")
-    return grid
 
 
 @dataclass
@@ -443,11 +428,13 @@ def generate_suite(
 
 # per yaw index a = k 2 pi / N_YAW: the drag axis (d_x, d_y) = (cos a, sin a)
 # and the side axis (p_x, p_y) = (-sin a, cos a), by math's cos and sin
-# (numpy's may differ in the last bit)
-_YAW_AXES = np.array([
+# (numpy's may differ in the last bit); as Python floats for the
+# one-action paths, which numpy scalars would slow
+_YAW_TUPLES = [
     (math.cos(a), math.sin(a), -math.sin(a), math.cos(a))
     for a in (k * (2.0 * math.pi / N_YAW) for k in range(N_YAW))
-])
+]
+_YAW_AXES = np.array(_YAW_TUPLES)
 
 
 def _patch_cells(start, along, across, du, dv, cell, count) -> np.ndarray:
@@ -590,8 +577,9 @@ def skip_uniforms(rng: np.random.Generator, count: int) -> None:
 _HALF_SWATH = SCOOP_WIDTH / 2.0 + FOOT_MARGIN
 _DRAG = TrajectoryConstants().drag_length_m  # the scoop's drag, start to end
 _DRAG_END = _DRAG + FOOT_MARGIN
-_CORNER_ALONG = np.array([-FOOT_MARGIN, -FOOT_MARGIN, _DRAG_END, _DRAG_END])
-_CORNER_SIDE = np.array([-_HALF_SWATH, _HALF_SWATH, -_HALF_SWATH, _HALF_SWATH])
+_CORNERS = ((-FOOT_MARGIN, -_HALF_SWATH), (-FOOT_MARGIN, _HALF_SWATH),
+            (_DRAG_END, -_HALF_SWATH), (_DRAG_END, _HALF_SWATH))
+_CORNER_ALONG, _CORNER_SIDE = np.array(_CORNERS).T
 
 
 def feasible_mask(terrain: TerrainInstance, actions: list[ScoopAction]) -> np.ndarray:
@@ -607,8 +595,15 @@ def feasible_mask(terrain: TerrainInstance, actions: list[ScoopAction]) -> np.nd
 
 
 def feasible(terrain: TerrainInstance, act: ScoopAction) -> bool:
-    """Swath from start through the drag must stay inside the tray."""
-    return bool(feasible_mask(terrain, [act])[0])
+    """feasible_mask of one action: its four corners in Python floats, by
+    the same operations in the same order, so the verdict is the mask's."""
+    d_x, d_y, p_x, p_y = _YAW_TUPLES[act.yaw]
+    x, y = act.x, act.y
+    w, h = terrain.extent
+    for along, side in _CORNERS:
+        if not (0.0 <= x + d_x * along + p_x * side <= w and 0.0 <= y + d_y * along + p_y * side <= h):
+            return False
+    return True
 
 
 def _footprint_cells(terrain: TerrainInstance, act: ScoopAction):
@@ -625,7 +620,7 @@ def _footprint_cells(terrain: TerrainInstance, act: ScoopAction):
 
 
 def _center_cell(terrain: TerrainInstance, act: ScoopAction):
-    d_x, d_y = _YAW_AXES[act.yaw, :2]
+    d_x, d_y, _, _ = _YAW_TUPLES[act.yaw]
     cx = act.x + d_x * _DRAG / 2.0
     cy = act.y + d_y * _DRAG / 2.0
     nx, ny = terrain.surface.shape
@@ -641,8 +636,8 @@ def _local_slope_deg(terrain: TerrainInstance, ix: int, iy: int) -> float:
     nx, ny = h.shape
     x0, x1 = max(ix - 1, 0), min(ix + 1, nx - 1)
     y0, y1 = max(iy - 1, 0), min(iy + 1, ny - 1)
-    gx = (h[x1, iy] - h[x0, iy]) / ((x1 - x0) * terrain.cell) if x1 > x0 else 0.0
-    gy = (h[ix, y1] - h[ix, y0]) / ((y1 - y0) * terrain.cell) if y1 > y0 else 0.0
+    gx = (h.item(x1, iy) - h.item(x0, iy)) / ((x1 - x0) * terrain.cell) if x1 > x0 else 0.0
+    gy = (h.item(ix, y1) - h.item(ix, y0)) / ((y1 - y0) * terrain.cell) if y1 > y0 else 0.0
     return math.degrees(math.atan(math.hypot(gx, gy)))
 
 
@@ -655,20 +650,14 @@ def _pierces_layer(terrain: TerrainInstance, act: ScoopAction) -> bool:
     )
 
 
-def effective_material(terrain: TerrainInstance, act: ScoopAction) -> LatentMaterial:
-    """Material the scoop actually engages: the hidden layer when the
-    scoop pierces it."""
+def base_reward(terrain: TerrainInstance, act: ScoopAction) -> float:
+    """Noise-free scoop volume in cm^3, from the material the scoop
+    engages at its centre cell: the hidden layer when it pierces one."""
     ix, iy = _center_cell(terrain, act)
     grid = terrain.hidden if _pierces_layer(terrain, act) else terrain.surface
-    return terrain.materials[int(grid[ix, iy])]
-
-
-def base_reward(terrain: TerrainInstance, act: ScoopAction) -> float:
-    """Noise-free scoop volume in cm^3."""
-    mat = effective_material(terrain, act)
+    mat = terrain.materials[grid.item(ix, iy)]
     depth_factor = math.exp(-(((act.depth - mat.peak_depth) / mat.depth_width) ** 2))
     stiff = 1.0 if act.stiffness == mat.stiffness_pref else STIFF_MISMATCH
-    ix, iy = _center_cell(terrain, act)
     slope = _local_slope_deg(terrain, ix, iy)
     raw = mat.peak_volume * depth_factor * stiff
     raw -= mat.jam_penalty * max(0.0, slope - SLOPE_FREE_DEG)
@@ -716,11 +705,15 @@ def compute_threshold(rewards) -> float:
 def sample_random_action(
     terrain: TerrainInstance, rng: np.random.Generator
 ) -> ScoopAction:
+    """A uniform action. Each float is lo + (hi - lo) * rng.random(), or
+    hi * rng.random() where lo is 0: the value and generator state that
+    rng.uniform(lo, hi) gives, without its per-call cost."""
+    w, h = terrain.extent
     return ScoopAction(
-        x=float(rng.uniform(0.0, terrain.extent[0])),
-        y=float(rng.uniform(0.0, terrain.extent[1])),
+        x=w * rng.random(),
+        y=h * rng.random(),
         yaw=int(rng.integers(N_YAW)),
-        depth=float(rng.uniform(DEPTH_MIN, DEPTH_MAX)),
+        depth=DEPTH_MIN + (DEPTH_MAX - DEPTH_MIN) * rng.random(),
         stiffness=int(rng.integers(2)),
     )
 

@@ -10,6 +10,8 @@ from scoopgp import tensor as T
 from scoopgp.data import SCHEMA_VERSION, ScoopRecord, TaskDataset, patches_path
 from scoopgp.decision import EpisodeStep, EpisodeTrace
 from scoopgp.model import (
+    DEPTH_MAX,
+    DEPTH_MIN,
     N_YAW,
     ScoopAction,
     TrajectoryConstants,
@@ -20,16 +22,19 @@ from scoopgp.model import (
 from scoopgp.terrain import (
     FOOT_MARGIN,
     HEIGHT_NOISE,
+    NOISE_FLOOR_STD,
     PATCH_CHANNELS,
     PATCH_H,
     PATCH_LEN,
     PATCH_W,
+    REWARD_NOISE_SIGMA,
     SCOOP_WIDTH,
+    SLOPE_FREE_DEG,
+    STIFF_MISMATCH,
     BoundsError,
     execute_scoop,
+    feasible_mask,
     render_patches,
-    sample_random_action,
-    sample_reward,
 )
 
 
@@ -131,19 +136,70 @@ def feasible_reference(terrain, act) -> bool:
     )
 
 
+def feasible_by_mask(terrain, act) -> bool:
+    """feasible_mask of the one action: the oracle for terrain.feasible,
+    which must give the same verdict on every action."""
+    return bool(feasible_mask(terrain, [act])[0])
+
+
+def sample_random_action_reference(terrain, rng) -> ScoopAction:
+    """Each float drawn by rng.uniform: the oracle for
+    terrain.sample_random_action, which must return the same action and
+    leave the generator in the same state."""
+    return ScoopAction(
+        x=float(rng.uniform(0.0, terrain.extent[0])),
+        y=float(rng.uniform(0.0, terrain.extent[1])),
+        yaw=int(rng.integers(N_YAW)),
+        depth=float(rng.uniform(DEPTH_MIN, DEPTH_MAX)),
+        stiffness=int(rng.integers(2)),
+    )
+
+
+def _center_cell_reference(terrain, act):
+    d = direction(act.yaw)[0]
+    drag = TrajectoryConstants().drag_length_m
+    cx, cy = act.x + d[0] * drag / 2.0, act.y + d[1] * drag / 2.0
+    nx, ny = terrain.surface.shape
+    return int(min(max(cx / terrain.cell, 0), nx - 1)), int(min(max(cy / terrain.cell, 0), ny - 1))
+
+
+def base_reward_reference(terrain, act) -> float:
+    """The centre cell found once for the material and again for the
+    slope, heights read as numpy scalars: the oracle for
+    terrain.base_reward, which must return the same float."""
+    ix, iy = _center_cell_reference(terrain, act)
+    pierced = terrain.hidden is not None and terrain.layer_depth is not None and act.depth > terrain.layer_depth
+    mat = terrain.materials[int((terrain.hidden if pierced else terrain.surface)[ix, iy])]
+    depth_factor = math.exp(-(((act.depth - mat.peak_depth) / mat.depth_width) ** 2))
+    stiff = 1.0 if act.stiffness == mat.stiffness_pref else STIFF_MISMATCH
+    ix, iy = _center_cell_reference(terrain, act)
+    h = terrain.heightfield
+    nx, ny = h.shape
+    x0, x1 = max(ix - 1, 0), min(ix + 1, nx - 1)
+    y0, y1 = max(iy - 1, 0), min(iy + 1, ny - 1)
+    gx = (h[x1, iy] - h[x0, iy]) / ((x1 - x0) * terrain.cell) if x1 > x0 else 0.0
+    gy = (h[ix, y1] - h[ix, y0]) / ((y1 - y0) * terrain.cell) if y1 > y0 else 0.0
+    slope = math.degrees(math.atan(math.hypot(gx, gy)))
+    raw = mat.peak_volume * depth_factor * stiff
+    raw -= mat.jam_penalty * max(0.0, slope - SLOPE_FREE_DEG)
+    return max(raw, 0.0)
+
+
 def collect_offline_reference(task, n_samples=100, seed=0):
     """Each record rendered as it is drawn, its noise straight from the
-    generator: the oracle for terrain.collect_offline, whose datasets must
-    be byte-equal to these."""
+    generator, its action, feasibility and reward from the oracles above:
+    the oracle for terrain.collect_offline, whose datasets must be
+    byte-equal to these."""
     rng = np.random.default_rng(seed)
     t = task.terrain
     records = []
     while len(records) < n_samples:
-        act = sample_random_action(t, rng)
-        if not feasible_reference(t, act):
+        act = sample_random_action_reference(t, rng)
+        if not feasible_by_mask(t, act):
             continue
         obs = render_patch(t, act, rng)
-        reward = sample_reward(t, act, rng)
+        noise = math.exp(REWARD_NOISE_SIGMA * rng.standard_normal() - REWARD_NOISE_SIGMA**2 / 2.0)
+        reward = base_reward_reference(t, act) * noise + abs(rng.normal(0.0, NOISE_FLOOR_STD))
         records.append(ScoopRecord(obs=obs, action=act, reward=reward))
     return TaskDataset(
         task_id=task.task_id,
@@ -559,21 +615,36 @@ def save_task_dataset_reference(ds, path):
     np.save(patches_path(path), np.array(patches).reshape(len(ds.records), *ds.records[0].obs.shape))
 
 
-def terrain_dict_reference(terrain) -> dict:
-    """The terrain as the hand-written dict gen-data wrote before suite.json
-    became a record, heights rounded to 6 places: the oracle for
-    record_dict of the rounded terrain, which must dump to the same bytes."""
+def suite_task_dict_reference(task) -> dict:
+    """A task as a hand-written dict of its terrain's fields but the grids:
+    the oracle for the SuiteTask records of suite.json, which must dump to
+    the same bytes."""
+    t = task.terrain
     return {
-        "surface": terrain.surface.astype(int).tolist(),
-        "heightfield": np.round(terrain.heightfield, 6).tolist(),
-        "materials": [record_dict(m) for m in terrain.materials],
-        "composition": terrain.composition,
-        "seed": terrain.seed,
-        "hidden": None if terrain.hidden is None else terrain.hidden.astype(int).tolist(),
-        "layer_depth": terrain.layer_depth,
-        "extent": list(terrain.extent),
-        "cell": terrain.cell,
+        "task_id": task.task_id,
+        "is_test": task.is_test,
+        "composition": t.composition,
+        "materials": [record_dict(m) for m in t.materials],
+        "seed": t.seed,
+        "layer_depth": t.layer_depth,
+        "extent": list(t.extent),
+        "cell": t.cell,
     }
+
+
+def suite_grids_reference(tasks) -> dict:
+    """Every task's grids by "<task id>/<grid>", heights rounded to 6
+    places by a JSON round trip of their text, as suite.json once held
+    them: the oracle for the suite's grids sidecar, which np.savez of this
+    dict must reproduce byte for byte."""
+    grids = {}
+    for task in tasks:
+        t = task.terrain
+        grids[f"{task.task_id}/surface"] = t.surface.astype(np.int64)
+        grids[f"{task.task_id}/heightfield"] = np.array(json.loads(json.dumps(np.round(t.heightfield, 6).tolist())))
+        if t.hidden is not None:
+            grids[f"{task.task_id}/hidden"] = t.hidden.astype(np.int64)
+    return grids
 
 
 def entropic_transport_cost_reference(C, eps, max_iter=ot.MAX_ITER, tol=ot.TOL):

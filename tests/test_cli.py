@@ -4,11 +4,12 @@ import shutil
 import subprocess
 import sys
 import time
+import zipfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import kshot_mae_reference, terrain_dict_reference
+from helpers import kshot_mae_reference, suite_grids_reference, suite_task_dict_reference
 
 import scoopgp
 from scoopgp import cli
@@ -67,16 +68,65 @@ def test_gen_data_artifacts(pipeline):
     assert oracle.ground_truth and "material_table" in oracle.ground_truth
 
 
-def test_suite_json_is_the_hand_written_terrain_dicts(pipeline):
-    """gen-data writes suite.json as record_dict of a Suite record; its
-    bytes are json.dumps of the hand-written dicts it replaced."""
+def test_suite_json_is_the_hand_written_terrain_dicts(pipeline, tmp_path):
+    """gen-data writes suite.json as record_dict of a Suite record, its
+    bytes json.dumps of hand-written dicts, and the grids sidecar as
+    np.savez of the hand-written grids that suite.json once held."""
     train, test = generate_suite(3, 4, 2)
     expected = {
-        "schema_version": 1, "seed": 3, "n_train": 4, "n_test": 2, "samples": 30,
-        "tasks": [{"task_id": t.task_id, "is_test": t.is_test, "composition": t.composition,
-                   "terrain": terrain_dict_reference(t.terrain)} for t in train + test],
+        "schema_version": 2, "seed": 3, "n_train": 4, "n_test": 2, "samples": 30,
+        "tasks": [suite_task_dict_reference(t) for t in train + test],
     }
-    assert (pipeline["data"] / "suite.json").read_text() == json.dumps(expected)
+    suite = pipeline["data"] / "suite.json"
+    assert suite.read_text() == json.dumps(expected)
+    np.savez(tmp_path / "grids.npz", **suite_grids_reference(train + test))
+    assert cli.grids_path(suite).read_bytes() == (tmp_path / "grids.npz").read_bytes()
+
+
+def test_suite_terrains_roundtrip(tmp_path):
+    """Every terrain load_suite_terrains reads back is the generated one,
+    heights rounded to 6 places, bit for bit and dtype for dtype, Layers
+    task included; a second gen-data run writes the same bytes to both
+    suite files."""
+    for run in ("one", "two"):
+        assert cli.main(["gen-data", "--seed", "4", "--out", str(tmp_path / run), "--n-train", "2",
+                         "--n-test", "4", "--samples", "5"]) == 0
+    for name in ("suite.json", "suite.json.grids.npz"):
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes(), name
+    train, test = generate_suite(4, 2, 4)
+    worlds = cli.load_suite_terrains(tmp_path / "one")
+    assert list(worlds) == [t.task_id for t in train + test]
+    assert test[3].terrain.hidden is not None
+    for task in train + test:
+        t, back = task.terrain, worlds[task.task_id]
+        assert back.is_test == task.is_test
+        for name in ("surface", "heightfield", "hidden"):
+            want = getattr(t, name)
+            if name == "heightfield":
+                want = np.round(want, 6)
+            got = getattr(back.terrain, name)
+            if want is None:
+                assert got is None
+            else:
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        assert back.terrain.materials == t.materials
+        assert (back.terrain.composition, back.terrain.seed, back.terrain.layer_depth, back.terrain.extent,
+                back.terrain.cell) == (t.composition, t.seed, t.layer_depth, t.extent, t.cell)
+
+
+def test_gen_data_refuses_an_out_holding_another_suites_tasks(tmp_path, capsys):
+    """A dataset under <out>/tasks that this suite would not write would
+    be trained and evaluated with it: gen-data names the first one, exits
+    1 and writes nothing. Rewriting the same suite is fine."""
+    out = tmp_path / "data"
+    first = ["gen-data", "--seed", "1", "--out", str(out), "--n-train", "6", "--n-test", "3", "--samples", "20"]
+    assert cli.main(first) == 0
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    assert cli.main(["gen-data", "--seed", "2", "--out", str(out), "--n-train", "4", "--n-test", "2",
+                     "--samples", "20"]) == 1
+    assert f"{out / 'tasks' / 'test-02.json'} is a dataset this suite does not have" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+    assert cli.main(first) == 0
 
 
 def test_records_are_written_in_field_order(pipeline):
@@ -106,7 +156,9 @@ def test_records_are_written_in_field_order(pipeline):
                                            "linear_stiffness_soft", "linear_stiffness_hard",
                                            "torsion_stiffness_soft", "torsion_stiffness_hard"]),
         (dataset["records"][0]["action"], action),
-        (suite["tasks"][0]["terrain"]["materials"][0], ["id", "color", "texture_scale",
+        (suite["tasks"][0], ["task_id", "is_test", "composition", "materials", "seed", "layer_depth",
+                             "extent", "cell"]),
+        (suite["tasks"][0]["materials"][0], ["id", "color", "texture_scale",
                                                         "peak_volume", "peak_depth",
                                                         "depth_width", "jam_penalty",
                                                         "stiffness_pref"]),
@@ -525,23 +577,7 @@ def test_malformed_patches_exit_1(pipeline, tmp_path, capsys, corrupt):
 
 
 def _terrain(suite):
-    return suite["tasks"][-1]["terrain"]
-
-
-def _fractional_surface_index(suite):
-    _terrain(suite)["surface"][3][4] = 1.5
-
-
-def _surface_index_out_of_range(suite):
-    _terrain(suite)["surface"][3][4] = len(_terrain(suite)["materials"])
-
-
-def _string_height(suite):
-    _terrain(suite)["heightfield"][3][4] = "0.01"
-
-
-def _ragged_heightfield(suite):
-    _terrain(suite)["heightfield"][3].pop()
+    return suite["tasks"][-1]
 
 
 def _grid_off_extent(suite):
@@ -549,8 +585,8 @@ def _grid_off_extent(suite):
 
 
 def _layer_depth_without_layer(suite):
-    terrain = _terrain(suite)
-    terrain["hidden"], terrain["layer_depth"] = None, 0.05
+    # a layer depth whose hidden grid the sidecar lacks
+    _terrain(suite)["layer_depth"] = 0.05
 
 
 def _material_color_out_of_range(suite):
@@ -618,23 +654,22 @@ def _repeated_task_id(suite):
     suite["tasks"][0]["task_id"] = suite["tasks"][-1]["task_id"]
 
 
-def _terrain_missing_hidden(suite):
-    del _terrain(suite)["hidden"]
+def _old_schema(suite):
+    suite["schema_version"] = 1
 
 
-def _terrain_missing_surface(suite):
-    del _terrain(suite)["surface"]
+def _missing_layer_depth(suite):
+    del _terrain(suite)["layer_depth"]
 
 
 @pytest.mark.parametrize(
     "corrupt",
-    [_fractional_surface_index, _surface_index_out_of_range, _string_height,
-     _ragged_heightfield, _grid_off_extent, _layer_depth_without_layer,
+    [_grid_off_extent, _layer_depth_without_layer,
      _material_color_out_of_range, _material_unknown_key, _missing_cell, _suite_not_json,
      _fractional_seed, _terrain_unknown_key, _numeric_suite_task_id, _string_is_test,
      _wrong_composition, _missing_composition, _suite_task_unknown_key, _tasks_not_a_list,
      _missing_tasks, _suite_unknown_key, _string_samples, _repeated_task_id,
-     _terrain_missing_hidden, _terrain_missing_surface],
+     _old_schema, _missing_layer_depth],
     ids=lambda f: f.__name__.strip("_"),
 )
 def test_malformed_suite_terrain_exits_1(pipeline, tmp_path, capsys, corrupt):
@@ -644,12 +679,182 @@ def test_malformed_suite_terrain_exits_1(pipeline, tmp_path, capsys, corrupt):
     suite = json.loads(path.read_text())
     text = corrupt(suite)
     path.write_text(text if text is not None else json.dumps(suite))
+    _live_exits_1_naming(pipeline, data, tmp_path, capsys, "suite.json")
+
+
+def _live_exits_1_naming(pipeline, data, tmp_path, capsys, name):
     out = tmp_path / "live.jsonl"
     rc = cli.main(["eval-deploy", "--model", str(pipeline["ckpt"]), "--data", str(data),
                    "--out", str(out), "--mode", "live", "--max-attempts", "2", "--reps", "1"])
     assert rc == 1
-    assert "suite.json" in capsys.readouterr().err
+    assert name in capsys.readouterr().err
     assert not out.exists()
+
+
+# the suite's last task, test-01, a Partition tray without a hidden layer
+LAST = "test-01"
+
+
+def _grids(sidecar) -> dict:
+    with np.load(sidecar) as npz:
+        return dict(npz)
+
+
+def _set_grid(sidecar, name, value):
+    grids = _grids(sidecar)
+    grids[name] = value(grids) if callable(value) else value
+    np.savez(sidecar, **grids)
+
+
+def _missing_grids_file(suite, sidecar):
+    sidecar.unlink()
+
+
+def _truncated_grids(suite, sidecar):
+    sidecar.write_bytes(sidecar.read_bytes()[:-100])
+
+
+def _grids_not_a_zip(suite, sidecar):
+    surface = _grids(sidecar)[f"{LAST}/surface"]
+    with sidecar.open("wb") as fh:
+        np.save(fh, surface)
+
+
+def _member_not_an_array(suite, sidecar):
+    with zipfile.ZipFile(sidecar, "a") as zf:
+        zf.writestr("notes.txt", "the surface of test-01 is wet")
+
+
+def _pickled_grid(suite, sidecar):
+    _set_grid(sidecar, f"{LAST}/surface", lambda g: g[f"{LAST}/surface"].astype(object))
+
+
+def _terrain_missing_surface(suite, sidecar):
+    grids = _grids(sidecar)
+    del grids[f"{LAST}/surface"]
+    np.savez(sidecar, **grids)
+
+
+def _missing_heightfield(suite, sidecar):
+    grids = _grids(sidecar)
+    del grids["train-00/heightfield"]
+    np.savez(sidecar, **grids)
+
+
+def _unknown_grid_name(suite, sidecar):
+    _set_grid(sidecar, f"{LAST}/roughness", np.zeros((90, 60)))
+
+
+def _grid_of_an_unknown_task(suite, sidecar):
+    _set_grid(sidecar, "test-07/surface", lambda g: g[f"{LAST}/surface"])
+
+
+def _fractional_surface_index(suite, sidecar):
+    def fractional(grids):
+        surface = grids[f"{LAST}/surface"].astype(np.float64)
+        surface[3, 4] = 1.5
+        return surface
+    _set_grid(sidecar, f"{LAST}/surface", fractional)
+
+
+def _boolean_surface(suite, sidecar):
+    _set_grid(sidecar, f"{LAST}/surface", lambda g: g[f"{LAST}/surface"] > 0)
+
+
+def _float_hidden(suite, sidecar):
+    _terrain(suite)["layer_depth"] = 0.05
+    _set_grid(sidecar, f"{LAST}/hidden", lambda g: g[f"{LAST}/surface"].astype(np.float64))
+
+
+def _string_height(suite, sidecar):
+    _set_grid(sidecar, f"{LAST}/heightfield", lambda g: g[f"{LAST}/heightfield"].astype(str))
+
+
+def _float32_heightfield(suite, sidecar):
+    _set_grid(sidecar, f"{LAST}/heightfield", lambda g: g[f"{LAST}/heightfield"].astype(np.float32))
+
+
+def _integer_heightfield(suite, sidecar):
+    _set_grid(sidecar, f"{LAST}/heightfield", lambda g: np.zeros((90, 60), dtype=np.int64))
+
+
+def _ragged_heightfield(suite, sidecar):
+    _set_grid(sidecar, f"{LAST}/heightfield", lambda g: g[f"{LAST}/heightfield"][:, :-1].copy())
+
+
+def _transposed_surface(suite, sidecar):
+    _set_grid(sidecar, f"{LAST}/surface", lambda g: g[f"{LAST}/surface"].T.copy())
+
+
+def _flattened_heightfield(suite, sidecar):
+    _set_grid(sidecar, f"{LAST}/heightfield", lambda g: g[f"{LAST}/heightfield"].ravel())
+
+
+def _nan_height(suite, sidecar):
+    def nan(grids):
+        h = grids[f"{LAST}/heightfield"]
+        h[3, 4] = np.nan
+        return h
+    _set_grid(sidecar, f"{LAST}/heightfield", nan)
+
+
+def _infinite_height(suite, sidecar):
+    def inf(grids):
+        h = grids[f"{LAST}/heightfield"]
+        h[0, -1] = np.inf
+        return h
+    _set_grid(sidecar, f"{LAST}/heightfield", inf)
+
+
+def _surface_index_out_of_range(suite, sidecar):
+    def out_of_range(grids):
+        surface = grids[f"{LAST}/surface"]
+        surface[3, 4] = len(_terrain(suite)["materials"])
+        return surface
+    _set_grid(sidecar, f"{LAST}/surface", out_of_range)
+
+
+def _negative_hidden_index(suite, sidecar):
+    _terrain(suite)["layer_depth"] = 0.05
+    _set_grid(sidecar, f"{LAST}/hidden", lambda g: np.minimum(g[f"{LAST}/surface"], -1))
+
+
+def _hidden_without_layer_depth(suite, sidecar):
+    _set_grid(sidecar, f"{LAST}/hidden", lambda g: g[f"{LAST}/surface"])
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_missing_grids_file, _truncated_grids, _grids_not_a_zip, _member_not_an_array, _pickled_grid,
+     _terrain_missing_surface,
+     _missing_heightfield, _unknown_grid_name, _grid_of_an_unknown_task, _fractional_surface_index,
+     _boolean_surface, _float_hidden, _string_height, _float32_heightfield, _integer_heightfield,
+     _ragged_heightfield, _transposed_surface, _flattened_heightfield, _nan_height, _infinite_height,
+     _surface_index_out_of_range, _negative_hidden_index, _hidden_without_layer_depth],
+    ids=lambda f: f.__name__.strip("_"),
+)
+def test_malformed_suite_grids_exit_1(pipeline, tmp_path, capsys, corrupt):
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    path = data / "suite.json"
+    suite = json.loads(path.read_text())
+    corrupt(suite, cli.grids_path(path))
+    path.write_text(json.dumps(suite))
+    _live_exits_1_naming(pipeline, data, tmp_path, capsys, "suite.json.grids.npz")
+
+
+def test_a_layered_edit_of_the_suite_loads(pipeline, tmp_path):
+    """The edits the hidden-grid rows above break, made whole: a hidden
+    grid of valid indices beside a layer depth loads."""
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    path = data / "suite.json"
+    suite = json.loads(path.read_text())
+    _terrain(suite)["layer_depth"] = 0.05
+    path.write_text(json.dumps(suite))
+    _set_grid(cli.grids_path(path), f"{LAST}/hidden", lambda g: g[f"{LAST}/surface"])
+    terrain = cli.load_suite_terrains(data)[LAST].terrain
+    assert terrain.layer_depth == 0.05 and terrain.hidden.tolist() == terrain.surface.tolist()
 
 
 def _infinite_log_noise(payload):
@@ -891,6 +1096,7 @@ def test_gen_data_and_train_rewrite_every_file_byte_for_byte(tmp_path, monkeypat
     monkeypatch.setattr(time, "time", lambda: later)
     assert run(tmp_path / "second") == files
     assert {p.suffix for p in files} == {".json", ".npy", ".npz"}
+    assert Path("data/suite.json.grids.npz") in files
     for rel in files:
         assert (tmp_path / "first" / rel).read_bytes() == (tmp_path / "second" / rel).read_bytes(), rel
 

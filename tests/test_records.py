@@ -5,8 +5,8 @@ import json
 import math
 import re
 import typing
+from dataclasses import dataclass
 
-import numpy as np
 import pytest
 
 from scoopgp.checkpoint import Checkpoint, Normalization
@@ -18,19 +18,17 @@ from scoopgp.model import (
     Architecture,
     ScoopAction,
     TrajectoryConstants,
+    read_fields,
     read_record,
     record_dict,
     record_from_dict,
 )
-from scoopgp.terrain import LatentMaterial, TerrainInstance
+from scoopgp.terrain import LatentMaterial
 
 _ACTION = ScoopAction(0.25, 0.4, 3, 0.05, 1)
 _MATERIALS = [LatentMaterial("loam", (0.2, 0.5, 0.9), 0.3, 40.0, 0.05, 0.02, 1.5, 0),
               LatentMaterial("clay", (0.6, 0.4, 0.3), 0.1, 20.0, 0.04, 0.03, 0.5, 1)]
-# a one-cell terrain: records holding it compare by ==, as its 1x1 grids do
-_TERRAIN = TerrainInstance(np.array([[0]]), np.array([[0.015]]), _MATERIALS, "Layers", 4,
-                           np.array([[1]]), 0.05, (0.01, 0.01), 0.01)
-_SUITE_TASK = SuiteTask("test-00", True, "Layers", _TERRAIN)
+_SUITE_TASK = SuiteTask("test-00", True, "Layers", _MATERIALS, 4, 0.05, (0.01, 0.01), 0.01)
 RECORDS = [
     TrajectoryConstants(),
     _ACTION,
@@ -44,7 +42,8 @@ RECORDS = [
     DatasetHeader(2, "test-00", (4, 16, 16), TrajectoryConstants(), {"collect_seed": 3},
                   [RecordEntry(_ACTION, 12.5), RecordEntry(ScoopAction(0.5, 0.1, 0, 0.08, 0), -1.0)]),
     _SUITE_TASK,
-    Suite(1, 3, 4, 2, 30, [SuiteTask("train-00", False, "Layers", _TERRAIN), _SUITE_TASK]),
+    Suite(2, 3, 4, 2, 30, [SuiteTask("train-00", False, "Single", _MATERIALS[:1], 7, None, (0.9, 0.6), 0.01),
+                           _SUITE_TASK]),
     KShotTable("dkmt", 2, 0, [0, 5], {"test-00": {"0": 12.5, "5": 9.25}}, {"0": 12.5, "5": 9.25}),
 ]
 # one JSON value of each kind; a field refuses every kind its annotation does not take
@@ -58,7 +57,8 @@ WRONG = {
     "infinity": -math.inf,
     "huge_integer": 10**400,
 }
-TAKES = {float: {"fraction"}, int: {"huge_integer"}, str: {"string"}, bool: {"boolean"}, dict | None: {"null"}}
+TAKES = {float: {"fraction"}, int: {"huge_integer"}, str: {"string"}, bool: {"boolean"}, dict | None: {"null"},
+         float | None: {"fraction", "null"}}
 
 
 FIELDS = [
@@ -129,20 +129,32 @@ def test_trace_reads_optional_fault_and_checks_attempts():
             EpisodeTrace.from_dict({**trace.to_dict(), key: value})
 
 
+@dataclass
+class _Kelvin:
+    degrees: float
+
+    @classmethod
+    def from_dict(cls, d):
+        t = read_fields(cls, d)
+        if t.degrees < 0.0:
+            raise ValueError(f"{t.degrees} K is below absolute zero")
+        return t
+
+
+@dataclass
+class _Reading:
+    where: str
+    temperature: _Kelvin
+
+
 def test_a_class_own_reader_is_used_at_top_level_and_nested():
     trace = EpisodeTrace("t", "ucb(2)", 10.0, 20, [RECORDS[5]], success=True, meta={"method": "sl"})
     assert record_from_dict(EpisodeTrace, json.loads(json.dumps(trace.to_dict()))) == trace  # attempts read
-    assert record_from_dict(TerrainInstance, _json(_TERRAIN)) == _TERRAIN
-    nested = {**_json(_SUITE_TASK), "terrain": {**_json(_TERRAIN), "surface": [[0.5]]}}
-    with pytest.raises(ValueError, match="a grid must be"):
-        record_from_dict(SuiteTask, nested)
-    for key in ("surface", "heightfield", "hidden"):
-        terrain = _json(_TERRAIN)
-        del terrain[key]  # refused by name, never read as a missing grid
-        with pytest.raises(ValueError, match="TerrainInstance needs an object with the keys"):
-            record_from_dict(SuiteTask, {**_json(_SUITE_TASK), "terrain": terrain})
     with pytest.raises(ValueError, match="success flag"):
         record_from_dict(EpisodeTrace, {**trace.to_dict(), "threshold": 40.0})  # fails validate()
+    assert record_from_dict(_Reading, {"where": "lab", "temperature": {"degrees": 4}}) == _Reading("lab", _Kelvin(4))
+    with pytest.raises(ValueError, match="below absolute zero"):
+        record_from_dict(_Reading, {"where": "lab", "temperature": {"degrees": -1.5}})
 
 
 class _Refused(ValueError):

@@ -1,15 +1,17 @@
-import json
 import math
 
 import numpy as np
 import pytest
 
 from helpers import (
+    base_reward_reference,
     collect_offline_reference,
     direction,
+    feasible_by_mask,
     feasible_reference,
     render_patch,
     render_patches_reference,
+    sample_random_action_reference,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,8 @@ from scoopgp import decision, terrain
 from scoopgp.data import save_task_dataset
 from scoopgp.decision import ActionGrid, LiveEnvironment
 from scoopgp.model import (
+    DEPTH_MAX,
+    DEPTH_MIN,
     STIFF_HARD,
     STIFF_SOFT,
     Architecture,
@@ -25,8 +29,6 @@ from scoopgp.model import (
     TrajectoryConstants,
     action_rows,
     feature_matrix,
-    record_dict,
-    record_from_dict,
 )
 
 
@@ -297,7 +299,70 @@ def test_feasible_mask_matches_reference_on_random_and_boundary_actions():
                     actions += [ScoopAction(0.45, float(y), yaw, 0.05, 0) for y in ys]
     mask = terrain.feasible_mask(t, actions)
     assert mask.tolist() == [feasible_reference(t, a) for a in actions]
+    assert mask.tolist() == [terrain.feasible(t, a) for a in actions]
     assert 0 < mask[2000:].sum() < len(actions) - 2000
+
+
+@pytest.mark.parametrize("extent", [terrain.EXTENT, (0.6, 0.6), (1.37, 0.05)], ids=str)
+def test_sample_random_action_matches_uniform_draws(extent):
+    """The same actions as drawing each float by rng.uniform, and the same
+    generator state after each, over many seeds, whether or not an integer
+    draw has left half a 64-bit output buffered."""
+    t = terrain.TerrainInstance(np.zeros((1, 1), np.int64), np.zeros((1, 1)), [], "Single", 0, extent=extent)
+    for seed in range(200):
+        new, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(100):
+            assert terrain.sample_random_action(t, new) == sample_random_action_reference(t, ref)
+        assert new.bit_generator.state == ref.bit_generator.state, seed
+
+
+def test_base_reward_matches_reference(suite):
+    """The same float as the reward that finds the centre cell twice and
+    reads numpy scalars, on every composition, the layered tray's pierced
+    and unpierced depths included, and on starts clamped to the tray."""
+    train, test = suite
+    rng = np.random.default_rng(21)
+    for task in train[:4] + test:
+        t = task.terrain
+        actions = [sample_random_action_reference(t, rng) for _ in range(500)]
+        actions += [ScoopAction(x, y, yaw, depth, 1)
+                    for x in (0.0, 0.004, 0.45, t.extent[0]) for y in (0.0, 0.3, t.extent[1])
+                    for yaw in range(8) for depth in (0.03, 0.05, 0.0501, 0.08)]
+        for act in actions:
+            assert terrain.base_reward(t, act) == base_reward_reference(t, act), (task.task_id, act)
+
+
+_EDGE_TERRAIN = flat_terrain([0], terrain.training_materials(np.random.default_rng(5)))
+_EDGE_TERRAIN.heightfield[:] = np.random.default_rng(6).uniform(0.0, 0.05, _EDGE_TERRAIN.heightfield.shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    yaw=st.integers(0, 7),
+    wall_x=st.sampled_from([0.0, 1.0, None]),
+    wall_y=st.sampled_from([0.0, 1.0, None]),
+    corner=st.integers(0, 3),
+    u=st.floats(0.0, 1.0),
+    depth=st.sampled_from([DEPTH_MIN, 0.05, DEPTH_MAX]),
+    on_corner=st.booleans(),
+    ulps=st.integers(-4, 4),
+)
+def test_feasible_and_reward_match_oracles_on_edges_and_corners(yaw, wall_x, wall_y, corner, u, depth, on_corner,
+                                                                ulps):
+    """Starts exactly on the tray's edges and corners, or placed within a
+    few ulps of putting a swath corner on a wall, where a verdict turns on
+    the last bit: feasible is feasible_mask's, and base_reward the oracle's."""
+    t = _EDGE_TERRAIN
+    w, h = t.extent
+    x, y = (u * w if wall_x is None else wall_x * w), (u * h if wall_y is None else wall_y * h)
+    if on_corner:
+        along, side = terrain._CORNERS[corner]
+        (dx, dy), (px, py) = direction(yaw)
+        x = x - (dx * along + px * side) + ulps * np.spacing(max(abs(x), 1e-3))
+        y = y - (dy * along + py * side) + ulps * np.spacing(max(abs(y), 1e-3))
+    act = ScoopAction(float(x), float(y), yaw, depth, yaw % 2)
+    assert terrain.feasible(t, act) == feasible_by_mask(t, act)
+    assert terrain.base_reward(t, act) == base_reward_reference(t, act)
 
 
 @settings(max_examples=60, deadline=None)
@@ -474,10 +539,11 @@ def test_collect_offline_protocol(suite):
     assert ds.ground_truth is not None and "material_table" in ds.ground_truth
 
 
-@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("seed", [0, 7, 11])
 def test_collect_offline_writes_the_reference_bytes(seed, tmp_path):
-    """One batched render per task saves the datasets that rendering
-    each record as it is drawn saves, byte for byte, on every task."""
+    """One batched render per task, with the collector's own draws,
+    feasibility and rewards, saves the datasets that rendering each record
+    as it is drawn with the oracles' saves, byte for byte, on every task."""
     train, test = terrain.generate_suite(seed)
     assert "Layers" in {task.composition for task in test}
     for index, task in enumerate(train + test):
@@ -510,18 +576,3 @@ def test_suite_reward_scale(suite):
     rewards = np.array(rewards)
     assert 20.0 < rewards.mean() < 45.0
     assert rewards.max() <= 260.8
-
-
-def test_terrain_dict_roundtrip(suite):
-    """record_dict writes a terrain's grids as nested lists; read back
-    after a JSON round trip, every field is the terrain's, bit for bit."""
-    _, test = suite
-    t = test[3].terrain
-    assert t.hidden is not None
-    back = record_from_dict(terrain.TerrainInstance, json.loads(json.dumps(record_dict(t))))
-    for name in ("surface", "heightfield", "hidden"):
-        assert getattr(back, name).dtype == getattr(t, name).dtype
-        assert getattr(back, name).tobytes() == getattr(t, name).tobytes()
-    assert back.materials == t.materials
-    assert (back.composition, back.seed, back.layer_depth, back.extent, back.cell) == (
-        t.composition, t.seed, t.layer_depth, t.extent, t.cell)
