@@ -24,7 +24,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +130,11 @@ def grids_path(suite_path) -> Path:
     return Path(str(suite_path) + ".grids.npz")
 
 
+def _terrain_fields(source) -> dict:
+    """The TerrainInstance fields that a SuiteTask holds, read from source."""
+    return {f.name: getattr(source, f.name) for f in fields(SuiteTask) if f.name not in ("task_id", "is_test")}
+
+
 def cmd_gen_data(args) -> None:
     out = _resolve(args.out)
     train_tasks, test_tasks = generate_suite(args.seed, args.n_train, args.n_test)
@@ -148,8 +153,7 @@ def cmd_gen_data(args) -> None:
         ds = collect_offline(task, n_samples=args.samples, seed=args.seed * 100_003 + index)
         save_task_dataset(ds, out / "tasks" / f"{task.task_id}.json")
         t = task.terrain
-        suite.tasks.append(SuiteTask(task.task_id, task.is_test, t.composition, t.materials,
-                                     t.seed, t.layer_depth, t.extent, t.cell))
+        suite.tasks.append(SuiteTask(task.task_id, task.is_test, **_terrain_fields(t)))
         grids[f"{task.task_id}/surface"] = t.surface
         # the heights that a JSON round trip of 6-place text gave when suite.json held the grids
         grids[f"{task.task_id}/heightfield"] = np.round(t.heightfield, 6)
@@ -183,8 +187,8 @@ def load_suite_terrains(data_dir: Path) -> dict[str, TerrainTask]:
             surface, heightfield = (grids.pop(f"{t.task_id}/{name}") for name in ("surface", "heightfield"))
         except KeyError as err:
             raise ConfigError(f"data: {path}: task {i} has no grid {err}") from err
-        terrain = TerrainInstance(surface, heightfield, t.materials, t.composition, t.seed,
-                                  grids.pop(f"{t.task_id}/hidden", None), t.layer_depth, t.extent, t.cell)
+        terrain = TerrainInstance(surface=surface, heightfield=heightfield,
+                                  hidden=grids.pop(f"{t.task_id}/hidden", None), **_terrain_fields(t))
         try:
             terrain.validate()
         except ValueError as err:

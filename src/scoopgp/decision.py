@@ -23,8 +23,7 @@ from .terrain import (
     PATCH_CHANNELS,
     TerrainTask,
     execute_scoop,
-    feasible,  # noqa: F401 - perfbench patches decision.feasible by name
-    feasible_mask,
+    feasible,
     patch_cells,
     render_patches,
     skip_uniforms,
@@ -208,7 +207,7 @@ class LiveEnvironment:
         self.terrain = task.terrain.copy()
         self.actions = grid.enumerate(self.terrain.extent)
         cells = patch_cells(self.terrain, self.actions)
-        mask = feasible_mask(self.terrain, self.actions)
+        mask = np.fromiter((feasible(self.terrain, a) for a in self.actions), bool, len(self.actions))
         self._indices = np.flatnonzero(mask)
         self._infeasible = set(np.flatnonzero(~mask).tolist())
         self._cells = cells[mask]

@@ -579,24 +579,13 @@ _DRAG = TrajectoryConstants().drag_length_m  # the scoop's drag, start to end
 _DRAG_END = _DRAG + FOOT_MARGIN
 _CORNERS = ((-FOOT_MARGIN, -_HALF_SWATH), (-FOOT_MARGIN, _HALF_SWATH),
             (_DRAG_END, -_HALF_SWATH), (_DRAG_END, _HALF_SWATH))
-_CORNER_ALONG, _CORNER_SIDE = np.array(_CORNERS).T
-
-
-def feasible_mask(terrain: TerrainInstance, actions: list[ScoopAction]) -> np.ndarray:
-    """(n,) bool: whether each action's swath, from the start through the
-    drag and widened by the foot margin, stays inside the tray. Each
-    corner coordinate is start + d * along + p * side, summed left to
-    right, with (d, p) the yaw's drag and side axes."""
-    starts = np.array([(a.x, a.y) for a in actions], dtype=np.float64).reshape(-1, 2, 1)
-    axes = _YAW_AXES[np.array([a.yaw for a in actions], dtype=np.int64)].reshape(-1, 2, 2, 1)
-    corners = starts + axes[:, 0] * _CORNER_ALONG + axes[:, 1] * _CORNER_SIDE  # (n, xy, 4)
-    inside = (0.0 <= corners) & (corners <= np.reshape(terrain.extent, (2, 1)))
-    return inside.all(axis=(1, 2))
 
 
 def feasible(terrain: TerrainInstance, act: ScoopAction) -> bool:
-    """feasible_mask of one action: its four corners in Python floats, by
-    the same operations in the same order, so the verdict is the mask's."""
+    """Whether the action's swath, from the start through the drag and
+    widened by the foot margin, stays inside the tray: each corner
+    coordinate is start + d * along + p * side, summed left to right,
+    with (d, p) the yaw's drag and side axes."""
     d_x, d_y, p_x, p_y = _YAW_TUPLES[act.yaw]
     x, y = act.x, act.y
     w, h = terrain.extent

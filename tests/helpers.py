@@ -20,6 +20,8 @@ from scoopgp.model import (
     record_dict,
 )
 from scoopgp.terrain import (
+    _CORNERS,
+    _YAW_AXES,
     FOOT_MARGIN,
     HEIGHT_NOISE,
     NOISE_FLOOR_STD,
@@ -33,7 +35,6 @@ from scoopgp.terrain import (
     STIFF_MISMATCH,
     BoundsError,
     execute_scoop,
-    feasible_mask,
     render_patches,
 )
 
@@ -121,8 +122,9 @@ def render_patch(terrain, act, rng=None) -> np.ndarray:
 
 
 def feasible_reference(terrain, act) -> bool:
-    """The four swath corners one at a time in Python floats: the oracle
-    for terrain.feasible_mask, which must agree on every action."""
+    """The four swath corners one at a time in Python floats, written
+    out from the scoop's geometry: the oracle for terrain.feasible and
+    feasible_mask, which must agree on every action."""
     d, p = direction(act.yaw)
     drag = TrajectoryConstants().drag_length_m
     half_w = SCOOP_WIDTH / 2.0
@@ -136,9 +138,21 @@ def feasible_reference(terrain, act) -> bool:
     )
 
 
+def feasible_mask(terrain, actions) -> np.ndarray:
+    """(n,) bool: the swath-in-tray rule for many actions at once, with
+    each corner coordinate start + d * along + p * side summed left to
+    right in numpy: the oracle for terrain.feasible, which must give the
+    same verdict on every action."""
+    along, side = np.array(_CORNERS).T
+    starts = np.array([(a.x, a.y) for a in actions], dtype=np.float64).reshape(-1, 2, 1)
+    axes = _YAW_AXES[np.array([a.yaw for a in actions], dtype=np.int64)].reshape(-1, 2, 2, 1)
+    corners = starts + axes[:, 0] * along + axes[:, 1] * side  # (n, xy, 4)
+    inside = (0.0 <= corners) & (corners <= np.reshape(terrain.extent, (2, 1)))
+    return inside.all(axis=(1, 2))
+
+
 def feasible_by_mask(terrain, act) -> bool:
-    """feasible_mask of the one action: the oracle for terrain.feasible,
-    which must give the same verdict on every action."""
+    """feasible_mask of the one action."""
     return bool(feasible_mask(terrain, [act])[0])
 
 

@@ -8,6 +8,7 @@ from helpers import (
     collect_offline_reference,
     direction,
     feasible_by_mask,
+    feasible_mask,
     feasible_reference,
     render_patch,
     render_patches_reference,
@@ -260,7 +261,7 @@ def test_live_environment_renders_only_feasible_runs(suite, grid, rows, runs):
     actions form the contiguous runs the environment renders."""
     task = suite[1][0]
     env = LiveEnvironment(task, grid, seed=0)
-    mask = terrain.feasible_mask(task.terrain, env.actions)
+    mask = feasible_mask(task.terrain, env.actions)
     X, actions, indices = env.candidates()
     assert indices.tolist() == np.flatnonzero(mask).tolist()
     assert len(X) == rows and env.excluded() == set(np.flatnonzero(~mask).tolist())
@@ -272,7 +273,7 @@ def test_feasible_mask_matches_per_action_feasible(suite, grid):
     for task in suite[0][:2] + suite[1]:
         t = task.terrain
         actions = grid.enumerate(t.extent) + [ScoopAction(0.0, 0.3, 4, 0.05, 0)]
-        mask = terrain.feasible_mask(t, actions)
+        mask = feasible_mask(t, actions)
         assert mask.tolist() == [feasible_reference(t, a) for a in actions]
         assert mask.tolist() == [terrain.feasible(t, a) for a in actions]
         assert 0 < mask.sum() < len(actions)
@@ -297,7 +298,7 @@ def test_feasible_mask_matches_reference_on_random_and_boundary_actions():
                     y0 = wall_y - (dy * along + py * side)
                     ys = y0 + np.spacing(max(abs(y0), 1e-3)) * np.arange(-4, 5)
                     actions += [ScoopAction(0.45, float(y), yaw, 0.05, 0) for y in ys]
-    mask = terrain.feasible_mask(t, actions)
+    mask = feasible_mask(t, actions)
     assert mask.tolist() == [feasible_reference(t, a) for a in actions]
     assert mask.tolist() == [terrain.feasible(t, a) for a in actions]
     assert 0 < mask[2000:].sum() < len(actions) - 2000
