@@ -249,7 +249,7 @@ def cmd_eval_deploy(args) -> None:
     for task_index, path in enumerate(_task_files(data_dir, "test")):
         ds = load_task_dataset(path, view="learner", arch=model.arch)
         try:
-            threshold = compute_threshold(ds.records)
+            threshold = compute_threshold(ds.rewards)
         except ValueError as err:
             raise ConfigError(f"data: {path}: threshold rule: {err}") from err
         for rep in range(args.reps):

@@ -1,12 +1,12 @@
-"""Task datasets: one terrain's scoop records, as a JSON header and a
-.npy file of patches.
+"""Task datasets: one terrain's scoops, held as arrays (TaskDataset) and
+saved as a JSON header and a .npy file of patches.
 
 A dataset saved as <id>.json is two files. <id>.json is a DatasetHeader
 record: the schema version, task id, patch shape, trajectory constants,
 ground truth, and each record's action and reward. The sidecar
-<id>.json.patches.npy holds every record's (C, H, W) patch as one
-(N, C, H, W) float64 array. Patch values and rewards are rounded by
-round(v, DECIMALS) before they are written.
+<id>.json.patches.npy holds the (N, C, H, W) float64 patches. Patch
+values and rewards are rounded by round(v, DECIMALS) before they are
+written.
 
 The header segregates simulator ground truth (material table,
 composition, hidden layers) under a single "ground_truth" key. The
@@ -30,6 +30,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +38,8 @@ from .model import (
     Architecture,
     ScoopAction,
     TrajectoryConstants,
+    action_rows,
     check_patch_shape,
-    feature_rows,
     read_record,
     record_dict,
     validate_patches,
@@ -55,8 +56,8 @@ class DatasetError(ValueError):
     no learner may use; refused on save and on load."""
 
 
-@dataclass
-class ScoopRecord:
+# perfbench reads TaskDataset.records; ROADMAP item 6 deletes both
+class ScoopRecord(NamedTuple):
     obs: np.ndarray  # the (C, H, W) patch observed before the scoop
     action: ScoopAction
     reward: float
@@ -84,35 +85,41 @@ class DatasetHeader:
 
 @dataclass
 class TaskDataset:
-    """All scoop records collected on one terrain. features is their
-    (N, C * H * W + 2) feature_rows matrix, built here from the records'
-    patches; each record is then replaced by one whose obs views its row."""
+    """All scoops collected on one terrain: (N, C, H, W) patches, N actions
+    and (N,) float64 rewards. features is their (N, C * H * W + 2) model
+    feature matrix, built here; patches is then rebound to the view of its
+    patch columns, so a write through one shows in the other."""
 
     task_id: str
-    records: list[ScoopRecord]
+    patches: np.ndarray
+    actions: list[ScoopAction]
+    rewards: np.ndarray
     constants: TrajectoryConstants = field(default_factory=TrajectoryConstants)
     ground_truth: dict | None = None
     features: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.features = feature_rows([(r.obs, r.action) for r in self.records])
-        self.records = [ScoopRecord(p, r.action, r.reward) for p, r in zip(self.patches, self.records)]
+        self.rewards = np.array(self.rewards, dtype=np.float64)
+        if self.patches.ndim != 4:
+            raise ValueError(f"{self.task_id}: patches must be (N, C, H, W), got shape {self.patches.shape}")
+        n, shape = len(self.patches), self.patches.shape[1:]
+        if len(self.actions) != n or self.rewards.shape != (n,):
+            raise ValueError(f"{self.task_id}: {n} patches, {len(self.actions)} actions, rewards {self.rewards.shape}")
+        self.features = action_rows(self.actions, math.prod(shape))
+        patches, self.patches = self.patches, self.features[:, :-2].reshape(n, *shape)
+        self.patches[...] = patches
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.rewards)
 
     @property
-    def rewards(self) -> np.ndarray:
-        return np.array([r.reward for r in self.records], dtype=np.float64)
-
-    @property
-    def patches(self) -> np.ndarray:
-        """(N, C, H, W) view of the records' patches in features."""
-        return self.features[:, :-2].reshape(len(self.features), *self.records[0].obs.shape)
+    def records(self) -> list[ScoopRecord]:
+        """Each scoop as a ScoopRecord whose obs views its row; perfbench reads it (ROADMAP item 6)."""
+        return [ScoopRecord(*r) for r in zip(self.patches, self.actions, self.rewards.tolist())]
 
     def feature_matrix(self, arch: Architecture) -> np.ndarray:
         """The held (N, input_dim) features themselves; callers must not write them."""
-        check_patch_shape(arch, self.records[0].obs.shape)
+        check_patch_shape(arch, self.patches.shape[1:])
         return self.features
 
 
@@ -158,13 +165,10 @@ def round_exact(x: np.ndarray) -> np.ndarray:
 def save_task_dataset(ds: TaskDataset, path) -> None:
     """Write one dataset's header to path and its patches to
     patches_path(path), patch values and rewards rounded to DECIMALS places."""
-    patches = ds.patches
-    if patches.ndim != 4:
-        raise DatasetError(f"{ds.task_id}: patches must be (C, H, W), got {patches.shape[1:]}")
-    rounded = round_exact(patches)
-    entries = [RecordEntry(r.action, round(float(r.reward), DECIMALS)) for r in ds.records]
-    _check_records(ds.task_id, rounded, [e.action for e in entries], [e.reward for e in entries])
-    header = DatasetHeader(SCHEMA_VERSION, ds.task_id, patches.shape[1:], ds.constants, ds.ground_truth, entries)
+    rounded = round_exact(ds.patches)
+    entries = [RecordEntry(a, round(r, DECIMALS)) for a, r in zip(ds.actions, ds.rewards.tolist())]
+    _check_records(ds.task_id, rounded, ds.actions, [e.reward for e in entries])
+    header = DatasetHeader(SCHEMA_VERSION, ds.task_id, rounded.shape[1:], ds.constants, ds.ground_truth, entries)
     Path(path).write_text(json.dumps(record_dict(header)))
     with patches_path(path).open("wb") as fh:
         np.save(fh, rounded, allow_pickle=False)
@@ -199,12 +203,15 @@ def load_task_dataset(path, view: str = "learner", arch: Architecture | None = N
             check_patch_shape(arch, header.patch_shape)
         except ValueError as err:
             raise DatasetError(f"{path}: {err}") from err
-    entries = header.records
-    patches = _read_patches(patches_path(path), (len(entries), *header.patch_shape))
-    _check_records(path, patches, [e.action for e in entries], [e.reward for e in entries])
+    actions = [e.action for e in header.records]
+    rewards = [e.reward for e in header.records]
+    patches = _read_patches(patches_path(path), (len(actions), *header.patch_shape))
+    _check_records(path, patches, actions, rewards)
     return TaskDataset(
         task_id=header.task_id,
-        records=[ScoopRecord(obs, e.action, float(e.reward)) for obs, e in zip(patches, entries)],
+        patches=patches,
+        actions=actions,
+        rewards=rewards,
         constants=header.trajectory_constants,
         ground_truth=header.ground_truth if view == "oracle" else None,
     )

@@ -169,11 +169,11 @@ class ReplayEnvironment:
 
     def __init__(self, dataset: TaskDataset):
         self.task_id = dataset.task_id
-        self._records = dataset.records
-        self._actions = [r.action for r in self._records]
+        self._actions = dataset.actions
+        self._rewards = dataset.rewards
         self._features = dataset.features.view()
         self._features.flags.writeable = False
-        self._indices = np.arange(len(self._records))
+        self._indices = np.arange(len(self._actions))
         self._used: set[int] = set()
 
     def candidates(self) -> tuple[np.ndarray, list[ScoopAction], np.ndarray]:
@@ -186,10 +186,12 @@ class ReplayEnvironment:
         return set(self._used)
 
     def execute(self, index: int) -> float:
+        if not 0 <= index < len(self._actions):
+            raise IndexError(f"record {index} is not in 0..{len(self._actions) - 1}")
         if index in self._used:
             raise RuntimeError(f"record {index} already replayed")
         self._used.add(index)
-        return self._records[index].reward
+        return float(self._rewards[index])
 
 
 class LiveEnvironment:
@@ -240,6 +242,8 @@ class LiveEnvironment:
         return set(self._infeasible)
 
     def execute(self, index: int) -> float:
+        if not 0 <= index < len(self.actions):
+            raise IndexError(f"action {index} is not in 0..{len(self.actions) - 1}")
         if index in self._infeasible:
             raise RuntimeError(f"action {index} is kinematically infeasible")
         return execute_scoop(self.terrain, self.actions[index], self.rng)

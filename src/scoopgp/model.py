@@ -229,17 +229,6 @@ def action_rows(actions, patch_size: int) -> np.ndarray:
     return X
 
 
-def feature_rows(pairs) -> np.ndarray:
-    """(n, C * H * W + 2) model features of [(patch, act)] pairs whose
-    patches share one (C, H, W) shape: each row is the flattened patch
-    plus normalized depth and the stiffness flag."""
-    pairs = list(pairs)
-    shape = pairs[0][0].shape
-    X = action_rows([act for _, act in pairs], math.prod(shape))
-    np.stack([patch for patch, _ in pairs], out=X[:, :-2].reshape(len(pairs), *shape))
-    return X
-
-
 def check_patch_shape(arch: Architecture, shape: tuple[int, ...]) -> None:
     """ShapeError unless a patch shape is the architecture's (C, H, W)."""
     expected = (arch.channels, arch.patch_h, arch.patch_w)
@@ -248,11 +237,15 @@ def check_patch_shape(arch: Architecture, shape: tuple[int, ...]) -> None:
 
 
 def feature_matrix(arch: Architecture, pairs) -> np.ndarray:
-    """feature_rows of pairs whose patches have the architecture's shape."""
+    """(n, input_dim) model features of [(patch, act)] pairs whose patches
+    have the architecture's (C, H, W) shape: each row is the flattened
+    patch plus normalized depth and the stiffness flag."""
     pairs = list(pairs)
     for patch, _ in pairs:
         check_patch_shape(arch, patch.shape)
-    return feature_rows(pairs)
+    X = action_rows([act for _, act in pairs], arch.patch_size)
+    np.stack([patch for patch, _ in pairs], out=X[:, :-2].reshape(len(pairs), *pairs[0][0].shape))
+    return X
 
 
 def flip_permutation(arch: Architecture) -> np.ndarray:

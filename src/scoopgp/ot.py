@@ -49,18 +49,14 @@ class SampleCostParams:
 
     @classmethod
     def from_tasks(cls, tasks: list[TaskDataset]) -> "SampleCostParams":
-        patches = [task.patches for task in tasks]
-        lo = np.min([p.min(axis=(0, 2, 3)) for p in patches], axis=0)
-        hi = np.max([p.max(axis=(0, 2, 3)) for p in patches], axis=0)
+        lo = np.min([t.patches.min(axis=(0, 2, 3)) for t in tasks], axis=0)
+        hi = np.max([t.patches.max(axis=(0, 2, 3)) for t in tasks], axis=0)
         ranges = tuple((float(a), float(b if b > a else a + 1e-9)) for a, b in zip(lo, hi))
         partial = cls(1.0, 1.0, 1.0, channel_ranges=ranges)
-        c_img = c_act = c_rew = 0.0
-        for task, task_patches in zip(tasks, patches):
-            for h in histogram_matrix(task_patches, partial):
-                c_img = max(c_img, float(np.linalg.norm(h)))
-            for rec in task.records:
-                c_act = max(c_act, float(np.linalg.norm(rec.action.vector())))
-                c_rew = max(c_rew, abs(float(rec.reward)))
+        c_img = max(float(np.linalg.norm(h)) for t in tasks for h in histogram_matrix(t.patches, partial))
+        # each action's own norm: norm(A, axis=1) differs from it in the last bits
+        c_act = max(float(np.linalg.norm(a.vector())) for t in tasks for a in t.actions)
+        c_rew = max(float(np.max(np.abs(t.rewards))) for t in tasks)
         return cls(
             c_image=max(c_img, 1e-12),
             c_action=max(c_act, 1e-12),
@@ -123,7 +119,7 @@ def sample_cost(s1, s2, params: SampleCostParams) -> float:
 
 def _task_arrays(task: TaskDataset, params: SampleCostParams):
     H = histogram_matrix(task.patches, params)
-    A = np.stack([r.action.vector() for r in task.records])
+    A = np.stack([a.vector() for a in task.actions])
     r = task.rewards
     return H, A, r
 

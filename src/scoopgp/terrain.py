@@ -683,7 +683,7 @@ def execute_scoop(
 def compute_threshold(rewards) -> float:
     """Success threshold: the 5th largest reward among the records."""
     seq = list(rewards)
-    if seq and isinstance(seq[0], ScoopRecord):
+    if seq and isinstance(seq[0], ScoopRecord):  # perfbench's ds.records; ROADMAP item 6 deletes this
         seq = [r.reward for r in seq]
     values = np.asarray(seq, dtype=np.float64)
     if values.size < 5:
@@ -729,15 +729,12 @@ def collect_offline(task: TerrainTask, n_samples: int = 100, seed: int = 0) -> T
         rng.random(out=uniforms[len(actions)])
         rewards.append(sample_reward(terrain, act, rng))
         actions.append(act)
-    patches = render_patches(terrain, actions, uniforms=uniforms)
-    records = [
-        ScoopRecord(obs=patch, action=act, reward=reward)
-        for patch, act, reward in zip(patches, actions, rewards)
-    ]
     material_ids = terrain.material_ids()
     return TaskDataset(
         task_id=task.task_id,
-        records=records,
+        patches=render_patches(terrain, actions, uniforms=uniforms),
+        actions=actions,
+        rewards=rewards,
         constants=TrajectoryConstants(),
         ground_truth={
             "composition": task.composition,

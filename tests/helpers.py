@@ -7,7 +7,7 @@ import numpy as np
 
 from scoopgp import gp, ot
 from scoopgp import tensor as T
-from scoopgp.data import SCHEMA_VERSION, ScoopRecord, TaskDataset, patches_path
+from scoopgp.data import SCHEMA_VERSION, TaskDataset, patches_path
 from scoopgp.decision import EpisodeStep, EpisodeTrace
 from scoopgp.model import (
     DEPTH_MAX,
@@ -59,18 +59,14 @@ def make_task(
     reward_shift: float = 0.0,
 ) -> TaskDataset:
     rng = np.random.default_rng(seed)
-    records = []
-    for _ in range(n):
-        patch = rng.uniform(0.0, 1.0, size=(channels, h, w))
+    patches = np.empty((n, channels, h, w))
+    actions, rewards = [], []
+    for patch in patches:
+        patch[...] = rng.uniform(0.0, 1.0, size=(channels, h, w))
         patch[-1] = rng.uniform(0.0, 0.2, size=(h, w))
-        records.append(
-            ScoopRecord(
-                obs=patch,
-                action=random_action(rng),
-                reward=float(rng.uniform(0.0, 30.0)) + reward_shift,
-            )
-        )
-    return TaskDataset(task_id, records)
+        actions.append(random_action(rng))
+        rewards.append(float(rng.uniform(0.0, 30.0)) + reward_shift)
+    return TaskDataset(task_id, patches, actions, rewards)
 
 
 def direction(yaw: int) -> tuple[np.ndarray, np.ndarray]:
@@ -206,18 +202,20 @@ def collect_offline_reference(task, n_samples=100, seed=0):
     byte-equal to these."""
     rng = np.random.default_rng(seed)
     t = task.terrain
-    records = []
-    while len(records) < n_samples:
+    patches, actions, rewards = [], [], []
+    while len(actions) < n_samples:
         act = sample_random_action_reference(t, rng)
         if not feasible_by_mask(t, act):
             continue
-        obs = render_patch(t, act, rng)
+        patches.append(render_patch(t, act, rng))
         noise = math.exp(REWARD_NOISE_SIGMA * rng.standard_normal() - REWARD_NOISE_SIGMA**2 / 2.0)
-        reward = base_reward_reference(t, act) * noise + abs(rng.normal(0.0, NOISE_FLOOR_STD))
-        records.append(ScoopRecord(obs=obs, action=act, reward=reward))
+        rewards.append(base_reward_reference(t, act) * noise + abs(rng.normal(0.0, NOISE_FLOOR_STD)))
+        actions.append(act)
     return TaskDataset(
         task_id=task.task_id,
-        records=records,
+        patches=np.array(patches),
+        actions=actions,
+        rewards=rewards,
         constants=TrajectoryConstants(),
         ground_truth={
             "composition": task.composition,
@@ -307,10 +305,15 @@ def embed_batch(model, X) -> np.ndarray:
     return model.kernel_t(T.Tensor(model.extract_batch(X))).data
 
 
+def sample(ds, i) -> tuple:
+    """A dataset's i-th scoop as a (patch, action, reward) tuple."""
+    return ds.patches[i], ds.actions[i], float(ds.rewards[i])
+
+
 def support_tuples(ds, indices) -> list:
-    """The (obs, action, reward) support set of a dataset's records at
+    """The (patch, action, reward) support set of a dataset's scoops at
     indices, as model.predict_batch takes it."""
-    return [(ds.records[i].obs, ds.records[i].action, ds.records[i].reward) for i in indices]
+    return [sample(ds, i) for i in indices]
 
 
 def kshot_mae_reference(model, datasets, shots, seed) -> dict:
@@ -323,8 +326,8 @@ def kshot_mae_reference(model, datasets, shots, seed) -> dict:
         rng = np.random.default_rng([seed, task_index])
         perm = rng.permutation(len(ds))
         query_idx, pool_idx = perm[:n_query], perm[n_query:]
-        queries = [(ds.records[i].obs, ds.records[i].action) for i in query_idx]
-        truth = np.array([ds.records[i].reward for i in query_idx])
+        queries = [(ds.patches[i], ds.actions[i]) for i in query_idx]
+        truth = np.array([ds.rewards[i] for i in query_idx])
         per_task[ds.task_id] = {}
         for k in shots:
             support_idx = rng.choice(pool_idx, size=k, replace=False) if k else []
@@ -616,17 +619,17 @@ def save_task_dataset_reference(ds, path):
     payload = {
         "schema_version": SCHEMA_VERSION,
         "task_id": ds.task_id,
-        "patch_shape": list(ds.records[0].obs.shape),
+        "patch_shape": list(ds.patches[0].shape),
         "trajectory_constants": record_dict(ds.constants),
         "ground_truth": ds.ground_truth,
         "records": [
-            {"action": record_dict(r.action), "reward": round(float(r.reward), 6)}
-            for r in ds.records
+            {"action": record_dict(action), "reward": round(float(reward), 6)}
+            for action, reward in zip(ds.actions, ds.rewards)
         ],
     }
     Path(path).write_text(json.dumps(payload))
-    patches = [[round(float(v), 6) for v in r.obs.ravel()] for r in ds.records]
-    np.save(patches_path(path), np.array(patches).reshape(len(ds.records), *ds.records[0].obs.shape))
+    patches = [[round(float(v), 6) for v in patch.ravel()] for patch in ds.patches]
+    np.save(patches_path(path), np.array(patches).reshape(len(ds.patches), *ds.patches[0].shape))
 
 
 def suite_task_dict_reference(task) -> dict:

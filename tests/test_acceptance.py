@@ -186,8 +186,8 @@ def test_criterion_3_sinkhorn_identities():
         ot.sinkhorn_divergence(A, B, params, eps)
         - ot.sinkhorn_divergence(B, A, params, eps)
     )
-    S1 = TaskDataset("s1", [A.records[0]])
-    S2 = TaskDataset("s2", [B.records[0]])
+    S1 = TaskDataset("s1", A.patches[:1], A.actions[:1], A.rewards[:1])
+    S2 = TaskDataset("s2", B.patches[:1], B.actions[:1], B.rewards[:1])
     cost = ot.sample_cost(
         (S1.records[0].obs, S1.records[0].action, S1.records[0].reward),
         (S2.records[0].obs, S2.records[0].action, S2.records[0].reward),

@@ -389,7 +389,8 @@ def test_eval_deploy_on_too_few_records_exits_1(pipeline, tmp_path, capsys):
     shutil.copytree(pipeline["data"], data)
     path = data / "tasks" / "test-00.json"
     ds = load_task_dataset(path, view="oracle")
-    save_task_dataset(TaskDataset(ds.task_id, ds.records[:4], ds.constants, ds.ground_truth), path)
+    short = TaskDataset(ds.task_id, ds.patches[:4], ds.actions[:4], ds.rewards[:4], ds.constants, ds.ground_truth)
+    save_task_dataset(short, path)
     out = tmp_path / "t.jsonl"
     assert cli.main(["eval-deploy", "--model", str(pipeline["ckpt"]), "--data", str(data),
                      "--out", str(out), "--max-attempts", "3", "--reps", "1"]) == 1

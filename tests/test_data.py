@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from helpers import make_task, save_task_dataset_reference
 from scoopgp import data
-from scoopgp.data import DatasetError, load_task_dataset, patches_path, save_task_dataset
+from scoopgp.data import DatasetError, TaskDataset, load_task_dataset, patches_path, save_task_dataset
 from scoopgp.model import Architecture, TrajectoryConstants, feature_matrix, record_dict
 from scoopgp.tensor import ShapeError
-from scoopgp.terrain import collect_offline, generate_suite
+from scoopgp.terrain import collect_offline, compute_threshold, generate_suite
 
 
 def _adversarial_values():
@@ -55,10 +55,9 @@ def test_writer_matches_reference_on_adversarial_patches(tmp_path):
     ds = make_task("adversarial", n, seed=4, channels=3, h=5, w=7)
     heights = np.resize(values, n * per_record).reshape(n, 5, 7)
     appearance = np.resize(unit[::-1], n * 2 * per_record).reshape(n, 2, 5, 7)
-    for i, rec in enumerate(ds.records):
-        rec.obs[:2] = appearance[i]
-        rec.obs[2] = heights[i]
-        rec.reward = float(values[i])
+    ds.patches[:, :2] = appearance
+    ds.patches[:, 2] = heights
+    ds.rewards[:] = values[:n]
     save_task_dataset(ds, tmp_path / "fast.json")
     save_task_dataset_reference(ds, tmp_path / "reference.json")
     _assert_same_files(tmp_path / "fast.json", tmp_path / "reference.json")
@@ -74,9 +73,9 @@ def test_round_exact_matches_python_round():
 def test_writer_refuses_non_finite_values(tmp_path, fault):
     ds = make_task("t", 4, seed=5)
     if fault == "patch":
-        ds.records[2].obs[1, 0, 3] = np.nan
+        ds.patches[2, 1, 0, 3] = np.nan
     else:
-        ds.records[3].reward = np.inf
+        ds.rewards[3] = np.inf
     path = tmp_path / "t.json"
     with pytest.raises(DatasetError, match=fault):
         save_task_dataset(ds, path)
@@ -94,20 +93,20 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 def test_save_load_roundtrip_equals_python_round(tmp_path_factory, appearance, heights):
     patch = np.concatenate([appearance, heights]).reshape(3, 2, 2)
     ds = make_task("prop", 1, seed=0, channels=3, h=2, w=2)
-    ds.records[0].obs[...] = patch
+    ds.patches[0] = patch
     path = tmp_path_factory.mktemp("prop") / "prop.json"
     save_task_dataset(ds, path)
-    loaded = load_task_dataset(path).records[0].obs
+    loaded = load_task_dataset(path).patches[0]
     expected = np.array([round(float(v), 6) for v in patch.ravel()]).reshape(patch.shape)
     assert loaded.tobytes() == expected.tobytes()
 
 
 def test_load_refuses_patches_of_another_dtype_but_not_equal_floats(tmp_path):
     ds = make_task("edges", 3, seed=2)
-    ds.records[1].obs[0, 0, :2] = (0.0, 1.0)
+    ds.patches[1, 0, 0, :2] = (0.0, 1.0)
     path = tmp_path / "edges.json"
     save_task_dataset(ds, path)
-    assert load_task_dataset(path).records[1].obs[0, 0, :2].tolist() == [0.0, 1.0]
+    assert load_task_dataset(path).patches[1, 0, 0, :2].tolist() == [0.0, 1.0]
     patches = np.load(patches_path(path))
     for dtype in (bool, np.float32, np.int64, np.dtype(">f8")):
         np.save(patches_path(path), patches.astype(dtype))
@@ -145,20 +144,63 @@ def test_load_refuses_malformed_trajectory_constants(tmp_path, constants):
         load_task_dataset(path)
 
 
-def test_records_are_views_into_the_one_feature_matrix(tmp_path):
-    """An in-memory and a loaded dataset hold each record's features once:
-    every record's obs shares memory with the matrix feature_matrix
-    returns, which is the same array at every call and holds the rows
-    model.feature_matrix stacks from the records."""
+def test_patches_are_a_view_into_the_one_feature_matrix(tmp_path):
+    """An in-memory and a loaded dataset hold each scoop's features once:
+    patches shares memory with the matrix feature_matrix returns, which
+    is the same array at every call and holds the rows model.feature_matrix
+    stacks from the patches and actions, and a write through either shows
+    in the other. The dataset holds copies of the patches and rewards it
+    was given."""
     arch = Architecture(channels=2, patch_h=4, patch_w=4)
     built = make_task("views", 6, seed=3)
     save_task_dataset(built, tmp_path / "views.json")
     for ds in (built, load_task_dataset(tmp_path / "views.json")):
         X = ds.feature_matrix(arch)
         assert X is ds.feature_matrix(arch)
-        assert all(np.shares_memory(rec.obs, X) for rec in ds.records)
-        assert X.tobytes() == feature_matrix(arch, [(r.obs, r.action) for r in ds.records]).tobytes()
-        ds.records[2].obs[1, 0, 0] = 0.25
+        assert np.shares_memory(ds.patches, X)
+        assert X.tobytes() == feature_matrix(arch, zip(ds.patches, ds.actions)).tobytes()
+        ds.patches[2, 1, 0, 0] = 0.25
         assert X[2, 16] == 0.25
+        X[3, 5] = 0.5
+        assert ds.patches[3, 0, 1, 1] == 0.5
+    given = built.patches.copy()
+    copied = TaskDataset("copy", given, built.actions, built.rewards)
+    given[0, 0, 0, 0] = 0.75
+    assert copied.patches[0, 0, 0, 0] == built.patches[0, 0, 0, 0] != 0.75
+    assert not np.shares_memory(copied.rewards, built.rewards)
     with pytest.raises(ShapeError):
         built.feature_matrix(Architecture())
+
+
+@pytest.mark.parametrize(
+    "patches, actions, rewards",
+    [
+        (slice(None, 5), slice(None), slice(None)),
+        (slice(None), slice(None, 5), slice(None)),
+        (slice(None), slice(None), slice(None, 5)),
+        (slice(None), slice(None), slice(None, 7)),
+    ],
+    ids=["patches", "actions", "rewards", "more-rewards"],
+)
+def test_lengths_that_disagree_are_refused(patches, actions, rewards):
+    ds = make_task("lengths", 6, seed=3)
+    rewards = np.append(ds.rewards, 1.0)[rewards]
+    with pytest.raises(ValueError, match="6|5"):
+        TaskDataset("lengths", ds.patches[patches], ds.actions[actions], rewards)
+
+
+@pytest.mark.parametrize("shape", [(6, 32), (6, 2, 16), (1, 6, 2, 4, 4)], ids=["2d", "3d", "5d"])
+def test_patches_that_are_not_four_dimensional_are_refused(shape):
+    ds = make_task("dims", 6, seed=3)
+    with pytest.raises(ValueError, match=r"\(N, C, H, W\)"):
+        TaskDataset("dims", ds.patches.reshape(shape), ds.actions, ds.rewards)
+
+
+def test_records_are_views_of_the_arrays_and_give_the_same_threshold():
+    ds = make_task("records", 12, seed=8)
+    records = ds.records
+    assert [type(r.reward) for r in records] == [float] * 12
+    assert [r.reward for r in records] == ds.rewards.tolist()
+    assert [r.action for r in records] == ds.actions
+    assert all(np.shares_memory(r.obs, ds.features) and np.array_equal(r.obs, p) for r, p in zip(records, ds.patches))
+    assert compute_threshold(ds.records) == compute_threshold(ds.rewards)

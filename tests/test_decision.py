@@ -49,7 +49,7 @@ def embedded(m, X):
 def test_ucb_score_reductions():
     m = trained_toy_model()
     task = make_task("t", 5, seed=1)
-    cands = [(r.obs, r.action) for r in task.records]
+    cands = list(zip(task.patches, task.actions))
     means, variances = m.predict_batch(cands, support_tuples(task, [1, 2]))
     assert np.array_equal(D.Policy.ucb(0.0).scores(means, variances), means)
     assert np.array_equal(D.Policy.greedy().scores(means, variances), means)
@@ -73,7 +73,7 @@ def test_ucb_prefers_uncertain_at_equal_mean():
 def test_select_action_basics():
     m = trained_toy_model(2)
     task = make_task("t", 6, seed=3)
-    X = M.feature_matrix(ARCH, [(r.obs, r.action) for r in task.records])
+    X = M.feature_matrix(ARCH, zip(task.patches, task.actions))
     E = embedded(m, X)
     every = np.arange(len(X))
     idx, score = D.select_action(m, *embedded(m, X[:1]), D.Policy.greedy(), every[:1])
@@ -90,7 +90,7 @@ def test_select_action_basics():
 def test_select_action_scale_invariance_of_argmax():
     m = trained_toy_model(4)
     task = make_task("t", 8, seed=5)
-    cands = [(r.obs, r.action) for r in task.records]
+    cands = list(zip(task.patches, task.actions))
     means, variances = m.predict_batch(cands, [])
     s1 = D.Policy.ucb(2.0).scores(means, variances)
     assert np.argmax(s1) == np.argmax(3.7 * s1)
@@ -103,7 +103,7 @@ def test_select_action_scores_rows_like_predict_batch():
     batch."""
     m = trained_toy_model(5)
     task = make_task("t", 9, seed=6)
-    cands = [(r.obs, r.action) for r in task.records]
+    cands = list(zip(task.patches, task.actions))
     X = M.feature_matrix(ARCH, cands)
     support = support_tuples(task, [7, 8])
     Xs = M.feature_matrix(ARCH, [(o, a) for o, a, _ in support])
@@ -145,8 +145,8 @@ def test_replay_episode_oracle_threshold_max_record():
     # oracle policy: model whose mean ranks records by their true reward
     class Oracle:
         def __init__(self, ds):
-            rows = M.feature_rows((rec.obs, rec.action) for rec in ds.records)
-            self.r = {row.tobytes(): rec.reward for row, rec in zip(rows, ds.records)}
+            rows = M.feature_matrix(ARCH, zip(ds.patches, ds.actions))
+            self.r = {row.tobytes(): reward for row, reward in zip(rows, ds.rewards.tolist())}
 
         def embed_rows(self, X):
             return np.array([self.r[row.tobytes()] for row in X]), None
@@ -167,13 +167,13 @@ def test_sl_greedy_equals_sorted_walk():
     env = D.ReplayEnvironment(task)
     B = float(np.sort(task.rewards)[-3])
     trace = D.run_episode(m, env, B, max_attempts=15, policy=D.Policy.greedy())
-    cands = [(r.obs, r.action) for r in task.records]
+    cands = list(zip(task.patches, task.actions))
     means, _ = m.predict_batch(cands, [])
     order = np.argsort(-means, kind="stable")
     expected = []
     for idx in order:
         expected.append(int(idx))
-        if task.records[idx].reward >= B:
+        if task.rewards[idx] >= B:
             break
     assert [s.index for s in trace.steps] == expected
 
@@ -218,11 +218,11 @@ def test_support_is_prior_history():
     trace = D.run_episode(Spy(), env, np.inf, 4, D.Policy.greedy())
     assert len(embedded) == 1
     assert [len(y) for _, y in calls] == [0, 1, 2, 3]
-    X = M.feature_rows((r.obs, r.action) for r in task.records)
+    X = M.feature_matrix(ARCH, zip(task.patches, task.actions))
     chosen = [s.index for s in trace.steps]
     for n, (Zs, y) in enumerate(calls):
         assert np.array_equal(Zs, X[chosen[:n]])
-        rewards = np.array([task.records[i].reward for i in chosen[:n]])
+        rewards = task.rewards[chosen[:n]]
         assert y.tobytes() == (rewards - X[chosen[:n], 0]).tobytes()
 
 
@@ -341,6 +341,38 @@ def test_replay_candidates_are_the_dataset_matrix():
         features[0, 0] = 1.0
     assert env.candidates()[0] is features
     assert held.flags.writeable, "the dataset's own matrix stays writable"
+
+
+def _env_state(env):
+    """What execute may change: the excluded set, and a live
+    environment's terrain and generator."""
+    world = getattr(env, "terrain", None)
+    if world is None:
+        return env.excluded()
+    return env.excluded(), world.heightfield.tobytes(), world.surface.tobytes(), env.rng.bit_generator.state
+
+
+@pytest.mark.parametrize("at", ["minus-one", "n"])
+@pytest.mark.parametrize("kind", ["replay", "live"])
+def test_execute_refuses_an_index_outside_the_actions(kind, at):
+    """Both environments refuse an index outside 0..len(actions) - 1 with
+    IndexError before they change anything: a replayed -1 would pay the
+    last record's reward and leave it payable again, and a live -1 would
+    scoop the last grid action unchecked for feasibility."""
+    if kind == "replay":
+        env = D.ReplayEnvironment(make_task("bounds", 10, seed=8))
+    else:
+        env = D.LiveEnvironment(terrain.generate_suite(seed=0)[1][0], D.ActionGrid(nx=4, ny=3, nd=2), seed=5)
+    n = len(env.candidates()[1])
+    before = _env_state(env)
+    with pytest.raises(IndexError, match="is not in 0"):
+        env.execute(-1 if at == "minus-one" else n)
+    assert _env_state(env) == before
+    last = n - 1 if kind == "replay" else max(set(range(n)) - env.excluded())
+    env.execute(last)
+    if kind == "replay":
+        with pytest.raises(RuntimeError, match="already replayed"):
+            env.execute(last)
 
 
 def default_model(seed, has_kernel=True):

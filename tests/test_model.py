@@ -224,9 +224,9 @@ def test_dataset_roundtrip_and_views(tmp_path):
     assert oracle.ground_truth["materials"] == ["train-1"]
     assert len(learner) == 6
     assert np.allclose(learner.rewards, np.round(task.rewards, 6))
-    assert M.record_dict(learner.records[2].action) == M.record_dict(task.records[2].action)
+    assert M.record_dict(learner.actions[2]) == M.record_dict(task.actions[2])
     assert np.allclose(
-        learner.records[3].obs, task.records[3].obs, atol=1e-6
+        learner.patches[3], task.patches[3], atol=1e-6
     )
     with pytest.raises(ValueError):
         load_task_dataset(path, view="secret")

@@ -8,11 +8,12 @@ from helpers import (
     histogram_matrix_reference,
     make_task,
     random_action,
+    sample,
     task_distance_matrix_reference,
 )
 
 from scoopgp import ot
-from scoopgp.data import ScoopRecord, TaskDataset
+from scoopgp.data import TaskDataset
 from scoopgp.model import ScoopAction
 from scoopgp.terrain import collect_offline, generate_suite
 
@@ -31,7 +32,7 @@ def test_histogram_constant_channel_is_one_hot(monkeypatch):
     monkeypatch.setattr(ot, "HISTOGRAM_BINS", 8)
     patch = np.full((2, 4, 4), 0.5)
     patch[1] = 0.1
-    task = TaskDataset("t", [ScoopRecord(patch, ScoopAction(0.2, 0.2, 0, 0.05, 0), 1.0)])
+    task = TaskDataset("t", patch[None], [ScoopAction(0.2, 0.2, 0, 0.05, 0)], [1.0])
     p = ot.SampleCostParams.from_tasks([task])
     h = ot.histogram_feature(patch, p)
     assert h.shape == (16,)
@@ -43,7 +44,7 @@ def test_histogram_constant_channel_is_one_hot(monkeypatch):
 def test_histogram_128_dims_for_four_channels():
     rng = np.random.default_rng(0)
     patch = rng.uniform(0, 1, size=(4, 16, 16))
-    task = TaskDataset("t", [ScoopRecord(patch, ScoopAction(0.2, 0.2, 0, 0.05, 0), 1.0)])
+    task = TaskDataset("t", patch[None], [ScoopAction(0.2, 0.2, 0, 0.05, 0)], [1.0])
     p = ot.SampleCostParams.from_tasks([task])
     assert ot.histogram_feature(patch, p).shape == (128,)
 
@@ -81,7 +82,7 @@ def test_histogram_matrix_matches_per_record_histograms(bins, monkeypatch):
 def test_cost_params_match_per_record_histograms():
     tasks = [make_task("a", 12, seed=1, channels=3), make_task("b", 9, seed=2, channels=3)]
     p = ot.SampleCostParams.from_tasks(tasks)
-    patches = np.stack([r.obs for t in tasks for r in t.records])
+    patches = np.concatenate([t.patches for t in tasks])
     flat = patches.reshape(len(patches), 3, -1)
     assert p.channel_ranges == tuple(
         (float(a), float(b)) for a, b in zip(flat.min(axis=(0, 2)), flat.max(axis=(0, 2)))
@@ -90,28 +91,42 @@ def test_cost_params_match_per_record_histograms():
     assert p.c_image == max(float(np.linalg.norm(h)) for h in ref)
 
 
+def test_cost_params_action_and_reward_scales_match_a_per_record_loop():
+    """c_action is the largest of each action's own norm. On seed 7's
+    task, np.linalg.norm of the stacked actions along axis 1 differs from
+    it in the last bits on at least one host, which would move every
+    kcmd-ot distance."""
+    tasks = [make_task("a", 100, seed=7), make_task("b", 12, seed=1, reward_shift=-40.0)]
+    p = ot.SampleCostParams.from_tasks(tasks)
+    c_act = c_rew = 0.0
+    for t in tasks:
+        for action, reward in zip(t.actions, t.rewards.tolist()):
+            c_act = max(c_act, float(np.linalg.norm(action.vector())))
+            c_rew = max(c_rew, abs(reward))
+    assert (p.c_action, p.c_reward) == (c_act, c_rew)
+
+
 def test_sample_cost_zero_iff_identical(two_tasks, params):
-    rec = two_tasks[0].records[0]
-    s = (rec.obs, rec.action, rec.reward)
+    s = sample(two_tasks[0], 0)
     assert ot.sample_cost(s, s, params) == 0.0
 
 
 def test_sample_cost_unit_reward_term(two_tasks, params):
-    rec = two_tasks[0].records[0]
-    s1 = (rec.obs, rec.action, 5.0)
-    s2 = (rec.obs, rec.action, 5.0 + params.c_reward)
+    obs, action, _ = sample(two_tasks[0], 0)
+    s1 = (obs, action, 5.0)
+    s2 = (obs, action, 5.0 + params.c_reward)
     assert ot.sample_cost(s1, s2, params) == pytest.approx(1.0)
 
 
 def test_sample_cost_matches_three_term_recomputation(two_tasks, params):
-    r1 = two_tasks[0].records[3]
-    r2 = two_tasks[1].records[7]
-    got = ot.sample_cost((r1.obs, r1.action, r1.reward), (r2.obs, r2.action, r2.reward), params)
+    o1, a1, r1 = sample(two_tasks[0], 3)
+    o2, a2, r2 = sample(two_tasks[1], 7)
+    got = ot.sample_cost((o1, a1, r1), (o2, a2, r2), params)
     d_img = np.linalg.norm(
-        ot.histogram_feature(r1.obs, params) - ot.histogram_feature(r2.obs, params)
+        ot.histogram_feature(o1, params) - ot.histogram_feature(o2, params)
     )
-    d_act = np.linalg.norm(r1.action.vector() - r2.action.vector())
-    d_rew = abs(r1.reward - r2.reward)
+    d_act = np.linalg.norm(a1.vector() - a2.vector())
+    d_rew = abs(r1 - r2)
     expected = np.sqrt(
         (d_img / params.c_image) ** 2
         + (d_act / params.c_action) ** 2
@@ -125,10 +140,7 @@ def test_cost_matrix_matches_elementwise_sample_cost(two_tasks, params):
     C = ot.cost_matrix(A, B, params)
     for i in (0, 5, 11):
         for j in (0, 8, 14):
-            ra, rb = A.records[i], B.records[j]
-            expected = ot.sample_cost(
-                (ra.obs, ra.action, ra.reward), (rb.obs, rb.action, rb.reward), params
-            )
+            expected = ot.sample_cost(sample(A, i), sample(B, j), params)
             assert C[i, j] == pytest.approx(expected, abs=1e-12)
 
 
@@ -147,12 +159,10 @@ def test_sinkhorn_symmetry(two_tasks, params):
 
 
 def test_sinkhorn_singleton_pair_recovers_sample_cost(params, two_tasks):
-    A = TaskDataset("s1", [two_tasks[0].records[0]])
-    B = TaskDataset("s2", [two_tasks[1].records[0]])
-    rec_a, rec_b = A.records[0], B.records[0]
-    cost = ot.sample_cost(
-        (rec_a.obs, rec_a.action, rec_a.reward), (rec_b.obs, rec_b.action, rec_b.reward), params
-    )
+    a, b = two_tasks
+    A = TaskDataset("s1", a.patches[:1], a.actions[:1], a.rewards[:1])
+    B = TaskDataset("s2", b.patches[:1], b.actions[:1], b.rewards[:1])
+    cost = ot.sample_cost(sample(A, 0), sample(B, 0), params)
     eps = 1e-3 * np.median(ot.cost_matrix(A, B, params))
     s = ot.sinkhorn_divergence(A, B, params, eps)
     assert abs(s - cost) < 0.05 * cost
@@ -163,17 +173,15 @@ def test_sinkhorn_permutation_invariance(two_tasks, params):
     eps = ot.pair_epsilon(ot.cost_matrix(A, B, params))
     s1 = ot.sinkhorn_divergence(A, B, params, eps)
     rng = np.random.default_rng(9)
-    shuffled = TaskDataset("a2", [A.records[i] for i in rng.permutation(len(A))])
+    perm = rng.permutation(len(A))
+    shuffled = TaskDataset("a2", A.patches[perm], [A.actions[i] for i in perm], A.rewards[perm])
     s2 = ot.sinkhorn_divergence(shuffled, B, params, eps)
     assert s1 == pytest.approx(s2, abs=1e-9)
 
 
 def test_sinkhorn_grows_with_reward_shift(two_tasks, params):
     A, B = two_tasks
-    shifted = TaskDataset(
-        "b-shift",
-        [ScoopRecord(r.obs, r.action, r.reward + 5.0 * params.c_reward) for r in B.records],
-    )
+    shifted = TaskDataset("b-shift", B.patches, B.actions, B.rewards + 5.0 * params.c_reward)
     eps = ot.pair_epsilon(ot.cost_matrix(A, B, params))
     assert ot.sinkhorn_divergence(A, shifted, params, eps) > ot.sinkhorn_divergence(
         A, B, params, eps

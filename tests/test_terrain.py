@@ -528,15 +528,15 @@ def test_collect_offline_protocol(suite):
     train, _ = suite
     ds = terrain.collect_offline(train[0], n_samples=100, seed=3)
     assert len(ds) == 100
-    depths = np.array([r.action.depth for r in ds.records])
+    depths = np.array([a.depth for a in ds.actions])
     assert depths.min() >= 0.03 and depths.max() <= 0.08
-    yaws = np.array([r.action.yaw for r in ds.records])
+    yaws = np.array([a.yaw for a in ds.actions])
     counts = np.bincount(yaws, minlength=8)
     assert counts.min() >= 3 and counts.max() <= 30  # loose uniformity check
-    stiff = {r.action.stiffness for r in ds.records}
+    stiff = {a.stiffness for a in ds.actions}
     assert stiff == {STIFF_SOFT, STIFF_HARD}
-    for r in ds.records:
-        assert terrain.feasible(train[0].terrain, r.action)
+    for a in ds.actions:
+        assert terrain.feasible(train[0].terrain, a)
     assert ds.ground_truth is not None and "material_table" in ds.ground_truth
 
 
@@ -559,7 +559,7 @@ def test_collect_offline_deterministic(suite):
     a = terrain.collect_offline(train[1], 20, seed=9)
     b = terrain.collect_offline(train[1], 20, seed=9)
     assert np.array_equal(a.rewards, b.rewards)
-    assert np.array_equal(a.records[7].obs, b.records[7].obs)
+    assert np.array_equal(a.patches[7], b.patches[7])
 
 
 def test_border_actions_are_infeasible(suite):

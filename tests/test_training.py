@@ -26,7 +26,6 @@ from scoopgp import model as M
 from scoopgp import ot
 from scoopgp import tensor as T
 from scoopgp import training as TR
-from scoopgp.data import ScoopRecord, TaskDataset
 from scoopgp.model import Architecture
 
 ARCH = Architecture(
@@ -77,8 +76,8 @@ def test_config_validation():
 def test_train_sl_memorizes_single_sample():
     task = make_task("solo", 1, seed=3)
     model, manifest = TR.train_sl([task], small_cfg())
-    pred = predict_mean(model, task.records[0].obs, task.records[0].action)
-    assert abs(pred - task.records[0].reward) < 1.0
+    pred = predict_mean(model, task.patches[0], task.actions[0])
+    assert abs(pred - task.rewards[0]) < 1.0
     assert manifest.events == ["phase:sl:start", "phase:sl:done"]
 
 
@@ -121,8 +120,7 @@ def test_train_dkmt_task_order_and_loss(tiny_tasks):
 def test_train_dkmt_constant_rewards_zero_data_fit():
     rng = np.random.default_rng(0)
     task = make_task("const", 10, seed=5)
-    for rec in task.records:
-        rec.reward = 12.5
+    task.rewards[:] = 12.5
     model, _ = TR.train_dkmt([task], small_cfg(max_epochs_meta=6))
     X = task.feature_matrix(ARCH)
     resid = (task.rewards - model.reward_mean) / model.reward_std - model.mean_batch(X)
@@ -203,9 +201,9 @@ def test_kcmd_returns_bit_identical_sl_weights(tiny_tasks):
         assert np.array_equal(tensor.data, model.weights[name].data), name
     assert manifest.stats["sl_weight_digest"] == sl_manifest.stats["sl_weight_digest"]
     # zero-shot predictions equal the mean path exactly
-    rec = tiny_tasks[0].records[0]
-    post = predict(model, rec.obs, rec.action, support=[])
-    assert post.mean == predict_mean(sl_model, rec.obs, rec.action)
+    obs, action = tiny_tasks[0].patches[0], tiny_tasks[0].actions[0]
+    post = predict(model, obs, action, support=[])
+    assert post.mean == predict_mean(sl_model, obs, action)
 
 
 def test_kcmd_residual_count_oracle(tiny_tasks):
@@ -297,9 +295,9 @@ def test_flip_invariance_after_flip_augmented_training():
     task = make_task("sym", 8, seed=21)
     model, _ = TR.train_sl([task], small_cfg(max_epochs_mean=120))
     diffs = []
-    for rec in task.records:
-        p1 = predict_mean(model, rec.obs, rec.action)
-        p2 = predict_mean(model, flip_patch(rec.obs), rec.action)
+    for obs, action in zip(task.patches, task.actions):
+        p1 = predict_mean(model, obs, action)
+        p2 = predict_mean(model, flip_patch(obs), action)
         diffs.append(abs(p1 - p2))
     assert max(diffs) < 0.2 * model.reward_std
 
