@@ -12,13 +12,13 @@ re-projects a live step's new embeddings: no step refactorizes it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import gp
 from .data import TaskDataset
-from .model import DEPTH_MAX, DEPTH_MIN, N_YAW, STIFFNESSES, ScoopAction, action_rows, read_fields, record_dict
+from .model import DEPTH_MAX, DEPTH_MIN, N_YAW, STIFFNESSES, ScoopAction, action_rows, record_dict
 from .terrain import (
     PATCH_CHANNELS,
     TerrainTask,
@@ -67,28 +67,25 @@ class ActionGrid:
 
 @dataclass(frozen=True)
 class Policy:
-    kind: str  # "ucb" or "greedy"
-    gamma: float = 0.0
+    """UCB with exploration weight gamma, or greedy where gamma is None."""
+
+    gamma: float | None
 
     @classmethod
     def ucb(cls, gamma: float = 2.0) -> "Policy":
         if not (np.isfinite(gamma) and gamma >= 0):
             raise ValueError(f"gamma must be finite and nonnegative, not {gamma}")
-        return cls("ucb", gamma)
+        return cls(gamma)
 
     @classmethod
     def greedy(cls) -> "Policy":
-        return cls("greedy", 0.0)
+        return cls(None)
 
     def scores(self, means: np.ndarray, variances: np.ndarray) -> np.ndarray:
-        if self.kind == "greedy":
-            return means
-        if self.kind == "ucb":
-            return means + self.gamma * np.sqrt(variances)
-        raise ValueError(f"unknown policy kind {self.kind!r}")
+        return means if self.gamma is None else means + self.gamma * np.sqrt(variances)
 
     def label(self) -> str:
-        return "greedy" if self.kind == "greedy" else f"ucb({self.gamma:g})"
+        return "greedy" if self.gamma is None else f"ucb({self.gamma:g})"
 
 
 def select_action(model, means, post, policy: Policy, allowed: np.ndarray) -> tuple[int, float]:
@@ -115,52 +112,42 @@ class EpisodeStep:
 
 @dataclass
 class EpisodeTrace:
-    """Ordered record of one deployment trial."""
+    """Ordered record of one deployment trial, its fields in the order of
+    its JSON line; validate() runs at construction."""
 
     task_id: str
     policy: str
     threshold: float
     max_attempts: int
-    steps: list[EpisodeStep] = field(default_factory=list)
-    success: bool = False
-    fault: str | None = None
-    meta: dict = field(default_factory=dict)
+    success: bool
+    attempts: int
+    fault: str | None
+    meta: dict
+    steps: list[EpisodeStep]
 
-    @property
-    def attempts(self) -> int:
-        return len(self.steps)
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
-        if self.success:
-            if not self.steps or self.steps[-1].reward < self.threshold:
-                raise ValueError("success flag without a final reward above threshold")
-            for s in self.steps[:-1]:
-                if s.reward >= self.threshold:
-                    raise ValueError("non-final step already met the threshold")
+        """ValueError for a trace no episode writes: a budget below 1, an
+        attempt count that is not the number of steps or exceeds the budget,
+        a fault on a success, or a step at the threshold that is not the
+        last, or is the last but the success flag says otherwise."""
+        if self.max_attempts < 1:
+            raise ValueError(f"max_attempts {self.max_attempts} is below 1")
+        if not self.attempts == len(self.steps) <= self.max_attempts:
+            raise ValueError(f"attempts {self.attempts} must equal the number of steps ({len(self.steps)}) "
+                             f"and be at most max_attempts ({self.max_attempts})")
+        if self.success and self.fault is not None:
+            raise ValueError(f"a successful trace has the fault {self.fault!r}")
+        met = [s.reward >= self.threshold for s in self.steps]
+        if any(met[:-1]):
+            raise ValueError("non-final step already met the threshold")
+        if self.success != any(met[-1:]):
+            raise ValueError(f"success flag {self.success} disagrees with the final reward against the threshold")
 
     def to_dict(self) -> dict:
-        return {
-            "task_id": self.task_id,
-            "policy": self.policy,
-            "threshold": self.threshold,
-            "max_attempts": self.max_attempts,
-            "success": self.success,
-            "attempts": self.attempts,
-            "fault": self.fault,
-            "meta": self.meta,
-            "steps": [record_dict(s) for s in self.steps],
-        }
-
-    @classmethod
-    def from_dict(cls, d) -> "EpisodeTrace":
-        """read_fields of d less its derived attempts key, which must be the
-        number of steps; refuses, with ValueError, a trace that fails validate()."""
-        trace = read_fields(cls, {k: v for k, v in d.items() if k != "attempts"} if type(d) is dict else d)
-        attempts = d.get("attempts")
-        if type(attempts) is not int or attempts != trace.attempts:
-            raise ValueError(f"attempts {attempts!r} is not the number of steps, {trace.attempts}")
-        trace.validate()
-        return trace
+        return record_dict(self)
 
 
 class ReplayEnvironment:
@@ -264,20 +251,16 @@ def run_episode(
     chosen row after each attempt but the last, so at attempt n it holds
     exactly the n-1 earlier records: their rows' embeddings from the
     step that chose them, and their residual rewards.
-    Environment faults abort the episode and leave a partial trace.
+    Environment faults abort the episode and leave a partial trace. The
+    trace is built at the end and validated, so a budget below 1 raises ValueError.
     """
-    trace = EpisodeTrace(
-        task_id=env.task_id,
-        policy=policy.label(),
-        threshold=threshold,
-        max_attempts=max_attempts,
-    )
+    steps, success, fault = [], False, None
     fixed, post = None, None
     for _ in range(max_attempts):
         try:
             features, actions, indices = env.candidates()
         except Exception as e:  # noqa: BLE001 - env fault ends the trial
-            trace.fault = f"{type(e).__name__}: {e}"
+            fault = f"{type(e).__name__}: {e}"
             break
         blocked = np.zeros(len(actions), dtype=bool)
         blocked[list(env.excluded())] = True
@@ -296,12 +279,12 @@ def run_episode(
         try:
             reward = env.execute(index)
         except Exception as e:  # noqa: BLE001
-            trace.fault = f"{type(e).__name__}: {e}"
+            fault = f"{type(e).__name__}: {e}"
             break
-        trace.steps.append(EpisodeStep(index=index, action=actions[index], reward=reward, score=score))
+        steps.append(EpisodeStep(index=index, action=actions[index], reward=reward, score=score))
         if reward >= threshold:
-            trace.success = True
+            success = True
             break
-        if post is not None and trace.attempts < max_attempts:
+        if post is not None and len(steps) < max_attempts:
             post.grow(Z[row], model.residuals(means[row], reward))
-    return trace
+    return EpisodeTrace(env.task_id, policy.label(), threshold, max_attempts, success, len(steps), fault, {}, steps)

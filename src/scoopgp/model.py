@@ -56,14 +56,14 @@ def _json_value(v):
 
 
 def read_record(cls, text: str, where, schema: int | None = None, error=ValueError):
-    """The reader of every JSON input: record_from_dict of cls and the parsed text, whose
+    """The reader of every JSON input: read_fields of cls and the parsed text, whose
     schema_version must be schema if one is given. Raises error, a ValueError class, naming where."""
     try:
         d = json.loads(text)
         version = d.get("schema_version") if type(d) is dict else None
         if schema is not None and version != schema:
             raise ValueError(f"schema_version {version!r} not supported (expected {schema})")
-        return record_from_dict(cls, d)
+        return read_fields(cls, d)
     except json.JSONDecodeError as err:
         raise error(f"{where}: not JSON: {err}") from err
     except ValueError as err:
@@ -85,20 +85,17 @@ def read_arrays(path, where, error=ValueError) -> dict[str, np.ndarray]:
     return arrays
 
 
-def record_from_dict(cls, d):
-    """The record of dataclass cls that record_dict wrote as d, before or after a
-    JSON round trip: cls.from_dict(d) where cls defines one, else read_fields(cls, d)."""
-    return cls.from_dict(d) if "from_dict" in vars(cls) else read_fields(cls, d)
-
-
 def read_fields(cls, d):
-    """The record of dataclass cls whose fields d holds. Refuses, with
+    """The record of dataclass cls whose fields d holds, as record_dict
+    wrote them, before or after a JSON round trip. Refuses, with
     ValueError naming the field, an object whose keys are not exactly
     cls's fields and a value whose JSON type is not its field's: a float
-    takes a finite number, never a boolean; an int, str, bool or dict
-    exactly that type; a tuple or list an array of its item type; a record
-    its object; None only where the annotation allows it. A number is kept
-    as read: an int stays an int."""
+    takes a finite number, never a boolean; an int, str, bool or bare dict
+    exactly that type; a dict[K, V] an object of K keys and V values; a
+    tuple or list an array of its item type; a record its object; None
+    only where the annotation allows it. A number is kept as read: an int
+    stays an int. The record's own checks (a __post_init__) raise
+    ValueError too."""
     spec = _field_spec(cls)
     if type(d) is not dict or d.keys() != spec.keys():
         got = sorted(d) if type(d) is dict else type(d).__name__
@@ -114,19 +111,21 @@ def _field_spec(cls) -> dict:
 
 
 def _read(hint, v, where: str):
-    """v as a value of the annotation hint, by record_from_dict's rules."""
+    """v as a value of the annotation hint, by read_fields' rules."""
     if hint is float:
         if type(v) in JSON_NUMBERS and -_FLOAT_MAX <= v <= _FLOAT_MAX:
             return v
     elif type(v) is hint:
         return v
     elif is_dataclass(hint) and type(v) is dict:
-        return record_from_dict(hint, v)
+        return read_fields(hint, v)
     elif not is_dataclass(hint):
         origin, args = typing.get_origin(hint), typing.get_args(hint)
         if origin in (types.UnionType, typing.Union):
             (inner,) = [a for a in args if a is not type(None)]
             return None if v is None else _read(inner, v, where)
+        if origin is dict and type(v) is dict:
+            return {_read(args[0], k, where): _read(args[1], x, where) for k, x in v.items()}
         if origin in (tuple, list) and type(v) in (list, tuple):
             items = args[:1] * len(v) if origin is list or args[-1] is Ellipsis else args
             if len(v) == len(items):

@@ -262,8 +262,7 @@ def run_episode_reference(model, env, threshold, max_attempts, policy):
     feature rows. The oracle for the embed-once episode: the same index
     sequence, and scores equal up to where BLAS rounds a row differently
     in another batch."""
-    trace = EpisodeTrace(env.task_id, policy.label(), threshold, max_attempts)
-    rows, rewards = [], []
+    steps, success, rows, rewards = [], False, [], []
     for _ in range(max_attempts):
         features, actions, indices = env.candidates()
         excluded = env.excluded()
@@ -276,13 +275,13 @@ def run_episode_reference(model, env, threshold, max_attempts, policy):
         row = int(allowed[best])
         index = int(indices[row])
         reward = env.execute(index)
-        trace.steps.append(EpisodeStep(index, actions[index], reward, float(scores[best])))
+        steps.append(EpisodeStep(index, actions[index], reward, float(scores[best])))
         if reward >= threshold:
-            trace.success = True
+            success = True
             break
         rows.append(features[row].copy())
         rewards.append(reward)
-    return trace
+    return EpisodeTrace(env.task_id, policy.label(), threshold, max_attempts, success, len(steps), None, {}, steps)
 
 
 def flip_patch(patch: np.ndarray) -> np.ndarray:

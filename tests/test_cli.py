@@ -16,7 +16,7 @@ from scoopgp import cli
 from scoopgp.checkpoint import load_checkpoint, save_checkpoint, weights_path
 from scoopgp.data import TaskDataset, load_task_dataset, patches_path, save_task_dataset
 from scoopgp.decision import EpisodeTrace
-from scoopgp.model import Architecture
+from scoopgp.model import Architecture, read_fields
 from scoopgp.terrain import generate_suite
 
 
@@ -180,7 +180,7 @@ def test_checkpoint_roundtrip_bit_exact(pipeline, tmp_path):
 
 def test_trace_bookkeeping(pipeline):
     traces = [
-        EpisodeTrace.from_dict(json.loads(line))
+        read_fields(EpisodeTrace, json.loads(line))
         for line in pipeline["traces"].read_text().splitlines()
     ]
     assert len(traces) == 2 * 2  # tasks x reps
@@ -324,9 +324,22 @@ def test_validation_errors_exit_1(pipeline, tmp_path, capsys):
     contradicting["steps"][-1]["reward"] = contradicting["threshold"] - 1.0
     mistyped["contradiction"] = tmp_path / "contradiction.jsonl"
     mistyped["contradiction"].write_text(lines[0] + "\n" + json.dumps(contradicting) + "\n")
-    for name, mean in [("string_mae", {"0": "abc"}), ("shotless_mae", {"zero": 1.0})]:
+    # traces no episode writes: attempts above the cap, a cap of 0, a failure
+    # whose only step met the threshold, and a success with a fault
+    success = json.loads(lines[1])
+    for name, edit in [
+        ("over_cap", {"max_attempts": 2, "attempts": 4, "steps": success["steps"][1:2] + success["steps"]}),
+        ("zero_cap", {"max_attempts": 0, "attempts": 0, "steps": [], "success": False}),
+        ("unflagged", {"success": False, "attempts": 1, "steps": success["steps"][-1:]}),
+        ("faulted_success", {"fault": "RuntimeError: boom"}),
+    ]:
+        mistyped[name] = tmp_path / f"{name}.jsonl"
+        mistyped[name].write_text(lines[0] + "\n" + json.dumps({**success, **edit}) + "\n")
+    for name, field, value in [("string_mae", "mean", {"0": "abc"}), ("shotless_mae", "mean", {"zero": 1.0}),
+                               ("infinite_mae", "mean", {"0": float("inf")}),
+                               ("string_task_mae", "per_task", {"test-00": "x"})]:
         mistyped[name] = tmp_path / f"{name}.json"
-        mistyped[name].write_text(json.dumps({**json.loads(Path(pipeline["mae"]).read_text()), "mean": mean}))
+        mistyped[name].write_text(json.dumps({**json.loads(Path(pipeline["mae"]).read_text()), field: value}))
     for argv, where in [
         (["report", "--traces", str(truncated), "--out", str(tmp_path / "r")],
          f"{truncated}: line 2"),
@@ -335,9 +348,10 @@ def test_validation_errors_exit_1(pipeline, tmp_path, capsys):
         (["report", "--mae", str(mae), "--out", str(tmp_path / "r")], str(mae)),
         (["report", "--mae", str(number), "--out", str(tmp_path / "r")], str(number)),
         *[(["report", "--traces", str(mistyped[name]), "--out", str(tmp_path / "r")],
-           f"{mistyped[name]}: line 2") for name in ("meta", "cap", "contradiction")],
-        *[(["report", "--mae", str(mistyped[name]), "--out", str(tmp_path / "r")],
-           str(mistyped[name])) for name in ("string_mae", "shotless_mae")],
+           f"{mistyped[name]}: line 2")
+          for name in ("meta", "cap", "contradiction", "over_cap", "zero_cap", "unflagged", "faulted_success")],
+        *[(["report", "--mae", str(mistyped[name]), "--out", str(tmp_path / "r")], str(mistyped[name]))
+          for name in ("string_mae", "shotless_mae", "infinite_mae", "string_task_mae")],
     ]:
         assert cli.main(argv) == 1, argv
         assert where in capsys.readouterr().err
@@ -1120,7 +1134,7 @@ def test_aggregate_metrics_unit_cases():
         ]
         if success:
             steps[-1]["reward"] = 99.0
-        return EpisodeTrace.from_dict({
+        return read_fields(EpisodeTrace, {
             "task_id": task, "policy": "greedy", "threshold": 50.0,
             "max_attempts": cap, "success": success, "attempts": attempts,
             "fault": None, "meta": {"method": method, "model_seed": seed, "rep": 0},

@@ -139,6 +139,8 @@ def test_replay_episode_trivial_threshold():
     env = D.ReplayEnvironment(task)
     trace = D.run_episode(m, env, -np.inf, max_attempts=10, policy=D.Policy.greedy())
     assert trace.success and trace.attempts == 1
+    with pytest.raises(ValueError, match="max_attempts 0 is below 1"):
+        D.run_episode(m, D.ReplayEnvironment(task), -np.inf, max_attempts=0, policy=D.Policy.greedy())
 
 
 def test_replay_episode_oracle_threshold_max_record():
@@ -523,10 +525,8 @@ def test_live_episode_memory_stays_within_three_renders():
 
 def test_trace_roundtrip_and_validation():
     step = D.EpisodeStep(3, M.ScoopAction(0.2, 0.2, 1, 0.05, 0), 12.0, 14.0)
-    trace = D.EpisodeTrace("t", "ucb(2)", 10.0, 20, [step], success=True)
-    trace.validate()
-    back = D.EpisodeTrace.from_dict(trace.to_dict())
-    assert back.task_id == "t" and back.attempts == 1 and back.success
-    bad = D.EpisodeTrace("t", "greedy", 50.0, 20, [step], success=True)
-    with pytest.raises(ValueError):
-        bad.validate()
+    trace = D.EpisodeTrace("t", "ucb(2)", 10.0, 20, True, 1, None, {}, [step])
+    back = M.read_fields(D.EpisodeTrace, trace.to_dict())
+    assert back == trace and back.attempts == 1 and back.success
+    with pytest.raises(ValueError, match="success flag"):
+        D.EpisodeTrace("t", "greedy", 50.0, 20, True, 1, None, {}, [step])

@@ -1,9 +1,9 @@
 """Every JSON input in src/scoopgp is parsed in one place, model.read_record.
 
 A hand-written reader brings its own schema and type checks with it, and
-those drift from the one rule record_from_dict keeps. So json.loads and
-json.load have no caller in src/ but read_record, and nothing imports
-them from json under another name.
+those drift from the one rule read_fields keeps for every record, a
+trace included. So json.loads and json.load have no caller in src/ but
+read_record, and nothing imports them from json under another name.
 """
 import ast
 from pathlib import Path

@@ -30,6 +30,8 @@ KEEP = {
     "model.DeepGPModel.predict_batch": "perfbench times model.predict through it",
     # scripts/paper_grid_step.py times a live step on the paper grid
     "decision.ActionGrid.paper_scale": "the paper-scale grid of scripts/paper_grid_step.py",
+    # perfbench/bench.py writes its trace lines through it (ROADMAP item 6 deletes it)
+    "decision.EpisodeTrace.to_dict": "perfbench digests its traces from trace.to_dict()",
 }
 
 
