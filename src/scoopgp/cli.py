@@ -100,6 +100,19 @@ class KShotTable:
     per_task: dict[str, dict[str, float]]
     mean: dict[str, float]
 
+    def __post_init__(self) -> None:
+        self.validate()
+
+    def validate(self) -> None:
+        """ValueError unless the mean and every task's MAEs are keyed by
+        exactly the shot counts in shots."""
+        keys = sorted(str(k) for k in self.shots)
+        if sorted(self.mean) != keys:
+            raise ValueError(f"mean keys {list(self.mean)} are not the shot counts {self.shots}")
+        for task, maes in self.per_task.items():
+            if sorted(maes) != keys:
+                raise ValueError(f"per_task {task!r} keys {list(maes)} are not the shot counts {self.shots}")
+
 
 def _resolve(path: str) -> Path:
     p = Path(path)
@@ -322,6 +335,8 @@ def cmd_eval_kshot(args) -> None:
 
 
 def read_traces(paths) -> list[EpisodeTrace]:
+    """The traces of the JSON-lines files at paths; ConfigError, naming the
+    file and the line, for a trace whose meta lacks a method string or a model_seed."""
     traces = []
     for path in paths:
         with Path(path).open() as fh:
@@ -329,8 +344,8 @@ def read_traces(paths) -> list[EpisodeTrace]:
                 if line.strip():
                     where = f"traces: {path}: line {n}"
                     tr = read_record(EpisodeTrace, line, where, error=ConfigError)
-                    if not isinstance(tr.meta.get("method", ""), str):
-                        raise ConfigError(f"{where}: meta has no method string")
+                    if not isinstance(tr.meta.get("method"), str) or "model_seed" not in tr.meta:
+                        raise ConfigError(f"{where}: meta {tr.meta!r:.60} lacks a method string or a model_seed")
                     traces.append(tr)
     return traces
 
@@ -339,12 +354,11 @@ def aggregate_metrics(traces: list[EpisodeTrace], mae_tables: list[KShotTable]) 
     """Per-method deployment and accuracy tables.
 
     Failed trials count at their attempt cap and are flagged: the cap is
-    a floor on the attempts a failed trial would have needed.
+    a floor on the attempts a failed trial would have needed. Each trace's
+    meta holds a method and a model_seed, as read_traces checks.
     """
     rows = []
     for tr in traces:
-        if "method" not in tr.meta or "model_seed" not in tr.meta:
-            raise ConfigError("traces: missing method/model_seed meta (mixed schema?)")
         rows.append(
             {
                 "method": tr.meta["method"],
@@ -443,10 +457,6 @@ def cmd_report(args) -> None:
     traces = read_traces([_resolve(p) for p in args.traces or []])
     mae_paths = [_resolve(p) for p in args.mae or []]
     mae_tables = [read_record(KShotTable, p.read_text(), f"mae: {p}", error=ConfigError) for p in mae_paths]
-    for path, table in zip(mae_paths, mae_tables):
-        for k in table.mean:
-            if not k.isdecimal():
-                raise ConfigError(f"mae: {path}: mean key {k!r} is not a shot count")
     if not traces and not mae_tables:
         raise ConfigError("report: need at least one --traces or --mae input")
     summary = aggregate_metrics(traces, mae_tables)

@@ -26,7 +26,6 @@ from .terrain import (
     feasible,
     patch_cells,
     render_patches,
-    skip_uniforms,
 )
 
 # the grid's starts keep this far from the tray wall: close enough that
@@ -185,44 +184,46 @@ class LiveEnvironment:
     """Runs scoops on a mutating terrain copy; the observation patches
     are re-rendered from the current terrain at every step.
 
-    The actions, their feasibility and their patch cells are fixed for
-    the episode, so they are computed once, here; a start outside the
-    terrain raises BoundsError at construction. Only feasible actions
-    get a feature row.
+    A patch depends only on an action's (x, y, yaw), its geometry, and so
+    does feasibility; the grid lists each geometry's depth and stiffness
+    variants contiguously. The actions, the feasible geometries and their
+    patch cells are fixed for the episode, so they are computed once,
+    here; a start outside the terrain raises BoundsError at construction.
+    Only feasible actions get a feature row.
     """
 
     def __init__(self, task: TerrainTask, grid: ActionGrid, seed: int):
         self.task_id = task.task_id
         self.terrain = task.terrain.copy()
         self.actions = grid.enumerate(self.terrain.extent)
-        cells = patch_cells(self.terrain, self.actions)
-        mask = np.fromiter((feasible(self.terrain, a) for a in self.actions), bool, len(self.actions))
-        self._indices = np.flatnonzero(mask)
-        self._infeasible = set(np.flatnonzero(~mask).tolist())
+        variants = grid.nd * len(STIFFNESSES)
+        heads = self.actions[::variants]  # one action per geometry
+        cells = patch_cells(self.terrain, heads)
+        mask = np.fromiter((feasible(self.terrain, a) for a in heads), bool, len(heads))
+        geometries = np.flatnonzero(mask)
+        self._heads = [heads[g] for g in geometries]
         self._cells = cells[mask]
+        self._indices = (geometries[:, None] * variants + np.arange(variants)).ravel()
+        self._infeasible = set(np.flatnonzero(~np.repeat(mask, variants)).tolist())
         noise = PATCH_CHANNELS * cells[0].size  # uniforms per patch
         self._features = action_rows([self.actions[i] for i in self._indices], noise)
-        # each contiguous run of feasible actions as (uniforms to skip
-        # before it, its actions, its rows), then the uniforms after the last
-        edges = np.flatnonzero(np.diff(mask, prepend=False, append=False)).tolist()
-        self._runs, done, row = [], 0, 0
-        for start, stop in zip(edges[::2], edges[1::2]):
-            rows = slice(row, row + stop - start)
-            self._runs.append(((start - done) * noise, self.actions[start:stop], rows))
-            done, row = stop, rows.stop
-        self._tail = (len(self.actions) - done) * noise
+        # each geometry's patch, and the patch columns of its variants' rows
+        self._render = np.empty((len(geometries), 1, noise))
+        self._patches = self._features.reshape(-1, variants, self._features.shape[1])[:, :, :noise]
         self.rng = np.random.default_rng(seed)
 
     def candidates(self) -> tuple[np.ndarray, list[ScoopAction], np.ndarray]:
         """(feature rows, actions, indices): row k is the feasible grid
         action actions[indices[k]], rendered from the current terrain into
-        one matrix that the next call reuses. The noise of infeasible
-        actions is skipped, never drawn, so each call leaves the generator
-        where rendering every grid action would."""
-        for skip, actions, rows in self._runs:
-            skip_uniforms(self.rng, skip)
-            render_patches(self.terrain, actions, self.rng, cells=self._cells[rows], out=self._features[rows])
-        skip_uniforms(self.rng, self._tail)
+        one matrix that the next call reuses.
+
+        Noise contract: one observation per geometry per step. Each
+        feasible geometry's patch is rendered once, with one render_patches
+        call over the geometries in grid order, and copied into the patch
+        columns of all its variants' rows; a call draws exactly
+        PATCH_CHANNELS * PATCH_H * PATCH_W uniforms per feasible geometry."""
+        render_patches(self.terrain, self._heads, self.rng, cells=self._cells, out=self._render[:, 0])
+        self._patches[...] = self._render
         return self._features, self.actions, self._indices
 
     def excluded(self) -> set[int]:

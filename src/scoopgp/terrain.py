@@ -507,9 +507,10 @@ def render_patches(
     the patches and the generator's final state do not depend on how the
     actions are batched. `uniforms`, given in place of rng, is that
     (n, 4, H, W) array of rng.random draws, drawn beforehand; the patches
-    are then those an rng at the start of the same draws renders. An
-    action that is not rendered never has its noise drawn: a caller that
-    skips actions moves the stream past them with skip_uniforms.
+    are then those an rng at the start of the same draws renders. A call
+    with an rng draws exactly n * 4 * H * W uniforms: one observation per
+    action, so decision.LiveEnvironment passes one action per geometry
+    and shares its patch across that geometry's variants.
     """
     if (rng is None) == (uniforms is None):
         raise ValueError("pass exactly one of an rng and uniforms")
@@ -547,25 +548,6 @@ def render_patches(
         np.clip(texture, 0.0, 1.0, out=patches[start:stop, :3])
         np.add(height, heights.take(flat), out=patches[start:stop, 3])
     return patches
-
-
-def skip_uniforms(rng: np.random.Generator, count: int) -> None:
-    """Leave rng exactly as rng.random(count) leaves it, without drawing.
-
-    Generator.random takes one 64-bit output per double, so this is PCG64's
-    O(log count) jump ahead by count outputs. The jump drops the buffered
-    32-bit half that integer draws keep; doubles never touch it, so it is
-    put back. Raises TypeError for any other bit generator.
-    """
-    bits = rng.bit_generator
-    if type(bits) is not np.random.PCG64:
-        raise TypeError(f"skip_uniforms needs a PCG64 generator, got {type(bits).__name__}")
-    before = bits.state
-    bits.advance(count)
-    if before["has_uint32"]:
-        after = bits.state
-        after["has_uint32"], after["uinteger"] = before["has_uint32"], before["uinteger"]
-        bits.state = after
 
 
 # --- scooping ---------------------------------------------------------------

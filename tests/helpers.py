@@ -228,22 +228,34 @@ def collect_offline_reference(task, n_samples=100, seed=0):
 
 
 class LiveEnvironmentReference:
-    """Renders every grid action, feasible or not, at every step, drawing
-    all their noise, and hands over one row per grid action with the
-    infeasible ones excluded: the oracle for decision.LiveEnvironment,
-    whose episodes must pick, earn and score the same."""
+    """Renders each feasible geometry, a distinct (x, y, yaw) of the grid,
+    once at every step, in the order of its first action, drawing only
+    their noise, and copies its patch into the row of every action with
+    that geometry. It hands over one row per grid action with the
+    infeasible ones excluded (their patch columns stay 0): the oracle for
+    decision.LiveEnvironment, whose episodes must pick, earn and score the
+    same."""
 
     def __init__(self, task, grid, seed):
         self.task_id = task.task_id
         self.terrain = task.terrain.copy()
         self.actions = grid.enumerate(self.terrain.extent)
         self._infeasible = {i for i, a in enumerate(self.actions) if not feasible_reference(self.terrain, a)}
+        self._geometry = [(a.x, a.y, a.yaw) for a in self.actions]
+        self._heads = {}  # feasible geometry -> its first action
+        for i, a in enumerate(self.actions):
+            if i not in self._infeasible:
+                self._heads.setdefault(self._geometry[i], a)
         self._features = action_rows(self.actions, PATCH_CHANNELS * PATCH_H * PATCH_W)
+        self._features[:, : PATCH_CHANNELS * PATCH_H * PATCH_W] = 0.0
         self.rng = np.random.default_rng(seed)
 
     def candidates(self):
-        patches = render_patches_reference(self.terrain, self.actions, self.rng)
-        self._features[:, : patches[0].size] = patches.reshape(len(self.actions), -1)
+        patches = render_patches_reference(self.terrain, list(self._heads.values()), self.rng)
+        observed = dict(zip(self._heads, patches))
+        for i, geometry in enumerate(self._geometry):
+            if geometry in observed:
+                self._features[i, : patches[0].size] = observed[geometry].ravel()
         return self._features, self.actions, np.arange(len(self.actions))
 
     def excluded(self):

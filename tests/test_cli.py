@@ -16,7 +16,7 @@ from scoopgp import cli
 from scoopgp.checkpoint import load_checkpoint, save_checkpoint, weights_path
 from scoopgp.data import TaskDataset, load_task_dataset, patches_path, save_task_dataset
 from scoopgp.decision import EpisodeTrace
-from scoopgp.model import Architecture, read_fields
+from scoopgp.model import Architecture, read_fields, record_dict
 from scoopgp.terrain import generate_suite
 
 
@@ -315,7 +315,8 @@ def test_validation_errors_exit_1(pipeline, tmp_path, capsys):
     number = tmp_path / "number.json"
     number.write_text("5")
     mistyped = {}
-    for name, field, value in [("meta", "meta", 5), ("cap", "max_attempts", "20")]:
+    for name, field, value in [("meta", "meta", 5), ("cap", "max_attempts", "20"),
+                               ("seedless", "meta", {"method": "sl"})]:
         mistyped[name] = tmp_path / f"{name}.jsonl"
         mistyped[name].write_text(lines[0] + "\n" + json.dumps({**json.loads(lines[1]), field: value}) + "\n")
     # success claimed although the final reward is below the threshold
@@ -337,7 +338,10 @@ def test_validation_errors_exit_1(pipeline, tmp_path, capsys):
         mistyped[name].write_text(lines[0] + "\n" + json.dumps({**success, **edit}) + "\n")
     for name, field, value in [("string_mae", "mean", {"0": "abc"}), ("shotless_mae", "mean", {"zero": 1.0}),
                                ("infinite_mae", "mean", {"0": float("inf")}),
-                               ("string_task_mae", "per_task", {"test-00": "x"})]:
+                               ("string_task_mae", "per_task", {"test-00": "x"}),
+                               ("foreign_shot_mae", "mean", {"0": 1.0, "7": 2.0}),
+                               ("uneven_task_mae", "per_task", {"test-00": {"0": 1.0, "3": 2.0},
+                                                                "test-01": {"0": 1.0}})]:
         mistyped[name] = tmp_path / f"{name}.json"
         mistyped[name].write_text(json.dumps({**json.loads(Path(pipeline["mae"]).read_text()), field: value}))
     for argv, where in [
@@ -349,9 +353,11 @@ def test_validation_errors_exit_1(pipeline, tmp_path, capsys):
         (["report", "--mae", str(number), "--out", str(tmp_path / "r")], str(number)),
         *[(["report", "--traces", str(mistyped[name]), "--out", str(tmp_path / "r")],
            f"{mistyped[name]}: line 2")
-          for name in ("meta", "cap", "contradiction", "over_cap", "zero_cap", "unflagged", "faulted_success")],
+          for name in ("meta", "cap", "seedless", "contradiction", "over_cap", "zero_cap", "unflagged",
+                       "faulted_success")],
         *[(["report", "--mae", str(mistyped[name]), "--out", str(tmp_path / "r")], str(mistyped[name]))
-          for name in ("string_mae", "shotless_mae", "infinite_mae", "string_task_mae")],
+          for name in ("string_mae", "shotless_mae", "infinite_mae", "string_task_mae", "foreign_shot_mae",
+                       "uneven_task_mae")],
     ]:
         assert cli.main(argv) == 1, argv
         assert where in capsys.readouterr().err
@@ -1125,7 +1131,28 @@ def test_artifact_root_env_var(tmp_path, monkeypatch):
     assert (tmp_path / "envdata" / "suite.json").exists()
 
 
-def test_aggregate_metrics_unit_cases():
+SHOTS_0_3 = {"0": 1.0, "3": 2.0}
+KSHOT_KEYS = [
+    ("foreign_mean", {"0": 1.0, "7": 2.0}, {"t": SHOTS_0_3}),
+    ("missing_mean", {"0": 1.0}, {"t": SHOTS_0_3}),
+    ("padded_mean", {"0": 1.0, "03": 2.0}, {"t": SHOTS_0_3}),
+    ("missing_task_shot", SHOTS_0_3, {"t": SHOTS_0_3, "u": {"0": 1.0}}),
+    ("extra_task_shot", SHOTS_0_3, {"t": {**SHOTS_0_3, "5": 3.0}}),
+]
+
+
+@pytest.mark.parametrize("mean, per_task", [row[1:] for row in KSHOT_KEYS], ids=[row[0] for row in KSHOT_KEYS])
+def test_kshot_table_refuses_keys_other_than_its_shots(mean, per_task):
+    with pytest.raises(ValueError, match=r"not the shot counts \[0, 3\]"):
+        cli.KShotTable("sl", 0, 0, [0, 3], per_task, mean)
+
+
+def test_kshot_table_takes_its_shots_in_any_key_order():
+    table = cli.KShotTable("sl", 0, 0, [0, 3], {"t": {"3": 2.0, "0": 1.0}}, {"3": 2.0, "0": 1.0})
+    assert table.mean == {"3": 2.0, "0": 1.0}
+
+
+def test_aggregate_metrics_unit_cases(tmp_path):
     def trace(method, seed, task, attempts, success, cap=20):
         steps = [
             {"index": i, "action": {"x": 0.2, "y": 0.2, "yaw": 0, "depth": 0.05,
@@ -1160,7 +1187,8 @@ def test_aggregate_metrics_unit_cases():
         "0": 2.0, "1": 3.0, "2": 4.0,
     }
 
-    with pytest.raises(cli.ConfigError):
-        bad = trace("sl", 0, "t", 2, True)
-        bad.meta = {}
-        cli.aggregate_metrics([bad], [])
+    bad = tmp_path / "bad.jsonl"
+    for meta in ({}, {"method": "sl"}, {"model_seed": 0}, {"method": 3, "model_seed": 0}):
+        bad.write_text(json.dumps({**record_dict(trace("sl", 0, "t", 2, True)), "meta": meta}) + "\n")
+        with pytest.raises(cli.ConfigError, match=f"{bad}: line 1"):
+            cli.read_traces([bad])

@@ -285,10 +285,11 @@ def test_live_episode_unchanged_under_reference_renderer(monkeypatch):
 
 @pytest.mark.parametrize("policy", [D.Policy.ucb(2.0), D.Policy.greedy()], ids=["ucb", "greedy"])
 def test_live_episode_matches_full_grid_reference(policy):
-    """Feasible-only rows with the infeasible actions' noise skipped give
-    the episode that rendering every action and excluding the infeasible
-    ones gives: the same grid indices, rewards and scores bit for bit,
-    and the same generator state after."""
+    """Feasible-only rows, one rendered patch per geometry, give the
+    episode that the oracle gives, which renders each feasible geometry
+    once, copies its patch to the rows of every grid action with that
+    geometry and excludes the infeasible ones: the same grid indices,
+    rewards and scores bit for bit, and the same generator state after."""
     _, suite_test = terrain.generate_suite(seed=0)
     m = M.DeepGPModel.init(M.Architecture(), seed=3)
     m.reward_mean, m.reward_std = 30.0, 15.0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    LiveEnvironmentReference,
     base_reward_reference,
     collect_offline_reference,
     direction,
@@ -232,40 +233,56 @@ def test_render_patches_matches_reference_on_partial_blocks(suite, count):
 
 def test_live_environment_rows_match_reference_across_scoops(suite):
     """Each step's feature matrix, rendered into the same reused rows,
-    equals the reference patches of the feasible actions stacked by
-    feature_matrix, as the terrain changes under the scoops; the
-    generator, which skips the infeasible actions' noise, ends every step
-    where rendering every action leaves it."""
+    equals the oracle's rows of the feasible actions, one patch per
+    geometry stacked by feature_matrix, as the terrain changes under the
+    scoops; the two generators end every render and every scoop in the
+    same state."""
     task = next(task for task in suite[1] if task.composition == "Layers")
     env = LiveEnvironment(task, ActionGrid(), seed=8)
-    t, rng = task.terrain.copy(), np.random.default_rng(8)
-    actions = ActionGrid().enumerate(t.extent)
-    feasible = [i for i in range(len(actions)) if i not in env.excluded()]
+    ref = LiveEnvironmentReference(task, ActionGrid(), 8)
+    actions = ActionGrid().enumerate(task.terrain.extent)
+    feasible = [i for i in range(len(actions)) if i not in ref.excluded()]
+    assert env.excluded() == ref.excluded()
+    kept = [actions[i] for i in feasible]
     for index in (feasible[5], feasible[400], feasible[900]):
         X, acts, indices = env.candidates()
         assert acts == actions and indices.tolist() == feasible
-        ref = render_patches_reference(t, actions, rng)[feasible]
-        assert env.rng.bit_generator.state == rng.bit_generator.state
-        kept = [actions[i] for i in feasible]
-        assert X.tobytes() == reference_feature_rows(ref, kept, 0, len(kept)).tobytes()
-        assert env.execute(index) == terrain.execute_scoop(t, actions[index], rng)
-        assert env.rng.bit_generator.state == rng.bit_generator.state
-    assert env.rng.random() == rng.random()
+        patches = ref.candidates()[0][feasible, : 4 * terrain.PATCH_H * terrain.PATCH_W]
+        assert env.rng.bit_generator.state == ref.rng.bit_generator.state
+        patches = patches.reshape(len(kept), 4, terrain.PATCH_H, terrain.PATCH_W)
+        assert X.tobytes() == reference_feature_rows(patches, kept, 0, len(kept)).tobytes()
+        assert env.execute(index) == ref.execute(index)
+        assert env.rng.bit_generator.state == ref.rng.bit_generator.state
+    assert env.rng.random() == ref.rng.random()
 
 
 @pytest.mark.parametrize(
-    "grid, rows, runs", [(ActionGrid(), 1196, 25), (ActionGrid.paper_scale(), 10168, 51)], ids=["desk", "paper"]
+    "grid, rows, geometries", [(ActionGrid(), 1196, 299), (ActionGrid.paper_scale(), 10168, 1271)],
+    ids=["desk", "paper"],
 )
-def test_live_environment_renders_only_feasible_runs(suite, grid, rows, runs):
-    """One row per feasible action, in grid order, and the feasible
-    actions form the contiguous runs the environment renders."""
+def test_live_environment_renders_each_geometry_once(suite, grid, rows, geometries):
+    """One row per feasible action, in grid order. At every step the rows
+    of one geometry's depth and stiffness variants hold byte-equal patch
+    columns, and the generator advances by one patch's uniforms per
+    feasible geometry, then by the scoop's reward draws."""
     task = suite[1][0]
     env = LiveEnvironment(task, grid, seed=0)
     mask = feasible_mask(task.terrain, env.actions)
-    X, actions, indices = env.candidates()
-    assert indices.tolist() == np.flatnonzero(mask).tolist()
-    assert len(X) == rows and env.excluded() == set(np.flatnonzero(~mask).tolist())
-    assert len(env._runs) == runs
+    t, rng = task.terrain.copy(), np.random.default_rng(0)
+    variants = grid.nd * 2
+    size = 4 * terrain.PATCH_H * terrain.PATCH_W
+    for _ in range(2):
+        X, actions, indices = env.candidates()
+        assert indices.tolist() == np.flatnonzero(mask).tolist()
+        assert len(X) == rows and env.excluded() == set(np.flatnonzero(~mask).tolist())
+        patches = X[:, :size].reshape(geometries, variants, size)
+        assert all(patches[:, v].tobytes() == patches[:, 0].tobytes() for v in range(1, variants))
+        assert len({patches[g, 0].tobytes() for g in range(geometries)}) == geometries
+        rng.random(geometries * size)
+        assert env.rng.bit_generator.state == rng.bit_generator.state
+        index = int(indices[len(indices) // 2])
+        assert env.execute(index) == terrain.execute_scoop(t, actions[index], rng)
+        assert env.rng.bit_generator.state == rng.bit_generator.state
 
 
 @pytest.mark.parametrize("grid", [ActionGrid(), ActionGrid.paper_scale()], ids=["desk", "paper"])
@@ -364,32 +381,6 @@ def test_feasible_and_reward_match_oracles_on_edges_and_corners(yaw, wall_x, wal
     act = ScoopAction(float(x), float(y), yaw, depth, yaw % 2)
     assert terrain.feasible(t, act) == feasible_by_mask(t, act)
     assert terrain.base_reward(t, act) == base_reward_reference(t, act)
-
-
-@settings(max_examples=60, deadline=None)
-@given(count=st.integers(0, 2**17), buffered=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_skip_uniforms_leaves_the_state_random_leaves(count, buffered, seed):
-    """The full bit-generator state, buffered 32-bit half included, is the
-    one rng.random(count) leaves, and the mixed draws that follow agree."""
-    skipped, drawn = np.random.default_rng(seed), np.random.default_rng(seed)
-    if buffered:
-        skipped.integers(8)
-        drawn.integers(8)
-    terrain.skip_uniforms(skipped, count)
-    drawn.random(count)
-    assert skipped.bit_generator.state == drawn.bit_generator.state
-
-    def mixed(rng):
-        return rng.integers(1000, size=3).tolist(), rng.random(2).tolist(), rng.standard_normal()
-
-    assert mixed(skipped) == mixed(drawn)
-
-
-def test_skip_uniforms_refuses_other_generators():
-    with pytest.raises(TypeError, match="PCG64"):
-        terrain.skip_uniforms(np.random.Generator(np.random.MT19937(0)), 10)
-    with pytest.raises(TypeError, match="PCG64"):
-        terrain.skip_uniforms(np.random.Generator(np.random.PCG64DXSM(0)), 10)
 
 
 def test_render_patches_from_uniforms_matches_rng(suite):
