@@ -18,7 +18,7 @@ import numpy as np
 
 from . import gp
 from .data import TaskDataset
-from .model import DEPTH_MAX, DEPTH_MIN, N_YAW, STIFFNESSES, ScoopAction, action_rows, record_dict
+from .model import DEPTH_MAX, DEPTH_MIN, N_YAW, STIFFNESSES, ScoopAction, SharedPatchRows, action_rows, record_dict
 from .terrain import (
     PATCH_CHANNELS,
     TerrainTask,
@@ -205,26 +205,22 @@ class LiveEnvironment:
         self._cells = cells[mask]
         self._indices = (geometries[:, None] * variants + np.arange(variants)).ravel()
         self._infeasible = set(np.flatnonzero(~np.repeat(mask, variants)).tolist())
-        noise = PATCH_CHANNELS * cells[0].size  # uniforms per patch
-        self._features = action_rows([self.actions[i] for i in self._indices], noise)
-        # each geometry's patch, and the patch columns of its variants' rows
-        self._render = np.empty((len(geometries), 1, noise))
-        self._patches = self._features.reshape(-1, variants, self._features.shape[1])[:, :, :noise]
+        tail = action_rows([self.actions[i] for i in self._indices], 0)
+        self._rows = SharedPatchRows(np.empty((len(geometries), PATCH_CHANNELS * cells[0].size)), tail)
         self.rng = np.random.default_rng(seed)
 
-    def candidates(self) -> tuple[np.ndarray, list[ScoopAction], np.ndarray]:
+    def candidates(self) -> tuple[SharedPatchRows, list[ScoopAction], np.ndarray]:
         """(feature rows, actions, indices): row k is the feasible grid
-        action actions[indices[k]], rendered from the current terrain into
-        one matrix that the next call reuses.
+        action actions[indices[k]], its patch rendered from the current
+        terrain into one SharedPatchRows that the next call reuses.
 
         Noise contract: one observation per geometry per step. Each
         feasible geometry's patch is rendered once, with one render_patches
-        call over the geometries in grid order, and copied into the patch
-        columns of all its variants' rows; a call draws exactly
-        PATCH_CHANNELS * PATCH_H * PATCH_W uniforms per feasible geometry."""
-        render_patches(self.terrain, self._heads, self.rng, cells=self._cells, out=self._render[:, 0])
-        self._patches[...] = self._render
-        return self._features, self.actions, self._indices
+        call over the geometries in grid order, and all its variants' rows
+        share it; a call draws exactly PATCH_CHANNELS * PATCH_H * PATCH_W
+        uniforms per feasible geometry."""
+        render_patches(self.terrain, self._heads, self.rng, cells=self._cells, out=self._rows.patches)
+        return self._rows, self.actions, self._indices
 
     def excluded(self) -> set[int]:
         return set(self._infeasible)
@@ -246,9 +242,10 @@ def run_episode(
     row k being actions[indices[k]]; excluded() and execute() speak of
     indices into actions, and so does each trace step's index. Each step
     reads excluded() once; a step that it leaves no row ends the episode.
-    The rows are embedded once per episode when candidates() hands out
-    the same read-only array at every step (replay), else at every step
-    (live), where one gp.Posterior re-projects them. It grows by the
+    The rows are embedded once per episode only when candidates() hands
+    out the same read-only ndarray at every step (replay); anything else
+    (live's SharedPatchRows, re-rendered in place) is embedded at every
+    step, and one gp.Posterior re-projects it. The posterior grows by the
     chosen row after each attempt but the last, so at attempt n it holds
     exactly the n-1 earlier records: their rows' embeddings from the
     step that chose them, and their residual rewards.
@@ -270,7 +267,7 @@ def run_episode(
             break
         if features is not fixed:
             means, Z = model.embed_rows(features)
-            fixed = None if features.flags.writeable else features
+            fixed = features if isinstance(features, np.ndarray) and not features.flags.writeable else None
             if post is not None:
                 post.project(Z)
             elif Z is not None:

@@ -228,6 +228,19 @@ def action_rows(actions, patch_size: int) -> np.ndarray:
     return X
 
 
+@dataclass(frozen=True)
+class SharedPatchRows:
+    """Feature rows that share patches, as a live step's variants share their geometry's: row k
+    is patches[k // V] then tail[k], its normalized depth and stiffness flag; V = len(tail) // len(patches)."""
+
+    patches: np.ndarray  # (G, patch_size)
+    tail: np.ndarray  # (G * V, 2)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.tail), self.patches.shape[1] + self.tail.shape[1]
+
+
 def check_patch_shape(arch: Architecture, shape: tuple[int, ...]) -> None:
     """ShapeError unless a patch shape is the architecture's (C, H, W)."""
     expected = (arch.channels, arch.patch_h, arch.patch_w)
@@ -422,14 +435,19 @@ class DeepGPModel:
         post = None if Zq is None else gp.posterior_batch(Zs, self.residuals(ms, rewards), Zq, self.kp)
         return self.condition(mq, post)
 
-    def embed_rows(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """(standardized mean-head outputs, kernel embeddings) of feature
-        rows X; the embeddings are None without a kernel."""
+    def embed_rows(self, X) -> tuple[np.ndarray, np.ndarray | None]:
+        """(standardized mean-head outputs, kernel embeddings) of feature rows X; the embeddings are None
+        without a kernel. SharedPatchRows meet the first extractor layer once per patch; a matrix, whose
+        rows share none (replay, eval-kshot, training), takes extractor_t."""
         if X.shape[1] != self.arch.input_dim:
-            raise T.ShapeError(
-                f"feature rows have {X.shape[1]} columns, architecture needs {self.arch.input_dim}"
-            )
-        F = T.Tensor(self.extract_batch(X))
+            raise T.ShapeError(f"feature rows have {X.shape[1]} columns, architecture needs {self.arch.input_dim}")
+        if isinstance(X, SharedPatchRows):
+            (w, b), *rest = self._layers("extractor")
+            h = np.repeat(X.patches @ w.data[:-2], len(X.tail) // len(X.patches), axis=0)
+            h += X.tail @ w.data[-2:] + b.data
+            F = dense_chain(T.Tensor(np.maximum(h, 0.0, out=h)), rest, relu_last=True)
+        else:
+            F = T.Tensor(self.extract_batch(X))
         return self.mean_t(F).data[:, 0], self.kernel_t(F).data if self.has_kernel else None
 
     def residuals(self, ms, rewards):

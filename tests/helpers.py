@@ -267,6 +267,14 @@ class LiveEnvironmentReference:
         return execute_scoop(self.terrain, self.actions[index], self.rng)
 
 
+def shared_rows_matrix(rows) -> np.ndarray:
+    """The dense (len(tail), patch_size + 2) feature matrix that a
+    model.SharedPatchRows stands for: each patch repeated once per row of
+    its tail, the tail in the last two columns."""
+    variants = len(rows.tail) // len(rows.patches)
+    return np.hstack([np.repeat(rows.patches, variants, axis=0), rows.tail])
+
+
 def run_episode_reference(model, env, threshold, max_attempts, policy):
     """decision.run_episode as it scored rows before embeddings were kept:
     at every step predict_rows on the allowed candidate rows, gathered

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from scoopgp import gp
+from scoopgp import gp, terrain
 from scoopgp import model as M
 from scoopgp import tensor as T
 from scoopgp import training as TR
 from scoopgp.checkpoint import load_checkpoint, save_checkpoint, weights_path
 from scoopgp.data import load_task_dataset, save_task_dataset
+from scoopgp.decision import ActionGrid, LiveEnvironment
 from helpers import (
     dense_chain_reference,
     soft_normalize_reference,
@@ -18,6 +19,7 @@ from helpers import (
     predict,
     predict_mean,
     random_action,
+    shared_rows_matrix,
 )
 
 SMALL = M.Architecture(
@@ -88,6 +90,42 @@ def test_feature_matrix_equals_stacked_feature_vectors():
     bad = rng.uniform(0, 1, size=(2, 4, 5))
     with pytest.raises(M.T.ShapeError):
         M.feature_matrix(SMALL, pairs[:3] + [(bad, pairs[3][1])] + pairs[4:])
+
+
+@pytest.mark.parametrize("has_kernel", [True, False], ids=["kernel", "mean-only"])
+@pytest.mark.parametrize(
+    "grid, rows, geometries", [(ActionGrid(), 1196, 299), (ActionGrid.paper_scale(), 10168, 1271)],
+    ids=["desk", "paper"],
+)
+def test_shared_patch_rows_embed_as_their_dense_matrix(grid, rows, geometries, has_kernel):
+    """A live step's SharedPatchRows embed as the dense matrix they stand
+    for, within 1e-12 of the largest output: the rows' patch and tail
+    products meet the first layer's bias in another order than one
+    product over the whole row. The weights and biases are all nonzero."""
+    _, suite_test = terrain.generate_suite(seed=0)
+    X, _, _ = LiveEnvironment(suite_test[1], grid, seed=2).candidates()
+    assert X.shape == (rows, M.Architecture().input_dim) and len(X.patches) == geometries
+    m = M.DeepGPModel.init(M.Architecture(), seed=5, has_kernel=has_kernel)
+    rng = np.random.default_rng(5)
+    for name, t in m.weights.items():
+        if name.endswith(".b") or name == "mean.1.w":
+            t.data[:] = rng.normal(scale=0.3, size=t.shape)
+    shared, dense = m.embed_rows(X), m.embed_rows(shared_rows_matrix(X))
+    assert (shared[1] is None) == (dense[1] is None) == (not has_kernel)
+    for a, b in zip(shared, dense):
+        if b is not None:
+            assert a.shape == b.shape and np.abs(b).max() > 0
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+
+def test_shared_patch_rows_of_another_patch_width_are_refused():
+    m = M.DeepGPModel.init(SMALL, seed=0)
+    tail = np.zeros((6, 2))
+    for width in (SMALL.patch_size - 1, SMALL.patch_size + 1):
+        with pytest.raises(T.ShapeError, match=f"have {width + 2} columns"):
+            m.embed_rows(M.SharedPatchRows(np.zeros((3, width)), tail))
+    means, Z = m.embed_rows(M.SharedPatchRows(np.zeros((3, SMALL.patch_size)), tail))
+    assert means.shape == (6,) and Z.shape == (6, SMALL.embed_dim)
 
 
 def test_flip_permutation_matches_flipped_patch():

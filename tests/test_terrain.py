@@ -14,6 +14,7 @@ from helpers import (
     render_patch,
     render_patches_reference,
     sample_random_action_reference,
+    shared_rows_matrix,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -232,9 +233,10 @@ def test_render_patches_matches_reference_on_partial_blocks(suite, count):
 
 
 def test_live_environment_rows_match_reference_across_scoops(suite):
-    """Each step's feature matrix, rendered into the same reused rows,
-    equals the oracle's rows of the feasible actions, one patch per
-    geometry stacked by feature_matrix, as the terrain changes under the
+    """Each step's render buffer, reused from step to step, holds the
+    oracle's patch of every feasible geometry in grid order, and the rows
+    it stands for equal the oracle's rows of the feasible actions, stacked
+    by feature_matrix, byte for byte, as the terrain changes under the
     scoops; the two generators end every render and every scoop in the
     same state."""
     task = next(task for task in suite[1] if task.composition == "Layers")
@@ -244,15 +246,20 @@ def test_live_environment_rows_match_reference_across_scoops(suite):
     feasible = [i for i in range(len(actions)) if i not in ref.excluded()]
     assert env.excluded() == ref.excluded()
     kept = [actions[i] for i in feasible]
+    size, variants = 4 * terrain.PATCH_H * terrain.PATCH_W, ActionGrid().nd * 2
+    held = []
     for index in (feasible[5], feasible[400], feasible[900]):
-        X, acts, indices = env.candidates()
+        rows, acts, indices = env.candidates()
+        held.append(rows)
         assert acts == actions and indices.tolist() == feasible
-        patches = ref.candidates()[0][feasible, : 4 * terrain.PATCH_H * terrain.PATCH_W]
+        patches = ref.candidates()[0][feasible, :size]
         assert env.rng.bit_generator.state == ref.rng.bit_generator.state
+        assert rows.patches.tobytes() == patches[::variants].tobytes()
         patches = patches.reshape(len(kept), 4, terrain.PATCH_H, terrain.PATCH_W)
-        assert X.tobytes() == reference_feature_rows(patches, kept, 0, len(kept)).tobytes()
+        assert shared_rows_matrix(rows).tobytes() == reference_feature_rows(patches, kept, 0, len(kept)).tobytes()
         assert env.execute(index) == ref.execute(index)
         assert env.rng.bit_generator.state == ref.rng.bit_generator.state
+    assert held[0] is held[1] is held[2], "each step re-renders into the same rows"
     assert env.rng.random() == ref.rng.random()
 
 
@@ -261,23 +268,23 @@ def test_live_environment_rows_match_reference_across_scoops(suite):
     ids=["desk", "paper"],
 )
 def test_live_environment_renders_each_geometry_once(suite, grid, rows, geometries):
-    """One row per feasible action, in grid order. At every step the rows
-    of one geometry's depth and stiffness variants hold byte-equal patch
-    columns, and the generator advances by one patch's uniforms per
-    feasible geometry, then by the scoop's reward draws."""
+    """One row per feasible action, in grid order, and one rendered patch
+    per feasible geometry, which the rows of its depth and stiffness
+    variants share: each row's tail is its own action's. At every step
+    the generator advances by one patch's uniforms per feasible geometry,
+    then by the scoop's reward draws."""
     task = suite[1][0]
     env = LiveEnvironment(task, grid, seed=0)
     mask = feasible_mask(task.terrain, env.actions)
     t, rng = task.terrain.copy(), np.random.default_rng(0)
-    variants = grid.nd * 2
     size = 4 * terrain.PATCH_H * terrain.PATCH_W
     for _ in range(2):
         X, actions, indices = env.candidates()
         assert indices.tolist() == np.flatnonzero(mask).tolist()
-        assert len(X) == rows and env.excluded() == set(np.flatnonzero(~mask).tolist())
-        patches = X[:, :size].reshape(geometries, variants, size)
-        assert all(patches[:, v].tobytes() == patches[:, 0].tobytes() for v in range(1, variants))
-        assert len({patches[g, 0].tobytes() for g in range(geometries)}) == geometries
+        assert X.shape == (rows, size + 2) and env.excluded() == set(np.flatnonzero(~mask).tolist())
+        assert X.patches.shape == (geometries, size) and X.tail.shape == (rows, 2)
+        assert X.tail.tobytes() == action_rows([actions[i] for i in indices], 0).tobytes()
+        assert len({patch.tobytes() for patch in X.patches}) == geometries
         rng.random(geometries * size)
         assert env.rng.bit_generator.state == rng.bit_generator.state
         index = int(indices[len(indices) // 2])
