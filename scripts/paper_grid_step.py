@@ -4,13 +4,16 @@ Runs a 20-attempt LiveEnvironment episode on ActionGrid.paper_scale()
 (11,520 actions) for the Layers test task of suite 1, environment seed 5,
 with an untrained default-architecture model (init seed 0) and UCB(2),
 and prints one JSON line: the median and p90 step times (observe, select
-and execute, as perfbench times a step), the process's peak RSS and the
-chosen grid indices, so two source trees can be compared side by side.
+and execute, as perfbench times a step), the process's peak RSS, the
+chosen grid indices and trace_sha256, the sha256 of the trace's JSON
+line, so two source trees can be compared side by side: the same digest
+means the same bytes, scores included.
 Importing scoopgp first pins BLAS to one thread. Run it in a fresh
 process from the repository root:
 
     PYTHONPATH=src python scripts/paper_grid_step.py
 """
+import hashlib
 import json
 import resource
 import time
@@ -62,6 +65,7 @@ def main() -> None:
         "step_ms_p90": round(float(np.percentile(ms, 90)), 1),
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         "indices": [s.index for s in trace.steps],
+        "trace_sha256": hashlib.sha256(json.dumps(model.record_dict(trace)).encode()).hexdigest(),
     }))
 
 

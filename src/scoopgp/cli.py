@@ -24,13 +24,14 @@ import hashlib
 import json
 import os
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .data import DatasetError, load_task_dataset, save_task_dataset
+from .data import DatasetError, TaskDataset, load_task_dataset, save_task_dataset
 from .decision import (
     ActionGrid,
     EpisodeTrace,
@@ -104,8 +105,10 @@ class KShotTable:
         self.validate()
 
     def validate(self) -> None:
-        """ValueError unless the mean and every task's MAEs are keyed by
-        exactly the shot counts in shots."""
+        """ValueError unless shots is a non-empty list of counts of at least
+        0, and the mean and every task's MAEs are keyed by exactly those."""
+        if not self.shots or min(self.shots) < 0:
+            raise ValueError(f"shots {self.shots} must be a non-empty list of counts of at least 0")
         keys = sorted(str(k) for k in self.shots)
         if sorted(self.mean) != keys:
             raise ValueError(f"mean keys {list(self.mean)} are not the shot counts {self.shots}")
@@ -128,11 +131,20 @@ def _require_dir(path: Path, field: str) -> Path:
     return path
 
 
-def _task_files(data_dir: Path, prefix: str) -> list[Path]:
+def _load_tasks(data_dir: Path, prefix: str, view: str, arch) -> Iterator[tuple[Path, TaskDataset]]:
+    """(path, dataset) of each task file data_dir/tasks/<prefix>-*.json, in
+    name order, each loaded when the caller reaches it. ConfigError when
+    there is none, and, naming both files, when two hold the same task id."""
     files = sorted((data_dir / "tasks").glob(f"{prefix}-*.json"))
     if not files:
         raise ConfigError(f"data: no {prefix} task files under {data_dir}/tasks")
-    return files
+    seen = {}
+    for path in files:
+        ds = load_task_dataset(path, view=view, arch=arch)
+        if ds.task_id in seen:
+            raise ConfigError(f"data: {path} repeats the task id {ds.task_id!r} of {seen[ds.task_id]}")
+        seen[ds.task_id] = path
+        yield path, ds
 
 
 # --- gen-data ---------------------------------------------------------------
@@ -219,10 +231,10 @@ def cmd_train(args) -> None:
     data_dir = _require_dir(_resolve(args.data), "data")
     view = "oracle" if args.method == "kcmd-manual" else "learner"
     cfg = TrainConfig(**{name: getattr(args, name) for name in TRAIN_FLAGS})
-    paths = _task_files(data_dir, "train")
-    tasks = [load_task_dataset(p, view=view, arch=cfg.arch) for p in paths]
+    loaded = list(_load_tasks(data_dir, "train", view, cfg.arch))
+    tasks = [ds for _, ds in loaded]
     if view == "oracle":  # kcmd-manual splits by these ids
-        for path, ds in zip(paths, tasks):
+        for path, ds in loaded:
             materials = (ds.ground_truth or {}).get("materials")
             if not (isinstance(materials, list) and materials and all(isinstance(m, str) for m in materials)):
                 raise ConfigError(f"data: {path}: ground_truth has no non-empty list of string materials")
@@ -259,8 +271,7 @@ def cmd_eval_deploy(args) -> None:
     worlds = load_suite_terrains(data_dir) if args.mode == "live" else {}
 
     lines = []
-    for task_index, path in enumerate(_task_files(data_dir, "test")):
-        ds = load_task_dataset(path, view="learner", arch=model.arch)
+    for task_index, (path, ds) in enumerate(_load_tasks(data_dir, "test", "learner", model.arch)):
         try:
             threshold = compute_threshold(ds.rewards)
         except ValueError as err:
@@ -303,8 +314,7 @@ def cmd_eval_kshot(args) -> None:
     model, meta = load_checkpoint(_resolve(args.model))
 
     per_task: dict[str, dict[str, float]] = {}
-    for task_index, path in enumerate(_task_files(data_dir, "test")):
-        ds = load_task_dataset(path, view="learner", arch=model.arch)
+    for task_index, (path, ds) in enumerate(_load_tasks(data_dir, "test", "learner", model.arch)):
         n = len(ds)
         n_query = round(0.8 * n)
         pool_size = n - n_query

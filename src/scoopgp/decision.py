@@ -207,6 +207,7 @@ class LiveEnvironment:
         self._infeasible = set(np.flatnonzero(~np.repeat(mask, variants)).tolist())
         tail = action_rows([self.actions[i] for i in self._indices], 0)
         self._rows = SharedPatchRows(np.empty((len(geometries), PATCH_CHANNELS * cells[0].size)), tail)
+        self._patches = self._rows.patches.reshape(len(geometries), PATCH_CHANNELS, *cells.shape[1:])
         self.rng = np.random.default_rng(seed)
 
     def candidates(self) -> tuple[SharedPatchRows, list[ScoopAction], np.ndarray]:
@@ -215,11 +216,12 @@ class LiveEnvironment:
         terrain into one SharedPatchRows that the next call reuses.
 
         Noise contract: one observation per geometry per step. Each
-        feasible geometry's patch is rendered once, with one render_patches
-        call over the geometries in grid order, and all its variants' rows
-        share it; a call draws exactly PATCH_CHANNELS * PATCH_H * PATCH_W
-        uniforms per feasible geometry."""
-        render_patches(self.terrain, self._heads, self.rng, cells=self._cells, out=self._rows.patches)
+        feasible geometry's patch is rendered once, and all its variants'
+        rows share it: a call draws exactly PATCH_CHANNELS * PATCH_H *
+        PATCH_W uniforms per feasible geometry, in grid order, into the
+        rows' patch block, which one render_patches call then turns into
+        the patches in place."""
+        render_patches(self.terrain, self._heads, self.rng.random(out=self._patches), self._cells)
         return self._rows, self.actions, self._indices
 
     def excluded(self) -> set[int]:

@@ -8,9 +8,10 @@ brighter appearance correlates with higher yield; the novel test
 materials break that correlation (and one is not scoopable at all),
 which is what makes the test tasks out-of-distribution.
 
-Rendering and rewards are pure given an rng, so episodes are
-reproducible; execute_scoop additionally mutates the terrain (lowers
-the heightfield and may expose a hidden layer).
+Rendering is pure given its uniforms, which the caller draws, and
+rewards are pure given an rng, so episodes are reproducible;
+execute_scoop additionally mutates the terrain (lowers the heightfield
+and may expose a hidden layer).
 """
 from __future__ import annotations
 
@@ -474,68 +475,43 @@ def patch_cells(terrain: TerrainInstance, actions: list[ScoopAction]) -> np.ndar
     return flat
 
 
-# actions rendered per pass: a block's noise, materials and cells stay in
-# a core's L2 cache between the passes over it
+# actions rendered per pass: a block's patches, materials and cells stay
+# in a core's L2 cache between the passes over it
 _RENDER_BLOCK = 64
 
 
 def render_patches(
     terrain: TerrainInstance,
     actions: list[ScoopAction],
-    rng: np.random.Generator | None = None,
-    *,
+    patches: np.ndarray,
     cells: np.ndarray | None = None,
-    out: np.ndarray | None = None,
-    uniforms: np.ndarray | None = None,
 ) -> np.ndarray:
-    """(n, 4, H, W) patches, H = PATCH_H and W = PATCH_W, oriented along
-    each action's yaw, left edge at the scoop start, their noise from
-    exactly one of rng and uniforms (all-0.5 uniforms render the patches
-    without noise).
+    """Turn patches, an (n, 4, H, W) array of uniforms in [0, 1) with
+    H = PATCH_H and W = PATCH_W, into the actions' patches, in place, and
+    return it. Each patch is oriented along its action's yaw, left edge
+    at the scoop start.
+
+    Noise contract: a texture uniform u becomes the noise (2u - 1) times
+    its material's texture scale and a height uniform (2u - 1) *
+    HEIGHT_NOISE, as Generator.uniform computes them; so rng.random's
+    uniforms give the patches of drawing each action's (3, H, W) texture
+    noise, then its (H, W) height noise, by rng.uniform one action at a
+    time. All-0.5 uniforms render the patches without noise.
 
     `cells`, when given, is patch_cells(terrain, actions) from earlier;
     only the surface and height gathers and the noise then run here.
-    `out`, when given, is an (n, m) array with m >= 4 * H * W, such as a
-    feature matrix: the patches are written into its first 4 * H * W
-    columns, and the returned array is a view of them.
-
-    Noise contract: with an rng, all noise is one stream of uniforms
-    drawn in action-major (n, 4, H, W) order, three texture channels then
-    the height channel of each action in turn. That is the same stream,
-    and the same values, as drawing each action's (3, H, W) texture
-    uniforms and then its (H, W) height uniforms one action at a time, so
-    the patches and the generator's final state do not depend on how the
-    actions are batched. `uniforms`, given in place of rng, is that
-    (n, 4, H, W) array of rng.random draws, drawn beforehand; the patches
-    are then those an rng at the start of the same draws renders. A call
-    with an rng draws exactly n * 4 * H * W uniforms: one observation per
-    action, so decision.LiveEnvironment passes one action per geometry
-    and shares its patch across that geometry's variants.
     """
-    if (rng is None) == (uniforms is None):
-        raise ValueError("pass exactly one of an rng and uniforms")
-    n = len(actions)
     if cells is None:
         cells = patch_cells(terrain, actions)
-    size = PATCH_CHANNELS * PATCH_H * PATCH_W
-    if out is None:
-        out = np.empty((n, size))
-    patches = out[:, :size].reshape(n, PATCH_CHANNELS, PATCH_H, PATCH_W)
     surface = np.ravel(terrain.surface)
     heights = np.ravel(terrain.heightfield)
     # per material: twice the texture scale, then the three color channels
     materials = np.array([(2.0 * m.texture_scale, *m.color) for m in terrain.materials]).T
-    buf = np.empty((min(n, _RENDER_BLOCK), PATCH_CHANNELS, PATCH_H, PATCH_W))
-    for start in range(0, n, _RENDER_BLOCK):
-        stop = min(start + _RENDER_BLOCK, n)
-        flat = cells[start:stop]
+    for start in range(0, len(actions), _RENDER_BLOCK):
+        block = slice(start, start + _RENDER_BLOCK)
+        flat = cells[block]
         mat = materials.take(surface.take(flat), axis=1)
-        block = buf[: stop - start]
-        texture, height = block[:, :3], block[:, 3]
-        if rng is not None:
-            rng.random(out=block)
-        else:
-            block[...] = uniforms[start:stop]
+        texture, height = patches[block, :3], patches[block, 3]
         # Generator.uniform(low, high) computes low + (high - low) * u.
         # For the texture, (-1 + 2u) * scale: u is a multiple of 2**-53
         # in [0, 1), so -1 + 2u and u - 0.5 are exact, and (u - 0.5) *
@@ -545,8 +521,8 @@ def render_patches(
         height *= HEIGHT_NOISE - -HEIGHT_NOISE
         height += -HEIGHT_NOISE
         texture += mat[1:].transpose(1, 0, 2, 3)
-        np.clip(texture, 0.0, 1.0, out=patches[start:stop, :3])
-        np.add(height, heights.take(flat), out=patches[start:stop, 3])
+        np.clip(texture, 0.0, 1.0, out=texture)
+        height += heights.take(flat)
     return patches
 
 
@@ -697,8 +673,8 @@ def collect_offline(task: TerrainTask, n_samples: int = 100, seed: int = 0) -> T
     draws, in this order, its action, then (when feasible) its patch
     noise and its reward. The noise goes into one (n, 4, H, W) array of
     uniforms, and one render_patches pass over all the records turns it
-    into their patches: the same patches as rendering each record as it
-    is drawn.
+    into their patches, in place: the same patches as rendering each
+    record as it is drawn.
     """
     rng = np.random.default_rng(seed)
     terrain = task.terrain
@@ -714,7 +690,7 @@ def collect_offline(task: TerrainTask, n_samples: int = 100, seed: int = 0) -> T
     material_ids = terrain.material_ids()
     return TaskDataset(
         task_id=task.task_id,
-        patches=render_patches(terrain, actions, uniforms=uniforms),
+        patches=render_patches(terrain, actions, uniforms),
         actions=actions,
         rewards=rewards,
         constants=TrajectoryConstants(),

@@ -76,11 +76,13 @@ def direction(yaw: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def render_patches_reference(terrain, actions, rng=None):
-    """One action at a time, drawing each action's noise as it goes: the
-    oracle for terrain.render_patches, which must match it byte for byte
-    and leave the generator in the same state. Without an rng the
-    patches carry no noise, as terrain.render_patches renders them from
-    all-0.5 uniforms."""
+    """One action at a time, drawing each action's noise as it goes by
+    rng.uniform: the oracle for terrain.render_patches, which must match
+    it byte for byte, from the uniforms that rng.random draws, and leave
+    the generator in the same state. rng is a Generator or, to render
+    from uniforms drawn beforehand, a UniformStream of them. Without an
+    rng the patches carry no noise, as terrain.render_patches renders
+    them from all-0.5 uniforms."""
     n = len(actions)
     nx, ny = terrain.surface.shape
     colors = np.array([m.color for m in terrain.materials])
@@ -108,13 +110,30 @@ def render_patches_reference(terrain, actions, rng=None):
     return out
 
 
+class UniformStream:
+    """Uniforms drawn beforehand, handed out in order by uniform(low,
+    high, size) as Generator.uniform hands out its draws: low + (high -
+    low) * u, Generator.uniform's formula."""
+
+    def __init__(self, uniforms):
+        self._uniforms = np.ravel(uniforms)
+        self._next = 0
+
+    def uniform(self, low, high, size):
+        stop = self._next + math.prod(size)
+        u = self._uniforms[self._next:stop].reshape(size)
+        self._next = stop
+        return low + (high - low) * u
+
+    def exhausted(self) -> bool:
+        return self._next == self._uniforms.size
+
+
 def render_patch(terrain, act, rng=None) -> np.ndarray:
     """One action's (4, H, W) patch, its noise drawn from rng; without an
     rng, from all-0.5 uniforms, which render it without noise."""
-    if rng is None:
-        half = np.full((1, PATCH_CHANNELS, PATCH_H, PATCH_W), 0.5)
-        return render_patches(terrain, [act], uniforms=half)[0]
-    return render_patches(terrain, [act], rng)[0]
+    shape = (1, PATCH_CHANNELS, PATCH_H, PATCH_W)
+    return render_patches(terrain, [act], np.full(shape, 0.5) if rng is None else rng.random(shape))[0]
 
 
 def feasible_reference(terrain, act) -> bool:
@@ -207,7 +226,7 @@ def collect_offline_reference(task, n_samples=100, seed=0):
         act = sample_random_action_reference(t, rng)
         if not feasible_by_mask(t, act):
             continue
-        patches.append(render_patch(t, act, rng))
+        patches.append(render_patches_reference(t, [act], rng)[0])
         noise = math.exp(REWARD_NOISE_SIGMA * rng.standard_normal() - REWARD_NOISE_SIGMA**2 / 2.0)
         rewards.append(base_reward_reference(t, act) * noise + abs(rng.normal(0.0, NOISE_FLOOR_STD)))
         actions.append(act)

@@ -344,6 +344,22 @@ def test_validation_errors_exit_1(pipeline, tmp_path, capsys):
                                                                 "test-01": {"0": 1.0}})]:
         mistyped[name] = tmp_path / f"{name}.json"
         mistyped[name].write_text(json.dumps({**json.loads(Path(pipeline["mae"]).read_text()), field: value}))
+    # shot counts eval-kshot never writes: a negative one, and none at all
+    table = json.loads(Path(pipeline["mae"]).read_text())
+    for name, shots in [("negative_shot_mae", [-3, 0]), ("no_shot_mae", [])]:
+        keyed = {str(k): 1.0 for k in shots}
+        mistyped[name] = tmp_path / f"{name}.json"
+        mistyped[name].write_text(json.dumps({**table, "shots": shots, "mean": keyed,
+                                              "per_task": {task: keyed for task in table["per_task"]}}))
+    # a second file of a task: the copy of test-00 (train-00) saved as test-07 (train-07)
+    repeated = tmp_path / "repeated"
+    shutil.copytree(pipeline["data"], repeated)
+    copies = {}
+    for prefix in ("test", "train"):
+        original, copy = (repeated / "tasks" / f"{prefix}-{i:02d}.json" for i in (0, 7))
+        for source, target in ((original, copy), (patches_path(original), patches_path(copy))):
+            shutil.copyfile(source, target)
+        copies[prefix] = f"{copy} repeats the task id '{prefix}-00' of {original}"
     for argv, where in [
         (["report", "--traces", str(truncated), "--out", str(tmp_path / "r")],
          f"{truncated}: line 2"),
@@ -357,7 +373,13 @@ def test_validation_errors_exit_1(pipeline, tmp_path, capsys):
                        "faulted_success")],
         *[(["report", "--mae", str(mistyped[name]), "--out", str(tmp_path / "r")], str(mistyped[name]))
           for name in ("string_mae", "shotless_mae", "infinite_mae", "string_task_mae", "foreign_shot_mae",
-                       "uneven_task_mae")],
+                       "uneven_task_mae", "negative_shot_mae", "no_shot_mae")],
+        (["train", "--method", "sl", "--data", str(repeated), "--out", str(tmp_path / "m.json")],
+         copies["train"]),
+        *[([*argv, "--model", str(pipeline["ckpt"]), "--data", str(repeated), "--out", str(tmp_path / out)],
+           copies["test"])
+          for argv, out in [(["eval-deploy"], "t.jsonl"), (["eval-deploy", "--mode", "live"], "t.jsonl"),
+                            (["eval-kshot", "--shots", "0,3"], "k.json")]],
     ]:
         assert cli.main(argv) == 1, argv
         assert where in capsys.readouterr().err

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from helpers import (
     LiveEnvironmentReference,
+    UniformStream,
     make_task,
     render_patches_reference,
     run_episode_reference,
@@ -272,9 +273,10 @@ def test_live_episode_unchanged_under_reference_renderer(monkeypatch):
         tr = D.run_episode(m, env, threshold=np.inf, max_attempts=5, policy=D.Policy.ucb(2.0))
         return [(s.index, s.reward, s.score) for s in tr.steps]
 
-    def reference(terrain_, actions, rng=None, *, cells, out):
-        patches = render_patches_reference(terrain_, actions, rng)
-        out[:, : patches[0].size] = patches.reshape(len(actions), -1)
+    def reference(terrain_, actions, patches, cells=None):
+        stream = UniformStream(patches)
+        patches[...] = render_patches_reference(terrain_, actions, stream)
+        assert stream.exhausted()
         return patches
 
     vectorized = run()

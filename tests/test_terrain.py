@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from helpers import (
     LiveEnvironmentReference,
+    UniformStream,
     base_reward_reference,
     collect_offline_reference,
     direction,
@@ -167,33 +169,34 @@ def reference_feature_rows(ref, actions, start, stop):
 
 
 def assert_render_matches_reference(t, actions, seed):
-    """Same bytes as the per-action oracle, whether rendered into a new
-    array or, from precomputed cells, into feature rows; and each time
-    the generators end in the same state. Seed None renders from all-0.5
-    uniforms, which must give the oracle's noise-free patches."""
-    def noise():
+    """Same bytes as the per-action oracle, whether the uniforms are
+    drawn into a new array or, as a live step draws them, into a
+    preallocated patch block that is rendered in place from precomputed
+    cells; and each time the generators end in the same state. Seed None
+    renders from all-0.5 uniforms, which must give the oracle's
+    noise-free patches."""
+    rngs = []
+
+    def uniforms(out):
         if seed is None:
-            return {"uniforms": np.full((len(actions), 4, terrain.PATCH_H, terrain.PATCH_W), 0.5)}
-        return {"rng": np.random.default_rng(seed)}
+            out[...] = 0.5
+            return out
+        rngs.append(np.random.default_rng(seed))
+        return rngs[-1].random(out=out)
 
     rng_ref = None if seed is None else np.random.default_rng(seed)
     ref = render_patches_reference(t, actions, rng_ref)
-    new_noise = noise()
-    new = terrain.render_patches(t, actions, **new_noise)
+    shape = (len(actions), 4, terrain.PATCH_H, terrain.PATCH_W)
+    new = terrain.render_patches(t, actions, uniforms(np.empty(shape)))
     assert new.shape == ref.shape
     assert new.tobytes() == ref.tobytes()
     del new
-    rows_noise = noise()
-    X = action_rows(actions, Architecture().patch_size)
-    view = terrain.render_patches(t, actions, **rows_noise, cells=terrain.patch_cells(t, actions), out=X)
-    assert view.shape == ref.shape and np.shares_memory(view, X)
-    for start in range(0, len(actions), 2048):
-        stop = start + 2048
-        assert X[start:stop].tobytes() == reference_feature_rows(ref, actions, start, stop).tobytes()
-    if seed is not None:
-        state = rng_ref.bit_generator.state
-        assert new_noise["rng"].bit_generator.state == state
-        assert rows_noise["rng"].bit_generator.state == state
+    block = np.empty((len(actions), Architecture().patch_size))
+    view = terrain.render_patches(t, actions, uniforms(block.reshape(shape)), terrain.patch_cells(t, actions))
+    assert view.shape == ref.shape and np.shares_memory(view, block)
+    assert block.tobytes() == ref.tobytes()
+    for rng in rngs:
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
 @pytest.mark.parametrize("seed", [None, 5], ids=["noise-free", "seeded"])
@@ -230,6 +233,18 @@ def test_render_patches_matches_reference_on_partial_blocks(suite, count):
     t = suite[1][2].terrain
     actions = ActionGrid().enumerate(t.extent)[::-1][:count]
     assert_render_matches_reference(t, actions, 7)
+
+
+def test_render_patches_matches_reference_where_the_clip_binds():
+    """A material whose texture noise reaches past both ends of [0, 1]:
+    the texture channels are clipped in place, as the oracle clips them."""
+    mats = terrain.training_materials(np.random.default_rng(0))
+    mats[0] = replace(mats[0], color=(0.99, 0.01, 0.5), texture_scale=0.3)
+    t = flat_terrain([0], mats)
+    actions = ActionGrid().enumerate(t.extent)[:100]
+    assert_render_matches_reference(t, actions, 5)
+    patches = terrain.render_patches(t, actions, np.random.default_rng(5).random((100, 4, 16, 16)))
+    assert patches[:, 0].max() == 1.0 and patches[:, 1].min() == 0.0
 
 
 def test_live_environment_rows_match_reference_across_scoops(suite):
@@ -396,11 +411,8 @@ def test_render_patches_from_uniforms_matches_rng(suite):
     rng = np.random.default_rng(3)
     uniforms = np.random.default_rng(3).random((len(actions), 4, 16, 16))
     ref = render_patches_reference(t, actions, rng)
-    assert terrain.render_patches(t, actions, uniforms=uniforms).tobytes() == ref.tobytes()
-    with pytest.raises(ValueError):
-        terrain.render_patches(t, actions, np.random.default_rng(3), uniforms=uniforms)
-    with pytest.raises(ValueError):
-        terrain.render_patches(t, actions)
+    assert render_patches_reference(t, actions, UniformStream(uniforms)).tobytes() == ref.tobytes()
+    assert terrain.render_patches(t, actions, uniforms).tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("value", [
@@ -442,7 +454,7 @@ def test_render_patches_names_the_one_action_out_of_extent(suite):
     stray = ScoopAction(0.45, 0.61, 3, 0.05, 1)
     actions.insert(700, stray)
     with pytest.raises(terrain.BoundsError, match=r"action start \(0\.45, 0\.61\) outside"):
-        terrain.render_patches(t, actions, np.random.default_rng(0))
+        terrain.render_patches(t, actions, np.random.default_rng(0).random((len(actions), 4, 16, 16)))
 
 
 def test_layers_reward_switches_at_boundary():
