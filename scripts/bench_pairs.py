@@ -3,10 +3,11 @@
     python scripts/bench_pairs.py OTHER_TREE --workload W --seeds A-B
 
 Run it from the root of this tree. For each seed A..B it runs
-`perfbench/run.py --workload W --seed N --seconds 10 --trace 0` once from
-each tree's root, one process at a time. This tree goes first on odd
-pair numbers and the other tree on even ones, so a drift of the host's
-speed falls on both sides alike. Each run's record is the new file it
+`perfbench/run.py --workload W --seed N --seconds S --trace 0` once from
+each tree's root, one process at a time, S being the `run_seconds` of
+this tree's `BENCHMARK.json`. This tree goes first on odd pair numbers
+and the other tree on even ones, so a drift of the host's speed falls on
+both sides alike. Each run's record is the new file it
 writes under its tree's `.perfbench/results/`.
 
 It prints, for the four end-to-end metrics:
@@ -33,7 +34,7 @@ from pathlib import Path
 
 METRICS = ("setup_s", "stage_s", "step_ms_p90", "peak_rss_mb")
 DIGESTS = ("setup", "traces", "checkpoint", "manifest")
-SECONDS = 10
+SECONDS = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())["run_seconds"]
 
 
 def parse_seeds(text: str) -> list[int]:

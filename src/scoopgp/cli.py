@@ -106,15 +106,16 @@ class KShotTable:
 
     def validate(self) -> None:
         """ValueError unless shots is a non-empty list of counts of at least
-        0, and the mean and every task's MAEs are keyed by exactly those."""
+        0, and the mean and every task's MAEs are keyed by exactly those and
+        are at least 0."""
         if not self.shots or min(self.shots) < 0:
             raise ValueError(f"shots {self.shots} must be a non-empty list of counts of at least 0")
         keys = sorted(str(k) for k in self.shots)
-        if sorted(self.mean) != keys:
-            raise ValueError(f"mean keys {list(self.mean)} are not the shot counts {self.shots}")
-        for task, maes in self.per_task.items():
+        for name, maes in [("mean", self.mean), *((f"per_task {task!r}", m) for task, m in self.per_task.items())]:
             if sorted(maes) != keys:
-                raise ValueError(f"per_task {task!r} keys {list(maes)} are not the shot counts {self.shots}")
+                raise ValueError(f"{name} keys {list(maes)} are not the shot counts {self.shots}")
+            if min(maes.values()) < 0:
+                raise ValueError(f"{name} has the negative MAE {min(maes.values())}")
 
 
 def _resolve(path: str) -> Path:

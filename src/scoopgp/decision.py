@@ -130,8 +130,9 @@ class EpisodeTrace:
     def validate(self) -> None:
         """ValueError for a trace no episode writes: a budget below 1, an
         attempt count that is not the number of steps or exceeds the budget,
-        a fault on a success, or a step at the threshold that is not the
-        last, or is the last but the success flag says otherwise."""
+        a fault on a success, a step with a negative index or an action
+        ScoopAction.validate refuses, or a step at the threshold that is not
+        the last, or is the last but the success flag says otherwise."""
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts {self.max_attempts} is below 1")
         if not self.attempts == len(self.steps) <= self.max_attempts:
@@ -139,6 +140,13 @@ class EpisodeTrace:
                              f"and be at most max_attempts ({self.max_attempts})")
         if self.success and self.fault is not None:
             raise ValueError(f"a successful trace has the fault {self.fault!r}")
+        for n, step in enumerate(self.steps):
+            try:
+                if step.index < 0:
+                    raise ValueError(f"index {step.index} is negative")
+                step.action.validate()
+            except ValueError as err:
+                raise ValueError(f"step {n}: {err}") from None
         met = [s.reward >= self.threshold for s in self.steps]
         if any(met[:-1]):
             raise ValueError("non-final step already met the threshold")

@@ -405,13 +405,9 @@ class DeepGPModel:
             raise RuntimeError("model has no kernel head")
         return soft_normalize(dense_chain(F, self._layers("kernel"), relu_last=False))
 
-    # numpy conveniences over the same forward code
+    # numpy conveniences over the same forward code; embed_rows is the one row-scoring path
     def extract_batch(self, X: np.ndarray) -> np.ndarray:
         return self.extractor_t(T.Tensor(X)).data
-
-    def mean_batch(self, X: np.ndarray) -> np.ndarray:
-        """Standardized mean predictions for a feature matrix."""
-        return self.mean_t(T.Tensor(self.extract_batch(X))).data[:, 0]
 
     def feature_vector(self, obs: np.ndarray, act: ScoopAction) -> np.ndarray:
         """One (patch, action) pair's feature row; kept because perfbench/layers.py wraps it."""

@@ -1,10 +1,10 @@
 """Dense float64 tensors with a reverse-mode gradient tape.
 
 The tape keeps only the ops the model records: `dense` (one fused layer),
-`sub`, `square` and `mean` (the mean head's squared-error loss), and
-`custom_op`, through which the kernel head's normalization, the GP Gram
-matrix and the NLML record their forward and analytic gradient as one op
-each. Adam updates the parameters. Everything is float64; there is no
+`sub` (dkmt's residual) and `custom_op`, through which the mean head's
+squared-error loss, the kernel head's normalization, the GP Gram matrix
+and the NLML record their forward and analytic gradient as one op each.
+Adam updates the parameters. Everything is float64; there is no
 GPU path and no broadcasting beyond dense's bias row.
 """
 from __future__ import annotations
@@ -59,10 +59,6 @@ class Tensor:
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}{tag}, requires_grad={self.requires_grad})"
-
-
-def _lift(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 class Tape:
@@ -151,7 +147,6 @@ def dense(h: Tensor, w: Tensor, b: Tensor, relu: bool) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _lift(a), _lift(b)
     if a.shape != b.shape:
         raise ShapeError(f"sub: shapes {a.shape} and {b.shape} differ")
     out = Tensor(a.data - b.data)
@@ -160,29 +155,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         return g, -g
 
     return _track(out, (a, b), backward_fn)
-
-
-def square(a: Tensor) -> Tensor:
-    a = _lift(a)
-    out = Tensor(a.data * a.data)
-    ad = a.data
-
-    def backward_fn(g):
-        return (2.0 * ad * g,)
-
-    return _track(out, (a,), backward_fn)
-
-
-def mean(a: Tensor) -> Tensor:
-    """The mean over all elements."""
-    a = _lift(a)
-    out = Tensor(a.data.mean())
-    count, in_shape = a.data.size, a.shape
-
-    def backward_fn(g):
-        return (np.broadcast_to(g, in_shape) / count,)
-
-    return _track(out, (a,), backward_fn)
 
 
 def custom_op(out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:

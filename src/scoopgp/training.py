@@ -165,6 +165,16 @@ def _noisy_batch(
     return xb
 
 
+def _mse(pred: T.Tensor, y: np.ndarray) -> T.Tensor:
+    """The mean of (pred - y)^2 over all elements as one tape op, y a
+    constant. Value and gradient equal, bit for bit, those of the op-by-op
+    oracle in tests/helpers.py, which keeps trained weights stable: the
+    backward takes 2 d times the mean's share g / n of the upstream gradient."""
+    d = pred.data - y
+    n = d.size
+    return T.custom_op((d * d).mean(), (pred,), lambda g: (2.0 * d * (g / n),))
+
+
 def _train_mean(
     model: DeepGPModel,
     Xs: list[np.ndarray],
@@ -221,7 +231,7 @@ def _train_mean(
             yb = ytr[idx][:, None]
             with T.Tape() as tape:
                 pred = model.mean_t(model.extractor_t(T.Tensor(xb)))
-                loss = T.mean(T.square(T.sub(pred, T.Tensor(yb))))
+                loss = _mse(pred, yb)
                 tape.backward(loss)
             try:
                 T.adam_step(params, [p.grad for p in params], state, cfg.lr_mean)
@@ -234,7 +244,7 @@ def _train_mean(
             for p in extractor_params:
                 a = anchor[p.name]
                 p.data = a + (p.data - a) * shrink
-        val_pred = model.mean_batch(Xval)
+        val_pred = model.embed_rows(Xval)[0]
         val_mse = float(np.mean((val_pred - yval) ** 2))
         curve.append([epoch_loss / max(n_batches, 1), val_mse])
         if stopper.update(epoch, val_mse):
@@ -549,11 +559,12 @@ def train_kcmd(
 
         for i in plan.kernel_task_ids:
             X = per_task_X[i]
+            F = fold_model.extract_batch(X)
             batches.append((
                 f"kernel meta-training: fold {k} task {tasks[i].task_id}",
-                fold_model.extract_batch(X),
+                F,
                 fold_model.extract_batch(X[:, flip_cols]),
-                per_task_y[i] - fold_model.mean_batch(X),
+                per_task_y[i] - fold_model.mean_t(T.Tensor(F)).data[:, 0],
             ))
             cells.append({"fold": k, "task_id": tasks[i].task_id, "count": len(X)})
         n_residuals = sum(len(per_task_X[i]) for i in plan.kernel_task_ids)

@@ -383,7 +383,7 @@ def predict(model, obs, act, support=()) -> gp.GPPosterior:
 def predict_mean(model, obs, act) -> float:
     """The mean head's reward prediction for one pair, de-standardized."""
     x = feature_vector(model.arch, obs, act)[None, :]
-    return float(model.mean_batch(x)[0] * model.reward_std + model.reward_mean)
+    return float(model.embed_rows(x)[0][0] * model.reward_std + model.reward_mean)
 
 
 def nlml_terms_reference(Z, y, kp):
@@ -539,6 +539,24 @@ def sum_all(a):
     return T.custom_op(a.data.sum(), (a,), lambda g: (np.broadcast_to(g, a.shape).copy(),))
 
 
+def square(a):
+    """a * a elementwise."""
+    ad = a.data
+    return T.custom_op(ad * ad, (a,), lambda g: (2.0 * ad * g,))
+
+
+def mean(a):
+    """The mean of all elements, a scalar."""
+    count = a.data.size
+    return T.custom_op(a.data.mean(), (a,), lambda g: (np.broadcast_to(g, a.shape) / count,))
+
+
+def mse_reference(pred, y):
+    """mean(square(pred - y)) in three tape ops, y a constant: the oracle
+    for training._mse."""
+    return mean(square(T.sub(pred, T.Tensor(y))))
+
+
 def relu(a):
     """max(a, 0): the unfused dense oracle's activation."""
     mask = a.data > 0.0
@@ -560,7 +578,7 @@ def dense_chain_reference(X, layers, relu_last):
 def soft_normalize_reference(raw):
     """Each row over sqrt(|r|^2 + 1e-4) in ten tape ops: the oracle for
     model.soft_normalize."""
-    sq = reshape(sum_rows(T.square(raw)), (raw.shape[0], 1))
+    sq = reshape(sum_rows(square(raw)), (raw.shape[0], 1))
     inv_norm = div(T.Tensor(1.0), exp(mul(log(add(sq, T.Tensor(1e-4))), T.Tensor(0.5))))
     return mul(raw, matmul(inv_norm, T.Tensor(np.ones((1, raw.shape[1])))))
 
@@ -569,13 +587,13 @@ def gram_objective_reference(Z, log_lengthscale, log_outputscale, log_noise):
     """The noisy kernel matrix in 22 tape ops: the oracle for
     gp.gram_objective."""
     n = Z.shape[0]
-    sqn = reshape(sum_rows(T.square(Z)), (n, 1))
+    sqn = reshape(sum_rows(square(Z)), (n, 1))
     t1 = matmul(sqn, T.Tensor(np.ones((1, n))))
     cross = matmul(Z, transpose(Z))
     d2 = T.sub(add(t1, transpose(t1)), mul(cross, T.Tensor(2.0)))
-    two_l2 = mul(T.square(exp(log_lengthscale)), T.Tensor(2.0))
+    two_l2 = mul(square(exp(log_lengthscale)), T.Tensor(2.0))
     K = mul(exp(negate(div(d2, two_l2))), exp(log_outputscale))
-    noise_var = T.square(exp(log_noise))
+    noise_var = square(exp(log_noise))
     return add(K, mul(T.Tensor(np.eye(n)), noise_var))
 
 

@@ -1,5 +1,6 @@
 """The statistics of scripts/bench_pairs.py, on hand-computed values."""
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -45,3 +46,19 @@ def test_digests_compare_as_sets():
     assert bench_pairs.digests_equal(this, other) == dict.fromkeys(bench_pairs.DIGESTS, True)
     other["traces"] = ["t", "u"]
     assert bench_pairs.digests_equal(this, other)["traces"] is False
+
+
+def test_runs_last_the_benchmarks_run_seconds(tmp_path, monkeypatch):
+    """Each run is as long as the run_seconds of the BENCHMARK.json beside
+    the script's directory, here a copy that says 3."""
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / "scripts" / "bench_pairs.py").write_text(_path.read_text())
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 3}))
+    spec = importlib.util.spec_from_file_location("bench_pairs_copy", tmp_path / "scripts" / "bench_pairs.py")
+    copy = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(copy)
+    calls = []
+    monkeypatch.setattr(copy.subprocess, "run", lambda cmd, **kw: calls.append(cmd))
+    assert copy.run_once(tmp_path, "train", 7) == {}
+    (cmd,) = calls
+    assert cmd[cmd.index("--seconds") + 1] == "3"

@@ -336,6 +336,14 @@ def test_validation_errors_exit_1(pipeline, tmp_path, capsys):
     ]:
         mistyped[name] = tmp_path / f"{name}.jsonl"
         mistyped[name].write_text(lines[0] + "\n" + json.dumps({**success, **edit}) + "\n")
+    # a first step no episode takes: an action off its ranges, a negative index
+    first = success["steps"][0]
+    for name, edit in [("off_yaw", {"action": {**first["action"], "yaw": 99}}),
+                       ("off_depth", {"action": {**first["action"], "depth": 5.0}}),
+                       ("negative_index", {"index": -3})]:
+        mistyped[name] = tmp_path / f"{name}.jsonl"
+        steps = [{**first, **edit}, *success["steps"][1:]]
+        mistyped[name].write_text(lines[0] + "\n" + json.dumps({**success, "steps": steps}) + "\n")
     for name, field, value in [("string_mae", "mean", {"0": "abc"}), ("shotless_mae", "mean", {"zero": 1.0}),
                                ("infinite_mae", "mean", {"0": float("inf")}),
                                ("string_task_mae", "per_task", {"test-00": "x"}),
@@ -346,6 +354,13 @@ def test_validation_errors_exit_1(pipeline, tmp_path, capsys):
         mistyped[name].write_text(json.dumps({**json.loads(Path(pipeline["mae"]).read_text()), field: value}))
     # shot counts eval-kshot never writes: a negative one, and none at all
     table = json.loads(Path(pipeline["mae"]).read_text())
+    # a negative MAE, as the mean and as a task's
+    task = next(iter(table["per_task"]))
+    for name, field, value in [("negative_mae", "mean", {**table["mean"], "0": -5.0}),
+                               ("negative_task_mae", "per_task",
+                                {**table["per_task"], task: {**table["per_task"][task], "0": -5.0}})]:
+        mistyped[name] = tmp_path / f"{name}.json"
+        mistyped[name].write_text(json.dumps({**table, field: value}))
     for name, shots in [("negative_shot_mae", [-3, 0]), ("no_shot_mae", [])]:
         keyed = {str(k): 1.0 for k in shots}
         mistyped[name] = tmp_path / f"{name}.json"
@@ -370,10 +385,11 @@ def test_validation_errors_exit_1(pipeline, tmp_path, capsys):
         *[(["report", "--traces", str(mistyped[name]), "--out", str(tmp_path / "r")],
            f"{mistyped[name]}: line 2")
           for name in ("meta", "cap", "seedless", "contradiction", "over_cap", "zero_cap", "unflagged",
-                       "faulted_success")],
+                       "faulted_success", "off_yaw", "off_depth", "negative_index")],
         *[(["report", "--mae", str(mistyped[name]), "--out", str(tmp_path / "r")], str(mistyped[name]))
           for name in ("string_mae", "shotless_mae", "infinite_mae", "string_task_mae", "foreign_shot_mae",
-                       "uneven_task_mae", "negative_shot_mae", "no_shot_mae")],
+                       "uneven_task_mae", "negative_shot_mae", "no_shot_mae", "negative_mae",
+                       "negative_task_mae")],
         (["train", "--method", "sl", "--data", str(repeated), "--out", str(tmp_path / "m.json")],
          copies["train"]),
         *[([*argv, "--model", str(pipeline["ckpt"]), "--data", str(repeated), "--out", str(tmp_path / out)],

@@ -16,10 +16,12 @@ from helpers import (
     feature_vector,
     flip_patch,
     make_task,
+    mean,
     predict,
     predict_mean,
     random_action,
     shared_rows_matrix,
+    square,
 )
 
 SMALL = M.Architecture(
@@ -188,7 +190,7 @@ def test_predict_rows_with_empty_support_is_the_prior(has_kernel):
     m.reward_mean, m.reward_std = 12.5, 3.25
     X = rng.uniform(0.0, 1.0, size=(7, SMALL.input_dim))
     means, variances = m.predict_rows(X, X[[]], np.empty(0))
-    assert means.tobytes() == (m.mean_batch(X) * m.reward_std + m.reward_mean).tobytes()
+    assert means.tobytes() == (m.embed_rows(X)[0] * m.reward_std + m.reward_mean).tobytes()
     prior = (m.kp.outputscale + m.kp.noise**2) * m.reward_std**2 if has_kernel else 0.0
     assert variances.tobytes() == np.full(7, prior).tobytes()
 
@@ -220,11 +222,11 @@ def test_predict_composes_mean_and_gp_oracle():
 
     Xs = np.stack([m.feature_vector(o, a) for o, a, _ in support])
     Zs = embed_batch(m, Xs)
-    ms = m.mean_batch(Xs)
+    ms = m.embed_rows(Xs)[0]
     resid = (np.array([r for _, _, r in support]) - 20.0) / 6.0 - ms
     zq = embed_batch(m, m.feature_vector(query_obs, query_act)[None, :])[0]
     ref = gp.posterior(Zs, resid, zq, m.kp)
-    mq = m.mean_batch(m.feature_vector(query_obs, query_act)[None, :])[0]
+    mq = m.embed_rows(m.feature_vector(query_obs, query_act)[None, :])[0][0]
     assert post.mean == pytest.approx((mq + ref.mean) * 6.0 + 20.0, abs=1e-10)
     assert post.variance == pytest.approx(ref.variance * 36.0, abs=1e-10)
 
@@ -310,7 +312,7 @@ def _mean_and_kernel_passes(model, X, y):
     kernel_params = model.segment_params("kernel") + list(kpt.values())
     with T.Tape() as tape:
         pred = model.mean_t(model.extractor_t(T.Tensor(X)))
-        loss = T.mean(T.square(T.sub(pred, T.Tensor(y[:, None]))))
+        loss = mean(square(T.sub(pred, T.Tensor(y[:, None]))))
         tape.backward(loss)
     out = [pred.data.tobytes(), loss.data.tobytes()]
     out += [p.grad.tobytes() for p in mean_params]

@@ -11,10 +11,12 @@ from helpers import (
     exp,
     log,
     matmul,
+    mean,
     mul,
     negate,
     relu,
     reshape,
+    square,
     sum_all,
     sum_rows,
     transpose,
@@ -40,10 +42,11 @@ def numeric_grad(f, x, h=1e-5):
     return g
 
 
-# matmul, add, mul, div, exp, log, negate, transpose, reshape, sum_rows
-# and sum_all below are the tests/helpers.py oracle ops that the fused
-# gram_objective and soft_normalize must match byte for byte; they are
-# checked here so that a byte match means a correct gradient.
+# matmul, add, mul, div, exp, log, negate, transpose, reshape, square,
+# sum_rows, sum_all and mean below are the tests/helpers.py oracle ops that
+# the fused gram_objective, soft_normalize and mean-head loss must match
+# byte for byte; they are checked here so that a byte match means a
+# correct gradient.
 
 
 def test_matmul_identity():
@@ -88,16 +91,16 @@ def test_relu_exp_values():
 def test_square_gradient():
     x = T.Tensor([3.0], requires_grad=True)
     with T.Tape() as tape:
-        tape.backward(sum_all(T.square(x)))
+        tape.backward(sum_all(square(x)))
     assert x.grad.tolist() == [6.0]
 
 
 def test_reduce_values_and_mean_grad():
     assert sum_all(T.Tensor([[1.0, 2.0], [3.0, 4.0]])).item() == 10.0
-    assert T.mean(T.Tensor([2.0, 4.0])).item() == 3.0
+    assert mean(T.Tensor([2.0, 4.0])).item() == 3.0
     x = T.Tensor([1.0, 2.0, 3.0, 4.0], requires_grad=True)
     with T.Tape() as tape:
-        tape.backward(T.mean(x))
+        tape.backward(mean(x))
     assert np.allclose(x.grad, [0.25, 0.25, 0.25, 0.25])
 
 
@@ -127,8 +130,8 @@ def test_gradcheck_composite_expression(seed):
     with T.Tape() as tape:
         a2 = T.Tensor(A, requires_grad=True)
         h = relu(matmul(a2, T.Tensor(B)))
-        h = add(T.square(h), exp(mul(h, T.Tensor(0.3))))
-        tape.backward(T.mean(h))
+        h = add(square(h), exp(mul(h, T.Tensor(0.3))))
+        tape.backward(mean(h))
 
     def f(x):
         h = np.maximum(x @ B, 0.0)
@@ -159,15 +162,15 @@ def test_per_op_gradcheck(name):
             "exp": lambda: exp(a),
             "log": lambda: log(a),
             "relu": lambda: relu(T.sub(a, T.Tensor(np.full((3, 4), 1.2)))),
-            "square": lambda: T.square(a),
+            "square": lambda: square(a),
             "negate": lambda: negate(a),
             "matmul": lambda: matmul(a, transpose(b)),
-            "dense": lambda: T.square(T.dense(a, T.Tensor(B.T), T.Tensor(B[:1, :3]), relu=False)),
-            "transpose": lambda: T.square(transpose(a)),
-            "reshape": lambda: T.square(reshape(a, (4, 3))),
+            "dense": lambda: square(T.dense(a, T.Tensor(B.T), T.Tensor(B[:1, :3]), relu=False)),
+            "transpose": lambda: square(transpose(a)),
+            "reshape": lambda: square(reshape(a, (4, 3))),
             "sum": lambda: sum_all(a),
-            "sum_axis": lambda: T.square(sum_rows(a)),
-            "mean": lambda: T.mean(a),
+            "sum_axis": lambda: square(sum_rows(a)),
+            "mean": lambda: mean(a),
         }
         return sum_all(ops[name]())
 
@@ -187,7 +190,7 @@ def test_per_op_gradcheck(name):
 def test_tape_backward_twice_is_error():
     x = T.Tensor([1.0], requires_grad=True)
     with T.Tape() as tape:
-        loss = sum_all(T.square(x))
+        loss = sum_all(square(x))
         tape.backward(loss)
         with pytest.raises(T.TapeError):
             tape.backward(loss)
@@ -202,7 +205,7 @@ def test_tape_does_not_nest():
 
 def test_no_tape_records_nothing():
     x = T.Tensor([1.0], requires_grad=True)
-    y = T.square(x)
+    y = square(x)
     assert y.grad is None and not y._on_tape
 
 
@@ -294,7 +297,7 @@ def test_constant_operand_gets_no_gradient():
         a = T.Tensor(A, requires_grad=a_requires_grad)
         b = T.Tensor(B, requires_grad=True)
         with T.Tape() as tape:
-            tape.backward(sum_all(T.square(T.sub(T.square(a), b))))
+            tape.backward(sum_all(square(T.sub(square(a), b))))
         return a.grad, b.grad, len(tape._records)
 
     a_grad, b_grad, n_ops = run(False)
@@ -313,7 +316,7 @@ def test_dense_constant_input_gets_no_gradient():
         w = T.Tensor(W, requires_grad=True)
         b = T.Tensor(b0, requires_grad=True)
         with T.Tape() as tape:
-            tape.backward(sum_all(T.square(T.dense(h, w, b, relu=True))))
+            tape.backward(sum_all(square(T.dense(h, w, b, relu=True))))
         return h.grad, w.grad, b.grad
 
     h_grad, w_grad, b_grad = run(False)
@@ -331,7 +334,7 @@ def test_forward_backward_deterministic():
         b = T.Tensor(rng.normal(size=(3, 2)), requires_grad=True)
         bias = T.Tensor(rng.normal(size=(1, 2)), requires_grad=True)
         with T.Tape() as tape:
-            out = T.mean(T.square(T.dense(a, b, bias, relu=True)))
+            out = mean(square(T.dense(a, b, bias, relu=True)))
             tape.backward(out)
         return out.data.tobytes(), a.grad.tobytes(), b.grad.tobytes(), bias.grad.tobytes()
 

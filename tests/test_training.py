@@ -12,6 +12,7 @@ from helpers import (
     gram_objective_reference,
     make_task,
     median_distance_reference,
+    mse_reference,
     nlml_terms_reference,
     noisy_batch_reference,
     pool_reference,
@@ -123,7 +124,7 @@ def test_train_dkmt_constant_rewards_zero_data_fit():
     task.rewards[:] = 12.5
     model, _ = TR.train_dkmt([task], small_cfg(max_epochs_meta=6))
     X = task.feature_matrix(ARCH)
-    resid = (task.rewards - model.reward_mean) / model.reward_std - model.mean_batch(X)
+    resid = (task.rewards - model.reward_mean) / model.reward_std - model.embed_rows(X)[0]
     Z = embed_batch(model, X)
     _, data_fit, _ = nlml_terms_reference(Z, resid, model.kp)
     assert data_fit < 1e-4
@@ -270,7 +271,7 @@ def test_no_finite_loss_names_the_phase(tiny_tasks, monkeypatch, phase):
     names itself in the TrainingError: a NaN validation loss for sl, a NaN
     NLML with finite gradients for dkmt and kcmd's kernel phase."""
     if phase == "sl":
-        monkeypatch.setattr(M.DeepGPModel, "mean_batch", lambda self, X: np.full(len(X), np.nan))
+        monkeypatch.setattr(M.DeepGPModel, "embed_rows", lambda self, X: (np.full(len(X), np.nan), None))
     else:
         def nlml(Kbar, resid):
             return T.custom_op(np.asarray(np.nan), (Kbar, resid),
@@ -414,11 +415,13 @@ def test_train_mean_noises_batches_at_the_model_amplitudes(tiny_tasks, monkeypat
 
 
 def test_train_sl_matches_unfused_reference(tiny_tasks, monkeypatch):
-    """Fused dense layers, flat Adam and in-place batch noise give the
-    weights of the per-op, per-parameter, allocating training loop."""
+    """Fused dense layers, the one-op loss, flat Adam and in-place batch
+    noise give the weights of the per-op, per-parameter, allocating
+    training loop."""
     cfg = small_cfg(max_epochs_mean=4, batch_size=12)
     fused, _ = TR.train_sl(tiny_tasks, cfg)
     monkeypatch.setattr(M, "dense_chain", dense_chain_reference)
+    monkeypatch.setattr(TR, "_mse", mse_reference)
     monkeypatch.setattr(T, "adam_step", adam_step_reference)
     monkeypatch.setattr(TR, "_noisy_batch", noisy_batch_reference)
     reference, _ = TR.train_sl(tiny_tasks, cfg)
@@ -468,6 +471,43 @@ def _run_train_mean(model, Xs, ys, cfg, **anchor):
     return manifest
 
 
+# 12 and 128 are full batches, 1 and 56 the last batch of an epoch
+@pytest.mark.parametrize("n", [1, 12, 128, 56])
+def test_mse_matches_three_op_reference(n):
+    """The one-op loss has the value and the prediction gradient of
+    mean(square(pred - y)) recorded op by op, bit for bit."""
+    rng = np.random.default_rng(n)
+    P = rng.normal(scale=2.0, size=(n, 1))
+    y = rng.normal(size=(n, 1))
+
+    def run(loss_fn):
+        pred = T.Tensor(P, requires_grad=True)
+        with T.Tape() as tape:
+            loss = loss_fn(pred, y)
+            tape.backward(loss)
+        return loss.data.tobytes(), pred.grad.tobytes()
+
+    assert run(TR._mse) == run(mse_reference)
+
+
+def test_train_mean_step_records_one_loss_op(tiny_tasks, monkeypatch):
+    """A _train_mean step records one dense op per extractor and mean
+    layer and one op for the loss."""
+    model = M.DeepGPModel.init(ARCH, seed=0, has_kernel=False)
+    expected = len(model._layers("extractor")) + len(model._layers("mean")) + 1
+    counts = []
+    backward = T.Tape.backward
+
+    def spy(tape, loss):
+        counts.append(len(tape._records))
+        return backward(tape, loss)
+
+    monkeypatch.setattr(T.Tape, "backward", spy)
+    Xs = [t.feature_matrix(ARCH) for t in tiny_tasks]
+    _run_train_mean(model, Xs, [t.rewards for t in tiny_tasks], small_cfg(max_epochs_mean=1, batch_size=12))
+    assert counts and set(counts) == {expected}
+
+
 @pytest.mark.parametrize("validation_fraction", [0.1, 0.0])
 def test_train_mean_gathers_the_pooled_rows(monkeypatch, validation_fraction):
     """The training and validation rows _train_mean gathers from per-task
@@ -484,13 +524,13 @@ def test_train_mean_gathers_the_pooled_rows(monkeypatch, validation_fraction):
 
     monkeypatch.setattr(TR, "_noisy_batch", train_spy)
     model = M.DeepGPModel.init(ARCH, seed=0, has_kernel=False)
-    mean_batch = model.mean_batch
+    embed_rows = model.embed_rows
 
     def val_spy(X):
         seen.setdefault("val", X.copy())
-        return mean_batch(X)
+        return embed_rows(X)
 
-    model.mean_batch = val_spy
+    model.embed_rows = val_spy
     _run_train_mean(model, [t.feature_matrix(ARCH) for t in tasks], [t.rewards for t in tasks], cfg)
     X, _ = pool_reference(tasks, ARCH, 0.0, 1.0)
     n_val = min(math.ceil(validation_fraction * len(X)), len(X) - 1)
